@@ -12,7 +12,6 @@ from .io import (
     write_snapshots_csv,
     write_vector_csv,
 )
-from .main import main
 from .manifest import (
     MANIFEST_SCHEMA,
     OUTPUT_ROOT_ENV,

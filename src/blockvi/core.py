@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedObjective,
     WeightSumError,
 )
-from .space import BlockShape, SpacePoint, weighted_sum
+from .space import BlockShape, SpacePoint
 
 __all__ = [
     "ConstraintSet",
@@ -179,23 +179,21 @@ def assemble_problem(constraint: ConstraintSet,
     return Problem(constraint=constraint, prescriptions=pres)
 
 
-def _displacement(problem: Problem, x: SpacePoint) -> SpacePoint:
-    """sum_i w_i L_i*(F_i(L_i x) - p_i), reduced in index order."""
-    terms = [p.linop.adjoint(p.image(x) - p.target) for p in problem.prescriptions]
-    return weighted_sum(terms, problem.weights)
-
-
 def vi_residual(problem: Problem, x: SpacePoint, theta: float = 1.0) -> float:
     """Scale-free fixed-point residual; zero exactly at solutions, for any theta > 0.
 
     ||x - proj_C(x - theta * sum_i w_i L_i*(F_i(L_i x) - p_i))|| / (1 + ||x||)
+
+    Evaluated on arrays by the solver's arm kernel
+    (:func:`blockvi.solver.array_residual`).
     """
     if theta <= 0:
         raise InvalidParameter("theta must be positive")
     if x.shape != problem.domain_shape:
         raise ShapeMismatch("point lives outside the problem domain")
-    z = x - theta * _displacement(problem, x)
-    return (x - problem.constraint.project(z)).norm() / (1.0 + x.norm())
+    from .solver import array_residual  # deferred: the solver imports this module
+
+    return array_residual(problem, x.data, theta)
 
 
 def prescription_images(problem: Problem, x: SpacePoint) -> list:

@@ -200,6 +200,14 @@ class FneOperator:
     def describe(self) -> dict:
         return {"kind": self.kind}
 
+    @classmethod
+    def stacked(cls, ops: Sequence["FneOperator"]) -> Optional["FneOperator"]:
+        """One elementwise operator on R^k whose j-th coordinate is ops[j]
+        acting on R^1 (``ops`` are operators of this class on R^1), or None
+        when they do not fuse.  The solver evaluates fused one-row arms
+        together; the result must equal applying each op alone, bit for bit."""
+        return None
+
 
 class IdentityFne(FneOperator):
     kind = "identity"
@@ -263,6 +271,13 @@ class SingletonProjector(FneOperator):
 
     def _apply(self, y):
         return self.center.data.copy()
+
+    @classmethod
+    def stacked(cls, ops):
+        if any(type(op) is not SingletonProjector for op in ops):
+            return None
+        return SingletonProjector(
+            SpacePoint(np.concatenate([op.center.data for op in ops])))
 
 
 class NonnegProjector(FneOperator):
@@ -351,6 +366,13 @@ class SoftThreshold(FneOperator):
 
     def _apply(self, y):
         return soft_threshold(y, self.gamma)
+
+    @classmethod
+    def stacked(cls, ops):
+        if any(type(op) is not SoftThreshold or op.gamma != ops[0].gamma
+               for op in ops):
+            return None
+        return SoftThreshold(ops[0].gamma, BlockShape.vector(len(ops)))
 
     def describe(self):
         return {"kind": self.kind, "gamma": self.gamma}
@@ -492,6 +514,15 @@ class ResidualOf(FneOperator):
 
     def _apply(self, y):
         return y - self.op._apply(y)
+
+    @classmethod
+    def stacked(cls, ops):
+        inner = [op.op for op in ops]
+        if any(type(op) is not ResidualOf or type(i) is not type(inner[0])
+               for op, i in zip(ops, inner)):
+            return None
+        fused = type(inner[0]).stacked(inner)
+        return None if fused is None else ResidualOf(fused)
 
     def describe(self):
         return {"kind": self.kind, "of": self.op.describe()}

@@ -160,9 +160,11 @@ class FiniteDifference1D(LinearOperator):
         return out
 
     def exact_norm_sq(self):
-        # largest eigenvalue of the difference Gramian (path-graph Laplacian)
+        # largest eigenvalue of the difference Gramian (path-graph Laplacian),
+        # with an allowance for the rounding error of the closed form
         n = self.input_shape.total
-        return float(4.0 * np.sin(np.pi * (n - 1) / (2.0 * n)) ** 2)
+        slack = 1.0 + 8.0 * np.finfo(np.float64).eps * n
+        return float(4.0 * np.sin(np.pi * (n - 1) / (2.0 * n)) ** 2) * slack
 
     def describe(self):
         return {"kind": self.kind, "n": self.input_shape.total, "norm_sq": self.norm_sq}

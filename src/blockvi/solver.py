@@ -34,6 +34,19 @@ the cancelled factor back, so fixed points satisfy
 with the *problem's own* weights w_i -- the condition ``vi_residual``
 measures.  Averaging with the raw w_i instead would steer the iteration to
 a solution of a differently-weighted inequality whenever the bounds differ.
+
+One array kernel evaluates the arms, a *group* at a time: at a point x it
+returns the rows L_i*(F_i(L_i x) - p_i) of the group's arms.  The iteration
+sets t_i = x - gamma_i * row_i for the groups of the active set, and the
+residual reduces sum_i w_i row_i over the groups of all arms (taken as one
+atom).  Within an activation atom, the arms whose map is a one-row
+``DenseMatrix`` and whose FNEs fuse into one elementwise operator on R^k
+(``FneOperator.stacked``; soft thresholds of one level, singleton projectors
+and their residuals) form one group: one matvec with their stacked rows A_c,
+one FNE call and one row scaling r[:, None] * A_c, whatever k.  Only the
+order of each row's dot product differs from evaluating those arms one by
+one.  Every other arm is a group of one, evaluated through its own
+``_apply``/``_adjoint`` exactly as alone.
 """
 
 from __future__ import annotations
@@ -47,7 +60,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Problem, vi_residual
+# vi_residual is re-exported: the public residual stays reachable through this
+# module (bench/bench_trace.py wraps it here), while solve() calls the array
+# form below directly.
+from .core import Problem, vi_residual  # noqa: F401
 from .errors import CoverageError, EmptyBlock, InvalidParameter, ShapeMismatch
 from .linops import DenseMatrix
 from .space import SpacePoint
@@ -68,6 +84,7 @@ __all__ = [
     "step_bounds",
     "arm_gammas",
     "averaging_weights",
+    "array_residual",
 ]
 
 
@@ -333,38 +350,106 @@ def averaging_weights(problem: Problem,
                       schedule: Optional[ActivationSchedule] = None) -> tuple:
     """Weights v_i = w_i b_i / sum_j w_j b_j used in the averaging step; they
     cancel the per-arm step scaling so fixed points solve the stated problem."""
-    raw = [p.weight * b
-           for p, b in zip(problem.prescriptions, step_bounds(problem, schedule))]
+    return _averaging_weights(problem, step_bounds(problem, schedule))
+
+
+def _averaging_weights(problem: Problem, bounds) -> tuple:
+    raw = [p.weight * b for p, b in zip(problem.prescriptions, bounds)]
     z = sum(raw)
     return tuple(r / z for r in raw)
 
 
-def _arm_update_array(prescription, x: np.ndarray, gamma_i: float) -> np.ndarray:
-    fy = prescription.fne._apply(prescription.linop._apply(x))
-    return x - gamma_i * prescription.linop._adjoint(fy - prescription.target.data)
+@dataclass(frozen=True)
+class _ArmGroup:
+    """Arms that :func:`_arm_rows` evaluates in one pass: a single arm
+    (``linop`` set), or one-row dense arms with fused FNEs (``matrix`` holds
+    their stacked rows, ``fne`` acts on all of them elementwise)."""
+
+    arms: object             # slice or index array of the arms, ascending
+    fne: object
+    target: np.ndarray
+    linop: object = None
+    matrix: Optional[np.ndarray] = None
 
 
-def _iterate_arrays(problem: Problem, gammas, vweights, x: np.ndarray,
-                    t_matrix: np.ndarray, active: Sequence[int]) -> np.ndarray:
-    """One iteration on flat storage: rows of ``t_matrix`` are the auxiliary
-    points and are updated in place; returns the projected new iterate."""
-    for i in active:
-        t_matrix[i] = _arm_update_array(problem.prescriptions[i], x, gammas[i])
-    acc = vweights @ t_matrix
-    return problem.constraint.project_array(acc, problem.domain_shape)
+def _arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
+    """Split one activation atom into groups: for each FNE class, the atom's
+    one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
+    every other arm alone."""
+    alone, rank_one = [], {}
+    for i in atom:
+        p = problem.prescriptions[i]
+        if isinstance(p.linop, DenseMatrix) and p.linop.matrix.shape[0] == 1:
+            rank_one.setdefault(type(p.fne), []).append(i)
+        else:
+            alone.append(i)
+    groups = []
+    for cls, arms in rank_one.items():
+        pres = [problem.prescriptions[i] for i in arms]
+        fne = cls.stacked([p.fne for p in pres]) if len(arms) > 1 else None
+        if fne is None:
+            alone.extend(arms)
+            continue
+        contiguous = arms == list(range(arms[0], arms[-1] + 1))
+        groups.append(_ArmGroup(
+            slice(arms[0], arms[-1] + 1) if contiguous else np.array(arms),
+            fne, np.concatenate([p.target.data for p in pres]),
+            matrix=np.vstack([p.linop.matrix for p in pres])))
+    for i in alone:
+        p = problem.prescriptions[i]
+        groups.append(_ArmGroup(slice(i, i + 1), p.fne, p.target.data, p.linop))
+    return tuple(groups)
+
+
+def _arm_rows(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
+    """L_i*(F_i(L_i x) - p_i) for the arms of ``group``, one row per arm.
+
+    A fused group costs one matvec, one FNE call and one row scaling; a single
+    arm goes through its own ``_apply``/``_adjoint`` (and returns a flat row).
+    """
+    if group.matrix is None:
+        image = group.fne._apply(group.linop._apply(x))
+        return group.linop._adjoint(image - group.target)
+    r = group.fne._apply(group.matrix @ x) - group.target
+    return r[:, None] * group.matrix
+
+
+def _refresh(groups, gammas: np.ndarray, x: np.ndarray, t: np.ndarray):
+    """t_i = x - gamma_i L_i*(F_i(L_i x) - p_i) for the arms of ``groups``,
+    in place; every other row of ``t`` stays bitwise as it was."""
+    for g in groups:
+        t[g.arms] = x - gammas[g.arms, None] * _arm_rows(g, x)
+
+
+def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
+                   groups: Optional[tuple] = None) -> float:
+    """:func:`blockvi.core.vi_residual` on a flat array.  ``groups`` are the
+    arm groups of all arms taken as one atom; they are built when omitted."""
+    if groups is None:
+        groups = _arm_groups(problem, range(problem.arm_count))
+    rows = np.empty((problem.arm_count, x.size))
+    for g in groups:
+        rows[g.arms] = _arm_rows(g, x)
+    z = x - theta * (np.asarray(problem.weights) @ rows)
+    projected = problem.constraint.project_array(z, problem.domain_shape)
+    return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
 
 
 def step(state: SolverState, problem: Problem, active: Sequence[int],
          config: SolverConfig) -> SolverState:
     """One exact iteration: refresh t_i for active arms, keep the rest stale,
     project the weighted average.  Pure function of (state, active); stale
-    auxiliary points are carried over unchanged (bitwise).  Uses the per-arm
-    bounds b_i = ``norm_sq_bound``, since no schedule fixes its atoms."""
-    gammas = arm_gammas(problem, config.gamma)
-    vweights = np.asarray(averaging_weights(problem))
+    auxiliary points are carried over unchanged (bitwise).  No schedule fixes
+    its atoms, so every arm is its own atom: per-arm bounds b_i =
+    ``norm_sq_bound``, and every arm evaluated alone."""
+    bounds = step_bounds(problem)
+    gammas = config.gamma / np.asarray(bounds)
+    vweights = np.asarray(_averaging_weights(problem, bounds))
     t_matrix = np.stack([ti.data for ti in state.t])
-    x_next = _iterate_arrays(problem, gammas, vweights, state.x.data,
-                             t_matrix, active)
+    _refresh([g for i in active for g in _arm_groups(problem, (i,))],
+             gammas, state.x.data, t_matrix)
+    x_next = problem.constraint.project_array(vweights @ t_matrix,
+                                              problem.domain_shape)
     active_set = set(active)
     t_next = tuple(
         SpacePoint(t_matrix[i], problem.prescriptions[i].linop.input_shape)
@@ -379,8 +464,9 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     """Run the block iteration until the fixed-point residual drops below
     ``config.tol`` (checked every ``trace_every`` iterations) or ``max_iters``
     is reached.  Step sizes and averaging weights use the bounds certified for
-    the schedule's activation atoms.  Deterministic given (problem, schedule,
-    config)."""
+    the schedule's activation atoms, and the arms of each atom are evaluated
+    in groups (see the module docstring).  Deterministic given (problem,
+    schedule, config)."""
     config.validate()
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
@@ -388,13 +474,21 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     if config.x0.shape != problem.domain_shape:
         raise ShapeMismatch("x0 lives outside the problem domain")
 
-    gammas = arm_gammas(problem, config.gamma, schedule)
-    vweights = np.asarray(averaging_weights(problem, schedule))
+    bounds = step_bounds(problem, schedule)
+    gammas = config.gamma / np.asarray(bounds)
+    vweights = np.asarray(_averaging_weights(problem, bounds))
+    atom_groups = {atom: _arm_groups(problem, atom)
+                   for atom in activation_atoms(schedule)}
+    set_groups = [tuple(g for atom, groups in atom_groups.items()
+                        if atom[0] in s for g in groups)
+                  for s in schedule.sets]
+    every_arm = tuple(range(problem.arm_count))
+    all_groups = atom_groups.get(every_arm) or _arm_groups(problem, every_arm)
     if config.t_init_policy == "copy_x0":
         t = np.tile(config.x0.data, (problem.arm_count, 1))
     else:
-        t = np.stack([_arm_update_array(p, config.x0.data, g)
-                      for p, g in zip(problem.prescriptions, gammas)])
+        t = np.empty((problem.arm_count, config.x0.dim))
+        _refresh(all_groups, gammas, config.x0.data, t)
 
     trace = SolverTrace()
     started = time.perf_counter()
@@ -406,10 +500,12 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     for n in range(config.max_iters):
         active = schedule.active_set(n)
         prev_x = x
-        x = _iterate_arrays(problem, gammas, vweights, x, t, active)
+        _refresh(set_groups[n % len(set_groups)], gammas, x, t)
+        x = problem.constraint.project_array(vweights @ t, problem.domain_shape)
         if n % config.trace_every == 0 or n == config.max_iters - 1:
-            x_point = SpacePoint(x, problem.domain_shape)
-            residual = vi_residual(problem, x_point, config.residual_theta)
+            x_point = SpacePoint(x, problem.domain_shape)  # rejects non-finite x
+            residual = array_residual(problem, x, config.residual_theta,
+                                      all_groups)
             seconds = time.perf_counter() - started
             gaps = None
             if config.record_arm_gaps:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blockvi
 from blockvi.cli import (
     default_manifest,
     generate_experiment,
@@ -213,6 +217,17 @@ def test_run_exit_codes_via_main(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "(0, 2)" in captured.err
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # `python -m blockvi.cli.main` must not find the module already imported
+    # by its package, which makes runpy warn
+    src = os.path.dirname(os.path.dirname(blockvi.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "blockvi.cli.main",
+         "--help"], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_run_determinism_byte_identical(tmp_path):

@@ -144,6 +144,25 @@ def test_root_characterization_theta_independent():
             assert vi_residual(prob, probe, theta) > 1e-6
 
 
+@pytest.mark.parametrize("constraint", [
+    ConstraintSet.whole_space(),
+    ConstraintSet.box(np.full(100, -0.05), np.full(100, 0.05)),
+])
+def test_residual_matches_per_arm_formula_on_600_rows(constraint, rng):
+    # the 600 row-wise singleton arms that a `custom` 600x100 system builds;
+    # the residual evaluates them as one group, the reference arm by arm
+    rows, _, _ = feasibility_problem(3, m=600, n=100)
+    prob = assemble_problem(constraint, rows.prescriptions)
+    x = SpacePoint(0.1 * rng.standard_normal(100))
+    g = np.zeros(100)
+    for p in prob.prescriptions:
+        g += p.weight * p.linop.adjoint(p.image(x) - p.target).data
+    z = constraint.project(SpacePoint(x.data - g))
+    expected = (x - z).norm() / (1.0 + x.norm())
+    assert expected > 1e-3
+    assert abs(vi_residual(prob, x) - expected) <= 1e-14 * expected
+
+
 # ---------------------------------------------------------------------------
 # inconsistency bound
 # ---------------------------------------------------------------------------

@@ -293,6 +293,35 @@ def test_residual_distance_sq(rng):
     assert r.distance_sq(SpacePoint([3.0])) == 4.0
 
 
+VEC1 = BlockShape.vector(1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: SoftThreshold(0.3, VEC1),
+    lambda c: SingletonProjector(SpacePoint([c])),
+    lambda c: ResidualOf(SingletonProjector(SpacePoint([c]))),
+    lambda c: ResidualOf(SoftThreshold(0.3, VEC1)),
+])
+def test_stacked_equals_each_operator_alone(make, rng):
+    centers = rng.standard_normal(7)
+    ops = [make(c) for c in centers]
+    fused = type(ops[0]).stacked(ops)
+    y = 2 * rng.standard_normal(7)
+    alone = np.concatenate([op._apply(y[j:j + 1]) for j, op in enumerate(ops)])
+    assert fused._apply(y).tobytes() == alone.tobytes()
+
+
+def test_stacked_refuses_what_does_not_fuse():
+    assert SoftThreshold.stacked([SoftThreshold(0.1, VEC1),
+                                  SoftThreshold(0.2, VEC1)]) is None
+    assert ResidualOf.stacked([ResidualOf(SoftThreshold(0.1, VEC1)),
+                               ResidualOf(SoftThreshold(0.2, VEC1))]) is None
+    assert ResidualOf.stacked([ResidualOf(SoftThreshold(0.1, VEC1)),
+                               ResidualOf(SingletonProjector(SpacePoint([0.1])))]) is None
+    assert BoxProjector.stacked([BoxProjector(0, 1, VEC1),
+                                 BoxProjector(0, 1, VEC1)]) is None
+
+
 # ---------------------------------------------------------------------------
 # singular-value machinery
 # ---------------------------------------------------------------------------

@@ -109,6 +109,12 @@ def test_norm_closed_forms(rng):
     np.testing.assert_allclose(fd.norm_sq, 4 * np.sin(np.pi * 127 / 256) ** 2)
 
 
+@pytest.mark.parametrize("n", [2, 16, 128, 1000])
+def test_finite_difference_bound_certified_without_slack(n):
+    d = np.diff(np.eye(n), axis=0)
+    assert FiniteDifference1D(n).norm_sq >= np.linalg.eigvalsh(d.T @ d)[-1]
+
+
 def test_power_iteration_matches_exact_spectrum(rng):
     a = rng.standard_normal((7, 5))
     op = DenseMatrix(a)

@@ -8,6 +8,7 @@ from blockvi.core import ConstraintSet, Prescription, assemble_problem
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
 from blockvi.fne_ops import BoxProjector, IdentityFne, ResidualOf, SoftThreshold
 from blockvi.linops import DenseMatrix, FiniteDifference1D, Identity
+import blockvi.solver
 from blockvi.solver import (
     SolveStatus,
     SolverConfig,
@@ -22,6 +23,7 @@ from blockvi.solver import (
     step_bounds,
     validate_schedule,
 )
+from blockvi.solver import _arm_groups, _refresh
 from blockvi.space import BlockShape, SpacePoint
 
 from problem_zoo import feasibility_problem, mixed_arms_problem, scalar_problem
@@ -351,6 +353,106 @@ def test_solve_matches_step_loop_when_atoms_not_dense():
         state = step(state, prob, sched.active_set(k - 1), cfg)
         assert x.data.tobytes() == state.x.data.tobytes(), k
     assert len(res.trace.iterates) == 61
+
+
+def test_solve_certifies_bounds_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step_bounds(*args, **kwargs)
+
+    monkeypatch.setattr(blockvi.solver, "step_bounds", counted)
+    prob, sched = _feasibility_case()
+    cfg = _config(gamma=1.9, max_iters=20, tol=0.0,
+                  x0=SpacePoint(np.zeros(8)), t_init_policy="one_step")
+    solve(prob, sched, cfg)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# arm groups
+# ---------------------------------------------------------------------------
+
+def _signal_recovery_seed0():
+    payload = default_manifest("signal_recovery", 0)
+    data = generate_experiment("signal_recovery", payload["dimensions"], 0,
+                               payload["noise"], payload["operators"])
+    spec = payload["schedule"]
+    sched = make_schedule(spec["kind"], data.problem.arm_count,
+                          blocks=spec["blocks"],
+                          always_active=spec["always_active"])
+    return data.problem, sched, payload["solver"]["gamma"]
+
+
+def test_grouped_solve_matches_public_arm_loop():
+    # 300 iterations of the dictionary-row groups against arm-by-arm updates
+    # through the public apply/adjoint; only the order of the row dot
+    # products differs
+    prob, sched, gamma = _signal_recovery_seed0()
+    shape = prob.domain_shape
+    x0 = SpacePoint.zeros(shape)
+    res = solve(prob, sched, _config(gamma=gamma, max_iters=300, tol=0.0,
+                                     x0=x0, trace_every=1000))
+    gammas = arm_gammas(prob, gamma, sched)
+    v = averaging_weights(prob, sched)
+    t = [x0] * prob.arm_count
+    x = x0
+    for n in range(300):
+        for i in sched.active_set(n):
+            p = prob.prescriptions[i]
+            t[i] = x - gammas[i] * p.linop.adjoint(p.image(x) - p.target)
+        x = SpacePoint(sum(vi * ti.data for vi, ti in zip(v, t)), shape)
+    err = np.linalg.norm(res.solution.data - x.data) / np.linalg.norm(x.data)
+    assert err <= 1e-12
+
+
+def test_refresh_leaves_rows_outside_the_cell_bitwise():
+    prob, sched, gamma = _signal_recovery_seed0()
+    active = sched.active_set(1)
+    groups = [g for atom in activation_atoms(sched) if atom[0] in active
+              for g in _arm_groups(prob, atom)]
+    fused = [g.matrix.shape[0] for g in groups if g.matrix is not None]
+    assert fused == [len(active) - 2]          # the cell's dictionary rows
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal((prob.arm_count, prob.domain_shape.total))
+    before = t.copy()
+    x = rng.standard_normal(prob.domain_shape.total)
+    _refresh(groups, np.asarray(arm_gammas(prob, gamma, sched)), x, t)
+    for i in range(prob.arm_count):
+        if i in active:
+            assert not np.array_equal(t[i], before[i]), i
+        else:
+            assert t[i].tobytes() == before[i].tobytes(), i
+
+
+def test_unfused_rank_one_arms_match_per_arm_path():
+    # one-row dense arms whose soft thresholds differ do not fuse: each is a
+    # group of one, bitwise equal to updating the arms one at a time
+    n, m = 5, 6
+    shape = BlockShape.vector(n)
+    rng = np.random.default_rng(4)
+    arms = [Prescription(DenseMatrix(rng.standard_normal((1, n))),
+                         SoftThreshold(0.1 * (1 + i % 2), BlockShape.vector(1)),
+                         SpacePoint(rng.standard_normal(1)), 1.0 / m)
+            for i in range(m)]
+    prob = assemble_problem(ConstraintSet.box(np.full(n, -1.0),
+                                              np.full(n, 1.0)), arms)
+    sched = make_schedule("full", m)
+    assert all(g.matrix is None for g in _arm_groups(prob, range(m)))
+    x0 = SpacePoint(rng.uniform(-1, 1, n), shape)
+    res = solve(prob, sched, _config(gamma=1.5, max_iters=40, tol=0.0, x0=x0,
+                                     keep_snapshots=True))
+    gammas = arm_gammas(prob, 1.5, sched)
+    v = np.asarray(averaging_weights(prob, sched))
+    t = np.tile(x0.data, (m, 1))
+    x = x0.data
+    for k, _, snap in res.trace.iterates[1:]:
+        for i, p in enumerate(prob.prescriptions):
+            image = p.fne._apply(p.linop._apply(x))
+            t[i] = x - gammas[i] * p.linop._adjoint(image - p.target.data)
+        x = prob.constraint.project_array(v @ t, shape)
+        assert snap.data.tobytes() == x.tobytes(), k
 
 
 # ---------------------------------------------------------------------------
