@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.fft
 
 from .errors import (
     InvalidParameter,
@@ -458,8 +459,14 @@ class PhasePrescription(FneOperator):
 
     F(y) = y - IDFT(|DFT y| * max(cos(angle(DFT y) - theta), 0) * exp(i theta));
     F(y) = 0 exactly when every nonzero DFT bin of y already has phase theta.
-    The phase field must be conjugate-symmetric (come from a real signal),
-    otherwise the correction acquires imaginary mass and the apply fails.
+    With S = DFT y and the unit phasor phi = exp(i theta), the aligned bins
+    are max(Re(S conj(phi)), 0) phi.  The phase field must be
+    conjugate-symmetric (come from a real signal), so that the correction is
+    real: phi[-k] = conj(phi[k]) within ``IMAG_TOL``, with -k taken modulo the
+    extents, which also makes phi real on the self-conjugate bins.  It is
+    checked once, and construction fails otherwise.  The map then runs on the
+    half spectrum ``rfft2``/``irfft2`` with the phasor and its conjugate kept
+    on the ``cols // 2 + 1`` columns the real transform returns.
     """
 
     kind = "phase_prescription"
@@ -475,19 +482,22 @@ class PhasePrescription(FneOperator):
             raise ShapeMismatch("phase field extents do not match the domain")
         if np.any(np.abs(th) > np.pi + 1e-12):
             raise InvalidParameter("phase entries must lie in [-pi, pi]")
+        phasor = np.exp(1j * th)
+        # phasor[-k] for every bin k: reverse both axes, then roll bin 0 back
+        mirrored = np.roll(phasor[::-1, ::-1], 1, axis=(0, 1))
+        # written so that a NaN entry fails too
+        if not np.max(np.abs(mirrored - np.conj(phasor))) <= self.IMAG_TOL:
+            raise InvalidParameter("phase field is not conjugate-symmetric")
         self.theta = th
+        half = th.shape[1] // 2 + 1
+        self._phasor = phasor[:, :half]
+        self._phasor_conj = np.conj(self._phasor)
 
     def _apply(self, y):
-        rows, cols = self.domain_shape.extents[0]
-        spectrum = np.fft.fft2(y.reshape(rows, cols))
-        aligned = (np.abs(spectrum)
-                   * np.maximum(np.cos(np.angle(spectrum) - self.theta), 0.0)
-                   * np.exp(1j * self.theta))
-        correction = np.fft.ifft2(aligned)
-        imag_mass = np.linalg.norm(correction.imag)
-        if imag_mass > self.IMAG_TOL * (1.0 + np.linalg.norm(correction.real)):
-            raise InvalidParameter("phase field is not conjugate-symmetric")
-        return y - correction.real.reshape(-1)
+        extents = self.domain_shape.extents[0]
+        spectrum = scipy.fft.rfft2(y.reshape(extents))
+        aligned = np.maximum((spectrum * self._phasor_conj).real, 0.0) * self._phasor
+        return y - scipy.fft.irfft2(aligned, s=extents).reshape(-1)
 
     def describe(self):
         return {"kind": self.kind}

@@ -401,24 +401,37 @@ def _arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
     return tuple(groups)
 
 
-def _arm_rows(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
-    """L_i*(F_i(L_i x) - p_i) for the arms of ``group``, one row per arm.
+def _arm_rows(group: _ArmGroup, x: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """L_i*(F_i(L_i x) - p_i) for the arms of ``group``, one row per arm,
+    written into ``out`` when it is given.
 
     A fused group costs one matvec, one FNE call and one row scaling; a single
-    arm goes through its own ``_apply``/``_adjoint`` (and returns a flat row).
+    arm goes through its own ``_apply``/``_adjoint``.  The rows are a fresh
+    array or ``out``, so callers may overwrite them.
     """
     if group.matrix is None:
         image = group.fne._apply(group.linop._apply(x))
-        return group.linop._adjoint(image - group.target)
+        row = group.linop._adjoint(image - group.target)
+        if out is None:
+            return row.reshape(1, -1)
+        out[0] = row
+        return out
     r = group.fne._apply(group.matrix @ x) - group.target
-    return r[:, None] * group.matrix
+    return np.multiply(r[:, None], group.matrix, out=out)
 
 
 def _refresh(groups, gammas: np.ndarray, x: np.ndarray, t: np.ndarray):
     """t_i = x - gamma_i L_i*(F_i(L_i x) - p_i) for the arms of ``groups``,
     in place; every other row of ``t`` stays bitwise as it was."""
     for g in groups:
-        t[g.arms] = x - gammas[g.arms, None] * _arm_rows(g, x)
+        rows = _arm_rows(g, x)
+        rows *= gammas[g.arms, None]
+        if isinstance(g.arms, slice):
+            np.subtract(x, rows, out=t[g.arms])
+        else:
+            # an index array selects a copy: assign the rows back
+            t[g.arms] = np.subtract(x, rows, out=rows)
 
 
 def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
@@ -429,7 +442,10 @@ def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
         groups = _arm_groups(problem, range(problem.arm_count))
     rows = np.empty((problem.arm_count, x.size))
     for g in groups:
-        rows[g.arms] = _arm_rows(g, x)
+        if isinstance(g.arms, slice):
+            _arm_rows(g, x, out=rows[g.arms])
+        else:
+            rows[g.arms] = _arm_rows(g, x)
     z = x - theta * (np.asarray(problem.weights) @ rows)
     projected = problem.constraint.project_array(z, problem.domain_shape)
     return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))

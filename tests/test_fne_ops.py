@@ -37,6 +37,8 @@ from blockvi.fne_ops import (
 )
 from blockvi.space import BlockShape, SpacePoint
 
+from spectral_reference import full_phase
+
 VEC8 = BlockShape.vector(8)
 IMG4 = BlockShape.image(4, 4)
 MAT43 = BlockShape.matrix(4, 3)
@@ -250,12 +252,45 @@ def test_phase_opposed_field_passes_through(rng):
     np.testing.assert_allclose(out.data, y.reshape(-1), atol=1e-12)
 
 
-def test_phase_rejects_asymmetric_field(rng):
+def test_phase_rejects_asymmetric_field():
     theta = np.zeros((4, 4))
     theta[1, 2] = 2.0                    # breaks conjugate symmetry
-    op = PhasePrescription(theta, IMG4)
     with pytest.raises(InvalidParameter):
-        op.apply(SpacePoint(rng.standard_normal((4, 4))))
+        PhasePrescription(theta, IMG4)
+    theta = np.zeros((4, 4))
+    theta[0, 0] = 0.5                    # a self-conjugate bin must be real
+    with pytest.raises(InvalidParameter):
+        PhasePrescription(theta, IMG4)
+    theta = np.zeros((4, 4))
+    theta[1, 2] = np.nan
+    with pytest.raises(InvalidParameter):
+        PhasePrescription(theta, IMG4)
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 7), (6, 8), (7, 4)])
+def test_phase_matches_full_complex_formula(rows, cols):
+    shape = BlockShape.image(rows, cols)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        theta = np.angle(np.fft.fft2(rng.standard_normal((rows, cols))))
+        op = PhasePrescription(theta, shape)
+        # a generic point, and one whose phases lie near the field
+        for y in (rng.standard_normal((rows, cols)),
+                  np.fft.ifft2(np.exp(1j * theta)).real
+                  + 0.1 * rng.standard_normal((rows, cols))):
+            got = op.apply(SpacePoint(y)).block(0)
+            np.testing.assert_allclose(got, full_phase(y, theta),
+                                       atol=1e-12 * (1 + np.linalg.norm(y)))
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (2, 3), (5, 7), (6, 8),
+                                       (7, 4), (32, 32)])
+def test_phase_accepts_fields_of_real_signals(rows, cols):
+    shape = BlockShape.image(rows, cols)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        theta = np.angle(np.fft.fft2(rng.standard_normal((rows, cols))))
+        PhasePrescription(theta, shape)
 
 
 def test_phase_field_range_validated():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from blockvi.linops import (
 from blockvi.space import BlockShape, SpacePoint
 
 from conftest import adjoint_defect, random_point
+from spectral_reference import full_convolution, full_transfer
 
 
 def _catalog(rng):
@@ -31,6 +34,10 @@ def _catalog(rng):
         Dct2D(8, 8),
         PairSum(BlockShape.vector(4)),
         BlockStack([Identity(BlockShape.vector(3)), Dct2D(4, 4)]),
+        # odd, even and non-square extents of the real half spectrum
+        CircularConvolution2D(rng.standard_normal((3, 3)), 5, 7),
+        CircularConvolution2D(rng.standard_normal((3, 5)), 6, 8),
+        CircularConvolution2D(rng.standard_normal((3, 3)), 7, 4),
     ]
 
 
@@ -161,6 +168,37 @@ def test_convolution_against_direct_sum(rng):
     expected = _brute_force_circular_conv(img, kernel)
     got = op.apply(SpacePoint(img)).block(0)
     np.testing.assert_allclose(got, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 7), (6, 8), (7, 4)])
+def test_convolution_against_direct_sum_odd_even_non_square(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    for kernel in (make_gaussian_kernel(3, 0.9), rng.standard_normal((3, 3)),
+                   rng.standard_normal((1, 3))):
+        op = CircularConvolution2D(kernel, rows, cols)
+        img = rng.standard_normal((rows, cols))
+        got = op.apply(SpacePoint(img)).block(0)
+        np.testing.assert_allclose(got, _brute_force_circular_conv(img, kernel),
+                                   atol=1e-12)
+        transfer = full_transfer(kernel, rows, cols)
+        np.testing.assert_allclose(op.adjoint(SpacePoint(img)).block(0),
+                                   full_convolution(img, np.conj(transfer)),
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel,rows,cols", [
+    (make_gaussian_kernel(15, 3.5), 32, 32),     # image_recovery
+    (make_uniform_kernel(7), 32, 32),            # sparse_image
+    (make_gaussian_kernel(5, 1.2), 7, 9),
+    (make_uniform_kernel(3), 5, 7),
+])
+def test_convolution_bound_certified_without_slack(kernel, rows, cols):
+    # a nonnegative kernel attains its norm at the zero frequency, so
+    # ||L||^2 = (sum k)^2, here computed without rounding
+    exact = sum(Fraction(float(v)) for v in kernel.ravel()) ** 2
+    bound = CircularConvolution2D(kernel, rows, cols).norm_sq
+    assert Fraction(bound) >= exact
+    assert bound <= float(exact) * (1.0 + 1e-10)
 
 
 def test_uniform_kernel_entries():

@@ -6,8 +6,15 @@ import pytest
 from blockvi.cli import default_manifest, generate_experiment
 from blockvi.core import ConstraintSet, Prescription, assemble_problem
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
-from blockvi.fne_ops import BoxProjector, IdentityFne, ResidualOf, SoftThreshold
-from blockvi.linops import DenseMatrix, FiniteDifference1D, Identity
+from blockvi.fne_ops import (
+    BoxProjector,
+    IdentityFne,
+    PhasePrescription,
+    ResidualOf,
+    SingletonProjector,
+    SoftThreshold,
+)
+from blockvi.linops import CircularConvolution2D, DenseMatrix, FiniteDifference1D, Identity
 import blockvi.solver
 from blockvi.solver import (
     SolveStatus,
@@ -15,6 +22,7 @@ from blockvi.solver import (
     SolverState,
     SolverTrace,
     activation_atoms,
+    array_residual,
     arm_gammas,
     averaging_weights,
     make_schedule,
@@ -27,6 +35,7 @@ from blockvi.solver import _arm_groups, _refresh
 from blockvi.space import BlockShape, SpacePoint
 
 from problem_zoo import feasibility_problem, mixed_arms_problem, scalar_problem
+from spectral_reference import full_convolution, full_phase, full_transfer
 
 
 def _config(**kw):
@@ -453,6 +462,104 @@ def test_unfused_rank_one_arms_match_per_arm_path():
             t[i] = x - gammas[i] * p.linop._adjoint(image - p.target.data)
         x = prob.constraint.project_array(v @ t, shape)
         assert snap.data.tobytes() == x.tobytes(), k
+
+
+def _interleaved_rows_problem():
+    """Arms 0-5 soft-threshold rows (one slice group), arms 6, 8, 10 singleton
+    residual rows (one index-array group) between box rows 7, 9, 11 (groups
+    of one, their FNE does not fuse), and an identity arm 12."""
+    n = 7
+    rng = np.random.default_rng(11)
+    arms = []
+    for i in range(12):
+        if i < 6:
+            fne = SoftThreshold(0.2, BlockShape.vector(1))
+        elif i % 2 == 0:
+            fne = ResidualOf(SingletonProjector(SpacePoint(rng.standard_normal(1))))
+        else:
+            fne = BoxProjector(-0.3, 0.3, BlockShape.vector(1))
+        arms.append(Prescription(DenseMatrix(rng.standard_normal((1, n))), fne,
+                                 SpacePoint(0.1 * rng.standard_normal(1)), 1.0 / 13))
+    arms.append(Prescription(Identity(BlockShape.vector(n)),
+                             BoxProjector(-0.5, 0.5, BlockShape.vector(n)),
+                             SpacePoint(rng.uniform(-0.5, 0.5, n)), 1.0 / 13))
+    return assemble_problem(ConstraintSet.box(np.full(n, -1.0), np.full(n, 1.0)),
+                            arms)
+
+
+def test_in_place_rows_match_per_arm_formula_bitwise():
+    prob = _interleaved_rows_problem()
+    m, n = prob.arm_count, prob.domain_shape.total
+    groups = _arm_groups(prob, range(m))
+    fused = [g.arms for g in groups if g.matrix is not None]
+    assert fused[0] == slice(0, 6)
+    np.testing.assert_array_equal(fused[1], [6, 8, 10])
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1, 1, n)
+    # x - gamma_i * row_i, one arm at a time, with each fused group's rows
+    # r_j * a_j taken from its one FNE call
+    rows = np.empty((m, n))
+    for g in groups:
+        arms = np.arange(m)[g.arms]
+        if g.matrix is None:
+            p = prob.prescriptions[arms[0]]
+            image = p.fne._apply(p.linop._apply(x))
+            rows[arms[0]] = p.linop._adjoint(image - p.target.data)
+        else:
+            r = g.fne._apply(g.matrix @ x) - g.target
+            for j, i in enumerate(arms):
+                rows[i] = r[j] * g.matrix[j]
+    gammas = np.asarray(arm_gammas(prob, 1.5))
+    t = rng.standard_normal((m, n))
+    _refresh(groups, gammas, x, t)
+    for i in range(m):
+        assert t[i].tobytes() == (x - gammas[i] * rows[i]).tobytes(), i
+    z = x - 0.7 * (np.asarray(prob.weights) @ rows)
+    projected = prob.constraint.project_array(z, prob.domain_shape)
+    expected = float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
+    assert array_residual(prob, x, 0.7, groups) == expected
+
+
+def test_spectral_solve_matches_full_complex_reference():
+    # 300 iterations of the stock image recovery instance against arm-by-arm
+    # updates that run the blur and the phase arm on every complex DFT bin
+    payload = default_manifest("image_recovery", 1)
+    data = generate_experiment("image_recovery", payload["dimensions"], 1,
+                               payload["noise"], payload["operators"])
+    prob = data.problem
+    sched = make_schedule(payload["schedule"]["kind"], prob.arm_count)
+    gamma = payload["solver"]["gamma"]
+    shape = prob.domain_shape
+    rows, cols = shape.extents[0]
+    blur, mean, phase = prob.prescriptions
+    assert isinstance(blur.linop, CircularConvolution2D)
+    assert isinstance(phase.linop, Identity)
+    assert isinstance(phase.fne, PhasePrescription)
+    x0 = SpacePoint.zeros(shape)
+    res = solve(prob, sched, _config(gamma=gamma, max_iters=300, tol=0.0,
+                                     x0=x0, trace_every=1000))
+    transfer = full_transfer(blur.linop.kernel, rows, cols)
+
+    def arm_row(i, x):
+        if i == 0:
+            image = blur.fne._apply(
+                full_convolution(x.reshape(rows, cols), transfer).reshape(-1))
+            residual = (image - blur.target.data).reshape(rows, cols)
+            return full_convolution(residual, np.conj(transfer)).reshape(-1)
+        if i == 1:
+            return mean.linop._adjoint(mean.fne._apply(x) - mean.target.data)
+        return (full_phase(x.reshape(rows, cols), phase.fne.theta).reshape(-1)
+                - phase.target.data)
+
+    gammas = arm_gammas(prob, gamma, sched)
+    v = averaging_weights(prob, sched)
+    x = x0.data
+    for n in range(300):
+        t = [x - gammas[i] * arm_row(i, x) for i in sched.active_set(n)]
+        x = prob.constraint.project_array(sum(vi * ti for vi, ti in zip(v, t)),
+                                          shape)
+    err = np.linalg.norm(res.solution.data - x) / np.linalg.norm(x)
+    assert err <= 1e-12
 
 
 # ---------------------------------------------------------------------------
