@@ -119,6 +119,8 @@ def run_manifest(manifest: ExperimentManifest) -> int:
         "notes": data.notes,
         "manifest": manifest.to_dict(),
     }
+    if result.acceleration is not None:
+        summary["acceleration"] = result.acceleration
     write_json(summary, out_dir / "summary.json")
     return 0 if result.status is SolveStatus.CONVERGED else 2
 

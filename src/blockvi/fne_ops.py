@@ -507,6 +507,13 @@ class PhasePrescription(FneOperator):
 # combinators
 # ---------------------------------------------------------------------------
 
+def _as_array_map(m) -> Callable[[np.ndarray], np.ndarray]:
+    """The array form of a map: an operator's ``_apply``, else ``m`` itself."""
+    if isinstance(m, FneOperator):
+        return m._apply
+    return m
+
+
 class ResidualOf(FneOperator):
     """Id - F; firmly nonexpansive exactly when F is.
 
@@ -553,7 +560,7 @@ class AveragedComposition(FneOperator):
         super().__init__(domain_shape)
         if not maps:
             raise InvalidParameter("need at least one map")
-        self.maps = [self._as_array_map(m) for m in maps]
+        self.maps = [_as_array_map(m) for m in maps]
         if spot_check:
             rng = np.random.default_rng(seed)
             n = domain_shape.total
@@ -565,12 +572,6 @@ class AveragedComposition(FneOperator):
                     rhs = np.linalg.norm(xa - xb)
                     if lhs > rhs * (1.0 + 1e-10) + 1e-12:
                         raise InvalidParameter(f"map {idx} is not nonexpansive")
-
-    @staticmethod
-    def _as_array_map(m) -> Callable[[np.ndarray], np.ndarray]:
-        if isinstance(m, FneOperator):
-            return m._apply
-        return m
 
     def _apply(self, y):
         z = y
@@ -710,16 +711,10 @@ class ForwardBackwardFne(FneOperator):
             raise InvalidParameter("beta must be positive")
         if not 0 < gamma < 2 * beta:
             raise InvalidParameter("gamma must lie in (0, 2*beta)")
-        self.resolvent = self._as_array_map(resolvent)
-        self.cocoercive_map = self._as_array_map(cocoercive_map)
+        self.resolvent = _as_array_map(resolvent)
+        self.cocoercive_map = _as_array_map(cocoercive_map)
         self.beta = float(beta)
         self.gamma = float(gamma)
-
-    @staticmethod
-    def _as_array_map(m):
-        if isinstance(m, FneOperator):
-            return m._apply
-        return m
 
     def _apply(self, y):
         forward = y - self.gamma * np.asarray(self.cocoercive_map(y), dtype=np.float64)

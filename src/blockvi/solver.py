@@ -47,6 +47,56 @@ one FNE call and one row scaling r[:, None] * A_c, whatever k.  Only the
 order of each row's dot product differs from evaluating those arms one by
 one.  Every other arm is a group of one, evaluated through its own
 ``_apply``/``_adjoint`` exactly as alone.
+
+Schedules whose period has more than one set and starts with the set of all
+arms (``mod_skip`` with period > 1, or such an ``explicit`` period) are
+accelerated by safeguarded type-II Anderson extrapolation (Walker & Ni,
+SIAM J. Numer. Anal. 49(4), 2011) of the *period map* Phi: x_{kP} ->
+x_{(k+1)P}, P the schedule's period; ``SolverConfig(accelerate=False)``
+runs them plain.  The first set rebuilds every t_i from x_{kP}, so Phi
+depends on x alone.  Its fixed points are the right ones: if Phi(x*) = x*,
+the plain iteration started at x* is P-periodic; the block iteration
+converges, so a periodic run is constant, x* is a fixed point of every step,
+and it solves the variational inequality.
+
+Phi is also nonexpansive.  Call a *unit* a multi-arm atom whose arms share
+the bound b_c, or else a single arm.  A unit u is refreshed whole, b_u >=
+||L_u||^2, and v_i is proportional to w_i inside u, so the averaging step
+sees u only through tau_u = sum_{i in u} (w_i / W_u) t_i.  A refresh sets
+tau_u = x - (gamma / b_u) L_u*(F_u(L_u x) - p_u), a nonexpansive map of x:
+F_u is firmly nonexpansive, so L_u*(F_u(L_u .) - p_u) is 1/b_u-cocoercive,
+and gamma < 2.  Take two runs from x and y and let M_n be the largest of
+||x_n - y_n|| and the distances ||tau_u - tau_u'||.  A refresh gives
+||tau_u - tau_u'|| <= ||x_n - y_n||, a stale unit keeps its distance, and the
+projected average obeys ||x_{n+1} - y_{n+1}|| <= sum_u V_u ||tau_u - tau_u'||
+(V_u >= 0, sum V_u = 1), so M_n never grows.  The first set refreshes every
+unit, so M_1 <= ||x - y||, and ||Phi(x) - Phi(y)|| <= ||x - y||.
+
+At each period boundary the start s_k of the period just run and its image
+f_k = Phi(s_k) give g_k = f_k - s_k.  With the differences dG, dF of the last
+m = 5 pairs (g, f), the step solves the regularised least-squares problem
+
+    (dG^T dG + lambda I) a = dG^T g_k,   lambda = 1e-10 ||dG||_F^2,
+
+and proposes s_{k+1} = f_k - dF^T a.  The safeguard follows Zhang,
+O'Donoghue & Boyd (SIAM J. Optim. 30(4), 2020): a candidate is checked once
+its period has run, and it is accepted only while
+
+    ||Phi(s) - s||  <=  D ||g_0|| (n_acc + 1)^-(1 + eps),   D = 1e6, eps = 1e-6,
+
+with n_acc the candidates accepted so far.  A rejected candidate -- or a
+non-finite one, or a failed solve -- restarts the memory, and the next period
+starts from the plain step f_k.  Their global-convergence theorem is proved
+for type-I steps on an averaged map; Phi is shown above to be nonexpansive
+only, so that theorem is not claimed here.  What holds: the accepted
+residuals ||Phi(s) - s|| are summable; if every candidate from some point on
+is rejected, the base points follow the plain period map and converge by the
+paper's theorem; and the extrapolated point only ever starts a period.
+Residuals, trace records and the returned solution are taken at projected
+loop iterates, so they lie in C, and a run reports CONVERGED only on the
+plain loop's residual test.  The iteration count includes the periods spent
+on rejected candidates.  The ``step_norm`` of the record at a period start
+is measured from that period's start, which is the candidate when one runs.
 """
 
 from __future__ import annotations
@@ -206,6 +256,7 @@ class SolverConfig:
     residual_theta: float = 1.0
     keep_snapshots: bool = False
     record_arm_gaps: bool = False
+    accelerate: bool = True          # Anderson where the schedule allows it
 
     def validate(self):
         if not 0.0 < self.gamma < 2.0:
@@ -293,9 +344,13 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """``acceleration`` is ``{"memory", "accepted", "rejected"}`` (the counts
+    of Anderson candidates) for an accelerated run, else None."""
+
     solution: SpacePoint
     trace: SolverTrace
     status: SolveStatus
+    acceleration: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +506,72 @@ def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
     return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson extrapolation of the period map (see the
+    module docstring).  :meth:`next_start` takes Phi of the current period's
+    start and returns the start of the next period."""
+
+    MEMORY = 5
+    D = 1e6
+    EPS = 1e-6
+    REG = 1e-10
+
+    def __init__(self, x0: np.ndarray):
+        m = self.MEMORY
+        self.dg = np.empty((m, x0.size))    # ring buffers of differences
+        self.df = np.empty((m, x0.size))
+        self.gram = np.empty((m, m))        # dg @ dg.T on the filled slots
+        self.eye = np.eye(m)
+        self.filled = 0        # slots 0..filled-1 hold columns
+        self.slot = 0          # slot of the next column
+        self.start = x0        # start of the period being run
+        self.f = self.g = None  # Phi(s) and Phi(s) - s at the last base point s
+        self.g0 = 0.0          # ||Phi(x0) - x0||, set by the first call
+        self.pending = False   # the period being run starts at a candidate
+        self.accepted = self.rejected = 0
+
+    def next_start(self, f: np.ndarray) -> np.ndarray:
+        g = f - self.start
+        if self.pending:
+            self.pending = False
+            bound = self.D * self.g0 * (self.accepted + 1) ** -(1.0 + self.EPS)
+            if not math.sqrt(g @ g) <= bound:     # also catches NaN
+                return self._restart()
+            self.accepted += 1
+        if self.f is None:
+            self.g0 = math.sqrt(g @ g)
+        else:
+            s = self.slot
+            dg = np.subtract(g, self.g, out=self.dg[s])
+            np.subtract(f, self.f, out=self.df[s])
+            self.filled = k = max(self.filled, s + 1)
+            self.gram[s, :k] = self.gram[:k, s] = self.dg[:k] @ dg
+            self.slot = (s + 1) % len(self.dg)
+        self.start, self.f, self.g = f, f, g
+        k = self.filled
+        if k == 0:
+            return f
+        gram = self.gram[:k, :k]
+        try:
+            a = np.linalg.solve(gram + self.REG * gram.trace() * self.eye[:k, :k],
+                                self.dg[:k] @ g)
+        except np.linalg.LinAlgError:
+            return self._restart()
+        candidate = f - a @ self.df[:k]
+        if not math.isfinite(candidate @ candidate):   # NaN, inf or overflow
+            return self._restart()
+        self.start, self.pending = candidate, True
+        return candidate
+
+    def _restart(self) -> np.ndarray:
+        """Count a rejection, empty the memory and resume from the plain step
+        f_k of the last base point."""
+        self.rejected += 1
+        self.filled = self.slot = 0
+        self.start = self.f
+        return self.f
+
+
 def step(state: SolverState, problem: Problem, active: Sequence[int],
          config: SolverConfig) -> SolverState:
     """One exact iteration: refresh t_i for active arms, keep the rest stale,
@@ -481,8 +602,11 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     ``config.tol`` (checked every ``trace_every`` iterations) or ``max_iters``
     is reached.  Step sizes and averaging weights use the bounds certified for
     the schedule's activation atoms, and the arms of each atom are evaluated
-    in groups (see the module docstring).  Deterministic given (problem,
-    schedule, config)."""
+    in groups (see the module docstring).  When the schedule's period has
+    more than one set and starts with every arm, and ``config.accelerate``
+    holds, each period starts at the Anderson extrapolation of the previous
+    ones (see the module docstring).  Deterministic given (problem, schedule,
+    config)."""
     config.validate()
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
@@ -512,11 +636,18 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         trace.add_iterate(0, 0.0, config.x0)
 
     x = config.x0.data
+    period = len(schedule.sets)
+    accel = None
+    if config.accelerate and period > 1 \
+            and len(schedule.sets[0]) == problem.arm_count:
+        accel = _Anderson(x)
     status = SolveStatus.MAX_ITERS
     for n in range(config.max_iters):
+        if accel is not None and n and n % period == 0:
+            x = accel.next_start(x)
         active = schedule.active_set(n)
         prev_x = x
-        _refresh(set_groups[n % len(set_groups)], gammas, x, t)
+        _refresh(set_groups[n % period], gammas, x, t)
         x = problem.constraint.project_array(vweights @ t, problem.domain_shape)
         if n % config.trace_every == 0 or n == config.max_iters - 1:
             x_point = SpacePoint(x, problem.domain_shape)  # rejects non-finite x
@@ -533,5 +664,9 @@ def solve(problem: Problem, schedule: ActivationSchedule,
             if residual <= config.tol:
                 status = SolveStatus.CONVERGED
                 break
-    return SolveResult(solution=SpacePoint(x, problem.domain_shape),
-                       trace=trace, status=status)
+    acceleration = None
+    if accel is not None:
+        acceleration = {"memory": accel.MEMORY, "accepted": accel.accepted,
+                        "rejected": accel.rejected}
+    return SolveResult(SpacePoint(x, problem.domain_shape), trace, status,
+                       acceleration)

@@ -219,6 +219,20 @@ def test_run_exit_codes_via_main(tmp_path, capsys):
     assert "(0, 2)" in captured.err
 
 
+def test_summary_reports_acceleration_only_when_on(tmp_path):
+    for kind in ("sparse_image", "image_recovery", "signal_recovery"):
+        d = tmp_path / kind
+        d.mkdir()
+        path = _write_manifest(d, _small_manifest(kind, 2))
+        run_manifest(load_manifest(path))
+        summary = json.loads((d / "results" / "summary.json").read_text())
+        if kind == "sparse_image":          # mod_skip, period 5
+            acc = summary["acceleration"]
+            assert acc["memory"] == 5 and acc["accepted"] + acc["rejected"] > 0
+        else:                               # full, cyclic
+            assert "acceleration" not in summary
+
+
 def test_module_entry_point_runs_without_runpy_warning():
     # `python -m blockvi.cli.main` must not find the module already imported
     # by its package, which makes runpy warn
@@ -428,6 +442,7 @@ def test_source_separation_pairs_sum_and_transform():
 @pytest.mark.parametrize("kind,seed", [("image_recovery", 3),
                                        ("signal_recovery", 7),
                                        ("sparse_image", 5),
+                                       ("source_separation", 7),
                                        ("source_separation", 9)])
 def test_default_manifests_converge(tmp_path, kind, seed):
     payload = default_manifest(kind, seed, output_dir="results")

@@ -563,6 +563,161 @@ def test_spectral_solve_matches_full_complex_reference():
 
 
 # ---------------------------------------------------------------------------
+# Anderson acceleration of the period map
+# ---------------------------------------------------------------------------
+
+def _mod_skip_problem(seed=3, period=5):
+    prob, _ = mixed_arms_problem(seed, consistent=False)
+    return prob, make_schedule("mod_skip", prob.arm_count, expensive=[3],
+                               period=period)
+
+
+def _accel_config(accelerate=True, **kw):
+    kw = {"gamma": 1.5, "max_iters": 20000, "tol": 1e-8,
+          "x0": SpacePoint(np.zeros(6)), **kw}
+    return _config(accelerate=accelerate, **kw)
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("full", {}),
+    ("mod_skip", {"expensive": [3], "period": 1}),
+    ("cyclic_partition", {"blocks": 2}),
+    ("explicit", {"sets": [[0, 1], [0, 1, 2, 3], [2, 3]]}),
+])
+def test_periods_without_a_leading_full_set_run_plain(kind, kw):
+    # one set per period, or a period that does not start with every arm:
+    # the loop is the plain one bitwise, and nothing is reported
+    prob, _ = mixed_arms_problem(3, consistent=False)
+    sched = make_schedule(kind, prob.arm_count, **kw)
+    auto = solve(prob, sched, _accel_config(max_iters=300))
+    plain = solve(prob, sched, _accel_config(False, max_iters=300))
+    assert auto.acceleration is None and plain.acceleration is None
+    assert auto.solution.data.tobytes() == plain.solution.data.tobytes()
+    assert [r.residual for r in auto.trace.records] == \
+        [r.residual for r in plain.trace.records]
+
+
+def test_anderson_cuts_iterations_on_mod_skip():
+    prob, sched = _mod_skip_problem()
+    plain = solve(prob, sched, _accel_config(False))
+    fast = solve(prob, sched, _accel_config())
+    assert plain.acceleration is None
+    assert fast.status is SolveStatus.CONVERGED
+    assert fast.acceleration["memory"] == blockvi.solver._Anderson.MEMORY
+    assert fast.acceleration["accepted"] > 0
+    assert fast.trace.records[-1].n < plain.trace.records[-1].n / 2
+    np.testing.assert_allclose(fast.solution.data, plain.solution.data,
+                               atol=1e-6)
+
+
+def test_anderson_accelerates_explicit_period_led_by_every_arm():
+    prob, _ = mixed_arms_problem(3, consistent=False)
+    sched = make_schedule("explicit", prob.arm_count,
+                          sets=[[0, 1, 2, 3], [0, 1], [2, 3]])
+    res = solve(prob, sched, _accel_config())
+    assert res.status is SolveStatus.CONVERGED
+    assert res.acceleration["accepted"] > 0
+
+
+def test_anderson_rejected_periods_count_as_iterations(monkeypatch):
+    # D = 0 rejects every candidate once its period has run: the run then
+    # alternates a wasted candidate period with a plain one, and the plain
+    # periods retrace the plain iteration bitwise, shifted by the wasted ones
+    P = 5
+    prob, sched = _mod_skip_problem(period=P)
+    plain = solve(prob, sched, _accel_config(False))
+    monkeypatch.setattr(blockvi.solver._Anderson, "D", 0.0)
+    res = solve(prob, sched, _accel_config())
+    assert res.status is SolveStatus.CONVERGED
+    assert res.trace.final_residual <= 1e-8
+    ns = [r.n for r in res.trace.records]
+    assert ns == list(range(len(ns)))          # every base iteration counted
+    last_period = ns[-1] // P
+    assert res.acceleration["accepted"] == 0
+    assert res.acceleration["rejected"] == (last_period - 1) // 2 >= 1
+    residual = {r.n: r.residual for r in plain.trace.records}
+    for r in res.trace.records:
+        period, offset = divmod(r.n, P)
+        if period < 2:
+            assert r.residual == residual[r.n]
+        elif period % 2 == 1:                  # plain period (period + 1) / 2
+            assert r.residual == residual[(period + 1) // 2 * P + offset]
+
+
+def test_anderson_memory_fills_ring_and_restarts(monkeypatch):
+    rates = np.array([0.1, 0.5, 0.9, 0.3])       # Phi(x) = rates * x + 1
+    # a memory below the dimension keeps the linear map from being solved
+    # exactly, which would leave a zero Gram matrix
+    monkeypatch.setattr(blockvi.solver._Anderson, "MEMORY", 3)
+
+    def filled_after_each_call():
+        acc = blockvi.solver._Anderson(np.zeros(4))
+        x, filled = acc.start, []
+        for _ in range(7):
+            x = acc.next_start(rates * x + 1.0)
+            filled.append(acc.filled)
+        return acc, filled
+
+    acc, filled = filled_after_each_call()
+    assert filled == [0, 1, 2, 3, 3, 3, 3]
+    assert (acc.accepted, acc.rejected) == (5, 0)
+    monkeypatch.setattr(blockvi.solver._Anderson, "D", 0.0)
+    acc, filled = filled_after_each_call()
+    assert filled == [0, 1, 0, 1, 0, 1, 0]
+    assert (acc.accepted, acc.rejected) == (0, 3)
+
+
+def test_anderson_nonfinite_candidate_never_runs(monkeypatch):
+    # a NaN regulariser makes every candidate non-finite: each is rejected
+    # at once, so the run is the plain one bitwise
+    prob, sched = _mod_skip_problem()
+    plain = solve(prob, sched, _accel_config(False))
+    monkeypatch.setattr(blockvi.solver._Anderson, "REG", float("nan"))
+    res = solve(prob, sched, _accel_config())
+    assert res.acceleration["accepted"] == 0
+    assert res.acceleration["rejected"] > 0
+    assert res.solution.data.tobytes() == plain.solution.data.tobytes()
+    assert [r.n for r in res.trace.records] == [r.n for r in plain.trace.records]
+
+
+def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
+    prob, sched = _mod_skip_problem(period=5)
+    res = solve(prob, sched, _accel_config(trace_every=7, keep_snapshots=True))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.acceleration["accepted"] > 0
+    ns = [r.n for r in res.trace.records]
+    assert all(b > a for a, b in zip(ns, ns[1:]))
+    assert all(n % 7 == 0 for n in ns)
+    assert [k for k, _, _ in res.trace.iterates] == [0] + [n + 1 for n in ns]
+    assert res.trace.iterates[-1][2] == res.solution
+    for _, _, point in res.trace.iterates:
+        assert np.all(np.abs(point.data) <= 2.0)
+
+
+def test_accelerated_sparse_image_solves_the_vi():
+    # VI gap of the accelerated stock solution, rebuilt from the arms' public
+    # apply/adjoint: max_{y in C} <x - y, g(x)> / (1 + ||x||)^2 on the box
+    from blockvi.cli.runner import _build_schedule, _solver_config
+
+    payload = default_manifest("sparse_image", 1)
+    prob = generate_experiment("sparse_image", payload["dimensions"], 1,
+                               payload["noise"], payload["operators"]).problem
+    cfg = _solver_config(payload["solver"], prob.domain_shape)
+    res = solve(prob, _build_schedule(payload["schedule"], prob.arm_count), cfg)
+    assert res.status is SolveStatus.CONVERGED
+    assert res.acceleration["accepted"] > 0
+    x = res.solution.data
+    assert np.all((x >= 0.0) & (x <= 255.0))
+    g = np.zeros_like(x)
+    for p in prob.prescriptions:
+        image = p.fne.apply(p.linop.apply(res.solution))
+        g += p.weight * p.linop.adjoint(image - p.target).data
+    y = np.where(g > 0, 0.0, 255.0)
+    gap = float(np.dot(x - y, g)) / (1.0 + np.linalg.norm(x)) ** 2
+    assert gap <= 10 * cfg.tol
+
+
+# ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
 
