@@ -36,28 +36,34 @@ measures.  Averaging with the raw w_i instead would steer the iteration to
 a solution of a differently-weighted inequality whenever the bounds differ.
 
 One array kernel evaluates the arms, a *group* at a time: at a point x it
-returns the rows L_i*(F_i(L_i x) - p_i) of the group's arms.  The iteration
-sets t_i = x - gamma_i * row_i for the groups of the active set, and the
-residual reduces sum_i w_i row_i over the groups of all arms (taken as one
-atom).  Within an activation atom, the arms whose map is a one-row
-``DenseMatrix`` and whose FNEs fuse into one elementwise operator on R^k
-(``FneOperator.stacked``; soft thresholds of one level, singleton projectors
-and their residuals) form one group: one matvec with their stacked rows A_c,
-one FNE call and one row scaling r[:, None] * A_c, whatever k.  Only the
-order of each row's dot product differs from evaluating those arms one by
-one.  Every other arm is a group of one, evaluated through its own
-``_apply``/``_adjoint`` exactly as alone.
+forms r_i = F_i(L_i x) - p_i for the group's arms, and only the adjoint step
+that follows differs between its two callers.  The iteration takes the rows
+L_i* r_i and sets t_i = x - gamma_i * row_i for the groups of the active set;
+the residual reduces sum_i w_i L_i* r_i over the groups of all arms (taken as
+one atom) without forming the rows.  Within an activation atom, the arms
+whose map is a one-row ``DenseMatrix`` and whose FNEs fuse into one
+elementwise operator on R^k (``FneOperator.stacked``; soft thresholds of one
+level, singleton projectors and their residuals) form one group: one matvec
+with their stacked rows A_c, one FNE call, and then one row scaling
+r[:, None] * A_c for the iteration or one transposed matvec (w_c * r) @ A_c
+for the residual, whatever k.  Only the order of the dot products differs
+from evaluating those arms one by one.  Every other arm is a group of one,
+evaluated through its own ``_apply``/``_adjoint`` exactly as alone.
 
-Schedules whose period has more than one set and starts with the set of all
-arms (``mod_skip`` with period > 1, or such an ``explicit`` period) are
-accelerated by safeguarded type-II Anderson extrapolation (Walker & Ni,
-SIAM J. Numer. Anal. 49(4), 2011) of the *period map* Phi: x_{kP} ->
-x_{(k+1)P}, P the schedule's period; ``SolverConfig(accelerate=False)``
-runs them plain.  The first set rebuilds every t_i from x_{kP}, so Phi
-depends on x alone.  Its fixed points are the right ones: if Phi(x*) = x*,
-the plain iteration started at x* is P-periodic; the block iteration
-converges, so a periodic run is constant, x* is a fixed point of every step,
-and it solves the variational inequality.
+Schedules whose period starts with the set of all arms (``full``,
+``mod_skip``, or such an ``explicit`` period) are accelerated by safeguarded
+type-II Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49(4),
+2011) of the *span map* Phi: x_{kS} -> x_{(k+1)S}.  A span is the smallest
+whole number of periods that holds at least ``_Anderson.SPAN`` = 5 base
+iterations: S = 5 for ``full`` and for a period of 5, S = 6 for a period of
+2.  One extrapolation step costs a fair share of a cheap base iteration, so
+taking it once per span rather than once per period keeps that cost small
+per iteration.  ``SolverConfig(accelerate=False)`` runs these schedules
+plain.  Every span starts with the set of all arms, which rebuilds every t_i
+from x_{kS}, so Phi depends on x alone.  Its fixed points are the right
+ones: if Phi(x*) = x*, the plain iteration started at x* is S-periodic; the
+block iteration converges, so a periodic run is constant, x* is a fixed
+point of every step, and it solves the variational inequality.
 
 Phi is also nonexpansive.  Call a *unit* a multi-arm atom whose arms share
 the bound b_c, or else a single arm.  A unit u is refreshed whole, b_u >=
@@ -69,10 +75,12 @@ and gamma < 2.  Take two runs from x and y and let M_n be the largest of
 ||x_n - y_n|| and the distances ||tau_u - tau_u'||.  A refresh gives
 ||tau_u - tau_u'|| <= ||x_n - y_n||, a stale unit keeps its distance, and the
 projected average obeys ||x_{n+1} - y_{n+1}|| <= sum_u V_u ||tau_u - tau_u'||
-(V_u >= 0, sum V_u = 1), so M_n never grows.  The first set refreshes every
-unit, so M_1 <= ||x - y||, and ||Phi(x) - Phi(y)|| <= ||x - y||.
+(V_u >= 0, sum V_u = 1), so M_n never grows.  The first set of a span
+refreshes every unit, so M_1 <= ||x - y||, and ||Phi(x) - Phi(y)|| <=
+||x - y||.  (For ``full`` this is just the nonexpansive map T of one base
+iteration, and Phi = T^S.)
 
-At each period boundary the start s_k of the period just run and its image
+At each span boundary the start s_k of the span just run and its image
 f_k = Phi(s_k) give g_k = f_k - s_k.  With the differences dG, dF of the last
 m = 5 pairs (g, f), the step solves the regularised least-squares problem
 
@@ -80,23 +88,23 @@ m = 5 pairs (g, f), the step solves the regularised least-squares problem
 
 and proposes s_{k+1} = f_k - dF^T a.  The safeguard follows Zhang,
 O'Donoghue & Boyd (SIAM J. Optim. 30(4), 2020): a candidate is checked once
-its period has run, and it is accepted only while
+its span has run, and it is accepted only while
 
     ||Phi(s) - s||  <=  D ||g_0|| (n_acc + 1)^-(1 + eps),   D = 1e6, eps = 1e-6,
 
 with n_acc the candidates accepted so far.  A rejected candidate -- or a
-non-finite one, or a failed solve -- restarts the memory, and the next period
+non-finite one, or a failed solve -- restarts the memory, and the next span
 starts from the plain step f_k.  Their global-convergence theorem is proved
 for type-I steps on an averaged map; Phi is shown above to be nonexpansive
 only, so that theorem is not claimed here.  What holds: the accepted
 residuals ||Phi(s) - s|| are summable; if every candidate from some point on
-is rejected, the base points follow the plain period map and converge by the
-paper's theorem; and the extrapolated point only ever starts a period.
+is rejected, the base points follow the plain span map and converge by the
+paper's theorem; and the extrapolated point only ever starts a span.
 Residuals, trace records and the returned solution are taken at projected
 loop iterates, so they lie in C, and a run reports CONVERGED only on the
-plain loop's residual test.  The iteration count includes the periods spent
-on rejected candidates.  The ``step_norm`` of the record at a period start
-is measured from that period's start, which is the candidate when one runs.
+plain loop's residual test.  The iteration count includes the spans spent
+on rejected candidates.  The ``step_norm`` of the record at a span start is
+measured from that span's start, which is the candidate when one runs.
 """
 
 from __future__ import annotations
@@ -368,18 +376,20 @@ def activation_atoms(schedule: ActivationSchedule) -> tuple:
 
 
 def step_bounds(problem: Problem,
-                schedule: Optional[ActivationSchedule] = None) -> tuple:
+                schedule: Optional[ActivationSchedule] = None,
+                atoms: Optional[tuple] = None) -> tuple:
     """Certified step bound b_i of every arm.
 
     Without a schedule every arm is its own atom and b_i is its
     ``norm_sq_bound``.  With one, the arms of a multi-arm atom of dense maps
     share the exact bound ||sum_{i in c} (w_i / W_c) A_i^T A_i|| whenever it
-    is below their weighted mean sum_{i in c} w_i b_i / W_c.
+    is below their weighted mean sum_{i in c} w_i b_i / W_c.  ``atoms`` are
+    the schedule's :func:`activation_atoms`, computed when omitted.
     """
     bounds = [p.norm_sq_bound for p in problem.prescriptions]
     if schedule is None:
         return tuple(bounds)
-    for atom in activation_atoms(schedule):
+    for atom in atoms or activation_atoms(schedule):
         arms = [problem.prescriptions[i] for i in atom]
         if len(arms) < 2 or not all(isinstance(p.linop, DenseMatrix) for p in arms):
             continue
@@ -416,13 +426,15 @@ def _averaging_weights(problem: Problem, bounds) -> tuple:
 
 @dataclass(frozen=True)
 class _ArmGroup:
-    """Arms that :func:`_arm_rows` evaluates in one pass: a single arm
+    """Arms that :func:`_fne_residuals` evaluates in one pass: a single arm
     (``linop`` set), or one-row dense arms with fused FNEs (``matrix`` holds
-    their stacked rows, ``fne`` acts on all of them elementwise)."""
+    their stacked rows, ``fne`` acts on all of them elementwise).  ``weights``
+    are the arms' problem weights w_i, which only the residual uses."""
 
     arms: object             # slice or index array of the arms, ascending
     fne: object
     target: np.ndarray
+    weights: np.ndarray
     linop: object = None
     matrix: Optional[np.ndarray] = None
 
@@ -449,31 +461,29 @@ def _arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
         groups.append(_ArmGroup(
             slice(arms[0], arms[-1] + 1) if contiguous else np.array(arms),
             fne, np.concatenate([p.target.data for p in pres]),
+            np.array([p.weight for p in pres]),
             matrix=np.vstack([p.linop.matrix for p in pres])))
     for i in alone:
         p = problem.prescriptions[i]
-        groups.append(_ArmGroup(slice(i, i + 1), p.fne, p.target.data, p.linop))
+        groups.append(_ArmGroup(slice(i, i + 1), p.fne, p.target.data,
+                                np.array([p.weight]), p.linop))
     return tuple(groups)
 
 
-def _arm_rows(group: _ArmGroup, x: np.ndarray,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """L_i*(F_i(L_i x) - p_i) for the arms of ``group``, one row per arm,
-    written into ``out`` when it is given.
+def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
+    """r = F_i(L_i x) - p_i for the arms of ``group``: one matvec and one FNE
+    call for a fused group, the arm's own ``_apply`` for a single arm."""
+    image = group.linop._apply(x) if group.matrix is None else group.matrix @ x
+    return group.fne._apply(image) - group.target
 
-    A fused group costs one matvec, one FNE call and one row scaling; a single
-    arm goes through its own ``_apply``/``_adjoint``.  The rows are a fresh
-    array or ``out``, so callers may overwrite them.
-    """
+
+def _arm_rows(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
+    """L_i*(F_i(L_i x) - p_i) for the arms of ``group``, one row per arm, in a
+    fresh array that callers may overwrite."""
+    r = _fne_residuals(group, x)
     if group.matrix is None:
-        image = group.fne._apply(group.linop._apply(x))
-        row = group.linop._adjoint(image - group.target)
-        if out is None:
-            return row.reshape(1, -1)
-        out[0] = row
-        return out
-    r = group.fne._apply(group.matrix @ x) - group.target
-    return np.multiply(r[:, None], group.matrix, out=out)
+        return group.linop._adjoint(r).reshape(1, -1)
+    return r[:, None] * group.matrix
 
 
 def _refresh(groups, gammas: np.ndarray, x: np.ndarray, t: np.ndarray):
@@ -492,26 +502,30 @@ def _refresh(groups, gammas: np.ndarray, x: np.ndarray, t: np.ndarray):
 def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
                    groups: Optional[tuple] = None) -> float:
     """:func:`blockvi.core.vi_residual` on a flat array.  ``groups`` are the
-    arm groups of all arms taken as one atom; they are built when omitted."""
+    arm groups of all arms taken as one atom; they are built when omitted.
+    Each group adds its share of sum_i w_i L_i*(F_i(L_i x) - p_i) without
+    forming rows: (w_c * r) @ A_c for a fused group, w_i L_i* r_i for one arm."""
     if groups is None:
         groups = _arm_groups(problem, range(problem.arm_count))
-    rows = np.empty((problem.arm_count, x.size))
+    grad = np.zeros_like(x)
     for g in groups:
-        if isinstance(g.arms, slice):
-            _arm_rows(g, x, out=rows[g.arms])
+        r = _fne_residuals(g, x)
+        if g.matrix is None:
+            grad += g.weights[0] * g.linop._adjoint(r)
         else:
-            rows[g.arms] = _arm_rows(g, x)
-    z = x - theta * (np.asarray(problem.weights) @ rows)
+            grad += (g.weights * r) @ g.matrix
+    z = x - theta * grad
     projected = problem.constraint.project_array(z, problem.domain_shape)
     return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
 
 
 class _Anderson:
-    """Safeguarded type-II Anderson extrapolation of the period map (see the
-    module docstring).  :meth:`next_start` takes Phi of the current period's
-    start and returns the start of the next period."""
+    """Safeguarded type-II Anderson extrapolation of the span map (see the
+    module docstring).  :meth:`next_start` takes Phi of the current span's
+    start and returns the start of the next span."""
 
     MEMORY = 5
+    SPAN = 5               # least base iterations per extrapolation step
     D = 1e6
     EPS = 1e-6
     REG = 1e-10
@@ -524,10 +538,10 @@ class _Anderson:
         self.eye = np.eye(m)
         self.filled = 0        # slots 0..filled-1 hold columns
         self.slot = 0          # slot of the next column
-        self.start = x0        # start of the period being run
+        self.start = x0        # start of the span being run
         self.f = self.g = None  # Phi(s) and Phi(s) - s at the last base point s
         self.g0 = 0.0          # ||Phi(x0) - x0||, set by the first call
-        self.pending = False   # the period being run starts at a candidate
+        self.pending = False   # the span being run starts at a candidate
         self.accepted = self.rejected = 0
 
     def next_start(self, f: np.ndarray) -> np.ndarray:
@@ -602,11 +616,10 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     ``config.tol`` (checked every ``trace_every`` iterations) or ``max_iters``
     is reached.  Step sizes and averaging weights use the bounds certified for
     the schedule's activation atoms, and the arms of each atom are evaluated
-    in groups (see the module docstring).  When the schedule's period has
-    more than one set and starts with every arm, and ``config.accelerate``
-    holds, each period starts at the Anderson extrapolation of the previous
-    ones (see the module docstring).  Deterministic given (problem, schedule,
-    config)."""
+    in groups (see the module docstring).  When the schedule's period starts
+    with every arm and ``config.accelerate`` holds, each span of whole periods
+    starts at the Anderson extrapolation of the previous ones (see the module
+    docstring).  Deterministic given (problem, schedule, config)."""
     config.validate()
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
@@ -614,11 +627,11 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     if config.x0.shape != problem.domain_shape:
         raise ShapeMismatch("x0 lives outside the problem domain")
 
-    bounds = step_bounds(problem, schedule)
+    atoms = activation_atoms(schedule)
+    bounds = step_bounds(problem, schedule, atoms)
     gammas = config.gamma / np.asarray(bounds)
     vweights = np.asarray(_averaging_weights(problem, bounds))
-    atom_groups = {atom: _arm_groups(problem, atom)
-                   for atom in activation_atoms(schedule)}
+    atom_groups = {atom: _arm_groups(problem, atom) for atom in atoms}
     set_groups = [tuple(g for atom, groups in atom_groups.items()
                         if atom[0] in s for g in groups)
                   for s in schedule.sets]
@@ -638,12 +651,12 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     x = config.x0.data
     period = len(schedule.sets)
     accel = None
-    if config.accelerate and period > 1 \
-            and len(schedule.sets[0]) == problem.arm_count:
+    if config.accelerate and len(schedule.sets[0]) == problem.arm_count:
         accel = _Anderson(x)
+        span = -(-_Anderson.SPAN // period) * period
     status = SolveStatus.MAX_ITERS
     for n in range(config.max_iters):
-        if accel is not None and n and n % period == 0:
+        if accel is not None and n and n % span == 0:
             x = accel.next_start(x)
         active = schedule.active_set(n)
         prev_x = x

@@ -355,7 +355,8 @@ def test_solve_matches_step_loop_when_atoms_not_dense():
                                               np.full(n, 2.0)), arms)
     sched = make_schedule("full", prob.arm_count)
     x0 = SpacePoint(rng.uniform(-1, 1, n), shape)
-    cfg = _config(gamma=1.7, max_iters=60, tol=0.0, x0=x0, keep_snapshots=True)
+    cfg = _config(gamma=1.7, max_iters=60, tol=0.0, x0=x0, keep_snapshots=True,
+                  accelerate=False)
     res = solve(prob, sched, cfg)
     state = SolverState(0, x0, tuple(x0 for _ in range(prob.arm_count)))
     for k, _, x in res.trace.iterates[1:]:
@@ -365,18 +366,24 @@ def test_solve_matches_step_loop_when_atoms_not_dense():
 
 
 def test_solve_certifies_bounds_once(monkeypatch):
-    calls = []
+    calls, atom_calls = [], []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return step_bounds(*args, **kwargs)
 
+    def counted_atoms(schedule):
+        atom_calls.append(schedule)
+        return activation_atoms(schedule)
+
     monkeypatch.setattr(blockvi.solver, "step_bounds", counted)
+    monkeypatch.setattr(blockvi.solver, "activation_atoms", counted_atoms)
     prob, sched = _feasibility_case()
     cfg = _config(gamma=1.9, max_iters=20, tol=0.0,
                   x0=SpacePoint(np.zeros(8)), t_init_policy="one_step")
     solve(prob, sched, cfg)
     assert len(calls) == 1
+    assert len(atom_calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +458,7 @@ def test_unfused_rank_one_arms_match_per_arm_path():
     assert all(g.matrix is None for g in _arm_groups(prob, range(m)))
     x0 = SpacePoint(rng.uniform(-1, 1, n), shape)
     res = solve(prob, sched, _config(gamma=1.5, max_iters=40, tol=0.0, x0=x0,
-                                     keep_snapshots=True))
+                                     keep_snapshots=True, accelerate=False))
     gammas = arm_gammas(prob, 1.5, sched)
     v = np.asarray(averaging_weights(prob, sched))
     t = np.tile(x0.data, (m, 1))
@@ -537,7 +544,7 @@ def test_spectral_solve_matches_full_complex_reference():
     assert isinstance(phase.fne, PhasePrescription)
     x0 = SpacePoint.zeros(shape)
     res = solve(prob, sched, _config(gamma=gamma, max_iters=300, tol=0.0,
-                                     x0=x0, trace_every=1000))
+                                     x0=x0, trace_every=1000, accelerate=False))
     transfer = full_transfer(blur.linop.kernel, rows, cols)
 
     def arm_row(i, x):
@@ -579,14 +586,14 @@ def _accel_config(accelerate=True, **kw):
 
 
 @pytest.mark.parametrize("kind,kw", [
-    ("full", {}),
-    ("mod_skip", {"expensive": [3], "period": 1}),
+    ("cyclic_partition", {"blocks": 3, "always_active": [0]}),
+    ("explicit", {"sets": [[2, 3], [0, 1, 2, 3]]}),
     ("cyclic_partition", {"blocks": 2}),
     ("explicit", {"sets": [[0, 1], [0, 1, 2, 3], [2, 3]]}),
 ])
 def test_periods_without_a_leading_full_set_run_plain(kind, kw):
-    # one set per period, or a period that does not start with every arm:
-    # the loop is the plain one bitwise, and nothing is reported
+    # a period that does not start with every arm: the loop is the plain one
+    # bitwise, and nothing is reported
     prob, _ = mixed_arms_problem(3, consistent=False)
     sched = make_schedule(kind, prob.arm_count, **kw)
     auto = solve(prob, sched, _accel_config(max_iters=300))
@@ -595,6 +602,54 @@ def test_periods_without_a_leading_full_set_run_plain(kind, kw):
     assert auto.solution.data.tobytes() == plain.solution.data.tobytes()
     assert [r.residual for r in auto.trace.records] == \
         [r.residual for r in plain.trace.records]
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("full", {}),
+    ("mod_skip", {"expensive": [3], "period": 1}),
+])
+def test_one_set_periods_accelerate_over_spans(kind, kw):
+    prob, _ = mixed_arms_problem(3, consistent=False)
+    sched = make_schedule(kind, prob.arm_count, **kw)
+    plain = solve(prob, sched, _accel_config(False))
+    fast = solve(prob, sched, _accel_config())
+    assert plain.acceleration is None
+    assert plain.status is fast.status is SolveStatus.CONVERGED
+    assert fast.acceleration["accepted"] > 0
+    assert fast.trace.records[-1].n < plain.trace.records[-1].n / 2
+    np.testing.assert_allclose(fast.solution.data, plain.solution.data,
+                               atol=1e-6)
+
+
+@pytest.mark.parametrize("kind,kw,span", [
+    ("full", {}, 5),
+    ("mod_skip", {"expensive": [3], "period": 5}, 5),
+    ("mod_skip", {"expensive": [3], "period": 2}, 6),
+])
+def test_anderson_steps_once_per_span(monkeypatch, kind, kw, span):
+    # a span is the least whole number of periods with at least SPAN base
+    # iterations; each _refresh call is one base iteration, so the calls
+    # before next_start give the n at which it runs
+    prob, _ = mixed_arms_problem(3, consistent=False)
+    sched = make_schedule(kind, prob.arm_count, **kw)
+    refreshes, steps = [], []
+    refresh, next_start = blockvi.solver._refresh, blockvi.solver._Anderson.next_start
+
+    def counted_refresh(*args):
+        refreshes.append(None)
+        return refresh(*args)
+
+    def counted_next_start(self, f):
+        steps.append(len(refreshes))
+        return next_start(self, f)
+
+    monkeypatch.setattr(blockvi.solver, "_refresh", counted_refresh)
+    monkeypatch.setattr(blockvi.solver._Anderson, "next_start",
+                        counted_next_start)
+    res = solve(prob, sched, _accel_config(max_iters=100, tol=0.0))
+    assert len(refreshes) == 100
+    assert steps == list(range(span, 100, span))
+    assert res.acceleration["accepted"] + res.acceleration["rejected"] > 0
 
 
 def test_anderson_cuts_iterations_on_mod_skip():
@@ -694,13 +749,14 @@ def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
         assert np.all(np.abs(point.data) <= 2.0)
 
 
-def test_accelerated_sparse_image_solves_the_vi():
-    # VI gap of the accelerated stock solution, rebuilt from the arms' public
-    # apply/adjoint: max_{y in C} <x - y, g(x)> / (1 + ||x||)^2 on the box
+def _accelerated_stock_vi_gap(kind, seed):
+    """VI gap of the accelerated stock solution, rebuilt from the arms' public
+    apply/adjoint: max_{y in C} <x - y, g(x)> / (1 + ||x||)^2 on the box
+    [0, 255]; returns it with the solver's tol."""
     from blockvi.cli.runner import _build_schedule, _solver_config
 
-    payload = default_manifest("sparse_image", 1)
-    prob = generate_experiment("sparse_image", payload["dimensions"], 1,
+    payload = default_manifest(kind, seed)
+    prob = generate_experiment(kind, payload["dimensions"], seed,
                                payload["noise"], payload["operators"]).problem
     cfg = _solver_config(payload["solver"], prob.domain_shape)
     res = solve(prob, _build_schedule(payload["schedule"], prob.arm_count), cfg)
@@ -713,8 +769,17 @@ def test_accelerated_sparse_image_solves_the_vi():
         image = p.fne.apply(p.linop.apply(res.solution))
         g += p.weight * p.linop.adjoint(image - p.target).data
     y = np.where(g > 0, 0.0, 255.0)
-    gap = float(np.dot(x - y, g)) / (1.0 + np.linalg.norm(x)) ** 2
-    assert gap <= 10 * cfg.tol
+    return float(np.dot(x - y, g)) / (1.0 + np.linalg.norm(x)) ** 2, cfg.tol
+
+
+def test_accelerated_sparse_image_solves_the_vi():
+    gap, tol = _accelerated_stock_vi_gap("sparse_image", 1)
+    assert gap <= 10 * tol
+
+
+def test_accelerated_image_recovery_solves_the_vi():
+    gap, tol = _accelerated_stock_vi_gap("image_recovery", 1)
+    assert gap <= 10 * tol
 
 
 # ---------------------------------------------------------------------------
