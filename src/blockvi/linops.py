@@ -23,7 +23,6 @@ __all__ = [
     "LinearOperator",
     "Identity",
     "DenseMatrix",
-    "DictionaryRows",
     "FiniteDifference1D",
     "CircularConvolution2D",
     "Dct2D",
@@ -138,12 +137,6 @@ class DenseMatrix(LinearOperator):
     def describe(self):
         return {"kind": self.kind, "rows": self.matrix.shape[0],
                 "cols": self.matrix.shape[1], "norm_sq": self.norm_sq}
-
-
-class DictionaryRows(DenseMatrix):
-    """Analysis map x -> (<x, e_j>)_j for dictionary vectors stored as rows."""
-
-    kind = "dictionary_rows"
 
 
 class FiniteDifference1D(LinearOperator):

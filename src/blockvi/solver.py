@@ -36,53 +36,84 @@ measures.  Averaging with the raw w_i instead would steer the iteration to
 a solution of a differently-weighted inequality whenever the bounds differ.
 
 One array kernel evaluates the arms, a *group* at a time: at a point x it
-forms r_i = F_i(L_i x) - p_i for the group's arms, and only the adjoint step
-that follows differs between its two callers.  The iteration takes the rows
-L_i* r_i and sets t_i = x - gamma_i * row_i for the groups of the active set;
-the residual reduces sum_i w_i L_i* r_i over the groups of all arms (taken as
-one atom) without forming the rows.  Within an activation atom, the arms
-whose map is a one-row ``DenseMatrix`` and whose FNEs fuse into one
-elementwise operator on R^k (``FneOperator.stacked``; soft thresholds of one
-level, singleton projectors and their residuals) form one group: one matvec
-with their stacked rows A_c, one FNE call, and then one row scaling
-r[:, None] * A_c for the iteration or one transposed matvec (w_c * r) @ A_c
-for the residual, whatever k.  Only the order of the dot products differs
-from evaluating those arms one by one.  Every other arm is a group of one,
-evaluated through its own ``_apply``/``_adjoint`` exactly as alone.
+forms r_i = F_i(L_i x) - p_i for the group's arms and reduces them to
+sum_i c_i L_i* r_i.  Within an activation atom, the arms whose map is a
+one-row ``DenseMatrix`` and whose FNEs fuse into one elementwise operator on
+R^k (``FneOperator.stacked``; soft thresholds of one level, singleton
+projectors and their residuals) form one group: one matvec with their stacked
+rows A_g, one FNE call and one transposed matvec (c * r) @ A_g, whatever k.
+Every other arm is a group of one, evaluated through its own
+``_apply``/``_adjoint`` exactly as alone.  The residual takes c_i = w_i over
+the groups of all arms (taken as one atom); the iteration takes the
+coefficients below over the groups of the active set.
 
-Schedules whose period starts with the set of all arms (``full``,
-``mod_skip``, or such an ``explicit`` period) are accelerated by safeguarded
-type-II Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49(4),
-2011) of the *span map* Phi: x_{kS} -> x_{(k+1)S}.  A span is the smallest
-whole number of periods that holds at least ``_Anderson.SPAN`` = 5 base
-iterations: S = 5 for ``full`` and for a period of 5, S = 6 for a period of
-2.  One extrapolation step costs a fair share of a cheap base iteration, so
-taking it once per span rather than once per period keeps that cost small
-per iteration.  ``SolverConfig(accelerate=False)`` runs these schedules
-plain.  Every span starts with the set of all arms, which rebuilds every t_i
-from x_{kS}, so Phi depends on x alone.  Its fixed points are the right
-ones: if Phi(x*) = x*, the plain iteration started at x* is S-periodic; the
-block iteration converges, so a periodic run is constant, x* is a fixed
-point of every step, and it solves the variational inequality.
+The auxiliary state holds one row per group, not one per arm.  A group is
+refreshed whole, from one x, and the averaging step sees its arms only
+through their v-weighted mean tau_g = sum_{i in g} (v_i / V_g) t_i, V_g =
+sum_{i in g} v_i.  So the row of g is tau_g, a refresh sets
 
-Phi is also nonexpansive.  Call a *unit* a multi-arm atom whose arms share
-the bound b_c, or else a single arm.  A unit u is refreshed whole, b_u >=
-||L_u||^2, and v_i is proportional to w_i inside u, so the averaging step
-sees u only through tau_u = sum_{i in u} (w_i / W_u) t_i.  A refresh sets
-tau_u = x - (gamma / b_u) L_u*(F_u(L_u x) - p_u), a nonexpansive map of x:
-F_u is firmly nonexpansive, so L_u*(F_u(L_u .) - p_u) is 1/b_u-cocoercive,
-and gamma < 2.  Take two runs from x and y and let M_n be the largest of
-||x_n - y_n|| and the distances ||tau_u - tau_u'||.  A refresh gives
-||tau_u - tau_u'|| <= ||x_n - y_n||, a stale unit keeps its distance, and the
-projected average obeys ||x_{n+1} - y_{n+1}|| <= sum_u V_u ||tau_u - tau_u'||
-(V_u >= 0, sum V_u = 1), so M_n never grows.  The first set of a span
-refreshes every unit, so M_1 <= ||x - y||, and ||Phi(x) - Phi(y)|| <=
-||x - y||.  (For ``full`` this is just the nonexpansive map T of one base
-iteration, and Phi = T^S.)
+    tau_g = x - sum_{i in g} c_i L_i*(F_i(L_i x) - p_i),   c_i = v_i gamma_i / V_g,
 
-At each span boundary the start s_k of the span just run and its image
-f_k = Phi(s_k) give g_k = f_k - s_k.  With the differences dG, dF of the last
-m = 5 pairs (g, f), the step solves the regularised least-squares problem
+and x' = P_C(sum_g V_g tau_g).  Since v_i gamma_i = gamma w_i / sum_j w_j b_j,
+the b_i cancel from c_i.  A single arm keeps c_i = gamma_i, V_g = v_i and its
+row t_i exactly, and the rows are ordered by each group's first arm, so a
+problem without fused groups runs the per-arm iteration bit for bit.
+:func:`step` keeps one row per arm: every arm is its own group there.
+
+Every schedule is accelerated by safeguarded type-II Anderson extrapolation
+(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of a *span map*.  A span is
+the smallest whole number of periods that holds at least ``_Anderson.SPAN`` =
+5 base iterations: S = 5 for ``full`` and for a period of 5, S = 6 for a
+period of 2, S = 8 for a cyclic schedule of 4 cells.  One extrapolation step
+costs a fair share of a cheap base iteration, so taking it once per span
+rather than once per period keeps that cost small per iteration.
+``SolverConfig(accelerate=False)`` runs every schedule plain.
+
+  * When the period starts with the set of all arms (``full``, ``mod_skip``,
+    or such an ``explicit`` period), every span starts by rebuilding every
+    row from x_{kS}, so the span map Phi: x_{kS} -> x_{(k+1)S} depends on x
+    alone, and x is extrapolated.
+  * Otherwise (``cyclic_partition``, other ``explicit`` periods) some rows
+    are stale when a span starts, and the rows are extrapolated instead:
+    Psi: t_{kS-1} -> t_{(k+1)S-1} on the flattened G x n array (G groups),
+    where x_{kS} = P_C(sum_g V_g t_{g,kS-1}) and the span then runs as usual.
+    Psi depends on the rows alone.  After each step x = P_C(sum_g V_g t_g).
+
+The fixed points are the right ones.  If Phi(x*) = x* or Psi(t*) = t*, the
+plain iteration started there is S-periodic.  It converges -- for Psi this
+needs convergence from arbitrary initial auxiliary points t_{i,-1}, which the
+paper's block iteration takes as free data beside x_0 (every cyclic run
+relies on the same property, since its first set leaves most t_i at their
+initial values; a row tau_g is the run whose arms of g all start at tau_g) --
+so a periodic run is constant.  Every group is refreshed within a span, so
+each row is its refresh at the constant x*, which is then a fixed point of
+every step and solves the variational inequality.
+
+Both maps are also nonexpansive.  Call a *block* a multi-arm atom whose arms
+share the bound b_c, or else a group of an atom without a shared bound; a
+group lies in one atom, so every group lies in exactly one block, and a block
+is always refreshed whole.  Write tau_B = sum_{g in B} (V_g / V_B) tau_g.  A
+refresh sets tau_B to a nonexpansive map of x: for a shared-bound atom tau_B =
+x - (gamma / b_c) L_c*(F_c(L_c x) - p_c), where F_c is firmly nonexpansive,
+b_c >= ||L_c||^2 and gamma < 2; otherwise tau_B is the convex combination
+sum_{i in B} (v_i / V_B)(x - gamma_i L_i*(F_i(L_i x) - p_i)) of maps of the
+same kind with b_i >= ||L_i||^2.  Take two runs and let M_n be the largest of
+||x_n - y_n|| and the distances ||tau_B - tau_B'||.  A refresh gives
+||tau_B - tau_B'|| <= ||x_n - y_n||, a stale block keeps its distance, and the
+projected average obeys ||x_{n+1} - y_{n+1}|| <= sum_B V_B ||tau_B - tau_B'||
+(V_B >= 0, sum V_B = 1), so M_n never grows.  For Phi the first set of a span
+refreshes every block, so M_1 <= ||x - y|| and ||Phi(x) - Phi(y)|| <=
+||x - y||; for ``full``, Phi = T^S for the nonexpansive map T of one base
+iteration.  For Psi, M_0 <= max_B ||tau_B - tau_B'|| and every block is
+refreshed within the span, so Psi is nonexpansive in max_B ||tau_B - tau_B'||,
+a norm on the rows when every block is one group (as on the stock
+``signal_recovery`` manifest), and the run after a span boundary depends on
+the rows only through the tau_B.
+
+At each span boundary the start s_k of the span just run (x, or the rows)
+and its image f_k (Phi(s_k), or Psi(s_k)) give g_k = f_k - s_k.  With the
+differences dG, dF of the last m = 5 pairs (g, f), the step solves the
+regularised least-squares problem
 
     (dG^T dG + lambda I) a = dG^T g_k,   lambda = 1e-10 ||dG||_F^2,
 
@@ -90,21 +121,22 @@ and proposes s_{k+1} = f_k - dF^T a.  The safeguard follows Zhang,
 O'Donoghue & Boyd (SIAM J. Optim. 30(4), 2020): a candidate is checked once
 its span has run, and it is accepted only while
 
-    ||Phi(s) - s||  <=  D ||g_0|| (n_acc + 1)^-(1 + eps),   D = 1e6, eps = 1e-6,
+    ||f_k - s_k||  <=  D ||g_0|| (n_acc + 1)^-(1 + eps),   D = 1e6, eps = 1e-6,
 
 with n_acc the candidates accepted so far.  A rejected candidate -- or a
 non-finite one, or a failed solve -- restarts the memory, and the next span
 starts from the plain step f_k.  Their global-convergence theorem is proved
-for type-I steps on an averaged map; Phi is shown above to be nonexpansive
-only, so that theorem is not claimed here.  What holds: the accepted
-residuals ||Phi(s) - s|| are summable; if every candidate from some point on
-is rejected, the base points follow the plain span map and converge by the
-paper's theorem; and the extrapolated point only ever starts a span.
+for type-I steps on an averaged map; Phi and Psi are shown above to be
+nonexpansive only, so that theorem is not claimed here.  What holds: the
+accepted residuals ||f_k - s_k|| are summable; if every candidate from some
+point on is rejected, the base points follow the plain span map and converge
+by the paper's theorem; and the extrapolated point only ever starts a span.
 Residuals, trace records and the returned solution are taken at projected
 loop iterates, so they lie in C, and a run reports CONVERGED only on the
 plain loop's residual test.  The iteration count includes the spans spent
 on rejected candidates.  The ``step_norm`` of the record at a span start is
-measured from that span's start, which is the candidate when one runs.
+measured from that span's start: the candidate, or P_C(sum_g V_g t_g) at
+the candidate rows, when one runs.
 """
 
 from __future__ import annotations
@@ -113,7 +145,7 @@ import csv
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -264,7 +296,7 @@ class SolverConfig:
     residual_theta: float = 1.0
     keep_snapshots: bool = False
     record_arm_gaps: bool = False
-    accelerate: bool = True          # Anderson where the schedule allows it
+    accelerate: bool = True          # Anderson extrapolation over spans
 
     def validate(self):
         if not 0.0 < self.gamma < 2.0:
@@ -428,21 +460,23 @@ def _averaging_weights(problem: Problem, bounds) -> tuple:
 class _ArmGroup:
     """Arms that :func:`_fne_residuals` evaluates in one pass: a single arm
     (``linop`` set), or one-row dense arms with fused FNEs (``matrix`` holds
-    their stacked rows, ``fne`` acts on all of them elementwise).  ``weights``
-    are the arms' problem weights w_i, which only the residual uses."""
+    their stacked rows, ``fne`` acts on all of them elementwise).  ``coef``
+    holds the c_i with which :func:`_pullback` reduces the group."""
 
-    arms: object             # slice or index array of the arms, ascending
+    arms: np.ndarray         # the arms, ascending
     fne: object
     target: np.ndarray
-    weights: np.ndarray
+    coef: np.ndarray
     linop: object = None
     matrix: Optional[np.ndarray] = None
 
 
-def _arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
+def _arm_groups(problem: Problem, atom: Sequence[int], coef=None) -> tuple:
     """Split one activation atom into groups: for each FNE class, the atom's
     one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
-    every other arm alone."""
+    every other arm alone.  ``coef[i]`` is arm i's c_i; the problem weights
+    w_i, the residual's, when omitted."""
+    coef = np.asarray(problem.weights if coef is None else coef)
     alone, rank_one = [], {}
     for i in atom:
         p = problem.prescriptions[i]
@@ -457,17 +491,27 @@ def _arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
         if fne is None:
             alone.extend(arms)
             continue
-        contiguous = arms == list(range(arms[0], arms[-1] + 1))
         groups.append(_ArmGroup(
-            slice(arms[0], arms[-1] + 1) if contiguous else np.array(arms),
-            fne, np.concatenate([p.target.data for p in pres]),
-            np.array([p.weight for p in pres]),
-            matrix=np.vstack([p.linop.matrix for p in pres])))
+            np.array(arms), fne, np.concatenate([p.target.data for p in pres]),
+            coef[arms], matrix=np.vstack([p.linop.matrix for p in pres])))
     for i in alone:
         p = problem.prescriptions[i]
-        groups.append(_ArmGroup(slice(i, i + 1), p.fne, p.target.data,
-                                np.array([p.weight]), p.linop))
+        groups.append(_ArmGroup(np.array([i]), p.fne, p.target.data,
+                                coef[[i]], p.linop))
     return tuple(groups)
+
+
+def _row_groups(problem: Problem, atoms, gammas: np.ndarray,
+                vweights: np.ndarray) -> tuple:
+    """The arm groups of ``atoms`` in order of their first arm, one auxiliary
+    row each, with the refresh's c_i = v_i gamma_i / V_g, and the averaging
+    weights V_g = sum_{i in g} v_i of their rows (see the module docstring).
+    A single arm keeps c_i = gamma_i and V_g = v_i exactly."""
+    groups = sorted((g for atom in atoms for g in _arm_groups(problem, atom, gammas)),
+                    key=lambda g: g.arms[0])
+    masses = np.array([vweights[g.arms].sum() for g in groups])
+    return ([replace(g, coef=g.coef * (vweights[g.arms] / mass))
+             for g, mass in zip(groups, masses)], masses)
 
 
 def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
@@ -477,52 +521,45 @@ def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
     return group.fne._apply(image) - group.target
 
 
-def _arm_rows(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
-    """L_i*(F_i(L_i x) - p_i) for the arms of ``group``, one row per arm, in a
-    fresh array that callers may overwrite."""
+def _pullback(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
+    """sum_i c_i L_i*(F_i(L_i x) - p_i) over the arms of ``group``: one
+    transposed matvec (c * r) @ A for a fused group, c_i L_i*(r_i) for a
+    single arm."""
     r = _fne_residuals(group, x)
     if group.matrix is None:
-        return group.linop._adjoint(r).reshape(1, -1)
-    return r[:, None] * group.matrix
+        return group.coef[0] * group.linop._adjoint(r)
+    return (group.coef * r) @ group.matrix
 
 
-def _refresh(groups, gammas: np.ndarray, x: np.ndarray, t: np.ndarray):
-    """t_i = x - gamma_i L_i*(F_i(L_i x) - p_i) for the arms of ``groups``,
-    in place; every other row of ``t`` stays bitwise as it was."""
-    for g in groups:
-        rows = _arm_rows(g, x)
-        rows *= gammas[g.arms, None]
-        if isinstance(g.arms, slice):
-            np.subtract(x, rows, out=t[g.arms])
-        else:
-            # an index array selects a copy: assign the rows back
-            t[g.arms] = np.subtract(x, rows, out=rows)
+def _refresh(cell, x: np.ndarray, t: np.ndarray):
+    """t[row] = x - sum_{i in g} c_i L_i*(F_i(L_i x) - p_i) for each pair
+    (row, g) of ``cell``, in place; every other row of ``t`` stays bitwise as
+    it was."""
+    for row, g in cell:
+        np.subtract(x, _pullback(g, x), out=t[row])
 
 
 def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
                    groups: Optional[tuple] = None) -> float:
     """:func:`blockvi.core.vi_residual` on a flat array.  ``groups`` are the
-    arm groups of all arms taken as one atom; they are built when omitted.
-    Each group adds its share of sum_i w_i L_i*(F_i(L_i x) - p_i) without
-    forming rows: (w_c * r) @ A_c for a fused group, w_i L_i* r_i for one arm."""
+    arm groups of all arms taken as one atom, with c_i = w_i; they are built
+    when omitted.  Each group adds its share of sum_i w_i L_i*(F_i(L_i x) - p_i)
+    through :func:`_pullback`."""
     if groups is None:
         groups = _arm_groups(problem, range(problem.arm_count))
     grad = np.zeros_like(x)
     for g in groups:
-        r = _fne_residuals(g, x)
-        if g.matrix is None:
-            grad += g.weights[0] * g.linop._adjoint(r)
-        else:
-            grad += (g.weights * r) @ g.matrix
+        grad += _pullback(g, x)
     z = x - theta * grad
     projected = problem.constraint.project_array(z, problem.domain_shape)
     return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
 
 
 class _Anderson:
-    """Safeguarded type-II Anderson extrapolation of the span map (see the
-    module docstring).  :meth:`next_start` takes Phi of the current span's
-    start and returns the start of the next span."""
+    """Safeguarded type-II Anderson extrapolation of a span map, Phi or Psi
+    (see the module docstring).  :meth:`next_start` takes the image of the
+    current span's start and returns the start of the next span; it keeps
+    the arrays it is given and returns, so callers must not write to them."""
 
     MEMORY = 5
     SPAN = 5               # least base iterations per extrapolation step
@@ -539,8 +576,8 @@ class _Anderson:
         self.filled = 0        # slots 0..filled-1 hold columns
         self.slot = 0          # slot of the next column
         self.start = x0        # start of the span being run
-        self.f = self.g = None  # Phi(s) and Phi(s) - s at the last base point s
-        self.g0 = 0.0          # ||Phi(x0) - x0||, set by the first call
+        self.f = self.g = None  # f and f - s at the last base point s
+        self.g0 = 0.0          # ||f - x0|| of the first call, set by it
         self.pending = False   # the span being run starts at a candidate
         self.accepted = self.rejected = 0
 
@@ -597,8 +634,8 @@ def step(state: SolverState, problem: Problem, active: Sequence[int],
     gammas = config.gamma / np.asarray(bounds)
     vweights = np.asarray(_averaging_weights(problem, bounds))
     t_matrix = np.stack([ti.data for ti in state.t])
-    _refresh([g for i in active for g in _arm_groups(problem, (i,))],
-             gammas, state.x.data, t_matrix)
+    _refresh([(i, g) for i in active for g in _arm_groups(problem, (i,), gammas)],
+             state.x.data, t_matrix)
     x_next = problem.constraint.project_array(vweights @ t_matrix,
                                               problem.domain_shape)
     active_set = set(active)
@@ -616,10 +653,11 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     ``config.tol`` (checked every ``trace_every`` iterations) or ``max_iters``
     is reached.  Step sizes and averaging weights use the bounds certified for
     the schedule's activation atoms, and the arms of each atom are evaluated
-    in groups (see the module docstring).  When the schedule's period starts
-    with every arm and ``config.accelerate`` holds, each span of whole periods
-    starts at the Anderson extrapolation of the previous ones (see the module
-    docstring).  Deterministic given (problem, schedule, config)."""
+    in groups, with one auxiliary row per group (see the module docstring).
+    When ``config.accelerate`` holds, each span of whole periods starts at the
+    Anderson extrapolation of the previous ones: of x when the period starts
+    with every arm, of the rows otherwise (see the module docstring).
+    Deterministic given (problem, schedule, config)."""
     config.validate()
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
@@ -631,17 +669,15 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     bounds = step_bounds(problem, schedule, atoms)
     gammas = config.gamma / np.asarray(bounds)
     vweights = np.asarray(_averaging_weights(problem, bounds))
-    atom_groups = {atom: _arm_groups(problem, atom) for atom in atoms}
-    set_groups = [tuple(g for atom, groups in atom_groups.items()
-                        if atom[0] in s for g in groups)
-                  for s in schedule.sets]
-    every_arm = tuple(range(problem.arm_count))
-    all_groups = atom_groups.get(every_arm) or _arm_groups(problem, every_arm)
+    groups, masses = _row_groups(problem, atoms, gammas, vweights)
+    cells = [tuple((row, g) for row, g in enumerate(groups) if g.arms[0] in s)
+             for s in schedule.sets]
+    residual_groups = _arm_groups(problem, range(problem.arm_count))
     if config.t_init_policy == "copy_x0":
-        t = np.tile(config.x0.data, (problem.arm_count, 1))
+        t = np.tile(config.x0.data, (len(groups), 1))
     else:
-        t = np.empty((problem.arm_count, config.x0.dim))
-        _refresh(all_groups, gammas, config.x0.data, t)
+        t = np.empty((len(groups), config.x0.dim))
+        _refresh(tuple(enumerate(groups)), config.x0.data, t)
 
     trace = SolverTrace()
     started = time.perf_counter()
@@ -650,22 +686,29 @@ def solve(problem: Problem, schedule: ActivationSchedule,
 
     x = config.x0.data
     period = len(schedule.sets)
+    span = -(-_Anderson.SPAN // period) * period
+    # a span led by every arm rebuilds every row from x, so x is its state
+    on_x = len(schedule.sets[0]) == problem.arm_count
     accel = None
-    if config.accelerate and len(schedule.sets[0]) == problem.arm_count:
-        accel = _Anderson(x)
-        span = -(-_Anderson.SPAN // period) * period
+    if config.accelerate:
+        accel = _Anderson(x if on_x else t.flatten())
     status = SolveStatus.MAX_ITERS
     for n in range(config.max_iters):
         if accel is not None and n and n % span == 0:
-            x = accel.next_start(x)
+            if on_x:
+                x = accel.next_start(x)
+            else:    # t is written in place: the accelerator keeps copies
+                t[...] = accel.next_start(t.flatten()).reshape(t.shape)
+                x = problem.constraint.project_array(masses @ t,
+                                                     problem.domain_shape)
         active = schedule.active_set(n)
         prev_x = x
-        _refresh(set_groups[n % period], gammas, x, t)
-        x = problem.constraint.project_array(vweights @ t, problem.domain_shape)
+        _refresh(cells[n % period], x, t)
+        x = problem.constraint.project_array(masses @ t, problem.domain_shape)
         if n % config.trace_every == 0 or n == config.max_iters - 1:
             x_point = SpacePoint(x, problem.domain_shape)  # rejects non-finite x
             residual = array_residual(problem, x, config.residual_theta,
-                                      all_groups)
+                                      residual_groups)
             seconds = time.perf_counter() - started
             gaps = None
             if config.record_arm_gaps:

@@ -226,11 +226,9 @@ def test_summary_reports_acceleration_only_when_on(tmp_path):
         path = _write_manifest(d, _small_manifest(kind, 2))
         run_manifest(load_manifest(path))
         summary = json.loads((d / "results" / "summary.json").read_text())
-        if kind == "signal_recovery":       # cyclic
-            assert "acceleration" not in summary
-        else:                               # mod_skip with period 5, full
-            acc = summary["acceleration"]
-            assert acc["memory"] == 5 and acc["accepted"] + acc["rejected"] > 0
+        # mod_skip with period 5 and full on x, cyclic on the auxiliary rows
+        acc = summary["acceleration"]
+        assert acc["memory"] == 5 and acc["accepted"] + acc["rejected"] > 0
 
 
 def test_module_entry_point_runs_without_runpy_warning():

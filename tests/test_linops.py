@@ -9,7 +9,6 @@ from blockvi.linops import (
     CircularConvolution2D,
     Dct2D,
     DenseMatrix,
-    DictionaryRows,
     FiniteDifference1D,
     Identity,
     PairSum,
@@ -28,7 +27,7 @@ def _catalog(rng):
     return [
         Identity(BlockShape.vector(7)),
         DenseMatrix(rng.standard_normal((5, 9))),
-        DictionaryRows(rng.standard_normal((12, 6))),
+        DenseMatrix(rng.standard_normal((12, 6))),
         FiniteDifference1D(16),
         CircularConvolution2D(make_gaussian_kernel(5, 1.2), 8, 8),
         Dct2D(8, 8),
@@ -132,7 +131,7 @@ def test_power_iteration_matches_exact_spectrum(rng):
 
 def test_single_row_norm_is_exact(rng):
     row = rng.standard_normal((1, 9))
-    op = DictionaryRows(row)
+    op = DenseMatrix(row)
     np.testing.assert_allclose(op.norm_sq, np.sum(row**2))
 
 

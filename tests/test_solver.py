@@ -31,7 +31,7 @@ from blockvi.solver import (
     step_bounds,
     validate_schedule,
 )
-from blockvi.solver import _arm_groups, _refresh
+from blockvi.solver import _arm_groups, _refresh, _row_groups
 from blockvi.space import BlockShape, SpacePoint
 
 from problem_zoo import feasibility_problem, mixed_arms_problem, scalar_problem
@@ -402,14 +402,14 @@ def _signal_recovery_seed0():
 
 
 def test_grouped_solve_matches_public_arm_loop():
-    # 300 iterations of the dictionary-row groups against arm-by-arm updates
-    # through the public apply/adjoint; only the order of the row dot
-    # products differs
+    # 300 plain iterations of the dictionary-row groups, one aggregated row
+    # each, against arm-by-arm updates through the public apply/adjoint; only
+    # rounding differs
     prob, sched, gamma = _signal_recovery_seed0()
     shape = prob.domain_shape
     x0 = SpacePoint.zeros(shape)
     res = solve(prob, sched, _config(gamma=gamma, max_iters=300, tol=0.0,
-                                     x0=x0, trace_every=1000))
+                                     x0=x0, trace_every=1000, accelerate=False))
     gammas = arm_gammas(prob, gamma, sched)
     v = averaging_weights(prob, sched)
     t = [x0] * prob.arm_count
@@ -424,22 +424,29 @@ def test_grouped_solve_matches_public_arm_loop():
 
 
 def test_refresh_leaves_rows_outside_the_cell_bitwise():
+    # one row per group: the two always-active arms and one fused row per
+    # cell; refreshing cell 1 rewrites its rows and no other
     prob, sched, gamma = _signal_recovery_seed0()
     active = sched.active_set(1)
-    groups = [g for atom in activation_atoms(sched) if atom[0] in active
-              for g in _arm_groups(prob, atom)]
-    fused = [g.matrix.shape[0] for g in groups if g.matrix is not None]
+    groups, _ = _row_groups(prob, activation_atoms(sched),
+                            np.asarray(arm_gammas(prob, gamma, sched)),
+                            np.asarray(averaging_weights(prob, sched)))
+    assert len(groups) == 2 + len(sched.sets)
+    cell = [(row, g) for row, g in enumerate(groups) if g.arms[0] in active]
+    fused = [g.matrix.shape[0] for _, g in cell if g.matrix is not None]
     assert fused == [len(active) - 2]          # the cell's dictionary rows
     rng = np.random.default_rng(3)
-    t = rng.standard_normal((prob.arm_count, prob.domain_shape.total))
+    t = rng.standard_normal((len(groups), prob.domain_shape.total))
     before = t.copy()
     x = rng.standard_normal(prob.domain_shape.total)
-    _refresh(groups, np.asarray(arm_gammas(prob, gamma, sched)), x, t)
-    for i in range(prob.arm_count):
-        if i in active:
-            assert not np.array_equal(t[i], before[i]), i
+    _refresh(cell, x, t)
+    refreshed = {row for row, _ in cell}
+    assert len(refreshed) == 3
+    for row in range(len(groups)):
+        if row in refreshed:
+            assert not np.array_equal(t[row], before[row]), row
         else:
-            assert t[i].tobytes() == before[i].tobytes(), i
+            assert t[row].tobytes() == before[row].tobytes(), row
 
 
 def test_unfused_rank_one_arms_match_per_arm_path():
@@ -499,28 +506,37 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
     m, n = prob.arm_count, prob.domain_shape.total
     groups = _arm_groups(prob, range(m))
     fused = [g.arms for g in groups if g.matrix is not None]
-    assert fused[0] == slice(0, 6)
+    np.testing.assert_array_equal(fused[0], range(6))
     np.testing.assert_array_equal(fused[1], [6, 8, 10])
     rng = np.random.default_rng(12)
     x = rng.uniform(-1, 1, n)
-    # x - gamma_i * row_i, one arm at a time, with each fused group's rows
-    # r_j * a_j taken from its one FNE call
+    # per-arm rows L_i* r_i, with each fused group's rows r_j * a_j taken
+    # from its one FNE call
     rows = np.empty((m, n))
     for g in groups:
-        arms = np.arange(m)[g.arms]
         if g.matrix is None:
-            p = prob.prescriptions[arms[0]]
+            p = prob.prescriptions[g.arms[0]]
             image = p.fne._apply(p.linop._apply(x))
-            rows[arms[0]] = p.linop._adjoint(image - p.target.data)
+            rows[g.arms[0]] = p.linop._adjoint(image - p.target.data)
         else:
             r = g.fne._apply(g.matrix @ x) - g.target
-            for j, i in enumerate(arms):
+            for j, i in enumerate(g.arms):
                 rows[i] = r[j] * g.matrix[j]
     gammas = np.asarray(arm_gammas(prob, 1.5))
-    t = rng.standard_normal((m, n))
-    _refresh(groups, gammas, x, t)
-    for i in range(m):
-        assert t[i].tobytes() == (x - gammas[i] * rows[i]).tobytes(), i
+    v = np.asarray(averaging_weights(prob))
+    row_groups, masses = _row_groups(prob, (tuple(range(m)),), gammas, v)
+    assert [list(g.arms) for g in row_groups] == \
+        [list(range(6)), [6, 8, 10], [7], [9], [11], [12]]
+    t = rng.standard_normal((len(row_groups), n))
+    _refresh(tuple(enumerate(row_groups)), x, t)
+    for row, g in enumerate(row_groups):
+        per_arm = [x - gammas[i] * rows[i] for i in g.arms]
+        if len(g.arms) == 1:                   # the arm's own row, bitwise
+            assert masses[row] == v[g.arms[0]]
+            assert t[row].tobytes() == per_arm[0].tobytes(), row
+        else:                                  # v-weighted mean of its arms
+            mean = sum(v[i] * ti for i, ti in zip(g.arms, per_arm)) / v[g.arms].sum()
+            np.testing.assert_allclose(t[row], mean, rtol=1e-12, atol=1e-12)
     z = x - 0.7 * (np.asarray(prob.weights) @ rows)
     projected = prob.constraint.project_array(z, prob.domain_shape)
     expected = float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
@@ -592,16 +608,32 @@ def _accel_config(accelerate=True, **kw):
     ("explicit", {"sets": [[0, 1], [0, 1, 2, 3], [2, 3]]}),
 ])
 def test_periods_without_a_leading_full_set_run_plain(kind, kw):
-    # a period that does not start with every arm: the loop is the plain one
-    # bitwise, and nothing is reported
+    # a period that does not start with every arm: accelerate=False runs the
+    # per-arm iteration bitwise; with acceleration on, the auxiliary rows are
+    # extrapolated and the run lands on the plain solution
     prob, _ = mixed_arms_problem(3, consistent=False)
     sched = make_schedule(kind, prob.arm_count, **kw)
-    auto = solve(prob, sched, _accel_config(max_iters=300))
-    plain = solve(prob, sched, _accel_config(False, max_iters=300))
-    assert auto.acceleration is None and plain.acceleration is None
-    assert auto.solution.data.tobytes() == plain.solution.data.tobytes()
-    assert [r.residual for r in auto.trace.records] == \
-        [r.residual for r in plain.trace.records]
+    res = solve(prob, sched, _accel_config(False, max_iters=300,
+                                           keep_snapshots=True))
+    assert res.acceleration is None
+    gammas = arm_gammas(prob, 1.5, sched)
+    v = np.asarray(averaging_weights(prob, sched))
+    x = np.zeros(6)
+    t = np.tile(x, (prob.arm_count, 1))
+    for k, _, snap in res.trace.iterates[1:]:
+        for i in sched.active_set(k - 1):
+            p = prob.prescriptions[i]
+            image = p.fne._apply(p.linop._apply(x))
+            t[i] = x - gammas[i] * p.linop._adjoint(image - p.target.data)
+        x = prob.constraint.project_array(v @ t, prob.domain_shape)
+        assert snap.data.tobytes() == x.tobytes(), k
+    plain = solve(prob, sched, _accel_config(False))
+    fast = solve(prob, sched, _accel_config())
+    assert plain.status is fast.status is SolveStatus.CONVERGED
+    assert fast.acceleration["accepted"] > 0
+    assert fast.trace.records[-1].n < plain.trace.records[-1].n / 2
+    np.testing.assert_allclose(fast.solution.data, plain.solution.data,
+                               atol=1e-6)
 
 
 @pytest.mark.parametrize("kind,kw", [
@@ -625,6 +657,7 @@ def test_one_set_periods_accelerate_over_spans(kind, kw):
     ("full", {}, 5),
     ("mod_skip", {"expensive": [3], "period": 5}, 5),
     ("mod_skip", {"expensive": [3], "period": 2}, 6),
+    ("cyclic_partition", {"blocks": 4}, 8),
 ])
 def test_anderson_steps_once_per_span(monkeypatch, kind, kw, span):
     # a span is the least whole number of periods with at least SPAN base
@@ -722,10 +755,9 @@ def test_anderson_memory_fills_ring_and_restarts(monkeypatch):
     assert (acc.accepted, acc.rejected) == (0, 3)
 
 
-def test_anderson_nonfinite_candidate_never_runs(monkeypatch):
+def _nonfinite_candidates_run_plain(monkeypatch, prob, sched):
     # a NaN regulariser makes every candidate non-finite: each is rejected
     # at once, so the run is the plain one bitwise
-    prob, sched = _mod_skip_problem()
     plain = solve(prob, sched, _accel_config(False))
     monkeypatch.setattr(blockvi.solver._Anderson, "REG", float("nan"))
     res = solve(prob, sched, _accel_config())
@@ -733,6 +765,17 @@ def test_anderson_nonfinite_candidate_never_runs(monkeypatch):
     assert res.acceleration["rejected"] > 0
     assert res.solution.data.tobytes() == plain.solution.data.tobytes()
     assert [r.n for r in res.trace.records] == [r.n for r in plain.trace.records]
+
+
+def test_anderson_nonfinite_candidate_never_runs(monkeypatch):
+    _nonfinite_candidates_run_plain(monkeypatch, *_mod_skip_problem())
+
+
+def test_anderson_nonfinite_row_candidate_never_runs(monkeypatch):
+    # a cyclic schedule extrapolates the auxiliary rows, not x
+    prob, _ = mixed_arms_problem(3, consistent=False)
+    sched = make_schedule("cyclic_partition", prob.arm_count, blocks=2)
+    _nonfinite_candidates_run_plain(monkeypatch, prob, sched)
 
 
 def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
@@ -749,10 +792,11 @@ def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
         assert np.all(np.abs(point.data) <= 2.0)
 
 
-def _accelerated_stock_vi_gap(kind, seed):
+def _accelerated_stock_vi_gap(kind, seed, box=(0.0, 255.0)):
     """VI gap of the accelerated stock solution, rebuilt from the arms' public
-    apply/adjoint: max_{y in C} <x - y, g(x)> / (1 + ||x||)^2 on the box
-    [0, 255]; returns it with the solver's tol."""
+    apply/adjoint: max_y <x - y, g(x)> / (1 + ||x||)^2 over y in C, the box
+    [lo, hi] given by ``box``; with ``box=None`` (C the whole space) over the
+    ball ||y - x|| <= 1 + ||x||.  Returns it with the solver's tol."""
     from blockvi.cli.runner import _build_schedule, _solver_config
 
     payload = default_manifest(kind, seed)
@@ -763,12 +807,15 @@ def _accelerated_stock_vi_gap(kind, seed):
     assert res.status is SolveStatus.CONVERGED
     assert res.acceleration["accepted"] > 0
     x = res.solution.data
-    assert np.all((x >= 0.0) & (x <= 255.0))
     g = np.zeros_like(x)
     for p in prob.prescriptions:
         image = p.fne.apply(p.linop.apply(res.solution))
         g += p.weight * p.linop.adjoint(image - p.target).data
-    y = np.where(g > 0, 0.0, 255.0)
+    if box is None:
+        return float(np.linalg.norm(g)) / (1.0 + np.linalg.norm(x)), cfg.tol
+    lo, hi = box
+    assert np.all((x >= lo) & (x <= hi))
+    y = np.where(g > 0, lo, hi)
     return float(np.dot(x - y, g)) / (1.0 + np.linalg.norm(x)) ** 2, cfg.tol
 
 
@@ -779,6 +826,12 @@ def test_accelerated_sparse_image_solves_the_vi():
 
 def test_accelerated_image_recovery_solves_the_vi():
     gap, tol = _accelerated_stock_vi_gap("image_recovery", 1)
+    assert gap <= 10 * tol
+
+
+def test_accelerated_signal_recovery_solves_the_vi():
+    # cyclic: the auxiliary rows are extrapolated; C is the whole space
+    gap, tol = _accelerated_stock_vi_gap("signal_recovery", 0, box=None)
     assert gap <= 10 * tol
 
 
