@@ -32,14 +32,13 @@ from .errors import (
     InvalidParameter,
     ManifestError,
     MissingReference,
-    NonConvergenceWarning,
     NotInRange,
     RankDeficient,
     ShapeMismatch,
     UnsupportedObjective,
     WeightSumError,
 )
-from .space import BlockShape, SpacePoint, weighted_sum
+from .space import BlockShape, SpacePoint
 from .solver import (
     ActivationSchedule,
     SolveResult,
@@ -48,7 +47,6 @@ from .solver import (
     SolverTrace,
     make_schedule,
     solve,
-    step,
     validate_schedule,
 )
 

@@ -104,9 +104,12 @@ def _validate(payload: dict, origin: str) -> None:
     except jsonschema.ValidationError as exc:
         path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
         raise ManifestError(f"{origin}: {path}: {exc.message}") from exc
-    for name, value in (payload.get("noise") or {}).items():
-        if not math.isfinite(value):
-            raise ManifestError(f"{origin}: $['noise'][{name!r}]: must be finite")
+    # JSON's NaN and Infinity pass the schema's "number" type
+    for section in ("noise", "solver"):
+        for name, value in (payload.get(section) or {}).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ManifestError(
+                    f"{origin}: $[{section!r}][{name!r}]: must be finite")
 
 
 def load_manifest(path) -> ExperimentManifest:

@@ -47,7 +47,3 @@ class MissingReference(BlockviError, ValueError):
 
 class FormatError(BlockviError, ValueError):
     """A file does not conform to the expected on-disk format."""
-
-
-class NonConvergenceWarning(RuntimeWarning):
-    """Power iteration did not stabilize; a conservative bound was returned."""

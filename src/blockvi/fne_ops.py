@@ -186,10 +186,6 @@ class FneOperator:
     def _apply(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def has_distance_sq(self) -> bool:
-        return self.is_residual_projector
-
     def distance_sq(self, y: SpacePoint) -> float:
         """d_D^2(y) for residual projectors F = Id - proj_D (it equals ||Fy||^2)."""
         if not self.is_residual_projector:

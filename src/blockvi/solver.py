@@ -58,7 +58,6 @@ and x' = P_C(sum_g V_g tau_g).  Since v_i gamma_i = gamma w_i / sum_j w_j b_j,
 the b_i cancel from c_i.  A single arm keeps c_i = gamma_i, V_g = v_i and its
 row t_i exactly, and the rows are ordered by each group's first arm, so a
 problem without fused groups runs the per-arm iteration bit for bit.
-:func:`step` keeps one row per arm: every arm is its own group there.
 
 Every schedule is accelerated by safeguarded type-II Anderson extrapolation
 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of a *span map*.  A span is
@@ -155,7 +154,7 @@ import numpy as np
 # form below directly.
 from .core import Problem, vi_residual  # noqa: F401
 from .errors import CoverageError, EmptyBlock, InvalidParameter, ShapeMismatch
-from .linops import DenseMatrix
+from .linops import DenseMatrix, certified_norm_sq
 from .space import SpacePoint
 
 __all__ = [
@@ -163,12 +162,10 @@ __all__ = [
     "make_schedule",
     "validate_schedule",
     "SolverConfig",
-    "SolverState",
     "TraceRecord",
     "SolverTrace",
     "SolveStatus",
     "SolveResult",
-    "step",
     "solve",
     "activation_atoms",
     "step_bounds",
@@ -282,7 +279,7 @@ def make_schedule(kind: str, index_count: int, *, blocks=None,
 
 
 # ---------------------------------------------------------------------------
-# configuration, state, trace
+# configuration, trace
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -293,7 +290,6 @@ class SolverConfig:
     x0: SpacePoint
     trace_every: int = 1
     t_init_policy: str = "copy_x0"   # or "one_step"
-    residual_theta: float = 1.0
     keep_snapshots: bool = False
     record_arm_gaps: bool = False
     accelerate: bool = True          # Anderson extrapolation over spans
@@ -305,23 +301,12 @@ class SolverConfig:
                 "must lie strictly inside (0, 2)")
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:                    # also catches NaN
             raise InvalidParameter("tol must be nonnegative")
         if self.trace_every < 1:
             raise InvalidParameter("trace_every must be >= 1")
         if self.t_init_policy not in ("copy_x0", "one_step"):
             raise InvalidParameter("t_init_policy must be copy_x0 or one_step")
-        if self.residual_theta <= 0:
-            raise InvalidParameter("residual_theta must be positive")
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """Iterate x_n together with the auxiliary points t_{i, n-1}."""
-
-    n: int
-    x: SpacePoint
-    t: tuple
 
 
 @dataclass(frozen=True)
@@ -428,9 +413,7 @@ def step_bounds(problem: Problem,
         total = math.fsum(p.weight for p in arms)
         stacked = np.vstack([math.sqrt(p.weight / total) * p.linop.matrix
                              for p in arms])
-        # allowance for the rounding error of the computed singular value
-        slack = 1.0 + 8.0 * np.finfo(np.float64).eps * max(stacked.shape)
-        certified = float(np.linalg.norm(stacked, 2)) ** 2 * slack
+        certified = certified_norm_sq(stacked)
         if certified < math.fsum(p.weight * p.norm_sq_bound for p in arms) / total:
             for i in atom:
                 bounds[i] = certified
@@ -623,30 +606,6 @@ class _Anderson:
         return self.f
 
 
-def step(state: SolverState, problem: Problem, active: Sequence[int],
-         config: SolverConfig) -> SolverState:
-    """One exact iteration: refresh t_i for active arms, keep the rest stale,
-    project the weighted average.  Pure function of (state, active); stale
-    auxiliary points are carried over unchanged (bitwise).  No schedule fixes
-    its atoms, so every arm is its own atom: per-arm bounds b_i =
-    ``norm_sq_bound``, and every arm evaluated alone."""
-    bounds = step_bounds(problem)
-    gammas = config.gamma / np.asarray(bounds)
-    vweights = np.asarray(_averaging_weights(problem, bounds))
-    t_matrix = np.stack([ti.data for ti in state.t])
-    _refresh([(i, g) for i in active for g in _arm_groups(problem, (i,), gammas)],
-             state.x.data, t_matrix)
-    x_next = problem.constraint.project_array(vweights @ t_matrix,
-                                              problem.domain_shape)
-    active_set = set(active)
-    t_next = tuple(
-        SpacePoint(t_matrix[i], problem.prescriptions[i].linop.input_shape)
-        if i in active_set else state.t[i]
-        for i in range(problem.arm_count))
-    return SolverState(n=state.n + 1, x=SpacePoint(x_next, problem.domain_shape),
-                       t=t_next)
-
-
 def solve(problem: Problem, schedule: ActivationSchedule,
           config: SolverConfig) -> SolveResult:
     """Run the block iteration until the fixed-point residual drops below
@@ -707,8 +666,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         x = problem.constraint.project_array(masses @ t, problem.domain_shape)
         if n % config.trace_every == 0 or n == config.max_iters - 1:
             x_point = SpacePoint(x, problem.domain_shape)  # rejects non-finite x
-            residual = array_residual(problem, x, config.residual_theta,
-                                      residual_groups)
+            residual = array_residual(problem, x, groups=residual_groups)
             seconds = time.perf_counter() - started
             gaps = None
             if config.record_arm_gaps:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
 
-__all__ = ["BlockShape", "SpacePoint", "weighted_sum"]
+__all__ = ["BlockShape", "SpacePoint"]
 
 
 @dataclass(frozen=True)
@@ -178,17 +178,3 @@ class SpacePoint:
 
     def __repr__(self):
         return f"SpacePoint(dim={self.dim}, blocks={self._shape.block_count})"
-
-
-def weighted_sum(points: Sequence[SpacePoint], weights: Sequence[float]) -> SpacePoint:
-    """Sum w_i * x_i as one matrix-vector product (fixed reduction order, so
-    repeated evaluations are bitwise reproducible)."""
-    if len(points) != len(weights) or not points:
-        raise InvalidParameter("points and weights must be nonempty and align")
-    shape = points[0].shape
-    for p in points:
-        if p.shape != shape:
-            raise ShapeMismatch("weighted_sum over mixed spaces")
-    stack = np.stack([p.data for p in points])
-    acc = np.asarray(weights, dtype=np.float64) @ stack
-    return SpacePoint(acc, shape)

@@ -133,6 +133,17 @@ def test_manifest_rejects_nonfinite_snr(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("name,value", [("tol", float("nan")),
+                                        ("tol", float("inf")),
+                                        ("gamma", float("nan"))])
+def test_manifest_rejects_nonfinite_solver_numbers(tmp_path, name, value):
+    payload = default_manifest("signal_recovery", 1)
+    payload["solver"][name] = value
+    path = _write_manifest(tmp_path, payload)
+    with pytest.raises(ManifestError, match=rf"\['solver'\]\['{name}'\].*finite"):
+        load_manifest(path)
+
+
 # ---------------------------------------------------------------------------
 # generated experiments
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from blockvi.linops import (
     DenseMatrix,
     FiniteDifference1D,
     Identity,
+    LinearOperator,
     PairSum,
     estimate_norm_sq,
     make_gaussian_kernel,
@@ -121,12 +122,63 @@ def test_finite_difference_bound_certified_without_slack(n):
     assert FiniteDifference1D(n).norm_sq >= np.linalg.eigvalsh(d.T @ d)[-1]
 
 
-def test_power_iteration_matches_exact_spectrum(rng):
+def test_dense_bound_certified_when_top_vector_misses_seed_direction():
+    # the seed-0 start vector of a power iteration is the second right
+    # singular vector here, so such an estimate settles on 0.7^2, not 1
+    start = np.random.default_rng(0).standard_normal(8)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(np.column_stack([start, rng.standard_normal((8, 7))]))
+    right = q[:, [1, 0, 2, 3, 4, 5, 6, 7]]
+    left, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    a = left @ np.diag([1.0, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05]) @ right.T
+    top = np.linalg.norm(a, 2) ** 2
+    assert DenseMatrix(a).norm_sq >= top > 1.0 - 1e-12
+
+
+class _Opaque(LinearOperator):
+    """A matrix behind apply/adjoint only: no closed-form norm."""
+
+    kind = "opaque"
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        super().__init__(BlockShape.vector(matrix.shape[1]),
+                         BlockShape.vector(matrix.shape[0]))
+
+    def _apply(self, x):
+        return self.matrix @ x
+
+    def _adjoint(self, y):
+        return self.matrix.T @ y
+
+
+def test_bound_without_closed_form_is_the_certified_svd(rng):
     a = rng.standard_normal((7, 5))
-    op = DenseMatrix(a)
-    lam_true = np.linalg.eigvalsh(a.T @ a).max()
-    est = estimate_norm_sq(op)
-    assert lam_true <= est <= 1.02 * lam_true
+    top = np.linalg.norm(a, 2) ** 2
+    bound = estimate_norm_sq(_Opaque(a))
+    assert top <= bound <= top * (1.0 + 8.0 * np.finfo(np.float64).eps * 7)
+
+
+class _Diagonal(LinearOperator):
+    """x -> d * x, also without a closed-form norm."""
+
+    kind = "diagonal"
+
+    def __init__(self, d):
+        self.d = d
+        super().__init__(BlockShape.vector(d.size), BlockShape.vector(d.size))
+
+    def _apply(self, x):
+        return self.d * x
+
+    _adjoint = _apply
+
+
+def test_bound_without_closed_form_above_2048_is_the_trace():
+    d = np.linspace(-1.0, 0.5, 2049)
+    bound = estimate_norm_sq(_Diagonal(d))
+    np.testing.assert_allclose(bound, np.sum(d ** 2))
+    assert bound >= 1.0                       # ||diag(d)||^2
 
 
 def test_single_row_norm_is_exact(rng):
@@ -233,15 +285,3 @@ def test_block_stack_applies_blockwise(rng):
     out = op.apply(x)
     np.testing.assert_array_equal(out.data[:2], x.data[:2])
 
-
-def test_power_iteration_fallback_warns_with_trace_bound(rng):
-    from blockvi.errors import NonConvergenceWarning
-
-    a = rng.standard_normal((6, 6))
-    op = DenseMatrix(a)
-    lam_true = np.linalg.eigvalsh(a.T @ a).max()
-    # tol = 0 can never be met, so the iteration budget runs out
-    with pytest.warns(NonConvergenceWarning):
-        bound = estimate_norm_sq(op, max_iters=3, tol=0.0)
-    np.testing.assert_allclose(bound, np.sum(a**2))   # trace of L*L
-    assert bound >= lam_true

@@ -19,7 +19,6 @@ import blockvi.solver
 from blockvi.solver import (
     SolveStatus,
     SolverConfig,
-    SolverState,
     SolverTrace,
     activation_atoms,
     array_residual,
@@ -27,7 +26,6 @@ from blockvi.solver import (
     averaging_weights,
     make_schedule,
     solve,
-    step,
     step_bounds,
     validate_schedule,
 )
@@ -114,6 +112,13 @@ def test_gamma_range_guard(gamma):
         solve(prob, make_schedule("full", 1), cfg)
 
 
+def test_nan_tol_rejected():
+    # a NaN tol would never be met and silently spend the whole budget
+    with pytest.raises(InvalidParameter, match="tol"):
+        solve(scalar_problem(ConstraintSet.whole_space(), 1.0),
+              make_schedule("full", 1), _config(tol=float("nan")))
+
+
 def test_bad_policy_rejected():
     with pytest.raises(InvalidParameter):
         solve(scalar_problem(ConstraintSet.whole_space(), 1.0),
@@ -188,72 +193,48 @@ def test_bitwise_replay():
 
 
 # ---------------------------------------------------------------------------
-# step semantics
+# one iteration of solve
 # ---------------------------------------------------------------------------
 
-def _identity_arm_state(p_value, x_value):
+def test_step_zero_update_projects_current_point():
+    # targets equal to the image: t_i = x_0, so x_1 = proj_C(x_0)
     shape = BlockShape.vector(2)
     arm = Prescription(Identity(shape), IdentityFne(shape),
-                       SpacePoint(np.full(2, p_value), shape), 1.0)
+                       SpacePoint(np.full(2, 1.5), shape), 1.0)
     prob = assemble_problem(ConstraintSet.box(np.zeros(2), np.ones(2)), [arm])
-    x = SpacePoint(np.full(2, x_value), shape)
-    return prob, SolverState(0, x, (x,))
-
-
-def test_step_zero_update_projects_current_point():
-    # targets equal to the image: t_i = x_n, so x_{n+1} = proj_C(x_n)
-    prob, state = _identity_arm_state(p_value=1.5, x_value=1.5)
-    cfg = _config(gamma=1.0, x0=state.x)
-    new = step(state, prob, (0,), cfg)
-    np.testing.assert_array_equal(new.x.data, np.ones(2))   # clamped into C
-
-
-def test_step_stale_blocks_bitwise_equal():
-    prob, _ = mixed_arms_problem(2, consistent=False)
-    shape = prob.domain_shape
-    x = SpacePoint(np.linspace(-1, 1, shape.total), shape)
-    state = SolverState(0, x, tuple(x for _ in range(prob.arm_count)))
-    cfg = _config(gamma=1.5, x0=x)
-    new = step(state, prob, (0, 2), cfg)
-    assert new.t[1] is state.t[1]
-    assert new.t[3] is state.t[3]
-    assert new.t[0] is not state.t[0]
+    res = solve(prob, make_schedule("full", 1),
+                _config(max_iters=1, tol=0.0, x0=SpacePoint(np.full(2, 1.5), shape)))
+    np.testing.assert_array_equal(res.solution.data, np.ones(2))   # clamped into C
 
 
 def test_step_equals_projection_gradient_for_feasibility_arms():
     # full activation, C whole space: one iteration is a gradient step on the
     # relaxed quadratic, with effective step gamma / sum_j w_j b_j
     prob, matrix, rhs = feasibility_problem(9)
-    n = matrix.shape[1]
-    x = SpacePoint(np.linspace(-1, 1, n))
-    state = SolverState(0, x, tuple(x for _ in range(prob.arm_count)))
+    sched = make_schedule("full", prob.arm_count)
+    x = SpacePoint(np.linspace(-1, 1, matrix.shape[1]))
     gamma = 1.2
-    cfg = _config(gamma=gamma, x0=x)
-    new = step(state, prob, tuple(range(prob.arm_count)), cfg)
-    z = sum(p.weight * p.norm_sq_bound for p in prob.prescriptions)
-    grad = np.zeros(n)
-    for i, p in enumerate(prob.prescriptions):
-        row = matrix[i]
-        grad += p.weight * row * (row @ x.data - rhs[i])
-    np.testing.assert_allclose(new.x.data, x.data - (gamma / z) * grad,
+    res = solve(prob, sched, _config(gamma=gamma, max_iters=1, tol=0.0, x0=x))
+    z = sum(p.weight * b for p, b in zip(prob.prescriptions, step_bounds(prob, sched)))
+    grad = sum(p.weight * row * (row @ x.data - b)
+               for p, row, b in zip(prob.prescriptions, matrix, rhs))
+    np.testing.assert_allclose(res.solution.data, x.data - (gamma / z) * grad,
                                rtol=1e-12, atol=1e-14)
 
 
 def test_one_step_policy_matches_virtual_first_activation():
+    # a warm start refreshes every arm at x0, so one iteration that activates
+    # arm 0 alone averages the rows of all four arms, each taken at x0
     prob, _ = mixed_arms_problem(1, consistent=True)
     x0 = SpacePoint(np.full(6, 0.3))
-    cfg_warm = _config(gamma=1.4, max_iters=1, tol=0.0, x0=x0,
-                       t_init_policy="one_step")
-    gammas = arm_gammas(prob, 1.4)
-    # a solve with max_iters=1 starting warm must match one plain step whose
-    # stale arms were already updated at x0
-    state = SolverState(0, x0, tuple(
-        x0 - g * p.linop.adjoint(p.image(x0) - p.target)
-        for p, g in zip(prob.prescriptions, gammas)))
-    manual = step(state, prob, (0,), cfg_warm)
-    res = solve(prob, make_schedule("explicit", prob.arm_count,
-                                    sets=[[0], [1], [2], [3]]), cfg_warm)
-    np.testing.assert_array_equal(res.solution.data, manual.x.data)
+    sched = make_schedule("explicit", prob.arm_count, sets=[[0], [1], [2], [3]])
+    res = solve(prob, sched, _config(gamma=1.4, max_iters=1, tol=0.0, x0=x0,
+                                     t_init_policy="one_step"))
+    t = np.stack([(x0 - g * p.linop.adjoint(p.image(x0) - p.target)).data
+                  for p, g in zip(prob.prescriptions, arm_gammas(prob, 1.4, sched))])
+    expected = prob.constraint.project_array(
+        np.asarray(averaging_weights(prob, sched)) @ t, prob.domain_shape)
+    assert res.solution.data.tobytes() == expected.tobytes()
 
 
 def test_averaging_weights_cancel_step_scaling():
@@ -333,36 +314,6 @@ def test_atom_bounds_certified(case):
     g = arm_gammas(prob, 1.9, sched)
     ratios = [vi * gi / p.weight for vi, gi, p in zip(v, g, prob.prescriptions)]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-13)
-
-
-def test_solve_matches_step_loop_when_atoms_not_dense():
-    # one atom of identity, finite-difference and dense arms: not all dense,
-    # so the solver keeps the per-arm bounds that step() uses
-    n = 6
-    shape = BlockShape.vector(n)
-    rng = np.random.default_rng(11)
-    fd = FiniteDifference1D(n)
-    dense = DenseMatrix(rng.standard_normal((3, n)))
-    arms = [
-        Prescription(Identity(shape), ResidualOf(BoxProjector(0.0, 1.0, shape)),
-                     SpacePoint.zeros(shape), 0.5),
-        Prescription(fd, SoftThreshold(0.1, fd.output_shape),
-                     SpacePoint.zeros(fd.output_shape), 0.25),
-        Prescription(dense, IdentityFne(dense.output_shape),
-                     SpacePoint(rng.standard_normal(3)), 0.25),
-    ]
-    prob = assemble_problem(ConstraintSet.box(np.full(n, -2.0),
-                                              np.full(n, 2.0)), arms)
-    sched = make_schedule("full", prob.arm_count)
-    x0 = SpacePoint(rng.uniform(-1, 1, n), shape)
-    cfg = _config(gamma=1.7, max_iters=60, tol=0.0, x0=x0, keep_snapshots=True,
-                  accelerate=False)
-    res = solve(prob, sched, cfg)
-    state = SolverState(0, x0, tuple(x0 for _ in range(prob.arm_count)))
-    for k, _, x in res.trace.iterates[1:]:
-        state = step(state, prob, sched.active_set(k - 1), cfg)
-        assert x.data.tobytes() == state.x.data.tobytes(), k
-    assert len(res.trace.iterates) == 61
 
 
 def test_solve_certifies_bounds_once(monkeypatch):
@@ -449,11 +400,9 @@ def test_refresh_leaves_rows_outside_the_cell_bitwise():
             assert t[row].tobytes() == before[row].tobytes(), row
 
 
-def test_unfused_rank_one_arms_match_per_arm_path():
-    # one-row dense arms whose soft thresholds differ do not fuse: each is a
-    # group of one, bitwise equal to updating the arms one at a time
+def _unfused_rank_one_rows():
+    """One-row dense arms whose soft thresholds differ: they do not fuse."""
     n, m = 5, 6
-    shape = BlockShape.vector(n)
     rng = np.random.default_rng(4)
     arms = [Prescription(DenseMatrix(rng.standard_normal((1, n))),
                          SoftThreshold(0.1 * (1 + i % 2), BlockShape.vector(1)),
@@ -461,11 +410,42 @@ def test_unfused_rank_one_arms_match_per_arm_path():
             for i in range(m)]
     prob = assemble_problem(ConstraintSet.box(np.full(n, -1.0),
                                               np.full(n, 1.0)), arms)
-    sched = make_schedule("full", m)
     assert all(g.matrix is None for g in _arm_groups(prob, range(m)))
-    x0 = SpacePoint(rng.uniform(-1, 1, n), shape)
+    return prob, SpacePoint(rng.uniform(-1, 1, n), prob.domain_shape)
+
+
+def _mixed_kinds_atom():
+    """Identity, finite-difference and three-row dense arms in one atom: not
+    all dense, so every arm keeps its own bound."""
+    n = 6
+    shape = BlockShape.vector(n)
+    rng = np.random.default_rng(11)
+    fd = FiniteDifference1D(n)
+    dense = DenseMatrix(rng.standard_normal((3, n)))
+    arms = [
+        Prescription(Identity(shape), ResidualOf(BoxProjector(0.0, 1.0, shape)),
+                     SpacePoint.zeros(shape), 0.5),
+        Prescription(fd, SoftThreshold(0.1, fd.output_shape),
+                     SpacePoint.zeros(fd.output_shape), 0.25),
+        Prescription(dense, IdentityFne(dense.output_shape),
+                     SpacePoint(rng.standard_normal(3)), 0.25),
+    ]
+    prob = assemble_problem(ConstraintSet.box(np.full(n, -2.0),
+                                              np.full(n, 2.0)), arms)
+    assert step_bounds(prob, make_schedule("full", 3)) == step_bounds(prob)
+    return prob, SpacePoint(rng.uniform(-1, 1, n), shape)
+
+
+@pytest.mark.parametrize("case", [_unfused_rank_one_rows, _mixed_kinds_atom])
+def test_unfused_rank_one_arms_match_per_arm_path(case):
+    # every arm is a group of one: bitwise equal to updating the arms one at
+    # a time
+    prob, x0 = case()
+    m = prob.arm_count
+    sched = make_schedule("full", m)
     res = solve(prob, sched, _config(gamma=1.5, max_iters=40, tol=0.0, x0=x0,
                                      keep_snapshots=True, accelerate=False))
+    assert len(res.trace.iterates) == 41
     gammas = arm_gammas(prob, 1.5, sched)
     v = np.asarray(averaging_weights(prob, sched))
     t = np.tile(x0.data, (m, 1))
@@ -474,7 +454,7 @@ def test_unfused_rank_one_arms_match_per_arm_path():
         for i, p in enumerate(prob.prescriptions):
             image = p.fne._apply(p.linop._apply(x))
             t[i] = x - gammas[i] * p.linop._adjoint(image - p.target.data)
-        x = prob.constraint.project_array(v @ t, shape)
+        x = prob.constraint.project_array(v @ t, prob.domain_shape)
         assert snap.data.tobytes() == x.tobytes(), k
 
 

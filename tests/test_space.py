@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockvi.errors import InvalidParameter, ShapeMismatch
-from blockvi.space import BlockShape, SpacePoint, weighted_sum
+from blockvi.space import BlockShape, SpacePoint
 
 
 def test_vector_shape_roundtrip():
@@ -56,14 +56,6 @@ def test_inner_and_norm():
     x = SpacePoint([3.0, 4.0])
     assert x.norm() == 5.0
     assert x.inner(SpacePoint([1.0, 1.0])) == 7.0
-
-
-def test_weighted_sum_fixed_order():
-    pts = [SpacePoint([1.0, 0.0]), SpacePoint([0.0, 2.0])]
-    s = weighted_sum(pts, [0.5, 0.25])
-    np.testing.assert_allclose(s.data, [0.5, 0.5])
-    with pytest.raises(ShapeMismatch):
-        weighted_sum([pts[0], SpacePoint([1.0])], [0.5, 0.5])
 
 
 def test_extent_length_consistency_enforced():
