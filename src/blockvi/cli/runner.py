@@ -10,7 +10,7 @@ import numpy as np
 
 from ..core import inconsistency_bound
 from ..errors import MissingReference
-from ..solver import SolveStatus, SolverConfig, make_schedule, solve
+from ..solver import SolveStatus, SolverConfig, arm_gaps, make_schedule, solve
 from ..space import SpacePoint
 from .experiments import generate_experiment
 from .io import (
@@ -27,19 +27,10 @@ DB_FLOOR = -300.0
 
 
 def _build_schedule(spec: dict, arm_count: int):
-    kind = spec.get("kind", "full")
-    kwargs = {}
-    if "blocks" in spec:
-        kwargs["blocks"] = spec["blocks"]
-    if "always_active" in spec:
-        kwargs["always_active"] = spec["always_active"]
-    if "expensive" in spec:
-        kwargs["expensive"] = spec["expensive"]
-    if "period" in spec:
-        kwargs["period"] = spec["period"]
-    if "sets" in spec:
-        kwargs["sets"] = spec["sets"]
-    return make_schedule(kind, arm_count, **kwargs)
+    """The manifest's schedule; the schema admits only ``make_schedule``'s
+    keyword arguments beside ``kind``."""
+    kwargs = {k: v for k, v in spec.items() if k != "kind"}
+    return make_schedule(spec["kind"], arm_count, **kwargs)
 
 
 def _solver_config(spec: dict, domain_shape) -> SolverConfig:
@@ -110,7 +101,7 @@ def run_manifest(manifest: ExperimentManifest) -> int:
         "iterations": result.trace.records[-1].n + 1,
         "final_residual": result.trace.final_residual,
         "inconsistency_bound": bound,
-        "arm_gaps": [p.gap(result.solution) for p in problem.prescriptions],
+        "arm_gaps": arm_gaps(problem, result.solution.data).tolist(),
         "weights": list(problem.weights),
         "metrics": metrics,
         "schedule": {"kind": schedule.kind, "K": schedule.K},
@@ -130,7 +121,8 @@ def relative_error_trace(iterates, reference) -> list:
     floor of -300 dB; the first entry is 0 dB by construction.
 
     ``iterates`` are (k, seconds, point) snapshot triples retained by the
-    solver; ``reference`` is the high-precision limit point.
+    solver; ``reference`` is the high-precision limit point, which must differ
+    from x_0 for the ratio to exist.
     """
     if reference is None:
         raise MissingReference("no reference point supplied")
@@ -145,14 +137,11 @@ def relative_error_trace(iterates, reference) -> list:
     if x0.shape != ref.shape:
         raise MissingReference("reference does not match the iterate space")
     denom = float(np.linalg.norm(x0 - ref))
+    if denom == 0.0:
+        raise MissingReference("the first iterate equals the reference")
     out = []
-    for k, seconds, point in iterates:
-        data = _flat(point)
-        num = float(np.linalg.norm(data - ref))
-        if denom == 0.0 or num == 0.0:
-            db = 0.0 if (k == iterates[0][0] and denom == 0.0) else DB_FLOOR
-        else:
-            db = 20.0 * math.log10(num / denom)
-            db = max(db, DB_FLOOR)
-        out.append((float(seconds), db))
+    for _, seconds, point in iterates:
+        num = float(np.linalg.norm(_flat(point) - ref))
+        db = 20.0 * math.log10(num / denom) if num else DB_FLOOR
+        out.append((float(seconds), max(db, DB_FLOOR)))
     return out

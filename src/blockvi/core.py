@@ -122,10 +122,6 @@ class Prescription:
         """F_i(L_i x)."""
         return self.fne.apply(self.linop.apply(x))
 
-    def gap(self, x: SpacePoint) -> float:
-        """||F_i(L_i x) - p_i||."""
-        return (self.image(x) - self.target).norm()
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -208,7 +204,8 @@ def inconsistency_bound(problem: Problem, solution: SpacePoint,
 
     Vanishes (within roundoff) exactly when every prescription holds at the
     solution.  The bound remains a valid estimate at imperfect solutions, so a
-    residual above ``tol`` only warns.
+    residual above ``tol`` only warns.  The gaps are the solver's
+    (:func:`blockvi.solver.arm_gaps`).
     """
     r = vi_residual(problem, solution, theta)
     if r > tol:
@@ -217,7 +214,9 @@ def inconsistency_bound(problem: Problem, solution: SpacePoint,
             "treat the bound as an estimate",
             RuntimeWarning,
         )
-    return math.sqrt(math.fsum(p.gap(solution) ** 2 for p in problem.prescriptions))
+    from .solver import arm_gaps  # deferred: the solver imports this module
+
+    return math.sqrt(math.fsum(arm_gaps(problem, solution.data) ** 2))
 
 
 def least_squares_objective(problem: Problem, x: SpacePoint) -> float:
@@ -229,7 +228,6 @@ def least_squares_objective(problem: Problem, x: SpacePoint) -> float:
     """
     if x.shape != problem.domain_shape:
         raise ShapeMismatch("point lives outside the problem domain")
-    total = 0.0
     for i, p in enumerate(problem.prescriptions):
         if not getattr(p.fne, "is_residual_projector", False):
             raise UnsupportedObjective(
@@ -237,5 +235,6 @@ def least_squares_objective(problem: Problem, x: SpacePoint) -> float:
                 "objective is undefined")
         if np.any(p.target.data != 0):
             raise UnsupportedObjective(f"arm {i} has a nonzero target")
-        total += 0.5 * p.weight * p.fne.distance_sq(p.linop.apply(x))
-    return total
+    from .solver import arm_gaps  # deferred: the solver imports this module
+
+    return 0.5 * math.fsum(np.asarray(problem.weights) * arm_gaps(problem, x.data) ** 2)

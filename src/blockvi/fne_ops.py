@@ -15,7 +15,7 @@ Capability flags:
 
 * ``is_projector`` -- F is the projection onto a closed convex set.
 * ``is_residual_projector`` -- F = Id - proj_D for a closed convex set D and
-  the natural target is 0; then ``distance_sq`` returns d_D^2.
+  the natural target is 0; then ||F y|| = d_D(y), the arm's gap.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     NotInRange,
     RankDeficient,
     ShapeMismatch,
-    UnsupportedObjective,
 )
 from .space import BlockShape, SpacePoint
 
@@ -185,14 +184,6 @@ class FneOperator:
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def distance_sq(self, y: SpacePoint) -> float:
-        """d_D^2(y) for residual projectors F = Id - proj_D (it equals ||Fy||^2)."""
-        if not self.is_residual_projector:
-            raise UnsupportedObjective(f"{self.kind} does not expose a distance")
-        if y.shape != self.domain_shape:
-            raise ShapeMismatch(f"{self.kind}: {y.shape} != {self.domain_shape}")
-        return float(np.sum(self._apply(y.data) ** 2))
 
     def describe(self) -> dict:
         return {"kind": self.kind}
@@ -551,23 +542,21 @@ class AveragedComposition(FneOperator):
     kind = "averaged_composition"
     SPOT_PAIRS = 200
 
-    def __init__(self, maps: Sequence, domain_shape: BlockShape, seed: int = 0,
-                 spot_check: bool = True):
+    def __init__(self, maps: Sequence, domain_shape: BlockShape):
         super().__init__(domain_shape)
         if not maps:
             raise InvalidParameter("need at least one map")
         self.maps = [_as_array_map(m) for m in maps]
-        if spot_check:
-            rng = np.random.default_rng(seed)
-            n = domain_shape.total
-            for idx, r in enumerate(self.maps):
-                a = rng.standard_normal((self.SPOT_PAIRS, n))
-                b = rng.standard_normal((self.SPOT_PAIRS, n))
-                for xa, xb in zip(a, b):
-                    lhs = np.linalg.norm(r(xa) - r(xb))
-                    rhs = np.linalg.norm(xa - xb)
-                    if lhs > rhs * (1.0 + 1e-10) + 1e-12:
-                        raise InvalidParameter(f"map {idx} is not nonexpansive")
+        rng = np.random.default_rng(0)
+        n = domain_shape.total
+        for idx, r in enumerate(self.maps):
+            a = rng.standard_normal((self.SPOT_PAIRS, n))
+            b = rng.standard_normal((self.SPOT_PAIRS, n))
+            for xa, xb in zip(a, b):
+                lhs = np.linalg.norm(r(xa) - r(xb))
+                rhs = np.linalg.norm(xa - xb)
+                if lhs > rhs * (1.0 + 1e-10) + 1e-12:
+                    raise InvalidParameter(f"map {idx} is not nonexpansive")
 
     def _apply(self, y):
         z = y
@@ -623,14 +612,8 @@ class BlockThresholdFne(FneOperator):
         if np.any(g <= 0):
             raise InvalidParameter("thresholds must be positive")
         self.gammas = g
-        self.projectors = [self._as_block_proj(p) for p in projectors]
+        self.projectors = [_as_array_map(p) for p in projectors]
         self._offsets = domain_shape.offsets()
-
-    @staticmethod
-    def _as_block_proj(p) -> Callable[[np.ndarray], np.ndarray]:
-        if isinstance(p, FneOperator):
-            return lambda arr, _op=p: _op._apply(arr.reshape(-1))
-        return p
 
     def _apply(self, y):
         out = np.empty_like(y)
@@ -654,21 +637,19 @@ class ScaledFne(FneOperator):
     SPOT_PAIRS = 200
 
     def __init__(self, raw_map: Callable[[np.ndarray], np.ndarray], beta: float,
-                 domain_shape: BlockShape, seed: int = 0, spot_check: bool = True,
-                 sample_scale: float = 1.0):
+                 domain_shape: BlockShape, sample_scale: float = 1.0):
         super().__init__(domain_shape)
         if not 0 < beta <= 1:
             raise InvalidParameter("beta must lie in (0, 1]")
         self.raw_map = raw_map
         self.beta = float(beta)
-        if spot_check:
-            excess = firm_nonexpansiveness_excess(
-                self._apply, domain_shape.total, n_pairs=self.SPOT_PAIRS,
-                seed=seed, scale=sample_scale)
-            if excess > 0:
-                raise InvalidParameter(
-                    f"scaled map failed the firm-nonexpansiveness spot check "
-                    f"(excess {excess:.3e})")
+        excess = firm_nonexpansiveness_excess(
+            self._apply, domain_shape.total, n_pairs=self.SPOT_PAIRS,
+            scale=sample_scale)
+        if excess > 0:
+            raise InvalidParameter(
+                f"scaled map failed the firm-nonexpansiveness spot check "
+                f"(excess {excess:.3e})")
 
     def _apply(self, y):
         return self.beta * np.asarray(self.raw_map(y), dtype=np.float64)
@@ -678,15 +659,14 @@ class ScaledFne(FneOperator):
 
 
 def scale_to_fne(raw_map: Callable[[np.ndarray], np.ndarray], beta: float,
-                 domain_shape: BlockShape, seed: int = 0,
-                 sample_scale: float = 1.0) -> ScaledFne:
+                 domain_shape: BlockShape, sample_scale: float = 1.0) -> ScaledFne:
     """Wrap beta * raw_map as a certified firmly nonexpansive operator.
 
     For a shrinkage induced by a mu-weakly convex penalty at prox parameter
     gamma, any beta <= 1 - gamma * mu works; the complement Id - beta * raw_map
     is obtained with :class:`ResidualOf`.
     """
-    return ScaledFne(raw_map, beta, domain_shape, seed=seed, sample_scale=sample_scale)
+    return ScaledFne(raw_map, beta, domain_shape, sample_scale=sample_scale)
 
 
 class ForwardBackwardFne(FneOperator):

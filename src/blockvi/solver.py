@@ -45,7 +45,8 @@ rows A_g, one FNE call and one transposed matvec (c * r) @ A_g, whatever k.
 Every other arm is a group of one, evaluated through its own
 ``_apply``/``_adjoint`` exactly as alone.  The residual takes c_i = w_i over
 the groups of all arms (taken as one atom); the iteration takes the
-coefficients below over the groups of the active set.
+coefficients below over the groups of the active set.  The per-arm gaps
+||F_i(L_i x) - p_i|| (:func:`arm_gaps`) come from the same r_i.
 
 The auxiliary state holds one row per group, not one per arm.  A group is
 refreshed whole, from one x, and the averaging step sees its arms only
@@ -172,6 +173,7 @@ __all__ = [
     "arm_gammas",
     "averaging_weights",
     "array_residual",
+    "arm_gaps",
 ]
 
 
@@ -262,6 +264,8 @@ def make_schedule(kind: str, index_count: int, *, blocks=None,
         if period is None or period < 1:
             raise InvalidParameter("mod_skip needs a period >= 1")
         exp = tuple(sorted(set(int(i) for i in expensive)))
+        if not set(exp) <= set(all_idx):
+            raise InvalidParameter(f"expensive arms {exp} outside 0..{index_count - 1}")
         cheap = tuple(i for i in all_idx if i not in exp)
         if not cheap and period > 1:
             raise EmptyBlock("skipping every arm would leave empty iterations")
@@ -291,7 +295,6 @@ class SolverConfig:
     trace_every: int = 1
     t_init_policy: str = "copy_x0"   # or "one_step"
     keep_snapshots: bool = False
-    record_arm_gaps: bool = False
     accelerate: bool = True          # Anderson extrapolation over spans
 
     def validate(self):
@@ -316,7 +319,6 @@ class TraceRecord:
     residual: float
     step_norm: float
     active_set_id: int
-    arm_gaps: Optional[tuple] = None
 
 
 @dataclass
@@ -340,11 +342,11 @@ class SolverTrace:
             return len(self.active_sets) - 1
 
     def add(self, n: int, seconds: float, residual: float, step_norm: float,
-            active: tuple, arm_gaps: Optional[tuple] = None):
+            active: tuple):
         if self.records and n <= self.records[-1].n:
             raise InvalidParameter("trace records must be strictly increasing in n")
         self.records.append(TraceRecord(n, seconds, residual, step_norm,
-                                        self._set_id(active), arm_gaps))
+                                        self._set_id(active)))
 
     def add_iterate(self, k: int, seconds: float, x: SpacePoint):
         self.iterates.append((k, seconds, x))
@@ -538,6 +540,17 @@ def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
     return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
 
 
+def arm_gaps(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """The gaps ||F_i(L_i x) - p_i|| of every arm at a flat array x, in arm
+    order, from the residual's groups: |r_i| for the one-row arms of a fused
+    group, ||r_i|| for a single arm."""
+    gaps = np.empty(problem.arm_count)
+    for g in _arm_groups(problem, range(problem.arm_count)):
+        r = _fne_residuals(g, x)
+        gaps[g.arms] = np.abs(r) if g.matrix is not None else np.linalg.norm(r)
+    return gaps
+
+
 class _Anderson:
     """Safeguarded type-II Anderson extrapolation of a span map, Phi or Psi
     (see the module docstring).  :meth:`next_start` takes the image of the
@@ -668,11 +681,8 @@ def solve(problem: Problem, schedule: ActivationSchedule,
             x_point = SpacePoint(x, problem.domain_shape)  # rejects non-finite x
             residual = array_residual(problem, x, groups=residual_groups)
             seconds = time.perf_counter() - started
-            gaps = None
-            if config.record_arm_gaps:
-                gaps = tuple(p.gap(x_point) for p in problem.prescriptions)
             trace.add(n, seconds, residual,
-                      float(np.linalg.norm(x - prev_x)), active, gaps)
+                      float(np.linalg.norm(x - prev_x)), active)
             if config.keep_snapshots:
                 trace.add_iterate(n + 1, seconds, x_point)
             if residual <= config.tol:

@@ -24,7 +24,7 @@ from blockvi.cli import (
 )
 from blockvi.cli.main import main
 from blockvi.errors import FormatError, ManifestError, MissingReference
-from blockvi.solver import validate_schedule
+from blockvi.solver import arm_gaps, validate_schedule
 from blockvi.space import SpacePoint
 
 
@@ -220,6 +220,18 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert "observation_rel_error" in summary["metrics"]
 
 
+def test_summary_gaps_come_from_the_solver_kernel(tmp_path):
+    payload = _small_manifest("signal_recovery", 7)
+    run_manifest(load_manifest(_write_manifest(tmp_path, payload)))
+    out = tmp_path / "results"
+    summary = json.loads((out / "summary.json").read_text())
+    problem = generate_experiment("signal_recovery", payload["dimensions"], 7,
+                                  payload["noise"], payload["operators"]).problem
+    gaps = arm_gaps(problem, read_vector_csv(out / "recovered.csv"))
+    assert summary["arm_gaps"] == gaps.tolist()
+    assert summary["inconsistency_bound"] == math.sqrt(math.fsum(gaps ** 2))
+
+
 def test_run_exit_codes_via_main(tmp_path, capsys):
     payload = _small_manifest("signal_recovery", 3)
     payload["solver"]["gamma"] = 2.5
@@ -325,6 +337,12 @@ def test_relative_error_requires_reference():
         relative_error_trace([(0, 0.0, SpacePoint([1.0]))], None)
     with pytest.raises(MissingReference):
         relative_error_trace([], SpacePoint([1.0]))
+
+
+def test_relative_error_rejects_a_start_at_the_reference():
+    # no ratio to x_0 exists; a later iterate must not read as an exact hit
+    with pytest.raises(MissingReference):
+        relative_error_trace([(0, 0.0, [1.0]), (1, 0.1, [3.0])], [1.0])
 
 
 def test_relative_error_nonpositive_on_solver_runs(tmp_path):

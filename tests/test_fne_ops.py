@@ -322,12 +322,6 @@ def test_residual_flags_swap():
     assert rr.is_projector and not rr.is_residual_projector
 
 
-def test_residual_distance_sq(rng):
-    r = ResidualOf(BoxProjector(0.0, 1.0, BlockShape.vector(1)))
-    # d^2 to [0,1] from 3 is 4
-    assert r.distance_sq(SpacePoint([3.0])) == 4.0
-
-
 VEC1 = BlockShape.vector(1)
 
 
@@ -605,9 +599,3 @@ def test_apply_shape_checked():
     op = SoftThreshold(1.0, VEC8)
     with pytest.raises(ShapeMismatch):
         op.apply(SpacePoint(np.zeros(4)))
-
-
-def test_distance_sq_only_for_residual_projectors():
-    from blockvi.errors import UnsupportedObjective
-    with pytest.raises(UnsupportedObjective):
-        SoftClip("rational", VEC8).distance_sq(SpacePoint(np.zeros(8)))

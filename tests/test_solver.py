@@ -3,7 +3,12 @@ import csv
 import numpy as np
 import pytest
 
-from blockvi.cli import default_manifest, generate_experiment
+from blockvi.cli import (
+    default_manifest,
+    generate_experiment,
+    write_matrix_csv,
+    write_vector_csv,
+)
 from blockvi.core import ConstraintSet, Prescription, assemble_problem
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
 from blockvi.fne_ops import (
@@ -21,6 +26,7 @@ from blockvi.solver import (
     SolverConfig,
     SolverTrace,
     activation_atoms,
+    arm_gaps,
     array_residual,
     arm_gammas,
     averaging_weights,
@@ -72,6 +78,11 @@ def test_mod_skip_k_equals_period():
     for n in range(1, 5):
         assert sched.active_set(n) == (1, 2)
     assert sched.active_set(5) == (0, 1, 2)
+
+
+def test_mod_skip_rejects_out_of_range_expensive_arms():
+    with pytest.raises(InvalidParameter):
+        make_schedule("mod_skip", 3, expensive=[7], period=5)
 
 
 def test_explicit_schedule_scanned():
@@ -372,6 +383,37 @@ def test_grouped_solve_matches_public_arm_loop():
         x = SpacePoint(sum(vi * ti.data for vi, ti in zip(v, t)), shape)
     err = np.linalg.norm(res.solution.data - x.data) / np.linalg.norm(x.data)
     assert err <= 1e-12
+
+
+def _assert_gaps_match_public_images(prob, x):
+    # the kernel's gaps against ||F_i(L_i x) - p_i|| through the public
+    # SpacePoint apply, arm by arm
+    expected = np.array([(p.image(x) - p.target).norm() for p in prob.prescriptions])
+    gaps = arm_gaps(prob, x.data)
+    assert gaps.shape == expected.shape
+    assert np.all(np.abs(gaps - expected) <= 1e-13 * (1.0 + expected))
+
+
+def test_arm_gaps_match_public_images_on_signal_recovery(rng):
+    prob, _, _ = _signal_recovery_seed0()
+    groups = _arm_groups(prob, range(prob.arm_count))
+    assert any(g.matrix is not None for g in groups)      # fused arms
+    assert any(g.matrix is None for g in groups)          # single arms
+    _assert_gaps_match_public_images(
+        prob, SpacePoint(rng.standard_normal(prob.domain_shape.total),
+                         prob.domain_shape))
+
+
+def test_arm_gaps_match_public_images_on_600_row_custom_problem(tmp_path, rng):
+    matrix = rng.standard_normal((600, 100))
+    rhs = matrix @ rng.standard_normal(100) + 0.5 * rng.standard_normal(600)
+    write_matrix_csv(matrix, tmp_path / "matrix.csv")
+    write_vector_csv(rhs, tmp_path / "rhs.csv")
+    prob = generate_experiment("custom", {}, 0, {}, {
+        "matrix_csv": str(tmp_path / "matrix.csv"),
+        "rhs_csv": str(tmp_path / "rhs.csv")}).problem
+    _assert_gaps_match_public_images(
+        prob, SpacePoint(rng.standard_normal(100), prob.domain_shape))
 
 
 def test_refresh_leaves_rows_outside_the_cell_bitwise():
@@ -852,11 +894,3 @@ def test_snapshots_recorded_when_requested():
     assert ks[0] == 0
     assert ks == sorted(ks)
     assert res.trace.iterates[-1][2] == res.solution
-
-
-def test_arm_gaps_recorded_when_requested():
-    prob, _ = mixed_arms_problem(6, consistent=False)
-    cfg = _config(gamma=1.5, max_iters=30, tol=0.0,
-                  x0=SpacePoint(np.zeros(6)), record_arm_gaps=True)
-    res = solve(prob, make_schedule("full", prob.arm_count), cfg)
-    assert all(len(r.arm_gaps) == prob.arm_count for r in res.trace.records)
