@@ -25,13 +25,13 @@ from ..fne_ops import (
     MeanAdjust,
     PhasePrescription,
     ResidualOf,
+    ScaledFne,
     SingletonProjector,
     SoftThreshold,
     dead_zone_quartic_root,
     log_threshold,
     proxify_root,
     proxify_svd,
-    scale_to_fne,
     svd_hard_threshold,
 )
 from ..linops import (
@@ -48,10 +48,8 @@ from ..linops import (
 from ..space import BlockShape, SpacePoint
 from .io import read_matrix_csv, read_vector_csv
 
-__all__ = ["ExperimentData", "generate_experiment", "EXPERIMENT_KINDS"]
-
-EXPERIMENT_KINDS = ("image_recovery", "signal_recovery", "sparse_image",
-                    "source_separation", "custom")
+__all__ = ["ExperimentData", "generate_experiment", "EXPERIMENT_KINDS",
+           "STOCK_PARAMETERS"]
 
 
 @dataclass
@@ -140,20 +138,20 @@ def _galaxy(rng, rows, cols, peak=200.0):
 # ---------------------------------------------------------------------------
 
 def _image_recovery(dimensions, seed, noise, operators):
-    rows = int(dimensions.get("rows", 32))
-    cols = int(dimensions.get("cols", 32))
+    rows = int(dimensions["rows"])
+    cols = int(dimensions["cols"])
     rngs = _streams(seed, ["truth", "blur_noise", "phase_noise"])
     shape = BlockShape.image(rows, cols)
     truth = _smooth_image(rngs["truth"], rows, cols)
     xbar = SpacePoint(truth, shape)
 
-    kernel = make_gaussian_kernel(int(operators.get("kernel_size", 15)),
-                                  float(operators.get("kernel_sigma", 3.5)))
+    kernel = make_gaussian_kernel(int(operators["kernel_size"]),
+                                  float(operators["kernel_sigma"]))
     blur = CircularConvolution2D(kernel, rows, cols)
     blurred = blur.apply(xbar)
     w1 = _noise_for_snr(rngs["blur_noise"], blurred.data,
-                        float(noise.get("blur_snr_db", 24.0)))
-    clip_max = float(operators.get("clip_max", 60.0))
+                        float(noise["blur_snr_db"]))
+    clip_max = float(operators["clip_max"])
     clipper = BoxProjector(0.0, clip_max, shape)
     p1 = clipper.apply(SpacePoint(blurred.data + w1, shape))
 
@@ -163,7 +161,7 @@ def _image_recovery(dimensions, seed, noise, operators):
     mean_arm = ResidualOf(MeanAdjust(float(mean_target), shape))
 
     w3 = _noise_for_snr(rngs["phase_noise"], xbar.data,
-                        float(noise.get("phase_snr_db", 49.0)))
+                        float(noise["phase_snr_db"]))
     theta = np.angle(np.fft.fft2((xbar.data + w3).reshape(rows, cols)))
     phase_arm = PhasePrescription(theta, shape)
 
@@ -184,9 +182,9 @@ def _image_recovery(dimensions, seed, noise, operators):
 
 
 def _signal_recovery(dimensions, seed, noise, operators):
-    n = int(dimensions.get("n", 128))
-    m = int(dimensions.get("dictionary_rows", 150))
-    block_count = int(operators.get("block_count", 16))
+    n = int(dimensions["n"])
+    m = int(dimensions["dictionary_rows"])
+    block_count = int(operators["block_count"])
     if n % block_count:
         raise InvalidParameter("block_count must divide the signal length")
     rngs = _streams(seed, ["truth", "obs_noise", "dictionary", "dict_noise"])
@@ -195,18 +193,18 @@ def _signal_recovery(dimensions, seed, noise, operators):
 
     blocks = BlockwiseConstantProjector([n // block_count] * block_count, shape)
     w1 = _noise_for_snr(rngs["obs_noise"], xbar.data,
-                        float(noise.get("observation_snr_db", -2.3)))
+                        float(noise["observation_snr_db"]))
     p1 = blocks.apply(SpacePoint(xbar.data + w1, shape))
 
     fd = FiniteDifference1D(n)
-    fd_bound = float(operators.get("fd_bound", 0.025))
+    fd_bound = float(operators["fd_bound"])
     fd_arm = SoftThreshold(fd_bound, fd.output_shape)
 
-    rho = float(operators.get("root_threshold", 0.05))
+    rho = float(operators["root_threshold"])
     dictionary = rngs["dictionary"].standard_normal((m, n))
     clean = dead_zone_quartic_root(dictionary @ xbar.data, rho)
     w3 = _noise_for_snr(rngs["dict_noise"], clean,
-                        float(noise.get("dictionary_snr_db", 17.8)))
+                        float(noise["dictionary_snr_db"]))
     chi = clean + w3
 
     weight = 1.0 / (m + 2)
@@ -231,34 +229,34 @@ def _svd_threshold(z: np.ndarray, operators) -> float:
     rho = operators.get("svd_threshold")
     if rho is not None:
         return float(rho)
-    rel = float(operators.get("svd_threshold_rel", 0.2))
+    rel = float(operators["svd_threshold_rel"])
     top = float(np.linalg.svd(z, compute_uv=False)[0])
     return rel * top
 
 
 def _sparse_image_recovery(dimensions, seed, noise, operators):
-    rows = int(dimensions.get("rows", 32))
-    cols = int(dimensions.get("cols", 32))
+    rows = int(dimensions["rows"])
+    cols = int(dimensions["cols"])
     rngs = _streams(seed, ["truth", "blur_noise"])
     shape = BlockShape.image(rows, cols)
     xbar = SpacePoint(_sparse_image(rngs["truth"], rows, cols), shape)
 
-    blur = CircularConvolution2D(make_uniform_kernel(int(operators.get("kernel_size", 7))),
+    blur = CircularConvolution2D(make_uniform_kernel(int(operators["kernel_size"])),
                                  rows, cols)
     blurred = blur.apply(xbar)
     w1 = _noise_for_snr(rngs["blur_noise"], blurred.data,
-                        float(noise.get("blur_snr_db", 17.6)))
+                        float(noise["blur_snr_db"]))
     z = (blurred.data + w1).reshape(rows, cols)
     rho = _svd_threshold(z, operators)
     q1 = SpacePoint(svd_hard_threshold(z, rho), shape)
     prox = proxify_svd(rho, q1)
 
-    radius = float(operators.get("sparsity_radius", 1.5))
-    if operators.get("log_penalty", False):
+    radius = float(operators["sparsity_radius"])
+    if operators["log_penalty"]:
         # log-penalty shrinkage made firmly nonexpansive by 0.95 scaling
         gamma = 0.05 / radius ** 2
-        shrink = scale_to_fne(lambda v: log_threshold(v, radius, gamma), 0.95,
-                              shape, sample_scale=radius)
+        shrink = ScaledFne(lambda v: log_threshold(v, radius, gamma), 0.95,
+                           shape, sample_scale=radius)
         sparsity = ResidualOf(shrink)
     else:
         sparsity = LinfBallProjector(radius, shape)
@@ -276,12 +274,12 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
         observation=q1, observation_reference=xbar,
         notes={"svd_threshold": rho, "observation_rank": rank,
                "sparsity_radius": radius,
-               "log_penalty": bool(operators.get("log_penalty", False))})
+               "log_penalty": bool(operators["log_penalty"])})
 
 
 def _source_separation(dimensions, seed, noise, operators):
-    rows = int(dimensions.get("rows", 48))
-    cols = int(dimensions.get("cols", 48))
+    rows = int(dimensions["rows"])
+    cols = int(dimensions["cols"])
     rngs = _streams(seed, ["stars", "galaxy"])
     img = BlockShape.image(rows, cols)
     shape = BlockShape.product([img, img])
@@ -296,8 +294,8 @@ def _source_separation(dimensions, seed, noise, operators):
     prox = proxify_svd(rho, q1)
 
     transform = BlockStack([Identity(img), Dct2D(rows, cols)])
-    radii = (float(operators.get("sparsity_radius_direct", 10.0)),
-             float(operators.get("sparsity_radius_transform", 45.0)))
+    radii = (float(operators["sparsity_radius_direct"]),
+             float(operators["sparsity_radius_transform"]))
     sparsity = Blockwise([LinfBallProjector(radii[0], img),
                           LinfBallProjector(radii[1], img)])
 
@@ -354,13 +352,70 @@ _BUILDERS = {
     "source_separation": _source_separation,
     "custom": _custom,
 }
+EXPERIMENT_KINDS = tuple(_BUILDERS)
+
+# The stock parameters of each kind: the one place they are written.  A
+# manifest that leaves out a dimension, noise or operator key gets its value
+# here; ``default_manifest`` writes the whole entry out.
+STOCK_PARAMETERS = {
+    "image_recovery": {
+        "dimensions": {"rows": 32, "cols": 32},
+        "noise": {"blur_snr_db": 24.0, "phase_snr_db": 49.0},
+        "operators": {"kernel_size": 15, "kernel_sigma": 3.5, "clip_max": 60.0},
+        "solver": {"gamma": 1.9, "max_iters": 80000, "tol": 1e-6,
+                   "trace_every": 100, "snapshots": False},
+        "schedule": {"kind": "full"},
+    },
+    "signal_recovery": {
+        "dimensions": {"n": 128, "dictionary_rows": 150},
+        "noise": {"observation_snr_db": -2.3, "dictionary_snr_db": 17.8},
+        "operators": {"block_count": 16, "fd_bound": 0.025,
+                      "root_threshold": 0.05},
+        "solver": {"gamma": 1.9, "max_iters": 90000, "tol": 1e-6,
+                   "trace_every": 100, "snapshots": True},
+        "schedule": {"kind": "cyclic_partition", "blocks": 4,
+                     "always_active": [0, 1]},
+    },
+    "sparse_image": {
+        "dimensions": {"rows": 32, "cols": 32},
+        "noise": {"blur_snr_db": 17.6},
+        "operators": {"kernel_size": 7, "svd_threshold_rel": 0.05,
+                      "sparsity_radius": 1.5, "log_penalty": False},
+        "solver": {"gamma": 1.0, "max_iters": 400000, "tol": 1e-6,
+                   "trace_every": 200, "snapshots": False},
+        "schedule": {"kind": "mod_skip", "expensive": [0], "period": 5},
+    },
+    "source_separation": {
+        "dimensions": {"rows": 48, "cols": 48},
+        "noise": {},
+        "operators": {"svd_threshold_rel": 0.08,
+                      "sparsity_radius_direct": 10.0,
+                      "sparsity_radius_transform": 45.0},
+        "solver": {"gamma": 1.0, "max_iters": 40000, "tol": 1e-6,
+                   "trace_every": 100, "snapshots": False},
+        "schedule": {"kind": "mod_skip", "expensive": [0], "period": 5},
+    },
+    "custom": {
+        "dimensions": {},
+        "noise": {},
+        "operators": {},
+        "solver": {"gamma": 1.9, "max_iters": 20000, "tol": 1e-8,
+                   "trace_every": 25, "snapshots": False},
+        "schedule": {"kind": "full"},
+    },
+}
 
 
 def generate_experiment(kind: str, dimensions: dict, seed: int,
                         noise: Optional[dict] = None,
                         operators: Optional[dict] = None) -> ExperimentData:
-    """Build the ground truth and assembled problem for one experiment kind."""
+    """Build the ground truth and assembled problem for one experiment kind;
+    keys left out of ``dimensions``, ``noise`` and ``operators`` take their
+    stock values from :data:`STOCK_PARAMETERS`."""
     if kind not in _BUILDERS:
         raise InvalidParameter(f"unknown experiment kind {kind!r}")
-    return _BUILDERS[kind](dimensions or {}, int(seed), noise or {},
-                           operators or {})
+    stock = STOCK_PARAMETERS[kind]
+    return _BUILDERS[kind]({**stock["dimensions"], **(dimensions or {})},
+                           int(seed),
+                           {**stock["noise"], **(noise or {})},
+                           {**stock["operators"], **(operators or {})})

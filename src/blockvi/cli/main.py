@@ -18,7 +18,7 @@ from ..errors import BlockviError
 from .experiments import EXPERIMENT_KINDS, generate_experiment
 from .io import read_snapshots_csv, read_vector_csv, write_json
 from .manifest import default_manifest, load_manifest
-from .runner import relative_error_trace, run_manifest
+from .runner import relative_error_trace, run_manifest, write_point
 
 __all__ = ["main"]
 
@@ -36,10 +36,9 @@ def _cmd_generate(args) -> int:
     data = generate_experiment(payload["kind"], payload["dimensions"],
                                payload["seed"], payload["noise"],
                                payload["operators"])
-    from .runner import _write_point
-    _write_point(data.ground_truth, out_dir, "ground_truth")
+    write_point(data.ground_truth, out_dir, "ground_truth")
     if data.observation is not None:
-        _write_point(data.observation, out_dir, "observation")
+        write_point(data.observation, out_dir, "observation")
     print(f"wrote manifest and data for {args.kind} (seed {args.seed}) "
           f"to {out_dir}")
     return 0

@@ -1,4 +1,4 @@
-"""Experiment manifests: JSON schema, loading, and per-kind defaults.
+"""Experiment manifests: JSON schema, loading, and stock manifests.
 
 A manifest plus its seed fully determines one run: data generation, problem
 assembly, solver configuration, activation schedule, and output locations.
@@ -18,7 +18,7 @@ from typing import Optional
 import jsonschema
 
 from ..errors import ManifestError
-from .experiments import EXPERIMENT_KINDS
+from .experiments import EXPERIMENT_KINDS, STOCK_PARAMETERS
 
 __all__ = ["ExperimentManifest", "MANIFEST_SCHEMA", "load_manifest",
            "default_manifest", "resolve_output_dir", "OUTPUT_ROOT_ENV"]
@@ -150,59 +150,10 @@ def resolve_output_dir(manifest: ExperimentManifest) -> Path:
     return base / out
 
 
-_DEFAULTS = {
-    "image_recovery": {
-        "dimensions": {"rows": 32, "cols": 32},
-        "noise": {"blur_snr_db": 24.0, "phase_snr_db": 49.0},
-        "operators": {"kernel_size": 15, "kernel_sigma": 3.5, "clip_max": 60.0},
-        "solver": {"gamma": 1.9, "max_iters": 80000, "tol": 1e-6,
-                   "trace_every": 100, "snapshots": False},
-        "schedule": {"kind": "full"},
-    },
-    "signal_recovery": {
-        "dimensions": {"n": 128, "dictionary_rows": 150},
-        "noise": {"observation_snr_db": -2.3, "dictionary_snr_db": 17.8},
-        "operators": {"block_count": 16, "fd_bound": 0.025,
-                      "root_threshold": 0.05},
-        "solver": {"gamma": 1.9, "max_iters": 90000, "tol": 1e-6,
-                   "trace_every": 100, "snapshots": True},
-        "schedule": {"kind": "cyclic_partition", "blocks": 4,
-                     "always_active": [0, 1]},
-    },
-    "sparse_image": {
-        "dimensions": {"rows": 32, "cols": 32},
-        "noise": {"blur_snr_db": 17.6},
-        "operators": {"kernel_size": 7, "svd_threshold_rel": 0.05,
-                      "sparsity_radius": 1.5, "log_penalty": False},
-        "solver": {"gamma": 1.0, "max_iters": 400000, "tol": 1e-6,
-                   "trace_every": 200, "snapshots": False},
-        "schedule": {"kind": "mod_skip", "expensive": [0], "period": 5},
-    },
-    "source_separation": {
-        "dimensions": {"rows": 48, "cols": 48},
-        "noise": {},
-        "operators": {"svd_threshold_rel": 0.08,
-                      "sparsity_radius_direct": 10.0,
-                      "sparsity_radius_transform": 45.0},
-        "solver": {"gamma": 1.0, "max_iters": 40000, "tol": 1e-6,
-                   "trace_every": 100, "snapshots": False},
-        "schedule": {"kind": "mod_skip", "expensive": [0], "period": 5},
-    },
-    "custom": {
-        "dimensions": {},
-        "noise": {},
-        "operators": {},
-        "solver": {"gamma": 1.9, "max_iters": 20000, "tol": 1e-8,
-                   "trace_every": 25, "snapshots": False},
-        "schedule": {"kind": "full"},
-    },
-}
-
-
 def default_manifest(kind: str, seed: int, output_dir: str = "results") -> dict:
-    if kind not in _DEFAULTS:
+    if kind not in STOCK_PARAMETERS:
         raise ManifestError(f"no defaults for experiment kind {kind!r}")
-    spec = _DEFAULTS[kind]
+    spec = STOCK_PARAMETERS[kind]
     payload = {
         "kind": kind,
         "seed": int(seed),

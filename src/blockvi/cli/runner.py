@@ -21,7 +21,7 @@ from .io import (
 )
 from .manifest import ExperimentManifest, resolve_output_dir
 
-__all__ = ["run_manifest", "relative_error_trace", "DB_FLOOR"]
+__all__ = ["run_manifest", "relative_error_trace", "write_point", "DB_FLOOR"]
 
 DB_FLOOR = -300.0
 
@@ -45,7 +45,8 @@ def _solver_config(spec: dict, domain_shape) -> SolverConfig:
     )
 
 
-def _write_point(point: SpacePoint, out_dir: Path, stem: str):
+def write_point(point: SpacePoint, out_dir: Path, stem: str):
+    """``stem.csv`` plus one PGM per image block of the point."""
     write_vector_csv(point.data, out_dir / f"{stem}.csv")
     image_blocks = [j for j in range(point.shape.block_count)
                     if point.shape.extents[j] is not None]
@@ -76,10 +77,10 @@ def run_manifest(manifest: ExperimentManifest) -> int:
 
     result = solve(problem, schedule, config)
 
-    _write_point(result.solution, out_dir, "recovered")
-    _write_point(data.ground_truth, out_dir, "ground_truth")
+    write_point(result.solution, out_dir, "recovered")
+    write_point(data.ground_truth, out_dir, "ground_truth")
     if data.observation is not None:
-        _write_point(data.observation, out_dir, "observation")
+        write_point(data.observation, out_dir, "observation")
     result.trace.to_csv(out_dir / "trace.csv")
     if config.keep_snapshots:
         write_snapshots_csv(result.trace.iterates, out_dir / "snapshots.csv")

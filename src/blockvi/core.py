@@ -7,7 +7,8 @@ x is a solution iff it is a fixed point of
 
     x  ->  proj_C(x - theta * sum_i w_i L_i*(F_i(L_i x) - p_i))
 
-for any theta > 0, which is what :func:`vi_residual` measures.
+for any theta > 0, which is what :func:`vi_residual` measures.  C enters
+only through its projector on flat arrays (:class:`ConstraintSet`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,30 +48,20 @@ WEIGHT_RENORM_WINDOW = 1e-9
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """A closed convex set represented by its (firmly nonexpansive) projector.
+    """A closed convex set C represented by its (firmly nonexpansive)
+    projector on flat arrays; :meth:`projector` is the same map on points."""
 
-    ``array_projector``, when provided by a factory, is the same projection
-    acting on raw flat arrays; the solver's inner loop uses it to skip
-    wrapper overhead.  It must agree with ``projector`` exactly.
-    """
-
-    projector: Callable[[SpacePoint], SpacePoint]
+    array_projector: Callable[[np.ndarray], np.ndarray]
     bounded: bool
     description: str = ""
-    array_projector: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def project(self, x: SpacePoint) -> SpacePoint:
-        return self.projector(x)
-
-    def project_array(self, arr: np.ndarray, shape: BlockShape) -> np.ndarray:
-        if self.array_projector is not None:
-            return self.array_projector(arr)
-        return self.projector(SpacePoint(arr, shape)).data
+    def projector(self, x: SpacePoint) -> SpacePoint:
+        return x.with_data(self.array_projector(x.data))
 
     @classmethod
     def whole_space(cls) -> "ConstraintSet":
-        return cls(projector=lambda x: x, bounded=False,
-                   description="whole space", array_projector=lambda a: a)
+        return cls(array_projector=lambda a: a, bounded=False,
+                   description="whole space")
 
     @classmethod
     def box(cls, lo, hi) -> "ConstraintSet":
@@ -79,10 +70,9 @@ class ConstraintSet:
         if np.any(lo_a > hi_a):
             raise InvalidParameter("box bounds need lo <= hi componentwise")
         return cls(
-            projector=lambda x: x.with_data(np.clip(x.data, lo_a, hi_a)),
+            array_projector=lambda a: np.clip(a, lo_a, hi_a),
             bounded=bool(np.all(np.isfinite(lo_a)) and np.all(np.isfinite(hi_a))),
             description=f"box[{np.min(lo_a):g}, {np.max(hi_a):g}]",
-            array_projector=lambda a: np.clip(a, lo_a, hi_a),
         )
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "proxify_svd",
     "proxify_root",
     "rank_to_threshold",
-    "scale_to_fne",
     "make_projector",
     "soft_threshold",
     "hard_threshold",
@@ -322,7 +321,7 @@ class Blockwise(FneOperator):
 
 
 def make_projector(set_kind: str, domain_shape: BlockShape, **params) -> FneOperator:
-    """Factory for the stock projection operators (used by manifest loading)."""
+    """The stock projection operator of kind ``set_kind`` on ``domain_shape``."""
     if set_kind == "box":
         return BoxProjector(params["lo"], params["hi"], domain_shape)
     if set_kind == "linf_ball":
@@ -615,23 +614,29 @@ class BlockThresholdFne(FneOperator):
         self.projectors = [_as_array_map(p) for p in projectors]
         self._offsets = domain_shape.offsets()
 
+    def blocks(self, y: np.ndarray):
+        """(slice, block, proj_j(block), d_j(block)) for each block j of y."""
+        for j, proj in enumerate(self.projectors):
+            where = slice(self._offsets[j], self._offsets[j + 1])
+            block = y[where]
+            projected = np.asarray(proj(block), dtype=np.float64).reshape(-1)
+            yield where, block, projected, np.linalg.norm(block - projected)
+
     def _apply(self, y):
         out = np.empty_like(y)
-        for j, proj in enumerate(self.projectors):
-            lo, hi = self._offsets[j], self._offsets[j + 1]
-            block = y[lo:hi]
-            projected = np.asarray(proj(block), dtype=np.float64).reshape(-1)
-            d = np.linalg.norm(block - projected)
-            if d <= self.gammas[j]:
-                out[lo:hi] = projected
-            else:
-                out[lo:hi] = block + (self.gammas[j] / d) * (projected - block)
+        for (where, block, projected, d), g in zip(self.blocks(y), self.gammas):
+            out[where] = projected if d <= g else block + (g / d) * (projected - block)
         return out
 
 
 class ScaledFne(FneOperator):
     """beta * Q for a map Q whose cocoercivity makes the scaling firmly
-    nonexpansive; certified by a spot check at construction."""
+    nonexpansive; certified by a spot check at construction.
+
+    For a shrinkage induced by a mu-weakly convex penalty at prox parameter
+    gamma, any beta <= 1 - gamma * mu works; the complement Id - beta * Q is
+    obtained with :class:`ResidualOf`.
+    """
 
     kind = "scaled"
     SPOT_PAIRS = 200
@@ -656,17 +661,6 @@ class ScaledFne(FneOperator):
 
     def describe(self):
         return {"kind": self.kind, "beta": self.beta}
-
-
-def scale_to_fne(raw_map: Callable[[np.ndarray], np.ndarray], beta: float,
-                 domain_shape: BlockShape, sample_scale: float = 1.0) -> ScaledFne:
-    """Wrap beta * raw_map as a certified firmly nonexpansive operator.
-
-    For a shrinkage induced by a mu-weakly convex penalty at prox parameter
-    gamma, any beta <= 1 - gamma * mu works; the complement Id - beta * raw_map
-    is obtained with :class:`ResidualOf`.
-    """
-    return ScaledFne(raw_map, beta, domain_shape, sample_scale=sample_scale)
 
 
 class ForwardBackwardFne(FneOperator):
@@ -723,8 +717,8 @@ def proxify_hard_threshold(gamma: float, q: SpacePoint) -> Proxification:
     """Replace a componentwise hard-threshold observation by a soft-threshold pair.
 
     Every component of q must be 0 or exceed gamma in magnitude (the range of
-    the hard thresholder); the target shifts each surviving component toward
-    zero by gamma.
+    the hard thresholder).  The hard thresholder fixes its range, so the
+    target is F(q): each surviving component shifts toward zero by gamma.
     """
     if gamma <= 0:
         raise InvalidParameter("gamma must be positive")
@@ -734,10 +728,10 @@ def proxify_hard_threshold(gamma: float, q: SpacePoint) -> Proxification:
         raise NotInRange(
             f"{int(bad.sum())} component(s) of q lie in (0, gamma]; "
             "not in the range of the hard thresholder")
-    p = np.where(qv != 0, qv - gamma * np.sign(qv), 0.0)
+    fne = SoftThreshold(gamma, q.shape)
     return Proxification(
-        fne=SoftThreshold(gamma, q.shape),
-        target=q.with_data(p),
+        fne=fne,
+        target=fne.apply(q),
         source_map=lambda y: y.with_data(hard_threshold(y.data, gamma)),
         source_value=q,
     )
@@ -746,37 +740,23 @@ def proxify_hard_threshold(gamma: float, q: SpacePoint) -> Proxification:
 def proxify_block_threshold(projectors: Sequence, gammas, q: SpacePoint) -> Proxification:
     """Block generalization of the hard-threshold proxification.
 
-    Each block of q must lie in its set D_j or at distance > gamma_j from it.
-    With singleton sets {0} and scalar blocks this reduces exactly to
-    :func:`proxify_hard_threshold`.
+    Each block of q must lie in its set D_j or at distance > gamma_j from it;
+    Q fixes such a q, so the target is F(q).  With singleton sets {0} and
+    scalar blocks this reduces exactly to :func:`proxify_hard_threshold`.
     """
     fne = BlockThresholdFne(projectors, gammas, q.shape)
-    offsets = q.shape.offsets()
-    p = np.empty(q.dim)
-    for j, proj in enumerate(fne.projectors):
-        lo, hi = offsets[j], offsets[j + 1]
-        block = q.data[lo:hi]
-        projected = np.asarray(proj(block), dtype=np.float64).reshape(-1)
-        d = np.linalg.norm(block - projected)
-        if d == 0.0:
-            p[lo:hi] = block
-        elif d > fne.gammas[j]:
-            p[lo:hi] = block + (fne.gammas[j] / d) * (projected - block)
-        else:
+    for j, ((_, _, _, d), g) in enumerate(zip(fne.blocks(q.data), fne.gammas)):
+        if not (d == 0.0 or d > g):
             raise NotInRange(
                 f"block {j} of q is at distance {d:.3e} in (0, gamma] from its set")
 
     def source(y: SpacePoint) -> SpacePoint:
         out = np.empty(y.dim)
-        for j, proj in enumerate(fne.projectors):
-            lo, hi = offsets[j], offsets[j + 1]
-            block = y.data[lo:hi]
-            projected = np.asarray(proj(block), dtype=np.float64).reshape(-1)
-            d = np.linalg.norm(block - projected)
-            out[lo:hi] = block if d > fne.gammas[j] else projected
+        for (where, block, projected, d), g in zip(fne.blocks(y.data), fne.gammas):
+            out[where] = block if d > g else projected
         return y.with_data(out)
 
-    return Proxification(fne=fne, target=q.with_data(p), source_map=source,
+    return Proxification(fne=fne, target=fne.apply(q), source_map=source,
                          source_value=q)
 
 
@@ -788,24 +768,25 @@ def proxify_svd(rho: float, q: SpacePoint) -> Proxification:
     """Replace a singular-value truncation observation by its soft-thresholded pair.
 
     q must lie in the range of the truncation: every singular value is (numerically)
-    zero or exceeds rho.  The target shrinks the surviving singular values by rho.
+    zero or exceeds rho.  The truncation fixes its range, so the target is
+    F(q): the surviving singular values shrink by rho.
     """
     if q.shape.block_count != 1 or q.shape.extents[0] is None:
         raise InvalidParameter("q must be a single matrix-shaped block")
     if rho <= 0:
         raise InvalidParameter("rho must be positive")
     extents = q.shape.extents[0]
-    u, s, vt = _svd(q.data.reshape(extents))
+    _, s, _ = _svd(q.data.reshape(extents))
     tiny = _rank_tolerance(s, extents)
     bad = (s > tiny) & (s <= rho)
     if np.any(bad):
         raise NotInRange(
             f"{int(bad.sum())} singular value(s) of q lie in (0, rho]; "
             "not in the range of the truncation")
-    p = ((u * np.maximum(s - rho, 0.0)) @ vt).reshape(-1)
+    fne = SvdSoftThreshold(rho, q.shape)
     return Proxification(
-        fne=SvdSoftThreshold(rho, q.shape),
-        target=q.with_data(p),
+        fne=fne,
+        target=fne.apply(q),
         source_map=lambda y: y.with_data(
             svd_hard_threshold(y.data.reshape(extents), rho).reshape(-1)),
         source_value=q,

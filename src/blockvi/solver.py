@@ -536,7 +536,7 @@ def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
     for g in groups:
         grad += _pullback(g, x)
     z = x - theta * grad
-    projected = problem.constraint.project_array(z, problem.domain_shape)
+    projected = problem.constraint.array_projector(z)
     return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
 
 
@@ -671,12 +671,11 @@ def solve(problem: Problem, schedule: ActivationSchedule,
                 x = accel.next_start(x)
             else:    # t is written in place: the accelerator keeps copies
                 t[...] = accel.next_start(t.flatten()).reshape(t.shape)
-                x = problem.constraint.project_array(masses @ t,
-                                                     problem.domain_shape)
+                x = problem.constraint.array_projector(masses @ t)
         active = schedule.active_set(n)
         prev_x = x
         _refresh(cells[n % period], x, t)
-        x = problem.constraint.project_array(masses @ t, problem.domain_shape)
+        x = problem.constraint.array_projector(masses @ t)
         if n % config.trace_every == 0 or n == config.max_iters - 1:
             x_point = SpacePoint(x, problem.domain_shape)  # rejects non-finite x
             residual = array_residual(problem, x, groups=residual_groups)

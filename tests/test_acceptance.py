@@ -30,11 +30,11 @@ from blockvi.core import (
 )
 from blockvi.errors import CoverageError
 from blockvi.fne_ops import (
+    ScaledFne,
     dead_zone_root,
     firm_nonexpansiveness_excess,
     log_threshold,
     root_shift,
-    scale_to_fne,
     soft_threshold,
 )
 from blockvi.linops import DenseMatrix
@@ -206,7 +206,7 @@ def test_criterion_6_weakly_convex_scaling():
     rho = 1.5
     gamma = 0.05 / rho ** 2
     raw = lambda v: log_threshold(v, rho, gamma)
-    scaled = scale_to_fne(raw, 0.95, BlockShape.vector(8), sample_scale=0.3)
+    scaled = ScaledFne(raw, 0.95, BlockShape.vector(8), sample_scale=0.3)
     scaled_excess = firm_nonexpansiveness_excess(
         scaled._apply, 8, n_pairs=1000, seed=202406, scale=0.3)
     unscaled_excess = firm_nonexpansiveness_excess(

@@ -156,7 +156,7 @@ def test_generated_problems_validate(kind):
                                payload["noise"], payload["operators"])
     prob = data.problem
     assert math.fsum(prob.weights) == pytest.approx(1.0, abs=1e-12)
-    assert prob.constraint.project(data.ground_truth) == data.ground_truth
+    assert prob.constraint.projector(data.ground_truth) == data.ground_truth
     # schedule from the default manifest covers the arms
     from blockvi.cli.runner import _build_schedule
     sched = _build_schedule(payload["schedule"], prob.arm_count)
@@ -174,6 +174,22 @@ def test_generation_is_seed_deterministic():
     for pa, pb in zip(a.problem.prescriptions, b.problem.prescriptions):
         assert pa.target == pb.target
 
+
+
+@pytest.mark.parametrize("kind", ["image_recovery", "signal_recovery",
+                                  "sparse_image", "source_separation"])
+def test_omitted_parameters_take_stock_values(kind):
+    # a manifest that leaves out every dimension, noise and operator key
+    # builds the same instance as the stock manifest, bit for bit
+    payload = default_manifest(kind, 3)
+    stock = generate_experiment(kind, payload["dimensions"], 3,
+                                payload["noise"], payload["operators"])
+    bare = generate_experiment(kind, {}, 3, {}, {})
+    assert bare.notes == stock.notes
+    assert bare.ground_truth == stock.ground_truth
+    for pb, ps in zip(bare.problem.prescriptions, stock.problem.prescriptions,
+                      strict=True):
+        assert pb.target == ps.target
 
 def test_noise_hits_snr_exactly():
     from blockvi.cli.experiments import _noise_for_snr

@@ -32,7 +32,6 @@ from blockvi.fne_ops import (
     proxify_svd,
     rank_to_threshold,
     root_shift,
-    scale_to_fne,
     soft_threshold,
 )
 from blockvi.space import BlockShape, SpacePoint
@@ -81,7 +80,7 @@ def catalog():
              SingletonProjector(SpacePoint(np.zeros(3))),
              BoxProjector(-0.5, 0.5, BlockShape.vector(2))],
             [1.0, 0.6, 0.9], PROD),
-        "scaled_log": scale_to_fne(
+        "scaled_log": ScaledFne(
             lambda v: log_threshold(v, LOG_RHO, LOG_GAMMA), 0.95, VEC8),
         "forward_backward": ForwardBackwardFne(
             BoxProjector(-1, 1, VEC8), lambda v: 0.5 * v, 2.0, 1.0, VEC8),
@@ -492,6 +491,9 @@ def test_proxification_sampled_equivalence(name, rng):
     for y in members:
         assert (pr.source_map(y) - pr.source_value).norm() <= tol
         assert (pr.fne.apply(y) - pr.target).norm() <= tol
+    # Q fixes q on its range, so the target is exactly F(q)
+    if name != "root":
+        assert pr.fne.apply(pr.source_value) == pr.target
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +534,12 @@ def test_log_threshold_against_numeric_minimizer():
 
 def test_scaled_log_passes_unscaled_fails():
     raw = lambda v: log_threshold(v, LOG_RHO, LOG_GAMMA)
-    scaled = scale_to_fne(raw, 0.95, VEC8)
+    scaled = ScaledFne(raw, 0.95, VEC8)
     assert firm_nonexpansiveness_excess(scaled._apply, 8, n_pairs=1000,
                                         seed=7, scale=0.3) <= 0.0
     # the certified cocoercivity scaling 1 - gamma * mu passes as well
     beta_exact = 1.0 - LOG_GAMMA / LOG_RHO**2
-    exact = scale_to_fne(raw, beta_exact, VEC8, sample_scale=0.3)
+    exact = ScaledFne(raw, beta_exact, VEC8, sample_scale=0.3)
     assert firm_nonexpansiveness_excess(exact._apply, 8, n_pairs=1000,
                                         seed=7, scale=0.3) <= 0.0
     # without scaling the map is merely cocoercive: some pair must violate
@@ -546,7 +548,7 @@ def test_scaled_log_passes_unscaled_fails():
     assert excess > 0.0
 
 
-def test_scale_to_fne_rejects_expansive_scaling():
+def test_scaled_fne_rejects_expansive_scaling():
     with pytest.raises(InvalidParameter):
         ScaledFne(lambda v: 3.0 * v, 1.0, VEC8)
 

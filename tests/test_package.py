@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import blockvi
 
@@ -13,3 +15,19 @@ def test_all_names_resolve():
         if names:
             missing[info.name] = names
     assert missing == {}
+
+
+def test_no_private_names_imported_across_modules():
+    # a private name is its module's own business; another module that needs
+    # it should get a public name instead
+    root = Path(blockvi.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("blockvi"):
+                continue
+            offenders += [f"{path.relative_to(root)}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []

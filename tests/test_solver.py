@@ -243,8 +243,8 @@ def test_one_step_policy_matches_virtual_first_activation():
                                      t_init_policy="one_step"))
     t = np.stack([(x0 - g * p.linop.adjoint(p.image(x0) - p.target)).data
                   for p, g in zip(prob.prescriptions, arm_gammas(prob, 1.4, sched))])
-    expected = prob.constraint.project_array(
-        np.asarray(averaging_weights(prob, sched)) @ t, prob.domain_shape)
+    expected = prob.constraint.array_projector(
+        np.asarray(averaging_weights(prob, sched)) @ t)
     assert res.solution.data.tobytes() == expected.tobytes()
 
 
@@ -496,7 +496,7 @@ def test_unfused_rank_one_arms_match_per_arm_path(case):
         for i, p in enumerate(prob.prescriptions):
             image = p.fne._apply(p.linop._apply(x))
             t[i] = x - gammas[i] * p.linop._adjoint(image - p.target.data)
-        x = prob.constraint.project_array(v @ t, prob.domain_shape)
+        x = prob.constraint.array_projector(v @ t)
         assert snap.data.tobytes() == x.tobytes(), k
 
 
@@ -560,7 +560,7 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
             mean = sum(v[i] * ti for i, ti in zip(g.arms, per_arm)) / v[g.arms].sum()
             np.testing.assert_allclose(t[row], mean, rtol=1e-12, atol=1e-12)
     z = x - 0.7 * (np.asarray(prob.weights) @ rows)
-    projected = prob.constraint.project_array(z, prob.domain_shape)
+    projected = prob.constraint.array_projector(z)
     expected = float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
     assert array_residual(prob, x, 0.7, groups) == expected
 
@@ -601,8 +601,7 @@ def test_spectral_solve_matches_full_complex_reference():
     x = x0.data
     for n in range(300):
         t = [x - gammas[i] * arm_row(i, x) for i in sched.active_set(n)]
-        x = prob.constraint.project_array(sum(vi * ti for vi, ti in zip(v, t)),
-                                          shape)
+        x = prob.constraint.array_projector(sum(vi * ti for vi, ti in zip(v, t)))
     err = np.linalg.norm(res.solution.data - x) / np.linalg.norm(x)
     assert err <= 1e-12
 
@@ -647,7 +646,7 @@ def test_periods_without_a_leading_full_set_run_plain(kind, kw):
             p = prob.prescriptions[i]
             image = p.fne._apply(p.linop._apply(x))
             t[i] = x - gammas[i] * p.linop._adjoint(image - p.target.data)
-        x = prob.constraint.project_array(v @ t, prob.domain_shape)
+        x = prob.constraint.array_projector(v @ t)
         assert snap.data.tobytes() == x.tobytes(), k
     plain = solve(prob, sched, _accel_config(False))
     fast = solve(prob, sched, _accel_config())
