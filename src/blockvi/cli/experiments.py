@@ -10,6 +10,8 @@ reference signal.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -406,16 +408,61 @@ STOCK_PARAMETERS = {
 }
 
 
+# Operator keys that have no stock value, with the type each value must have.
+_OPTIONAL_OPERATORS = {
+    "image_recovery": {"mean_target": float},
+    "sparse_image": {"svd_threshold": float},
+    "source_separation": {"svd_threshold": float},
+    "custom": {"matrix_csv": str, "rhs_csv": str, "box_bounds": list},
+}
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# The JSON type a value must have, keyed by the type of its stock value.
+_TYPE_CHECKS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer",
+          lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a [lo, hi] pair of finite numbers",
+           lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+           and all(map(_is_number, v))),
+}
+
+
+def _merged(kind: str, section: str, given: Optional[dict]) -> dict:
+    """The stock ``section`` of ``kind`` overlaid with ``given``, whose keys
+    must be named there or in the kind's optional operators."""
+    stock, given = STOCK_PARAMETERS[kind][section], given or {}
+    types = {key: type(value) for key, value in stock.items()}
+    if section == "operators":
+        types.update(_OPTIONAL_OPERATORS.get(kind, {}))
+    for key, value in given.items():
+        if key not in types:
+            raise InvalidParameter(f"{kind} {section}: unknown key {key!r}")
+        name, check = _TYPE_CHECKS[types[key]]
+        if not check(value):
+            raise InvalidParameter(
+                f"{kind} {section}: {key!r} must be {name}, got {value!r}")
+    return {**stock, **given}
+
+
 def generate_experiment(kind: str, dimensions: dict, seed: int,
                         noise: Optional[dict] = None,
                         operators: Optional[dict] = None) -> ExperimentData:
     """Build the ground truth and assembled problem for one experiment kind;
     keys left out of ``dimensions``, ``noise`` and ``operators`` take their
-    stock values from :data:`STOCK_PARAMETERS`."""
+    stock values from :data:`STOCK_PARAMETERS`.  A key named neither there
+    nor among the kind's optional operators, or a value of another JSON type
+    than the stock value (or a non-finite number), raises
+    :class:`InvalidParameter`."""
     if kind not in _BUILDERS:
         raise InvalidParameter(f"unknown experiment kind {kind!r}")
-    stock = STOCK_PARAMETERS[kind]
-    return _BUILDERS[kind]({**stock["dimensions"], **(dimensions or {})},
-                           int(seed),
-                           {**stock["noise"], **(noise or {})},
-                           {**stock["operators"], **(operators or {})})
+    return _BUILDERS[kind](_merged(kind, "dimensions", dimensions), int(seed),
+                           _merged(kind, "noise", noise),
+                           _merged(kind, "operators", operators))

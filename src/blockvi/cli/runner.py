@@ -62,11 +62,22 @@ def _rel_error(x: SpacePoint, ref: SpacePoint) -> float:
     return (x - ref).norm() / denom if denom else float("nan")
 
 
+def _input_operators(manifest: ExperimentManifest) -> dict:
+    """The manifest's operators with relative input CSV paths taken against
+    the manifest's directory, as a relative ``output_dir`` is."""
+    operators = dict(manifest.operators)
+    if manifest.source_path is not None:
+        for key in ("matrix_csv", "rhs_csv"):
+            if isinstance(operators.get(key), str):
+                operators[key] = str(manifest.source_path.parent / operators[key])
+    return operators
+
+
 def run_manifest(manifest: ExperimentManifest) -> int:
     """Generate, solve, and write artifacts; returns the process exit code
     (0 converged, 2 iteration budget exhausted)."""
     data = generate_experiment(manifest.kind, manifest.dimensions, manifest.seed,
-                               manifest.noise, manifest.operators)
+                               manifest.noise, _input_operators(manifest))
     problem = data.problem
     schedule = _build_schedule(manifest.schedule, problem.arm_count)
     config = _solver_config(manifest.solver, problem.domain_shape)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     InvalidParameter,
@@ -478,12 +477,15 @@ class PhasePrescription(FneOperator):
         half = th.shape[1] // 2 + 1
         self._phasor = phasor[:, :half]
         self._phasor_conj = np.conj(self._phasor)
+        # imported here, not at module level: see the :mod:`blockvi.linops` docstring
+        from scipy.fft import irfft2, rfft2
+        self._rfft2, self._irfft2 = rfft2, irfft2
 
     def _apply(self, y):
         extents = self.domain_shape.extents[0]
-        spectrum = scipy.fft.rfft2(y.reshape(extents))
+        spectrum = self._rfft2(y.reshape(extents))
         aligned = np.maximum((spectrum * self._phasor_conj).real, 0.0) * self._phasor
-        return y - scipy.fft.irfft2(aligned, s=extents).reshape(-1)
+        return y - self._irfft2(aligned, s=extents).reshape(-1)
 
     def describe(self):
         return {"kind": self.kind}

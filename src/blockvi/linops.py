@@ -7,6 +7,13 @@ for the closed form's own rounding error where it is computed) and from the
 map materialised on the standard basis otherwise (see
 :func:`estimate_norm_sq`).  Circular convolution runs on the half spectrum of
 the real FFT (``scipy.fft.rfft2``/``irfft2``).
+
+``scipy.fft`` takes about 0.35 s to import (2-vCPU KVM guest), longer than a
+whole run of a problem without transforms, so it is imported only in the
+constructors of the operators that call it (here and in
+:mod:`blockvi.fne_ops`).  Each binds the transform functions it needs on the
+instance, which keeps the import out of ``_apply``/``_adjoint`` and keeps the
+operator deep-copyable and picklable.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .errors import InvalidParameter, ShapeMismatch
 from .space import BlockShape, SpacePoint
@@ -188,18 +194,20 @@ class CircularConvolution2D(LinearOperator):
         super().__init__(shape, shape)
         self.kernel = k
         self.rows, self.cols = rows, cols
+        from scipy.fft import irfft2, rfft2
+        self._rfft2, self._irfft2 = rfft2, irfft2
         padded = np.zeros((rows, cols))
         kr, kc = k.shape
         padded[:kr, :kc] = k
         # center the kernel at the origin so the transfer function has no shift
         padded = np.roll(padded, (-(kr // 2), -(kc // 2)), axis=(0, 1))
-        self._transfer = scipy.fft.rfft2(padded)
+        self._transfer = rfft2(padded)
         self._transfer_conj = np.conj(self._transfer)
 
     def _conv(self, x, transfer):
         extents = (self.rows, self.cols)
-        spectrum = scipy.fft.rfft2(x.reshape(extents))
-        return scipy.fft.irfft2(spectrum * transfer, s=extents).reshape(-1)
+        spectrum = self._rfft2(x.reshape(extents))
+        return self._irfft2(spectrum * transfer, s=extents).reshape(-1)
 
     def _apply(self, x):
         return self._conv(x, self._transfer)
@@ -227,14 +235,16 @@ class Dct2D(LinearOperator):
         shape = BlockShape.image(rows, cols)
         super().__init__(shape, shape)
         self.rows, self.cols = rows, cols
+        from scipy.fft import dctn, idctn
+        self._dctn, self._idctn = dctn, idctn
 
     def _apply(self, x):
         img = x.reshape(self.rows, self.cols)
-        return scipy.fft.dctn(img, type=2, norm="ortho").reshape(-1)
+        return self._dctn(img, type=2, norm="ortho").reshape(-1)
 
     def _adjoint(self, y):
         img = y.reshape(self.rows, self.cols)
-        return scipy.fft.idctn(img, type=2, norm="ortho").reshape(-1)
+        return self._idctn(img, type=2, norm="ortho").reshape(-1)
 
     def exact_norm_sq(self):
         return 1.0

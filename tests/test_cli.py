@@ -23,7 +23,12 @@ from blockvi.cli import (
     write_vector_csv,
 )
 from blockvi.cli.main import main
-from blockvi.errors import FormatError, ManifestError, MissingReference
+from blockvi.errors import (
+    FormatError,
+    InvalidParameter,
+    ManifestError,
+    MissingReference,
+)
 from blockvi.solver import arm_gaps, validate_schedule
 from blockvi.space import SpacePoint
 
@@ -191,6 +196,49 @@ def test_omitted_parameters_take_stock_values(kind):
                       strict=True):
         assert pb.target == ps.target
 
+@pytest.mark.parametrize("kind, section, given, message", [
+    pytest.param("sparse_image", "operators", {"svd_treshold_rel": 0.2},
+                 "unknown key 'svd_treshold_rel'", id="misspelt"),
+    pytest.param("image_recovery", "operators", {"kernel_size": "abc"},
+                 "'kernel_size' must be an integer", id="string"),
+    pytest.param("image_recovery", "operators", {"kernel_size": 15.0},
+                 "'kernel_size' must be an integer", id="float-for-int"),
+    pytest.param("sparse_image", "operators", {"log_penalty": 1},
+                 "'log_penalty' must be a boolean", id="int-for-bool"),
+    pytest.param("signal_recovery", "noise", {"observation_snr_db": float("nan")},
+                 "'observation_snr_db' must be a finite number", id="nan"),
+    pytest.param("signal_recovery", "dimensions", {"size": 64},
+                 "unknown key 'size'", id="dimension"),
+    pytest.param("signal_recovery", "operators", {"svd_threshold": 1.0},
+                 "unknown key 'svd_threshold'", id="other-kinds-optional"),
+    pytest.param("custom", "operators", {"box_bounds": [0.0]},
+                 r"'box_bounds' must be a \[lo, hi\] pair", id="bounds"),
+])
+def test_unknown_or_ill_typed_keys_are_rejected(kind, section, given, message):
+    # a misspelt key used to run silently with the stock value, and a string
+    # where a number belongs ended in a stray ValueError
+    sections = {"dimensions": {}, "noise": {}, "operators": {}, section: given}
+    with pytest.raises(InvalidParameter, match=rf"{kind} {section}: {message}"):
+        generate_experiment(kind, sections["dimensions"], 3, sections["noise"],
+                            sections["operators"])
+
+
+def test_optional_operator_keys_are_accepted():
+    data = generate_experiment("sparse_image", {}, 3, {}, {"svd_threshold": 17})
+    assert data.notes["svd_threshold"] == 17.0
+    data = generate_experiment("image_recovery", {"rows": np.int64(16)}, 1, {},
+                               {"mean_target": 100.0})
+    assert data.notes["mean_target"] == 100.0
+
+
+def test_run_reports_a_misspelt_key(tmp_path, capsys):
+    payload = _small_manifest("sparse_image", 3)
+    payload["operators"] = {"svd_treshold_rel": 0.2}
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 1
+    assert "unknown key 'svd_treshold_rel'" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_noise_hits_snr_exactly():
     from blockvi.cli.experiments import _noise_for_snr
     rng = np.random.default_rng(0)
@@ -214,6 +262,28 @@ def test_custom_experiment_matches_lstsq(tmp_path):
     recovered = read_vector_csv(tmp_path / "results" / "recovered.csv")
     oracle = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
     np.testing.assert_allclose(recovered, oracle, atol=1e-6)
+
+
+def test_relative_csv_paths_resolve_against_the_manifest(tmp_path, monkeypatch):
+    # as a relative output_dir does, so a run started from another
+    # directory reads the manifest's own matrix.csv and rhs.csv
+    case = tmp_path / "case"
+    case.mkdir()
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal((12, 3))
+    write_matrix_csv(matrix, case / "matrix.csv")
+    write_vector_csv(rng.standard_normal(12), case / "rhs.csv")
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": "matrix.csv", "rhs_csv": "rhs.csv"}
+    path = _write_manifest(case, payload)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", str(path)]) == 0
+    summary = json.loads((case / "results" / "summary.json").read_text())
+    # the manifest is echoed as written
+    assert summary["manifest"]["operators"] == payload["operators"]
+    assert summary["notes"] == {"rows": 12, "cols": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +349,61 @@ def test_module_entry_point_runs_without_runpy_warning():
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "blockvi.cli.main",
          "--help"], env=env, capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def _run_python(code: str, cwd, *args) -> str:
+    src = os.path.dirname(os.path.dirname(blockvi.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_runs_without_transforms_never_import_scipy(tmp_path):
+    # scipy.fft costs more to import than these runs take to solve
+    signal = tmp_path / "signal"
+    signal.mkdir()
+    _write_manifest(signal, _small_manifest("signal_recovery", 0))
+    custom = tmp_path / "custom"
+    custom.mkdir()
+    rng = np.random.default_rng(2)
+    write_matrix_csv(rng.standard_normal((30, 5)), custom / "matrix.csv")
+    write_vector_csv(rng.standard_normal(30), custom / "rhs.csv")
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": "matrix.csv", "rhs_csv": "rhs.csv"}
+    _write_manifest(custom, payload)
+    code = (
+        "import sys\n"
+        "from blockvi.cli.main import main\n"
+        "codes = [main(['run', d + '/manifest.json']) for d in sys.argv[1:]]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = _run_python(code, tmp_path, str(signal), str(custom))
+    assert out.split() == ["[2,", "0]", "[]"]
+
+
+@pytest.mark.parametrize("build", [
+    "linops.CircularConvolution2D(linops.make_uniform_kernel(3), 8, 8)",
+    "linops.Dct2D(8, 8)",
+    "fne_ops.PhasePrescription(np.zeros((8, 8)), BlockShape.image(8, 8))",
+])
+def test_transform_operators_import_scipy_fft_when_built(tmp_path, build):
+    # the import sits in the constructor, not in _apply/_adjoint, and the
+    # operator binds functions, so it still deep-copies and pickles
+    code = (
+        "import copy, pickle, sys\n"
+        "import numpy as np\n"
+        "from blockvi import fne_ops, linops\n"
+        "from blockvi.space import BlockShape, SpacePoint\n"
+        "assert 'scipy.fft' not in sys.modules\n"
+        f"op = {build}\n"
+        "assert 'scipy.fft' in sys.modules\n"
+        "x = SpacePoint(np.arange(64.0), BlockShape.image(8, 8))\n"
+        "y = op.apply(x)\n"
+        "for twin in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):\n"
+        "    assert twin.apply(x) == y\n"
+        "print('ok')\n")
+    assert _run_python(code, tmp_path).split() == ["ok"]
 
 
 def test_run_determinism_byte_identical(tmp_path):

@@ -31,3 +31,32 @@ def test_no_private_names_imported_across_modules():
             offenders += [f"{path.relative_to(root)}:{node.lineno} {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def _module_level(tree):
+    """The statements of a module outside its function and class bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    # importing scipy.fft costs more than a run without transforms takes, so
+    # only the constructors of the operators that call it import it
+    root = Path(blockvi.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in _module_level(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                          for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []
