@@ -67,7 +67,7 @@ class ConstraintSet:
     def box(cls, lo, hi) -> "ConstraintSet":
         lo_a = np.asarray(lo, dtype=np.float64)
         hi_a = np.asarray(hi, dtype=np.float64)
-        if np.any(lo_a > hi_a):
+        if not np.all(lo_a <= hi_a):
             raise InvalidParameter("box bounds need lo <= hi componentwise")
         return cls(
             array_projector=lambda a: np.clip(a, lo_a, hi_a),
@@ -173,7 +173,7 @@ def vi_residual(problem: Problem, x: SpacePoint, theta: float = 1.0) -> float:
     Evaluated on arrays by the solver's arm kernel
     (:func:`blockvi.solver.array_residual`).
     """
-    if theta <= 0:
+    if not theta > 0:
         raise InvalidParameter("theta must be positive")
     if x.shape != problem.domain_shape:
         raise ShapeMismatch("point lives outside the problem domain")

@@ -31,6 +31,7 @@ from .errors import (
     RankDeficient,
     ShapeMismatch,
 )
+from .linops import RealFft2
 from .space import BlockShape, SpacePoint
 
 __all__ = [
@@ -78,7 +79,7 @@ __all__ = [
 
 def soft_threshold(values, gamma: float):
     """sign(v) * max(|v| - gamma, 0); the boundary |v| = gamma maps to 0."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise InvalidParameter("soft threshold level must be positive")
     v = np.asarray(values, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
@@ -86,7 +87,7 @@ def soft_threshold(values, gamma: float):
 
 def hard_threshold(values, gamma: float):
     """v where |v| > gamma, else 0 (ties at |v| = gamma go to 0)."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise InvalidParameter("hard threshold level must be positive")
     v = np.asarray(values, dtype=np.float64)
     return np.where(np.abs(v) > gamma, v, 0.0)
@@ -129,7 +130,7 @@ def log_threshold(values, rho: float, gamma: float):
     Requires 0 < gamma < rho^2 (the weak-convexity margin), otherwise the
     map is not single-valued.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameter("rho must be positive")
     if not 0 < gamma < rho ** 2:
         raise InvalidParameter("need 0 < gamma < rho^2")
@@ -217,7 +218,7 @@ class BoxProjector(FneOperator):
         super().__init__(domain_shape)
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise InvalidParameter("box bounds need lo <= hi componentwise")
         self.lo, self.hi = lo, hi
 
@@ -236,7 +237,7 @@ class LinfBallProjector(FneOperator):
 
     def __init__(self, rho: float, domain_shape: BlockShape):
         super().__init__(domain_shape)
-        if rho <= 0:
+        if not rho > 0:
             raise InvalidParameter("ball radius must be positive")
         self.rho = float(rho)
 
@@ -346,7 +347,7 @@ class SoftThreshold(FneOperator):
 
     def __init__(self, gamma: float, domain_shape: BlockShape):
         super().__init__(domain_shape)
-        if gamma <= 0:
+        if not gamma > 0:
             raise InvalidParameter("threshold must be positive")
         self.gamma = float(gamma)
 
@@ -379,7 +380,7 @@ class GroupShrinkage(FneOperator):
         super().__init__(domain_shape)
         r = np.broadcast_to(np.asarray(rhos, dtype=np.float64),
                             (domain_shape.block_count,)).copy()
-        if np.any(r <= 0):
+        if not np.all(r > 0):
             raise InvalidParameter("shrinkage radii must be positive")
         self.rhos = r
         self._offsets = domain_shape.offsets()
@@ -450,8 +451,12 @@ class PhasePrescription(FneOperator):
     real: phi[-k] = conj(phi[k]) within ``IMAG_TOL``, with -k taken modulo the
     extents, which also makes phi real on the self-conjugate bins.  It is
     checked once, and construction fails otherwise.  The map then runs on the
-    half spectrum ``rfft2``/``irfft2`` with the phasor and its conjugate kept
-    on the ``cols // 2 + 1`` columns the real transform returns.
+    half spectrum of the real FFT, with the phasor and its conjugate kept on
+    the ``cols // 2 + 1`` columns it returns.  The transforms are scipy's
+    pocketfft kernels ``r2c``/``c2r``, called as ``scipy.fft.rfft2``/``irfft2``
+    call them (:class:`blockvi.linops.RealFft2`): the same results bit for
+    bit, without the wrappers' per-call dispatch, which at image sizes costs
+    more than the transform.
     """
 
     kind = "phase_prescription"
@@ -477,15 +482,12 @@ class PhasePrescription(FneOperator):
         half = th.shape[1] // 2 + 1
         self._phasor = phasor[:, :half]
         self._phasor_conj = np.conj(self._phasor)
-        # imported here, not at module level: see the :mod:`blockvi.linops` docstring
-        from scipy.fft import irfft2, rfft2
-        self._rfft2, self._irfft2 = rfft2, irfft2
+        self._fft = RealFft2(th.shape[1])
 
     def _apply(self, y):
-        extents = self.domain_shape.extents[0]
-        spectrum = self._rfft2(y.reshape(extents))
+        spectrum = self._fft.forward(y.reshape(self.theta.shape))
         aligned = np.maximum((spectrum * self._phasor_conj).real, 0.0) * self._phasor
-        return y - self._irfft2(aligned, s=extents).reshape(-1)
+        return y - self._fft.inverse(aligned).reshape(-1)
 
     def describe(self):
         return {"kind": self.kind}
@@ -578,7 +580,7 @@ class SvdSoftThreshold(FneOperator):
         super().__init__(domain_shape)
         if domain_shape.block_count != 1 or domain_shape.extents[0] is None:
             raise InvalidParameter("needs a single matrix-shaped block")
-        if rho <= 0:
+        if not rho > 0:
             raise InvalidParameter("rho must be positive")
         self.rho = float(rho)
 
@@ -610,7 +612,7 @@ class BlockThresholdFne(FneOperator):
         if len(projectors) != m:
             raise InvalidParameter("one projector per block required")
         g = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (m,)).copy()
-        if np.any(g <= 0):
+        if not np.all(g > 0):
             raise InvalidParameter("thresholds must be positive")
         self.gammas = g
         self.projectors = [_as_array_map(p) for p in projectors]
@@ -679,7 +681,7 @@ class ForwardBackwardFne(FneOperator):
     def __init__(self, resolvent, cocoercive_map, beta: float, gamma: float,
                  domain_shape: BlockShape):
         super().__init__(domain_shape)
-        if beta <= 0:
+        if not beta > 0:
             raise InvalidParameter("beta must be positive")
         if not 0 < gamma < 2 * beta:
             raise InvalidParameter("gamma must lie in (0, 2*beta)")
@@ -722,7 +724,7 @@ def proxify_hard_threshold(gamma: float, q: SpacePoint) -> Proxification:
     the hard thresholder).  The hard thresholder fixes its range, so the
     target is F(q): each surviving component shifts toward zero by gamma.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise InvalidParameter("gamma must be positive")
     qv = q.data
     bad = (qv != 0) & (np.abs(qv) <= gamma)
@@ -775,7 +777,7 @@ def proxify_svd(rho: float, q: SpacePoint) -> Proxification:
     """
     if q.shape.block_count != 1 or q.shape.extents[0] is None:
         raise InvalidParameter("q must be a single matrix-shaped block")
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameter("rho must be positive")
     extents = q.shape.extents[0]
     _, s, _ = _svd(q.data.reshape(extents))
@@ -819,7 +821,7 @@ def proxify_root(rho: float, chi: float) -> Proxification:
     S o Q = soft threshold at rho, so (soft_rho, S(chi)) is equivalent to
     Q y = chi.  Q is surjective, hence any real chi is admissible.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameter("rho must be positive")
     shape = BlockShape.vector(1)
     chi_point = SpacePoint([float(chi)], shape)

@@ -5,13 +5,19 @@ adjoint maps, and carries ``norm_sq``: a certified upper bound on the squared
 operator norm, obtained from a closed form when one exists (with an allowance
 for the closed form's own rounding error where it is computed) and from the
 map materialised on the standard basis otherwise (see
-:func:`estimate_norm_sq`).  Circular convolution runs on the half spectrum of
-the real FFT (``scipy.fft.rfft2``/``irfft2``).
+:func:`estimate_norm_sq`).
+
+Circular convolution runs on the half spectrum of the real FFT.  It and
+:class:`blockvi.fne_ops.PhasePrescription` call scipy's pocketfft kernels
+``r2c``/``c2r`` directly, through :class:`RealFft2`, with the arguments
+``scipy.fft.rfft2``/``irfft2`` pass them: the same results bit for bit,
+without the wrappers' argument handling and backend dispatch, which on a
+32 x 32 image cost more than the transform.
 
 ``scipy.fft`` takes about 0.35 s to import (2-vCPU KVM guest), longer than a
 whole run of a problem without transforms, so it is imported only in the
 constructors of the operators that call it (here and in
-:mod:`blockvi.fne_ops`).  Each binds the transform functions it needs on the
+:mod:`blockvi.fne_ops`).  Each binds the transforms it needs on the
 instance, which keeps the import out of ``_apply``/``_adjoint`` and keeps the
 operator deep-copyable and picklable.
 """
@@ -172,6 +178,32 @@ class FiniteDifference1D(LinearOperator):
         return {"kind": self.kind, "n": self.input_shape.total, "norm_sq": self.norm_sq}
 
 
+class RealFft2:
+    """scipy's pocketfft kernels ``r2c``/``c2r``
+    (``scipy.fft._pocketfft.pypocketfft``), called with the arguments
+    ``scipy.fft.rfft2``/``irfft2`` pass them for real 2-D arrays of ``cols``
+    columns: axes (0, 1), no scaling forward, 1/N inverse.
+
+    The kernel module is private to scipy, and the tests compare the
+    operators built on it with ``rfft2``/``irfft2`` bit for bit.  The
+    arguments go by position: keyword calls into the kernels leave about
+    1.9 MiB more resident after some thousand calls.  The kernels check
+    neither dtype nor extent: :meth:`forward` takes a 2-D float64 array,
+    :meth:`inverse` a 2-D complex128 array of ``cols // 2 + 1`` columns.
+    Kept out of ``__all__``: it serves the two spectral operators only.
+    """
+
+    def __init__(self, cols: int):
+        from scipy.fft._pocketfft.pypocketfft import c2r, r2c
+        self._r2c, self._c2r, self._cols = r2c, c2r, cols
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        return self._r2c(a, (0, 1), True, 0)
+
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        return self._c2r(spectrum, (0, 1), self._cols, False, 2)
+
+
 class CircularConvolution2D(LinearOperator):
     """2-D convolution with periodic boundaries, diagonalized by the real DFT.
 
@@ -194,20 +226,18 @@ class CircularConvolution2D(LinearOperator):
         super().__init__(shape, shape)
         self.kernel = k
         self.rows, self.cols = rows, cols
-        from scipy.fft import irfft2, rfft2
-        self._rfft2, self._irfft2 = rfft2, irfft2
+        self._fft = RealFft2(cols)
         padded = np.zeros((rows, cols))
         kr, kc = k.shape
         padded[:kr, :kc] = k
         # center the kernel at the origin so the transfer function has no shift
         padded = np.roll(padded, (-(kr // 2), -(kc // 2)), axis=(0, 1))
-        self._transfer = rfft2(padded)
+        self._transfer = self._fft.forward(padded)
         self._transfer_conj = np.conj(self._transfer)
 
     def _conv(self, x, transfer):
-        extents = (self.rows, self.cols)
-        spectrum = self._rfft2(x.reshape(extents))
-        return self._irfft2(spectrum * transfer, s=extents).reshape(-1)
+        spectrum = self._fft.forward(x.reshape(self.rows, self.cols))
+        return self._fft.inverse(spectrum * transfer).reshape(-1)
 
     def _apply(self, x):
         return self._conv(x, self._transfer)
@@ -341,7 +371,7 @@ def make_gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Normalized isotropic Gaussian kernel on an odd size x size grid."""
     if size < 1 or size % 2 == 0:
         raise InvalidParameter("kernel size must be odd and >= 1")
-    if sigma <= 0:
+    if not sigma > 0:
         raise InvalidParameter("sigma must be positive")
     r = np.arange(size) - size // 2
     g = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2.0 * sigma ** 2))

@@ -120,8 +120,17 @@ def test_residual_positive_off_solution():
 
 def test_residual_theta_validated():
     prob = scalar_problem(ConstraintSet.whole_space(), 1.0)
+    for theta in (0.0, np.nan):
+        with pytest.raises(InvalidParameter):
+            vi_residual(prob, SpacePoint([0.0]), theta)
+
+
+@pytest.mark.parametrize("lo,hi", [([1.0], [0.0]), ([0.0, np.nan], [1.0, 1.0]),
+                                   ([0.0, 0.0], [np.nan, 1.0])])
+def test_box_bounds_validated(lo, hi):
+    # a NaN bound compares false both ways; its clamp would return NaN
     with pytest.raises(InvalidParameter):
-        vi_residual(prob, SpacePoint([0.0]), 0.0)
+        ConstraintSet.box(lo, hi)
 
 
 def test_residual_shape_checked():

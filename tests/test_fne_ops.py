@@ -36,7 +36,7 @@ from blockvi.fne_ops import (
 )
 from blockvi.space import BlockShape, SpacePoint
 
-from spectral_reference import full_phase
+from spectral_reference import SPECTRAL_EXTENTS, full_phase
 
 VEC8 = BlockShape.vector(8)
 IMG4 = BlockShape.image(4, 4)
@@ -155,6 +155,30 @@ def test_make_projector_factory():
 def test_box_bounds_validated():
     with pytest.raises(InvalidParameter):
         BoxProjector(1.0, 0.0, VEC8)
+    # a NaN bound compares false both ways; its clamp would return NaN
+    with pytest.raises(InvalidParameter):
+        BoxProjector([0.0, np.nan], [1.0, 1.0], BlockShape.vector(2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: soft_threshold(1.0, np.nan),
+    lambda: hard_threshold(1.0, np.nan),
+    lambda: LinfBallProjector(np.nan, VEC8),
+    lambda: SoftThreshold(np.nan, VEC8),
+    lambda: GroupShrinkage([0.5, np.nan, 0.25], PROD),
+    lambda: SvdSoftThreshold(np.nan, MAT43),
+    lambda: BlockThresholdFne([IdentityFne(BlockShape.vector(8))], np.nan, VEC8),
+    lambda: proxify_hard_threshold(np.nan, SpacePoint(np.zeros(3))),
+    lambda: proxify_svd(np.nan, SpacePoint(np.eye(3))),
+    lambda: proxify_root(np.nan, 1.0),
+], ids=["soft_threshold", "hard_threshold", "LinfBallProjector", "SoftThreshold",
+        "GroupShrinkage", "SvdSoftThreshold", "BlockThresholdFne",
+        "proxify_hard_threshold", "proxify_svd", "proxify_root"])
+def test_nan_parameters_are_rejected(build):
+    # `rho <= 0` is false for NaN, so a NaN level would pass a check so
+    # written; the proxifications then failed later, on a NaN target
+    with pytest.raises(InvalidParameter, match="positive"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +314,21 @@ def test_phase_accepts_fields_of_real_signals(rows, cols):
         rng = np.random.default_rng(seed)
         theta = np.angle(np.fft.fft2(rng.standard_normal((rows, cols))))
         PhasePrescription(theta, shape)
+
+
+@pytest.mark.parametrize("rows,cols", SPECTRAL_EXTENTS)
+def test_phase_equals_public_real_fft_bit_for_bit(rows, cols):
+    # the operator calls scipy's private pocketfft kernels; if a scipy release
+    # moves them or changes what rfft2/irfft2 pass them, this fails
+    from scipy.fft import irfft2, rfft2
+    rng = np.random.default_rng(rows * 100 + cols)
+    theta = np.angle(np.fft.fft2(rng.standard_normal((rows, cols))))
+    op = PhasePrescription(theta, BlockShape.image(rows, cols))
+    phasor = np.exp(1j * theta)[:, :cols // 2 + 1]
+    y = rng.standard_normal((rows, cols))
+    aligned = np.maximum((rfft2(y) * np.conj(phasor)).real, 0.0) * phasor
+    expected = y - irfft2(aligned, s=(rows, cols))
+    assert np.array_equal(op.apply(SpacePoint(y)).block(0), expected)
 
 
 def test_phase_field_range_validated():

@@ -20,7 +20,12 @@ from blockvi.linops import (
 from blockvi.space import BlockShape, SpacePoint
 
 from conftest import adjoint_defect, random_point
-from spectral_reference import full_convolution, full_transfer
+from spectral_reference import (
+    SPECTRAL_EXTENTS,
+    centered_kernel,
+    full_convolution,
+    full_transfer,
+)
 
 
 def _catalog(rng):
@@ -237,6 +242,22 @@ def test_convolution_against_direct_sum_odd_even_non_square(rows, cols):
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("rows,cols", SPECTRAL_EXTENTS)
+def test_convolution_equals_public_real_fft_bit_for_bit(rows, cols):
+    # the operator calls scipy's private pocketfft kernels; if a scipy release
+    # moves them or changes what rfft2/irfft2 pass them, this fails
+    from scipy.fft import irfft2, rfft2
+    rng = np.random.default_rng(rows * 100 + cols)
+    kernel = rng.standard_normal((1 if rows == 1 else 3, 3))
+    op = CircularConvolution2D(kernel, rows, cols)
+    transfer = rfft2(centered_kernel(kernel, rows, cols))
+    assert np.array_equal(op._transfer, transfer)
+    img = rng.standard_normal((rows, cols))
+    for got, tf in ((op.apply(SpacePoint(img)), transfer),
+                    (op.adjoint(SpacePoint(img)), np.conj(transfer))):
+        assert np.array_equal(got.block(0), irfft2(rfft2(img) * tf, s=(rows, cols)))
+
+
 @pytest.mark.parametrize("kernel,rows,cols", [
     (make_gaussian_kernel(15, 3.5), 32, 32),     # image_recovery
     (make_uniform_kernel(7), 32, 32),            # sparse_image
@@ -274,6 +295,8 @@ def test_kernel_parameter_validation():
         make_gaussian_kernel(4, 1.0)
     with pytest.raises(InvalidParameter):
         make_gaussian_kernel(3, 0.0)
+    with pytest.raises(InvalidParameter):
+        make_gaussian_kernel(3, np.nan)
     with pytest.raises(InvalidParameter):
         make_uniform_kernel(2)
 
