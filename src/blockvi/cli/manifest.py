@@ -4,6 +4,14 @@ A manifest plus its seed fully determines one run: data generation, problem
 assembly, solver configuration, activation schedule, and output locations.
 Relative output directories resolve against the BLOCKVI_OUTPUT_ROOT
 environment variable when set, else against the manifest's own directory.
+
+:data:`MANIFEST_SCHEMA` is a JSON Schema, and :func:`_check` walks it
+directly: it implements the keywords the schema uses (``type``, ``enum``,
+``required``, ``properties``, ``additionalProperties``, ``minimum``,
+``minLength``, ``items``) and no others.  Importing and running the
+``jsonschema`` package cost a run about 0.1 s, more than some solves take.
+Unlike JSON Schema, ``integer`` admits no float such as ``4.0``, because the
+values go to code that needs an ``int``.
 """
 
 from __future__ import annotations
@@ -15,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
-
 from ..errors import ManifestError
 from .experiments import EXPERIMENT_KINDS, STOCK_PARAMETERS
 
@@ -24,6 +30,14 @@ __all__ = ["ExperimentManifest", "MANIFEST_SCHEMA", "load_manifest",
            "default_manifest", "resolve_output_dir", "OUTPUT_ROOT_ENV"]
 
 OUTPUT_ROOT_ENV = "BLOCKVI_OUTPUT_ROOT"
+
+# the schedule keys each schedule kind uses: ``make_schedule`` ignores the rest
+_SCHEDULE_KEYS = {
+    "full": (),
+    "cyclic_partition": ("blocks", "always_active"),
+    "mod_skip": ("period", "expensive"),
+    "explicit": ("sets",),
+}
 
 MANIFEST_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -56,8 +70,7 @@ MANIFEST_SCHEMA = {
             "required": ["kind"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["full", "cyclic_partition", "mod_skip",
-                                  "explicit"]},
+                "kind": {"enum": list(_SCHEDULE_KEYS)},
                 "blocks": {"type": "integer", "minimum": 1},
                 "always_active": {"type": "array",
                                   "items": {"type": "integer", "minimum": 0}},
@@ -98,18 +111,67 @@ class ExperimentManifest:
         return out
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+
+
+def _has_type(value, name: str) -> bool:
+    # bool is a subclass of int, but JSON's true and false are not numbers
+    return isinstance(value, _TYPES[name]) and (
+        name == "boolean" or not isinstance(value, bool))
+
+
+def _check(value, schema: dict, path: tuple) -> Optional[tuple]:
+    """The first place where ``value`` breaks ``schema``, as (path, message);
+    None when it conforms."""
+    if "type" in schema and not _has_type(value, schema["type"]):
+        return path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if ("minimum" in schema and _has_type(value, "number")
+            and value < schema["minimum"]):
+        return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+    if ("minLength" in schema and isinstance(value, str)
+            and len(value) < schema["minLength"]):
+        return path, f"{value!r} is shorter than {schema['minLength']}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, extra)
+            if sub is False:
+                return path, f"additional property {key!r} is not allowed"
+            error = None if sub is True else _check(item, sub, path + (key,))
+            if error:
+                return error
+    if isinstance(value, list) and "items" in schema:
+        for k, item in enumerate(value):
+            error = _check(item, schema["items"], path + (k,))
+            if error:
+                return error
+    return None
+
+
 def _validate(payload: dict, origin: str) -> None:
-    try:
-        jsonschema.validate(payload, MANIFEST_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-        raise ManifestError(f"{origin}: {path}: {exc.message}") from exc
+    def fail(path, message):
+        where = "$" + "".join(f"[{p!r}]" for p in path)
+        raise ManifestError(f"{origin}: {where}: {message}")
+
+    error = _check(payload, MANIFEST_SCHEMA, ())
+    if error:
+        fail(*error)
+    schedule = payload["schedule"]
+    for key in schedule:
+        if key != "kind" and key not in _SCHEDULE_KEYS[schedule["kind"]]:
+            fail(("schedule", key),
+                 f"not used by schedule kind {schedule['kind']!r}")
     # JSON's NaN and Infinity pass the schema's "number" type
     for section in ("noise", "solver"):
         for name, value in (payload.get(section) or {}).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ManifestError(
-                    f"{origin}: $[{section!r}][{name!r}]: must be finite")
+                fail((section, name), "must be finite")
 
 
 def load_manifest(path) -> ExperimentManifest:

@@ -27,8 +27,8 @@ DB_FLOOR = -300.0
 
 
 def _build_schedule(spec: dict, arm_count: int):
-    """The manifest's schedule; the schema admits only ``make_schedule``'s
-    keyword arguments beside ``kind``."""
+    """The manifest's schedule; the manifest check admits beside ``kind``
+    only the ``make_schedule`` keyword arguments that the kind uses."""
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
     return make_schedule(spec["kind"], arm_count, **kwargs)
 

@@ -7,23 +7,31 @@ for the closed form's own rounding error where it is computed) and from the
 map materialised on the standard basis otherwise (see
 :func:`estimate_norm_sq`).
 
-Circular convolution runs on the half spectrum of the real FFT.  It and
-:class:`blockvi.fne_ops.PhasePrescription` call scipy's pocketfft kernels
-``r2c``/``c2r`` directly, through :class:`RealFft2`, with the arguments
-``scipy.fft.rfft2``/``irfft2`` pass them: the same results bit for bit,
-without the wrappers' argument handling and backend dispatch, which on a
-32 x 32 image cost more than the transform.
+Circular convolution runs on the half spectrum of the real FFT.  It,
+:class:`Dct2D` and :class:`blockvi.fne_ops.PhasePrescription` call scipy's
+compiled pocketfft kernels (``r2c``, ``c2r`` and ``dct`` of
+``scipy/fft/_pocketfft/pypocketfft``) directly, with the arguments
+``scipy.fft.rfft2``/``irfft2``/``dctn``/``idctn`` pass them: the same results
+bit for bit, without the wrappers' argument handling and backend dispatch,
+which on a 32 x 32 image cost more than the transform.
 
-``scipy.fft`` takes about 0.35 s to import (2-vCPU KVM guest), longer than a
-whole run of a problem without transforms, so it is imported only in the
-constructors of the operators that call it (here and in
-:mod:`blockvi.fne_ops`).  Each binds the transforms it needs on the
-instance, which keeps the import out of ``_apply``/``_adjoint`` and keeps the
-operator deep-copyable and picklable.
+The kernel module is loaded from its file in scipy's installed package
+directory (:func:`_pocketfft`), without importing ``scipy`` or ``scipy.fft``:
+that import takes about 0.35 s (2-vCPU KVM guest), longer than a whole run of
+a problem without transforms and about half the set-up of one with them,
+while loading the extension alone takes under 2 ms.  The operators that use
+it rebuild themselves from their extents when copied or pickled, since the
+kernels' functions pickle by a module path that would import ``scipy.fft``.
+The tests compare every operator with the public scipy functions bit for bit,
+so a scipy release that moves or changes the kernel module fails there.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,15 +186,38 @@ class FiniteDifference1D(LinearOperator):
         return {"kind": self.kind, "n": self.input_shape.total, "norm_sq": self.norm_sq}
 
 
-class RealFft2:
-    """scipy's pocketfft kernels ``r2c``/``c2r``
-    (``scipy.fft._pocketfft.pypocketfft``), called with the arguments
-    ``scipy.fft.rfft2``/``irfft2`` pass them for real 2-D arrays of ``cols``
-    columns: axes (0, 1), no scaling forward, 1/N inverse.
+@functools.cache
+def _pocketfft():
+    """scipy's compiled pocketfft module, loaded from its file.
 
-    The kernel module is private to scipy, and the tests compare the
-    operators built on it with ``rfft2``/``irfft2`` bit for bit.  The
-    arguments go by position: keyword calls into the kernels leave about
+    ``find_spec`` locates the scipy package without importing it, and the
+    extension is loaded without running ``scipy/__init__`` or
+    ``scipy/fft/__init__`` and is not entered in ``sys.modules``.  A later
+    ``import scipy.fft`` gets the same module object from the interpreter's
+    cache of extension modules.
+    """
+    name = "scipy.fft._pocketfft.pypocketfft"
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ImportError("the FFT operators need scipy's pocketfft kernels")
+    finder = importlib.machinery.FileFinder(
+        os.path.join(package.submodule_search_locations[0], "fft", "_pocketfft"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension in the installed scipy")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class RealFft2:
+    """scipy's pocketfft kernels ``r2c``/``c2r`` (:func:`_pocketfft`), called
+    with the arguments ``scipy.fft.rfft2``/``irfft2`` pass them for real 2-D
+    arrays of ``cols`` columns: axes (0, 1), no scaling forward, 1/N inverse.
+
+    The arguments go by position: keyword calls into the kernels leave about
     1.9 MiB more resident after some thousand calls.  The kernels check
     neither dtype nor extent: :meth:`forward` takes a 2-D float64 array,
     :meth:`inverse` a 2-D complex128 array of ``cols // 2 + 1`` columns.
@@ -194,8 +225,11 @@ class RealFft2:
     """
 
     def __init__(self, cols: int):
-        from scipy.fft._pocketfft.pypocketfft import c2r, r2c
-        self._r2c, self._c2r, self._cols = r2c, c2r, cols
+        kernels = _pocketfft()
+        self._r2c, self._c2r, self._cols = kernels.r2c, kernels.c2r, cols
+
+    def __reduce__(self):
+        return RealFft2, (self._cols,)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         return self._r2c(a, (0, 1), True, 0)
@@ -257,7 +291,13 @@ class CircularConvolution2D(LinearOperator):
 
 
 class Dct2D(LinearOperator):
-    """Orthonormal 2-D type-II discrete cosine transform (adjoint = inverse)."""
+    """Orthonormal 2-D type-II discrete cosine transform (adjoint = inverse).
+
+    Calls pocketfft's ``dct`` kernel (:func:`_pocketfft`) by position with the
+    arguments ``scipy.fft.dctn``/``idctn(type=2, norm="ortho")`` pass it:
+    type 2 forward, type 3 inverse, axes (0, 1), orthonormal scaling, no
+    output buffer, one thread.
+    """
 
     kind = "dct_2d"
 
@@ -265,16 +305,20 @@ class Dct2D(LinearOperator):
         shape = BlockShape.image(rows, cols)
         super().__init__(shape, shape)
         self.rows, self.cols = rows, cols
-        from scipy.fft import dctn, idctn
-        self._dctn, self._idctn = dctn, idctn
+        self._dct = _pocketfft().dct
+
+    def __reduce__(self):
+        return Dct2D, (self.rows, self.cols)
+
+    def _transform(self, x, dct_type):
+        img = x.reshape(self.rows, self.cols)
+        return self._dct(img, dct_type, (0, 1), 1, None, 1, None).reshape(-1)
 
     def _apply(self, x):
-        img = x.reshape(self.rows, self.cols)
-        return self._dctn(img, type=2, norm="ortho").reshape(-1)
+        return self._transform(x, 2)
 
     def _adjoint(self, y):
-        img = y.reshape(self.rows, self.cols)
-        return self._idctn(img, type=2, norm="ortho").reshape(-1)
+        return self._transform(y, 3)
 
     def exact_norm_sq(self):
         return 1.0

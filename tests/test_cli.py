@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -147,6 +149,125 @@ def test_manifest_rejects_nonfinite_solver_numbers(tmp_path, name, value):
     path = _write_manifest(tmp_path, payload)
     with pytest.raises(ManifestError, match=rf"\['solver'\]\['{name}'\].*finite"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("schedule,key", [
+    ({"kind": "full", "blocks": 3}, "blocks"),
+    ({"kind": "cyclic_partition", "blocks": 4, "period": 5}, "period"),
+    ({"kind": "mod_skip", "period": 5, "always_active": [0]}, "always_active"),
+    ({"kind": "explicit", "sets": [[0]], "expensive": [0]}, "expensive"),
+], ids=["full", "cyclic_partition", "mod_skip", "explicit"])
+def test_manifest_rejects_schedule_keys_the_kind_ignores(tmp_path, capsys,
+                                                          schedule, key):
+    # these keys used to be dropped silently and the run went on without them
+    payload = _small_manifest("signal_recovery", 1)
+    payload["schedule"] = schedule
+    path = _write_manifest(tmp_path, payload)
+    message = rf"\$\['schedule'\]\['{key}'\]: not used by schedule kind"
+    with pytest.raises(ManifestError, match=message):
+        load_manifest(path)
+    assert main(["run", str(path)]) == 1
+    assert f"['schedule']['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+_DROP = object()
+
+# single mutations of the stock signal_recovery manifest, each breaking one
+# keyword of the schema (or none): (id, path, new value or _DROP)
+_MUTATIONS = [
+    ("missing kind", ("kind",), _DROP),
+    ("missing output_dir", ("output_dir",), _DROP),
+    ("missing tol", ("solver", "tol"), _DROP),
+    ("missing schedule kind", ("schedule", "kind"), _DROP),
+    ("extra top key", ("extra",), 1),
+    ("extra solver key", ("solver", "extra"), 1),
+    ("extra schedule key", ("schedule", "extra"), 1),
+    ("extra operator key", ("operators", "extra"), 1),
+    ("unknown kind", ("kind",), "telescope"),
+    ("unknown schedule kind", ("schedule", "kind"), "random"),
+    ("unknown t_init_policy", ("solver", "t_init_policy"), "warm"),
+    ("unknown x0", ("solver", "x0"), "ones"),
+    ("string seed", ("seed",), "1"),
+    ("bool seed", ("seed",), True),
+    ("bool gamma", ("solver", "gamma"), False),
+    ("string tol", ("solver", "tol"), "1e-6"),
+    ("integer tol", ("solver", "tol"), 0),
+    ("int snapshots", ("solver", "snapshots"), 1),
+    ("list solver", ("solver",), []),
+    ("string dimension", ("dimensions", "n"), "128"),
+    ("string noise", ("noise", "observation_snr_db"), "-2.3"),
+    ("negative seed", ("seed",), -1),
+    ("zero max_iters", ("solver", "max_iters"), 0),
+    ("negative tol", ("solver", "tol"), -1e-6),
+    ("zero dimension", ("dimensions", "n"), 0),
+    ("empty output_dir", ("output_dir",), ""),
+    ("integer output_dir", ("output_dir",), 3),
+    ("negative always_active item", ("schedule", "always_active", 1), -1),
+    ("string always_active item", ("schedule", "always_active", 1), "1"),
+    ("always_active not an array", ("schedule", "always_active"), 0),
+    ("negative sets item", ("schedule", "sets"), [[0], [1, -2]]),
+    ("integer in sets", ("schedule", "sets"), [[0], 1]),
+]
+
+
+def _mutated(path, value):
+    # a deep copy: default_manifest shares its lists with the stock parameters
+    payload = copy.deepcopy(default_manifest("signal_recovery", 1))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize("path", [("schedule", "blocks"), ("seed",),
+                                  ("solver", "max_iters")],
+                         ids=["blocks", "seed", "max_iters"])
+def test_manifest_rejects_integral_float_for_integer(tmp_path, path):
+    # JSON Schema's "integer" admits 4.0; `blocks: 4.0` then ended in a stray
+    # TypeError from make_schedule, and `seed: 4.0` ran on
+    manifest = _write_manifest(tmp_path, _mutated(path, 4.0))
+    where = re.escape("$" + "".join(f"[{key!r}]" for key in path))
+    with pytest.raises(ManifestError, match=rf"{where}: 4\.0 is not of type 'integer'"):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("payload", [
+    *(pytest.param(default_manifest(kind, 1), id=kind)
+      for kind in ("image_recovery", "signal_recovery", "sparse_image",
+                   "source_separation", "custom")),
+    *(pytest.param(_mutated(path, value), id=name)
+      for name, path, value in _MUTATIONS),
+])
+def test_manifest_check_agrees_with_jsonschema(payload):
+    # the checker walks MANIFEST_SCHEMA itself; jsonschema is the reference
+    jsonschema = pytest.importorskip("jsonschema")
+    from blockvi.cli.manifest import MANIFEST_SCHEMA, _check
+
+    best = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(MANIFEST_SCHEMA).iter_errors(payload))
+    ours = _check(payload, MANIFEST_SCHEMA, ())
+    if best is None:
+        assert ours is None
+    else:
+        assert ours is not None and ours[0] == tuple(best.absolute_path)
+
+
+@pytest.mark.parametrize("path", [("seed",), ("solver", "max_iters"),
+                                  ("schedule", "blocks"), ("dimensions", "n"),
+                                  ("schedule", "always_active", 1)])
+def test_manifest_check_rejects_integral_floats_jsonschema_admits(path):
+    jsonschema = pytest.importorskip("jsonschema")
+    from blockvi.cli.manifest import MANIFEST_SCHEMA, _check
+
+    payload = _mutated(path, 1.0)
+    jsonschema.validate(payload, MANIFEST_SCHEMA)
+    assert _check(payload, MANIFEST_SCHEMA, ()) == (
+        path, "1.0 is not of type 'integer'")
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +482,16 @@ def _run_python(code: str, cwd, *args) -> str:
 
 
 def test_runs_without_transforms_never_import_scipy(tmp_path):
-    # scipy.fft costs more to import than these runs take to solve
-    signal = tmp_path / "signal"
-    signal.mkdir()
-    _write_manifest(signal, _small_manifest("signal_recovery", 0))
+    # importing scipy.fft costs more than these runs take to solve, and
+    # jsonschema more than some do; the FFT and DCT operators load scipy's
+    # pocketfft extension from its file instead of importing scipy
+    dirs = []
+    for kind, seed in [("signal_recovery", 0), ("image_recovery", 1),
+                       ("sparse_image", 3), ("source_separation", 0)]:
+        d = tmp_path / kind
+        d.mkdir()
+        _write_manifest(d, _small_manifest(kind, seed))
+        dirs.append(str(d))
     custom = tmp_path / "custom"
     custom.mkdir()
     rng = np.random.default_rng(2)
@@ -377,33 +504,49 @@ def test_runs_without_transforms_never_import_scipy(tmp_path):
         "import sys\n"
         "from blockvi.cli.main import main\n"
         "codes = [main(['run', d + '/manifest.json']) for d in sys.argv[1:]]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    out = _run_python(code, tmp_path, str(signal), str(custom))
-    assert out.split() == ["[2,", "0]", "[]"]
+        "print(codes, sorted(m for m in sys.modules\n"
+        "                    if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
+    out = _run_python(code, tmp_path, *dirs, str(custom))
+    assert out.split() == ["[2,", "2,", "2,", "2,", "0]", "[]"]
 
 
 @pytest.mark.parametrize("build", [
     "linops.CircularConvolution2D(linops.make_uniform_kernel(3), 8, 8)",
     "linops.Dct2D(8, 8)",
     "fne_ops.PhasePrescription(np.zeros((8, 8)), BlockShape.image(8, 8))",
-])
-def test_transform_operators_import_scipy_fft_when_built(tmp_path, build):
-    # the import sits in the constructor, not in _apply/_adjoint, and the
-    # operator binds functions, so it still deep-copies and pickles
-    code = (
+], ids=["convolution", "dct", "phase"])
+def test_transform_operators_load_no_scipy_module(tmp_path, build):
+    # building, copying and pickling a transform operator import no scipy
+    # module; a copy, a pickle and an unpickle in a fresh process apply as the
+    # original does, and scipy.fft can still be imported afterwards
+    head = (
         "import copy, pickle, sys\n"
         "import numpy as np\n"
         "from blockvi import fne_ops, linops\n"
         "from blockvi.space import BlockShape, SpacePoint\n"
-        "assert 'scipy.fft' not in sys.modules\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "x = SpacePoint(np.arange(64.0), BlockShape.image(8, 8))\n")
+    code = head + (
         f"op = {build}\n"
-        "assert 'scipy.fft' in sys.modules\n"
-        "x = SpacePoint(np.arange(64.0), BlockShape.image(8, 8))\n"
         "y = op.apply(x)\n"
-        "for twin in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):\n"
+        "blob = pickle.dumps(op)\n"
+        "for twin in (copy.deepcopy(op), pickle.loads(blob)):\n"
         "    assert twin.apply(x) == y\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
+        "open('op.pickle', 'wb').write(blob)\n"
+        "np.save('y.npy', y.data)\n"
+        "import scipy.fft\n"
+        "assert np.array_equal(scipy.fft.rfft2(np.eye(4)), np.fft.rfft2(np.eye(4)))\n"
+        "assert op.apply(x) == y and copy.deepcopy(op).apply(x) == y\n"
         "print('ok')\n")
     assert _run_python(code, tmp_path).split() == ["ok"]
+    fresh = head + (
+        "op = pickle.loads(open('op.pickle', 'rb').read())\n"
+        "assert np.array_equal(op.apply(x).data, np.load('y.npy'))\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
+        "print('ok')\n")
+    assert _run_python(fresh, tmp_path).split() == ["ok"]
 
 
 def test_run_determinism_byte_identical(tmp_path):

@@ -200,6 +200,19 @@ def test_dct_orthonormal(rng):
         np.testing.assert_allclose(op.adjoint(op.apply(x)).data, x.data, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows,cols", SPECTRAL_EXTENTS)
+def test_dct_equals_public_dctn_bit_for_bit(rows, cols):
+    # the operator calls scipy's private pocketfft dct kernel; if a scipy
+    # release moves it or changes what dctn/idctn pass it, this fails
+    from scipy.fft import dctn, idctn
+    op = Dct2D(rows, cols)
+    img = np.random.default_rng(rows * 100 + cols).standard_normal((rows, cols))
+    assert np.array_equal(op.apply(SpacePoint(img)).block(0),
+                          dctn(img, type=2, norm="ortho"))
+    assert np.array_equal(op.adjoint(SpacePoint(img)).block(0),
+                          idctn(img, type=2, norm="ortho"))
+
+
 def _brute_force_circular_conv(img, kernel):
     rows, cols = img.shape
     kr, kc = kernel.shape
