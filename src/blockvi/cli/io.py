@@ -13,7 +13,6 @@ import re
 import numpy as np
 
 from ..errors import FormatError, InvalidParameter
-from ..space import SpacePoint
 
 __all__ = [
     "write_pgm",
@@ -68,10 +67,11 @@ def read_pgm(path):
     return np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols).astype(np.float64)
 
 
-def write_vector_csv(values, path, header: str = "value"):
+def write_vector_csv(values, path):
+    """One ``value`` header line, then one component per line."""
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+        fh.write("value\n")
         for v in arr:
             fh.write((FLOAT_FMT % v) + "\n")
 
@@ -102,14 +102,13 @@ def read_matrix_csv(path):
 
 
 def write_snapshots_csv(iterates, path):
-    """Iterate snapshots, one row per retained iterate: index k, components."""
+    """Iterate snapshots, one row per retained (k, seconds, point) triple of
+    the solver's trace: index k, then the point's components."""
     with open(path, "w", newline="") as fh:
         fh.write("k,components\n")
         for k, _seconds, point in iterates:
-            data = point.data if isinstance(point, SpacePoint) else \
-                np.asarray(point, dtype=np.float64)
             fh.write(str(int(k)) + ","
-                     + ",".join(FLOAT_FMT % v for v in data) + "\n")
+                     + ",".join(FLOAT_FMT % v for v in point.data) + "\n")
 
 
 def read_snapshots_csv(path):

@@ -16,6 +16,7 @@ values go to code that needs an ``int``.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -62,7 +63,6 @@ MANIFEST_SCHEMA = {
                 "trace_every": {"type": "integer", "minimum": 1},
                 "t_init_policy": {"enum": ["copy_x0", "one_step"]},
                 "snapshots": {"type": "boolean"},
-                "x0": {"enum": ["zeros"]},
             },
         },
         "schedule": {
@@ -215,16 +215,8 @@ def resolve_output_dir(manifest: ExperimentManifest) -> Path:
 def default_manifest(kind: str, seed: int, output_dir: str = "results") -> dict:
     if kind not in STOCK_PARAMETERS:
         raise ManifestError(f"no defaults for experiment kind {kind!r}")
-    spec = STOCK_PARAMETERS[kind]
-    payload = {
-        "kind": kind,
-        "seed": int(seed),
-        "dimensions": dict(spec["dimensions"]),
-        "noise": dict(spec["noise"]),
-        "operators": dict(spec["operators"]),
-        "solver": dict(spec["solver"]),
-        "schedule": dict(spec["schedule"]),
-        "output_dir": output_dir,
-    }
+    # a deep copy: a caller may edit the payload's lists in place
+    payload = {"kind": kind, "seed": int(seed),
+               **copy.deepcopy(STOCK_PARAMETERS[kind]), "output_dir": output_dir}
     _validate(payload, f"<defaults:{kind}>")
     return payload

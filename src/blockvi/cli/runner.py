@@ -34,15 +34,11 @@ def _build_schedule(spec: dict, arm_count: int):
 
 
 def _solver_config(spec: dict, domain_shape) -> SolverConfig:
-    return SolverConfig(
-        gamma=float(spec["gamma"]),
-        max_iters=int(spec["max_iters"]),
-        tol=float(spec["tol"]),
-        x0=SpacePoint.zeros(domain_shape),
-        trace_every=int(spec.get("trace_every", 1)),
-        t_init_policy=spec.get("t_init_policy", "copy_x0"),
-        keep_snapshots=bool(spec.get("snapshots", False)),
-    )
+    """The manifest's solver section, started at zero; the keys it omits
+    take ``SolverConfig``'s defaults."""
+    kwargs = {"keep_snapshots" if k == "snapshots" else k: v
+              for k, v in spec.items()}
+    return SolverConfig(x0=SpacePoint.zeros(domain_shape), **kwargs)
 
 
 def write_point(point: SpacePoint, out_dir: Path, stem: str):

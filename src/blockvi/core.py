@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,16 +52,13 @@ class ConstraintSet:
     projector on flat arrays; :meth:`projector` is the same map on points."""
 
     array_projector: Callable[[np.ndarray], np.ndarray]
-    bounded: bool
-    description: str = ""
 
     def projector(self, x: SpacePoint) -> SpacePoint:
         return x.with_data(self.array_projector(x.data))
 
     @classmethod
     def whole_space(cls) -> "ConstraintSet":
-        return cls(array_projector=lambda a: a, bounded=False,
-                   description="whole space")
+        return cls(array_projector=lambda a: a)
 
     @classmethod
     def box(cls, lo, hi) -> "ConstraintSet":
@@ -69,21 +66,17 @@ class ConstraintSet:
         hi_a = np.asarray(hi, dtype=np.float64)
         if not np.all(lo_a <= hi_a):
             raise InvalidParameter("box bounds need lo <= hi componentwise")
-        return cls(
-            array_projector=lambda a: np.clip(a, lo_a, hi_a),
-            bounded=bool(np.all(np.isfinite(lo_a)) and np.all(np.isfinite(hi_a))),
-            description=f"box[{np.min(lo_a):g}, {np.max(hi_a):g}]",
-        )
+        return cls(array_projector=lambda a: np.clip(a, lo_a, hi_a))
 
 
 @dataclass(frozen=True)
 class Prescription:
     """One arm of the model: target, Wiener pair (linear map + FNE map), weight.
 
-    ``norm_sq_bound`` must dominate the true squared operator norm of the
-    linear map; it defaults to the map's certified bound.  It is the arm's
-    step bound b_i in gamma_i = gamma / b_i unless the solver certifies a
-    smaller shared bound for the activation atom the arm belongs to (see
+    ``norm_sq_bound`` is not an argument: it is always the linear map's
+    certified ``norm_sq`` (>= the true squared operator norm).  It is the
+    arm's step bound b_i in gamma_i = gamma / b_i unless the solver certifies
+    a smaller shared bound for the activation atom the arm belongs to (see
     :func:`blockvi.solver.step_bounds`).
     """
 
@@ -91,7 +84,7 @@ class Prescription:
     fne: object
     target: SpacePoint
     weight: float
-    norm_sq_bound: float = None  # type: ignore[assignment]
+    norm_sq_bound: float = field(init=False)
 
     def __post_init__(self):
         if self.linop.output_shape != self.fne.domain_shape:
@@ -100,9 +93,7 @@ class Prescription:
             raise ShapeMismatch("target lives outside the FNE domain")
         if not 0 < self.weight <= 1:
             raise InvalidParameter("weight must lie in (0, 1]")
-        bound = self.norm_sq_bound
-        if bound is None:
-            bound = self.linop.norm_sq
+        bound = self.linop.norm_sq
         if not bound > 0:
             raise InvalidParameter("norm_sq_bound must be positive")
         object.__setattr__(self, "norm_sq_bound", float(bound))
@@ -188,7 +179,7 @@ def prescription_images(problem: Problem, x: SpacePoint) -> list:
 
 
 def inconsistency_bound(problem: Problem, solution: SpacePoint,
-                        tol: float = 1e-6, theta: float = 1.0) -> float:
+                        tol: float = 1e-6) -> float:
     """Upper bound sqrt(sum_i ||p_i - F_i(L_i x)||^2) on the distance from the
     prescriptions to the realizable set, evaluated at a solution.
 
@@ -197,7 +188,7 @@ def inconsistency_bound(problem: Problem, solution: SpacePoint,
     residual above ``tol`` only warns.  The gaps are the solver's
     (:func:`blockvi.solver.arm_gaps`).
     """
-    r = vi_residual(problem, solution, theta)
+    r = vi_residual(problem, solution)
     if r > tol:
         warnings.warn(
             f"inconsistency_bound evaluated at residual {r:.3e} > tol {tol:.1e}; "

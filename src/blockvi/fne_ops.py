@@ -68,7 +68,6 @@ __all__ = [
     "dead_zone_quartic_root",
     "root_shift",
     "svd_hard_threshold",
-    "svd_shift",
     "firm_nonexpansiveness_excess",
 ]
 
@@ -153,13 +152,6 @@ def svd_hard_threshold(mat, rho: float):
     """Zero all singular values with sigma <= rho (low-rank compression)."""
     u, s, vt = _svd(mat)
     return (u * hard_threshold(s, rho)) @ vt
-
-
-def svd_shift(mat, rho: float):
-    """Shift every nonzero singular value by -rho (companion of the hard map)."""
-    u, s, vt = _svd(mat)
-    shifted = np.where(s > 0, s - rho, 0.0)
-    return (u * shifted) @ vt
 
 
 # ---------------------------------------------------------------------------
@@ -839,11 +831,12 @@ def proxify_root(rho: float, chi: float) -> Proxification:
 
 def firm_nonexpansiveness_excess(apply_func: Callable[[np.ndarray], np.ndarray],
                                  dim: int, n_pairs: int = 1000, seed: int = 0,
-                                 slack: float = 1e-10, scale: float = 1.0) -> float:
+                                 scale: float = 1.0) -> float:
     """Worst violation of the FNE inequality over seeded random pairs.
 
     Returns max over pairs of ||Fx - Fy||^2 - <x - y, Fx - Fy> minus the
-    slack budget slack * (1 + ||x - y||^2); nonpositive means the check passed.
+    roundoff budget 1e-10 * (1 + ||x - y||^2); nonpositive means the check
+    passed.
     """
     rng = np.random.default_rng(seed)
     worst = -np.inf
@@ -854,5 +847,5 @@ def firm_nonexpansiveness_excess(apply_func: Callable[[np.ndarray], np.ndarray],
         fy = np.asarray(apply_func(y), dtype=np.float64)
         diff = fx - fy
         gap = float(diff @ diff - (x - y) @ diff)
-        worst = max(worst, gap - slack * (1.0 + float((x - y) @ (x - y))))
+        worst = max(worst, gap - 1e-10 * (1.0 + float((x - y) @ (x - y))))
     return worst

@@ -144,6 +144,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -225,7 +226,7 @@ def validate_schedule(sets: Sequence[Sequence[int]], index_count: int) -> int:
     return worst
 
 
-def make_schedule(kind: str, index_count: int, *, blocks=None,
+def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
                   always_active: Sequence[int] = (), expensive: Sequence[int] = (),
                   period: Optional[int] = None,
                   sets: Optional[Sequence[Sequence[int]]] = None) -> ActivationSchedule:
@@ -233,8 +234,9 @@ def make_schedule(kind: str, index_count: int, *, blocks=None,
 
     * ``full``: every arm at every iteration (K = 1).
     * ``cyclic_partition``: the arms outside ``always_active`` are split into
-      ``blocks`` consecutive cells (or explicit cells), one cell per
-      iteration plus the always-active arms (K = number of cells).
+      ``blocks`` (an integer count) consecutive cells, one cell per
+      iteration plus the always-active arms (K = blocks).  Arbitrary cells
+      are an ``explicit`` schedule.
     * ``mod_skip``: all arms when n is a multiple of ``period``, all but the
       ``expensive`` arms otherwise (K = period).
     * ``explicit``: caller-provided period of index sets; K is measured.
@@ -248,15 +250,11 @@ def make_schedule(kind: str, index_count: int, *, blocks=None,
     elif kind == "cyclic_partition":
         always = tuple(sorted(set(int(i) for i in always_active)))
         rest = [i for i in all_idx if i not in always]
-        if isinstance(blocks, int):
-            if blocks < 1 or (rest and blocks > len(rest)):
-                raise InvalidParameter("block count must be in [1, #rotating arms]")
-            cells = [list(c) for c in np.array_split(np.array(rest, dtype=int), blocks)]
-        else:
-            cells = [list(int(i) for i in c) for c in (blocks or [])]
-            covered = set(i for c in cells for i in c)
-            if covered != set(rest):
-                raise CoverageError("explicit cells must partition the rotating arms")
+        if not isinstance(blocks, numbers.Integral) or isinstance(blocks, bool):
+            raise InvalidParameter(f"blocks must be an integer count, not {blocks!r}")
+        if blocks < 1 or (rest and blocks > len(rest)):
+            raise InvalidParameter("block count must be in [1, #rotating arms]")
+        cells = [list(c) for c in np.array_split(np.array(rest, dtype=int), blocks)]
         if any(len(c) == 0 for c in cells):
             raise EmptyBlock("cyclic partition contains an empty cell")
         period_sets = [tuple(sorted(always + tuple(c))) for c in cells]

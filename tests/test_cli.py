@@ -24,6 +24,7 @@ from blockvi.cli import (
     write_pgm,
     write_vector_csv,
 )
+from blockvi.cli.experiments import STOCK_PARAMETERS
 from blockvi.cli.main import main
 from blockvi.errors import (
     FormatError,
@@ -212,7 +213,6 @@ _MUTATIONS = [
 
 
 def _mutated(path, value):
-    # a deep copy: default_manifest shares its lists with the stock parameters
     payload = copy.deepcopy(default_manifest("signal_recovery", 1))
     node = payload
     for key in path[:-1]:
@@ -268,6 +268,27 @@ def test_manifest_check_rejects_integral_floats_jsonschema_admits(path):
     jsonschema.validate(payload, MANIFEST_SCHEMA)
     assert _check(payload, MANIFEST_SCHEMA, ()) == (
         path, "1.0 is not of type 'integer'")
+
+
+def test_default_manifest_shares_nothing_with_the_stock_parameters():
+    # its lists used to be the stock lists, so an edit in place reached every
+    # later manifest of the kind
+    stock = copy.deepcopy(STOCK_PARAMETERS["signal_recovery"])
+    default_manifest("signal_recovery", 1)["schedule"]["always_active"].append(2)
+    assert STOCK_PARAMETERS["signal_recovery"] == stock
+    fresh = default_manifest("signal_recovery", 1)
+    assert fresh["schedule"]["always_active"] == stock["schedule"]["always_active"]
+
+
+def test_manifest_rejects_solver_x0(tmp_path, capsys):
+    # every run starts at zero, so the manifest names no starting point
+    payload = _small_manifest("signal_recovery", 1, x0="zeros")
+    path = _write_manifest(tmp_path, payload)
+    message = "$['solver']: additional property 'x0' is not allowed"
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_manifest(path)
+    assert main(["run", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

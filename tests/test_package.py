@@ -1,6 +1,8 @@
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import blockvi
@@ -60,3 +62,26 @@ def test_no_module_level_scipy_import():
             offenders += [f"{path.relative_to(root)}:{node.lineno} {name}"
                           for name in names if name.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_every_public_function_has_a_caller():
+    # a public function that nothing outside its own module names is dead
+    # weight; the package __init__s only re-export, so they do not count
+    root = Path(blockvi.__file__).resolve().parent
+    repo = root.parents[1]
+    files = {path: path.read_text()
+             for top in ("src", "tests", "bench")
+             for path in (repo / top).rglob("*.py")
+             if not (path.name == "__init__.py" and root in path.parents)}
+    uncalled = []
+    for info in pkgutil.walk_packages(blockvi.__path__, "blockvi."):
+        module = importlib.import_module(info.name)
+        own = Path(module.__file__).resolve()
+        for name in getattr(module, "__all__", ()):
+            if not inspect.isfunction(getattr(module, name)):
+                continue
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(pattern.search(text) for path, text in files.items()
+                       if path != own):
+                uncalled.append(f"{info.name}.{name}")
+    assert uncalled == []

@@ -71,6 +71,22 @@ def test_cyclic_partition_k_equals_blocks():
     assert touched == set(range(10))
 
 
+def test_cyclic_partition_takes_any_integral_block_count():
+    sched = make_schedule("cyclic_partition", 6, blocks=np.int64(2),
+                          always_active=[0, 1])
+    assert sched.sets == ((0, 1, 2, 3), (0, 1, 4, 5))
+    assert sched.K == 2
+
+
+@pytest.mark.parametrize("blocks", [2.0, None, True, "2", [[2, 3], [4, 5]]],
+                         ids=["float", "none", "bool", "string", "cells"])
+def test_cyclic_partition_rejects_a_block_count_that_is_no_integer(blocks):
+    # these used to end in a bare TypeError, a misleading CoverageError, or
+    # a schedule built from explicit cells (an ``explicit`` schedule's job)
+    with pytest.raises(InvalidParameter, match="blocks"):
+        make_schedule("cyclic_partition", 6, blocks=blocks, always_active=[0, 1])
+
+
 def test_mod_skip_k_equals_period():
     sched = make_schedule("mod_skip", 3, expensive=[0], period=5)
     assert sched.K == 5
