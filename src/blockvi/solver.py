@@ -22,7 +22,9 @@ which can be far below the weighted mean of the per-arm ||L_i||^2 when the
 maps of c point in different directions.  The bound is tightened only where
 it is computed exactly: for multi-arm atoms of dense maps, b_c is the squared
 largest singular value of the stacked rows sqrt(w_i / W_c) A_i.  Every other
-arm keeps its ``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).
+arm keeps its ``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).  Each atom's
+dense rows are stacked once (:func:`_dense_rows`); the bound scales that
+stack, and the fused groups below take their rows from it.
 
 The averaging uses weights v_i proportional to w_i * b_i.  Dividing each
 arm's update by b_i makes the arm operators 1-cocoercive (which is what the
@@ -43,10 +45,11 @@ R^k (``FneOperator.stacked``; soft thresholds of one level, singleton
 projectors and their residuals) form one group: one matvec with their stacked
 rows A_g, one FNE call and one transposed matvec (c * r) @ A_g, whatever k.
 Every other arm is a group of one, evaluated through its own
-``_apply``/``_adjoint`` exactly as alone.  The residual takes c_i = w_i over
-the groups of all arms (taken as one atom); the iteration takes the
-coefficients below over the groups of the active set.  The per-arm gaps
-||F_i(L_i x) - p_i|| (:func:`arm_gaps`) come from the same r_i.
+``_apply``/``_adjoint`` exactly as alone.  The iteration takes the
+coefficients below over the groups of the active set; the residual takes
+c_i = w_i over the same groups, all of them, so a solve builds one grouping.
+The per-arm gaps ||F_i(L_i x) - p_i|| (:func:`arm_gaps`) come from the same
+r_i.
 
 The auxiliary state holds one row per group, not one per arm.  A group is
 refreshed whole, from one x, and the averaging step sees its arms only
@@ -59,6 +62,17 @@ and x' = P_C(sum_g V_g tau_g).  Since v_i gamma_i = gamma w_i / sum_j w_j b_j,
 the b_i cancel from c_i.  A single arm keeps c_i = gamma_i, V_g = v_i and its
 row t_i exactly, and the rows are ordered by each group's first arm, so a
 problem without fused groups runs the per-arm iteration bit for bit.
+
+The stop test needs sum_i w_i L_i*(F_i(L_i x) - p_i) at a loop iterate x.
+When the next iteration refreshes every row at x, it gives that sum for
+free: with kappa = gamma / sum_j w_j b_j, v_i gamma_i = kappa w_i and
+sum_g V_g = 1, so the sum is (x - sum_g V_g tau_g) / kappa, and the check
+costs one projection and two norms.  Such a record (iteration n) is
+written after the refresh of iteration n + 1; every other record runs the
+explicit pass :func:`array_residual`.  A check that reads at most ``tol``
+in the refresh form is confirmed by the explicit pass, so a run stops only
+where ``array_residual`` is at most ``tol``: once kappa times the sum falls
+below half an ulp of x, the refresh leaves x as it is and its form reads 0.
 
 Every schedule is accelerated by safeguarded type-II Anderson extrapolation
 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of a *span map*.  A span is
@@ -133,8 +147,10 @@ point on is rejected, the base points follow the plain span map and converge
 by the paper's theorem; and the extrapolated point only ever starts a span.
 Residuals, trace records and the returned solution are taken at projected
 loop iterates, so they lie in C, and a run reports CONVERGED only on the
-plain loop's residual test.  The iteration count includes the spans spent
-on rejected candidates.  The ``step_norm`` of the record at a span start is
+plain loop's residual test.  The record before a span start keeps the
+explicit residual, because that span starts at the candidate, not at the
+loop iterate.  The iteration count includes the spans spent on rejected
+candidates.  The ``step_norm`` of the record at a span start is
 measured from that span's start: the candidate, or P_C(sum_g V_g t_g) at
 the candidate rows, when one runs.
 """
@@ -394,26 +410,30 @@ def activation_atoms(schedule: ActivationSchedule) -> tuple:
 
 def step_bounds(problem: Problem,
                 schedule: Optional[ActivationSchedule] = None,
-                atoms: Optional[tuple] = None) -> tuple:
+                atoms: Optional[tuple] = None,
+                rows: Optional[Sequence] = None) -> tuple:
     """Certified step bound b_i of every arm.
 
     Without a schedule every arm is its own atom and b_i is its
     ``norm_sq_bound``.  With one, the arms of a multi-arm atom of dense maps
     share the exact bound ||sum_{i in c} (w_i / W_c) A_i^T A_i|| whenever it
     is below their weighted mean sum_{i in c} w_i b_i / W_c.  ``atoms`` are
-    the schedule's :func:`activation_atoms`, computed when omitted.
+    the schedule's :func:`activation_atoms` and ``rows`` their
+    :func:`_dense_rows`, each computed when omitted.
     """
     bounds = [p.norm_sq_bound for p in problem.prescriptions]
     if schedule is None:
         return tuple(bounds)
-    for atom in atoms or activation_atoms(schedule):
+    atoms = atoms or activation_atoms(schedule)
+    for k, atom in enumerate(atoms):
         arms = [problem.prescriptions[i] for i in atom]
         if len(arms) < 2 or not all(isinstance(p.linop, DenseMatrix) for p in arms):
             continue
         total = math.fsum(p.weight for p in arms)
-        stacked = np.vstack([math.sqrt(p.weight / total) * p.linop.matrix
-                             for p in arms])
-        certified = certified_norm_sq(stacked)
+        scale = np.repeat([math.sqrt(p.weight / total) for p in arms],
+                          [p.linop.matrix.shape[0] for p in arms])
+        stacked = _dense_rows(problem, atom) if rows is None else rows[k]
+        certified = certified_norm_sq(scale[:, None] * stacked)
         if certified < math.fsum(p.weight * p.norm_sq_bound for p in arms) / total:
             for i in atom:
                 bounds[i] = certified
@@ -454,19 +474,34 @@ class _ArmGroup:
     matrix: Optional[np.ndarray] = None
 
 
-def _arm_groups(problem: Problem, atom: Sequence[int], coef=None) -> tuple:
+def _dense_rows(problem: Problem, atom: Sequence[int]) -> Optional[np.ndarray]:
+    """The matrices of the atom's ``DenseMatrix`` arms stacked in arm order,
+    or None when it has none; :func:`step_bounds` and :func:`_arm_groups`
+    both take their dense rows from this one stack."""
+    mats = [problem.prescriptions[i].linop.matrix for i in atom
+            if isinstance(problem.prescriptions[i].linop, DenseMatrix)]
+    return np.vstack(mats) if mats else None
+
+
+def _arm_groups(problem: Problem, atom: Sequence[int], coef=None,
+                rows: Optional[np.ndarray] = None) -> tuple:
     """Split one activation atom into groups: for each FNE class, the atom's
     one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
     every other arm alone.  ``coef[i]`` is arm i's c_i; the problem weights
-    w_i, the residual's, when omitted."""
+    w_i, the residual's, when omitted.  A fused group's matrix is taken from
+    ``rows``, the atom's :func:`_dense_rows`, stacked when omitted."""
     coef = np.asarray(problem.weights if coef is None else coef)
-    alone, rank_one = [], {}
+    alone, rank_one, first_row = [], {}, {}
+    height = 0
     for i in atom:
         p = problem.prescriptions[i]
-        if isinstance(p.linop, DenseMatrix) and p.linop.matrix.shape[0] == 1:
-            rank_one.setdefault(type(p.fne), []).append(i)
-        else:
-            alone.append(i)
+        if isinstance(p.linop, DenseMatrix):
+            first_row[i] = height
+            height += p.linop.matrix.shape[0]
+            if p.linop.matrix.shape[0] == 1:
+                rank_one.setdefault(type(p.fne), []).append(i)
+                continue
+        alone.append(i)
     groups = []
     for cls, arms in rank_one.items():
         pres = [problem.prescriptions[i] for i in arms]
@@ -474,9 +509,13 @@ def _arm_groups(problem: Problem, atom: Sequence[int], coef=None) -> tuple:
         if fne is None:
             alone.extend(arms)
             continue
+        if rows is None:
+            rows = _dense_rows(problem, atom)
+        # a group that holds every dense row of the atom is the stack itself
+        matrix = rows if len(arms) == len(rows) else rows[[first_row[i] for i in arms]]
         groups.append(_ArmGroup(
             np.array(arms), fne, np.concatenate([p.target.data for p in pres]),
-            coef[arms], matrix=np.vstack([p.linop.matrix for p in pres])))
+            coef[arms], matrix=matrix))
     for i in alone:
         p = problem.prescriptions[i]
         groups.append(_ArmGroup(np.array([i]), p.fne, p.target.data,
@@ -485,12 +524,14 @@ def _arm_groups(problem: Problem, atom: Sequence[int], coef=None) -> tuple:
 
 
 def _row_groups(problem: Problem, atoms, gammas: np.ndarray,
-                vweights: np.ndarray) -> tuple:
+                vweights: np.ndarray, rows: Optional[Sequence] = None) -> tuple:
     """The arm groups of ``atoms`` in order of their first arm, one auxiliary
     row each, with the refresh's c_i = v_i gamma_i / V_g, and the averaging
     weights V_g = sum_{i in g} v_i of their rows (see the module docstring).
-    A single arm keeps c_i = gamma_i and V_g = v_i exactly."""
-    groups = sorted((g for atom in atoms for g in _arm_groups(problem, atom, gammas)),
+    A single arm keeps c_i = gamma_i and V_g = v_i exactly.  ``rows`` are
+    the atoms' :func:`_dense_rows`, stacked when omitted."""
+    groups = sorted((g for atom, stacked in zip(atoms, rows or [None] * len(atoms))
+                     for g in _arm_groups(problem, atom, gammas, stacked)),
                     key=lambda g: g.arms[0])
     masses = np.array([vweights[g.arms].sum() for g in groups])
     return ([replace(g, coef=g.coef * (vweights[g.arms] / mass))
@@ -523,18 +564,24 @@ def _refresh(cell, x: np.ndarray, t: np.ndarray):
 
 
 def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
-                   groups: Optional[tuple] = None) -> float:
-    """:func:`blockvi.core.vi_residual` on a flat array.  ``groups`` are the
-    arm groups of all arms taken as one atom, with c_i = w_i; they are built
-    when omitted.  Each group adds its share of sum_i w_i L_i*(F_i(L_i x) - p_i)
-    through :func:`_pullback`."""
+                   groups: Optional[Sequence] = None) -> float:
+    """:func:`blockvi.core.vi_residual` on a flat array.  ``groups`` are arm
+    groups that hold every arm once, with c_i = w_i; the groups of all arms
+    taken as one atom when omitted.  Each group adds its share of
+    sum_i w_i L_i*(F_i(L_i x) - p_i) through :func:`_pullback`."""
     if groups is None:
         groups = _arm_groups(problem, range(problem.arm_count))
     grad = np.zeros_like(x)
     for g in groups:
         grad += _pullback(g, x)
-    z = x - theta * grad
-    projected = problem.constraint.array_projector(z)
+    return _gradient_residual(problem, x, grad, theta)
+
+
+def _gradient_residual(problem: Problem, x: np.ndarray, grad: np.ndarray,
+                       theta: float = 1.0) -> float:
+    """||x - P_C(x - theta grad)|| / (1 + ||x||), the residual at x given
+    grad = sum_i w_i L_i*(F_i(L_i x) - p_i)."""
+    projected = problem.constraint.array_projector(x - theta * grad)
     return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
 
 
@@ -624,25 +671,38 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     is reached.  Step sizes and averaging weights use the bounds certified for
     the schedule's activation atoms, and the arms of each atom are evaluated
     in groups, with one auxiliary row per group (see the module docstring).
-    When ``config.accelerate`` holds, each span of whole periods starts at the
-    Anderson extrapolation of the previous ones: of x when the period starts
-    with every arm, of the rows otherwise (see the module docstring).
-    Deterministic given (problem, schedule, config)."""
+    The residual runs through the same groups with c_i = w_i; when the next
+    iteration refreshes every row at the checked iterate, the check is taken
+    from that refresh instead, and a run stops only once the explicit
+    residual confirms it.  When ``config.accelerate`` holds, each span of
+    whole periods starts at the Anderson extrapolation of the previous ones:
+    of x when the period starts with every arm, of the rows otherwise (see
+    the module docstring).  Deterministic given (problem, schedule, config)."""
     config.validate()
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
-    validate_schedule(schedule.sets, problem.arm_count)
+    k = validate_schedule(schedule.sets, problem.arm_count)
+    if k != schedule.K:
+        raise InvalidParameter(
+            f"schedule states K = {schedule.K}, but its sets cover every arm "
+            f"within K = {k}")
     if config.x0.shape != problem.domain_shape:
         raise ShapeMismatch("x0 lives outside the problem domain")
 
     atoms = activation_atoms(schedule)
-    bounds = step_bounds(problem, schedule, atoms)
+    rows = [_dense_rows(problem, atom) for atom in atoms]
+    bounds = step_bounds(problem, schedule, atoms, rows)
     gammas = config.gamma / np.asarray(bounds)
     vweights = np.asarray(_averaging_weights(problem, bounds))
-    groups, masses = _row_groups(problem, atoms, gammas, vweights)
+    groups, masses = _row_groups(problem, atoms, gammas, vweights, rows)
     cells = [tuple((row, g) for row, g in enumerate(groups) if g.arms[0] in s)
              for s in schedule.sets]
-    residual_groups = _arm_groups(problem, range(problem.arm_count))
+    weights = np.asarray(problem.weights)
+    residual_groups = [replace(g, coef=weights[g.arms]) for g in groups]
+    # once every row is refreshed at x, sum_i w_i L_i*(F_i(L_i x) - p_i) is
+    # (x - masses @ t) / kappa (see the module docstring)
+    kappa = config.gamma / sum(w * b for w, b in zip(problem.weights, bounds))
+    refreshes_all = [len(cell) == len(groups) for cell in cells]
     if config.t_init_policy == "copy_x0":
         t = np.tile(config.x0.data, (len(groups), 1))
     else:
@@ -654,6 +714,15 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     if config.keep_snapshots:
         trace.add_iterate(0, 0.0, config.x0)
 
+    def record(n, x, step_norm, active, residual) -> bool:
+        """Add the record of iteration n, whose loop iterate is x; True when
+        the run stops there."""
+        seconds = time.perf_counter() - started
+        trace.add(n, seconds, residual, step_norm, active)
+        if config.keep_snapshots:
+            trace.add_iterate(n + 1, seconds, SpacePoint(x, problem.domain_shape))
+        return residual <= config.tol
+
     x = config.x0.data
     period = len(schedule.sets)
     span = -(-_Anderson.SPAN // period) * period
@@ -663,6 +732,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     if config.accelerate:
         accel = _Anderson(x if on_x else t.flatten())
     status = SolveStatus.MAX_ITERS
+    pending = None      # the record whose residual this refresh gives
     for n in range(config.max_iters):
         if accel is not None and n and n % span == 0:
             if on_x:
@@ -670,21 +740,30 @@ def solve(problem: Problem, schedule: ActivationSchedule,
             else:    # t is written in place: the accelerator keeps copies
                 t[...] = accel.next_start(t.flatten()).reshape(t.shape)
                 x = problem.constraint.array_projector(masses @ t)
-        active = schedule.active_set(n)
         prev_x = x
         _refresh(cells[n % period], x, t)
-        x = problem.constraint.array_projector(masses @ t)
-        if n % config.trace_every == 0 or n == config.max_iters - 1:
-            x_point = SpacePoint(x, problem.domain_shape)  # rejects non-finite x
-            residual = array_residual(problem, x, groups=residual_groups)
-            seconds = time.perf_counter() - started
-            trace.add(n, seconds, residual,
-                      float(np.linalg.norm(x - prev_x)), active)
-            if config.keep_snapshots:
-                trace.add_iterate(n + 1, seconds, x_point)
-            if residual <= config.tol:
+        mean = masses @ t
+        if pending is not None:
+            residual = _gradient_residual(problem, x, (x - mean) / kappa)
+            if residual <= config.tol:      # stop only on the explicit residual
+                residual = array_residual(problem, x, groups=residual_groups)
+            if record(*pending, residual):
                 status = SolveStatus.CONVERGED
                 break
+            pending = None
+        x = problem.constraint.array_projector(mean)
+        if n % config.trace_every == 0 or n == config.max_iters - 1:
+            if not np.isfinite(x).all():
+                raise InvalidParameter("SpacePoint entries must be finite")
+            pending = (n, x, float(np.linalg.norm(x - prev_x)),
+                       schedule.active_set(n))
+            m = n + 1       # does the next iteration refresh every row at x?
+            if not (m < config.max_iters and refreshes_all[m % period]
+                    and (accel is None or m % span)):
+                if record(*pending, array_residual(problem, x, groups=residual_groups)):
+                    status = SolveStatus.CONVERGED
+                    break
+                pending = None
     acceleration = None
     if accel is not None:
         acceleration = {"memory": accel.MEMORY, "accepted": accel.accepted,

@@ -22,6 +22,7 @@ from blockvi.fne_ops import (
 from blockvi.linops import CircularConvolution2D, DenseMatrix, FiniteDifference1D, Identity
 import blockvi.solver
 from blockvi.solver import (
+    ActivationSchedule,
     SolveStatus,
     SolverConfig,
     SolverTrace,
@@ -35,7 +36,7 @@ from blockvi.solver import (
     step_bounds,
     validate_schedule,
 )
-from blockvi.solver import _arm_groups, _refresh, _row_groups
+from blockvi.solver import _arm_groups, _dense_rows, _refresh, _row_groups
 from blockvi.space import BlockShape, SpacePoint
 
 from problem_zoo import feasibility_problem, mixed_arms_problem, scalar_problem
@@ -158,6 +159,15 @@ def test_schedule_arm_count_checked():
         solve(prob, make_schedule("full", 3), _config())
 
 
+def test_schedule_with_a_wrong_covering_constant_rejected():
+    # K goes into summary.json, so a hand-built schedule must state the K
+    # that its sets certify
+    prob = scalar_problem(ConstraintSet.whole_space(), 1.0)
+    sched = ActivationSchedule("full", ((0,),), K=9, index_count=1)
+    with pytest.raises(InvalidParameter, match="K = 9"):
+        solve(prob, sched, _config())
+
+
 # ---------------------------------------------------------------------------
 # solve behavior
 # ---------------------------------------------------------------------------
@@ -196,6 +206,14 @@ def test_max_iters_status():
     assert res.status is SolveStatus.MAX_ITERS
 
 
+def test_nonfinite_iterate_rejected(monkeypatch):
+    # an arm whose FNE returns NaN makes x non-finite at the first record
+    prob = scalar_problem(ConstraintSet.whole_space(), 5.0)
+    monkeypatch.setattr(IdentityFne, "_apply", lambda self, y: np.full_like(y, np.nan))
+    with pytest.raises(InvalidParameter, match="SpacePoint entries must be finite"):
+        solve(prob, make_schedule("full", 1), _config(max_iters=10))
+
+
 def test_converged_implies_residual_below_tol():
     for seed in range(3):
         prob, _ = mixed_arms_problem(seed, consistent=False)
@@ -204,6 +222,9 @@ def test_converged_implies_residual_below_tol():
         res = solve(prob, make_schedule("full", prob.arm_count), cfg)
         assert res.status is SolveStatus.CONVERGED
         assert res.trace.final_residual <= 1e-8
+        # its records before the stop take their residual from the next
+        # refresh; the stop itself holds on the explicit residual
+        assert array_residual(prob, res.solution.data) <= 1e-8
 
 
 def test_bitwise_replay():
@@ -362,6 +383,31 @@ def test_solve_certifies_bounds_once(monkeypatch):
     solve(prob, sched, cfg)
     assert len(calls) == 1
     assert len(atom_calls) == 1
+
+
+@pytest.mark.parametrize("case", [_signal_recovery_case, _feasibility_case])
+def test_solve_builds_groups_once(monkeypatch, case):
+    # each atom's dense rows are stacked once, for its bound and its groups,
+    # and the residual reuses the row groups: no build over all arms unless
+    # all arms are one atom
+    stacks, builds = [], []
+
+    def counted_rows(problem, atom):
+        stacks.append(tuple(atom))
+        return _dense_rows(problem, atom)
+
+    def counted_groups(problem, atom, *args, **kwargs):
+        builds.append(tuple(atom))
+        return _arm_groups(problem, atom, *args, **kwargs)
+
+    monkeypatch.setattr(blockvi.solver, "_dense_rows", counted_rows)
+    monkeypatch.setattr(blockvi.solver, "_arm_groups", counted_groups)
+    prob, sched = case()
+    solve(prob, sched, _config(gamma=1.9, max_iters=20, tol=0.0,
+                               x0=SpacePoint.zeros(prob.domain_shape)))
+    atoms = list(activation_atoms(sched))
+    assert stacks == atoms
+    assert builds == atoms
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +793,14 @@ def test_anderson_accelerates_explicit_period_led_by_every_arm():
 def test_anderson_rejected_periods_count_as_iterations(monkeypatch):
     # D = 0 rejects every candidate once its period has run: the run then
     # alternates a wasted candidate period with a plain one, and the plain
-    # periods retrace the plain iteration bitwise, shifted by the wasted ones
+    # periods retrace the plain iteration bitwise, shifted by the wasted ones.
+    # A record's residual comes from the next refresh unless a span starts
+    # there, so the two runs' residuals agree only to rounding.
     P = 5
     prob, sched = _mod_skip_problem(period=P)
-    plain = solve(prob, sched, _accel_config(False))
+    plain = solve(prob, sched, _accel_config(False, keep_snapshots=True))
     monkeypatch.setattr(blockvi.solver._Anderson, "D", 0.0)
-    res = solve(prob, sched, _accel_config())
+    res = solve(prob, sched, _accel_config(keep_snapshots=True))
     assert res.status is SolveStatus.CONVERGED
     assert res.trace.final_residual <= 1e-8
     ns = [r.n for r in res.trace.records]
@@ -760,13 +808,23 @@ def test_anderson_rejected_periods_count_as_iterations(monkeypatch):
     last_period = ns[-1] // P
     assert res.acceleration["accepted"] == 0
     assert res.acceleration["rejected"] == (last_period - 1) // 2 >= 1
-    residual = {r.n: r.residual for r in plain.trace.records}
-    for r in res.trace.records:
+    records = {r.n: r for r in plain.trace.records}
+    iterates = {k: x for k, _, x in plain.trace.iterates}
+    retraced = 0
+    for r, (k, _, x) in zip(res.trace.records, res.trace.iterates[1:]):
         period, offset = divmod(r.n, P)
         if period < 2:
-            assert r.residual == residual[r.n]
+            m = r.n
         elif period % 2 == 1:                  # plain period (period + 1) / 2
-            assert r.residual == residual[(period + 1) // 2 * P + offset]
+            m = (period + 1) // 2 * P + offset
+        else:
+            continue
+        assert k == r.n + 1
+        assert x.data.tobytes() == iterates[m + 1].data.tobytes(), r.n
+        assert r.step_norm == records[m].step_norm, r.n
+        assert abs(r.residual - records[m].residual) <= 1e-12, r.n
+        retraced += 1
+    assert retraced >= 3 * P
 
 
 def test_anderson_memory_fills_ring_and_restarts(monkeypatch):
@@ -829,18 +887,24 @@ def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
         assert np.all(np.abs(point.data) <= 2.0)
 
 
-def _accelerated_stock_vi_gap(kind, seed, box=(0.0, 255.0)):
-    """VI gap of the accelerated stock solution, rebuilt from the arms' public
-    apply/adjoint: max_y <x - y, g(x)> / (1 + ||x||)^2 over y in C, the box
-    [lo, hi] given by ``box``; with ``box=None`` (C the whole space) over the
-    ball ||y - x|| <= 1 + ||x||.  Returns it with the solver's tol."""
+def _stock_case(kind, seed):
+    """The stock problem of ``kind``, its schedule and its solver config."""
     from blockvi.cli.runner import _build_schedule, _solver_config
 
     payload = default_manifest(kind, seed)
     prob = generate_experiment(kind, payload["dimensions"], seed,
                                payload["noise"], payload["operators"]).problem
-    cfg = _solver_config(payload["solver"], prob.domain_shape)
-    res = solve(prob, _build_schedule(payload["schedule"], prob.arm_count), cfg)
+    return (prob, _build_schedule(payload["schedule"], prob.arm_count),
+            _solver_config(payload["solver"], prob.domain_shape))
+
+
+def _accelerated_stock_vi_gap(kind, seed, box=(0.0, 255.0)):
+    """VI gap of the accelerated stock solution, rebuilt from the arms' public
+    apply/adjoint: max_y <x - y, g(x)> / (1 + ||x||)^2 over y in C, the box
+    [lo, hi] given by ``box``; with ``box=None`` (C the whole space) over the
+    ball ||y - x|| <= 1 + ||x||.  Returns it with the solver's tol."""
+    prob, sched, cfg = _stock_case(kind, seed)
+    res = solve(prob, sched, cfg)
     assert res.status is SolveStatus.CONVERGED
     assert res.acceleration["accepted"] > 0
     x = res.solution.data
@@ -870,6 +934,141 @@ def test_accelerated_signal_recovery_solves_the_vi():
     # cyclic: the auxiliary rows are extrapolated; C is the whole space
     gap, tol = _accelerated_stock_vi_gap("signal_recovery", 0, box=None)
     assert gap <= 10 * tol
+
+
+# The span maps are nonexpansive (module docstring of blockvi.solver).  Each
+# pair of points is checked within a roundoff allowance of 16 eps per base
+# iteration on the size of the two points: one iteration rounds each point
+# by a few eps of its norm (maps of norm at most one, averaging, projection).
+# The pairs y = x + d follow d through the map, which turns d towards the
+# directions the map shrinks least.
+
+def _allowance(span, *points):
+    return 16 * np.finfo(float).eps * span * sum(np.linalg.norm(p) for p in points)
+
+
+@pytest.mark.parametrize("kind", ["image_recovery", "sparse_image",
+                                  "source_separation"])
+def test_span_map_of_x_is_nonexpansive(kind):
+    # full or mod_skip: every span starts by refreshing every row from x, so
+    # Phi is S plain iterations from x alone
+    prob, sched, cfg = _stock_case(kind, 0)
+    assert len(sched.sets[0]) == prob.arm_count
+    span = -(-blockvi.solver._Anderson.SPAN // len(sched.sets)) * len(sched.sets)
+    shape = prob.domain_shape
+
+    def phi(x):
+        return solve(prob, sched, _config(
+            gamma=cfg.gamma, max_iters=span, tol=0.0, trace_every=span,
+            x0=SpacePoint(x, shape), accelerate=False)).solution.data
+
+    rng = np.random.default_rng(21)
+    x = prob.constraint.array_projector(rng.uniform(0.0, 255.0, shape.total))
+    fx = phi(x)
+    for size in (10.0, 1e-3):
+        d = rng.standard_normal(shape.total)
+        for _ in range(12):
+            d *= size / np.linalg.norm(d)
+            fy = phi(x + d)
+            assert np.linalg.norm(fy - fx) <= \
+                np.linalg.norm(d) + _allowance(span, x, x + d), (size, kind)
+            d = fy - fx
+
+
+def test_span_map_of_rows_does_not_grow_the_block_distance(monkeypatch):
+    # cyclic: Psi maps the rows t_{kS-1} to t_{(k+1)S-1}.  solve hands the
+    # image of each span to next_start, which here returns the given starts
+    # in turn, so the images that follow them are Psi of the starts
+    prob, sched, cfg = _stock_case("signal_recovery", 0)
+    assert len(sched.sets[0]) < prob.arm_count
+    span = -(-blockvi.solver._Anderson.SPAN // len(sched.sets)) * len(sched.sets)
+    # every shared-bound atom is one group, so the blocks are the rows
+    bounds, own = step_bounds(prob, sched), step_bounds(prob)
+    for atom in activation_atoms(sched):
+        if any(bounds[i] != own[i] for i in atom):
+            assert len(_arm_groups(prob, atom)) == 1
+
+    def psi(*starts):
+        images = []
+
+        def next_start(self, f):
+            images.append(f.copy())
+            return starts[len(images) - 1] if len(images) <= len(starts) else f
+
+        monkeypatch.setattr(blockvi.solver._Anderson, "next_start", next_start)
+        solve(prob, sched, _config(gamma=cfg.gamma, tol=0.0, trace_every=span,
+                                   max_iters=span * (len(starts) + 1) + 1,
+                                   x0=SpacePoint.zeros(prob.domain_shape)))
+        return images[1:]
+
+    rows = len(sched.sets) + 2              # a fused row per cell, two arms
+    n = prob.domain_shape.total
+    rng = np.random.default_rng(22)
+    t = rng.standard_normal(rows * n)
+    for size in (1.0, 1e-4):
+        d = rng.standard_normal(rows * n)
+        for _ in range(6):
+            d *= size / np.linalg.norm(d)
+            ft, fu = psi(t, t + d)
+            before = np.linalg.norm(d.reshape(rows, n), axis=1).max()
+            after = np.linalg.norm((fu - ft).reshape(rows, n), axis=1).max()
+            assert after <= before + _allowance(span, t, t + d), size
+            d = fu - ft
+
+
+# ---------------------------------------------------------------------------
+# the stop test
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["image_recovery", "signal_recovery",
+                                  "sparse_image", "source_separation"])
+def test_refresh_form_matches_the_explicit_residual(monkeypatch, kind):
+    # a period led by every arm, then the stock sets: a record followed by an
+    # iteration that refreshes every row takes its residual from that
+    # refresh.  Checked from a seeded point of C and from the solution.
+    prob, sched, cfg = _stock_case(kind, 0)
+    solution = solve(prob, sched, cfg).solution.data
+    every = tuple(range(prob.arm_count))
+    led = make_schedule("explicit", prob.arm_count, sets=[every, *sched.sets])
+    period, iters = len(led.sets), 3 * len(led.sets)
+    explicit = []
+
+    def counted(*args, **kwargs):
+        explicit.append(None)
+        return array_residual(*args, **kwargs)
+
+    monkeypatch.setattr(blockvi.solver, "array_residual", counted)
+    rng = np.random.default_rng(23)
+    scale = 1.0 + np.linalg.norm(solution) / np.sqrt(solution.size)
+    start = prob.constraint.array_projector(
+        solution + scale * rng.standard_normal(solution.size))
+    for x0 in (start, solution):
+        explicit.clear()
+        res = solve(prob, led, _config(gamma=cfg.gamma, max_iters=iters, tol=0.0,
+                                       x0=SpacePoint(x0, prob.domain_shape),
+                                       keep_snapshots=True, accelerate=False))
+        refresh_form = [r.n for r in res.trace.records if r.n + 1 < iters
+                        and len(led.active_set(r.n + 1)) == len(every)]
+        assert len(refresh_form) >= 2
+        assert len(explicit) == len(res.trace.records) - len(refresh_form)
+        for r, (_, _, x) in zip(res.trace.records, res.trace.iterates[1:]):
+            assert abs(r.residual - array_residual(prob, x.data)) <= 1e-12, r.n
+
+
+def test_zero_tol_run_never_stops_early():
+    # within a few hundred iterations kappa = gamma / sum_j w_j b_j times the
+    # gradient falls below half an ulp of x: the refresh then leaves x as it
+    # is and its form of the residual reads 0, while the explicit residual
+    # need not.  A tol = 0 run stops only where the explicit one is 0.
+    prob, _ = mixed_arms_problem(0, consistent=False)
+    for accelerate in (False, True):
+        res = solve(prob, make_schedule("full", prob.arm_count),
+                    _config(gamma=1.5, max_iters=400, tol=0.0, trace_every=7,
+                            x0=SpacePoint(np.zeros(6)), accelerate=accelerate))
+        if res.status is SolveStatus.CONVERGED:
+            assert array_residual(prob, res.solution.data) == 0.0
+        else:
+            assert res.trace.records[-1].n == 399
 
 
 # ---------------------------------------------------------------------------
