@@ -14,10 +14,11 @@ only through its projector on flat arrays (:class:`ConstraintSet`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,12 +28,14 @@ from .errors import (
     UnsupportedObjective,
     WeightSumError,
 )
+from .linops import DenseMatrix
 from .space import BlockShape, SpacePoint
 
 __all__ = [
     "ConstraintSet",
     "Prescription",
     "Problem",
+    "ArmArrays",
     "assemble_problem",
     "vi_residual",
     "prescription_images",
@@ -104,6 +107,14 @@ class Prescription:
         return self.fne.apply(self.linop.apply(x))
 
 
+class ArmArrays(NamedTuple):
+    """Per-arm data of a problem as read-only arrays, in arm order."""
+
+    weights: np.ndarray     # w_i
+    bounds: np.ndarray      # norm_sq_bound, b_i >= ||L_i||^2
+    heights: np.ndarray     # rows of L_i when it is a DenseMatrix, else 0
+
+
 @dataclass(frozen=True)
 class Problem:
     """Constraint set plus a nonempty ordered family of prescriptions."""
@@ -135,6 +146,20 @@ class Problem:
     @property
     def arm_count(self) -> int:
         return len(self.prescriptions)
+
+    @functools.cached_property
+    def arrays(self) -> ArmArrays:
+        """The weights, bounds and dense row counts of the arms, read once
+        on first use (the prescriptions are immutable)."""
+        pres = self.prescriptions
+        arrays = ArmArrays(
+            np.array([p.weight for p in pres]),
+            np.array([p.norm_sq_bound for p in pres]),
+            np.array([p.linop.matrix.shape[0] if isinstance(p.linop, DenseMatrix)
+                      else 0 for p in pres]))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def assemble_problem(constraint: ConstraintSet,

@@ -425,7 +425,9 @@ class MeanAdjust(FneOperator):
         self.rho = float(rho)
 
     def _apply(self, y):
-        return y - (np.mean(y) - self.rho)
+        # np.mean(y) bit for bit (the same pairwise sum and division), without
+        # the dispatch that costs more than the sum on an image
+        return y - (y.sum() / y.size - self.rho)
 
     def describe(self):
         return {"kind": self.kind, "rho": self.rho}

@@ -20,11 +20,14 @@ firmly nonexpansive.  Every arm of c may therefore share one bound
 
 which can be far below the weighted mean of the per-arm ||L_i||^2 when the
 maps of c point in different directions.  The bound is tightened only where
-it is computed exactly: for multi-arm atoms of dense maps, b_c is the squared
-largest singular value of the stacked rows sqrt(w_i / W_c) A_i.  Every other
-arm keeps its ``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).  Each atom's
-dense rows are stacked once (:func:`_dense_rows`); the bound scales that
-stack, and the fused groups below take their rows from it.
+it is computed exactly: for multi-arm atoms of dense maps, b_c is
+:func:`blockvi.linops.certified_norm_sq` of the stacked rows A_i with row
+weights w_i / W_c, the largest eigenvalue of their smaller weighted Gram
+plus a stated allowance for its rounding.  Every other arm keeps its
+``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).  Each atom's dense rows
+are stacked once (:func:`_dense_rows`); the bound weights that stack, and
+the fused groups below take their rows from it.  The per-arm weights,
+bounds and row counts come from :attr:`blockvi.core.Problem.arrays`.
 
 The averaging uses weights v_i proportional to w_i * b_i.  Dividing each
 arm's update by b_i makes the arm operators 1-cocoercive (which is what the
@@ -69,10 +72,24 @@ free: with kappa = gamma / sum_j w_j b_j, v_i gamma_i = kappa w_i and
 sum_g V_g = 1, so the sum is (x - sum_g V_g tau_g) / kappa, and the check
 costs one projection and two norms.  Such a record (iteration n) is
 written after the refresh of iteration n + 1; every other record runs the
-explicit pass :func:`array_residual`.  A check that reads at most ``tol``
-in the refresh form is confirmed by the explicit pass, so a run stops only
-where ``array_residual`` is at most ``tol``: once kappa times the sum falls
-below half an ulp of x, the refresh leaves x as it is and its form reads 0.
+explicit pass :func:`array_residual`.  Once kappa times the sum falls below
+half an ulp of x, the refresh leaves x as it is and its form reads 0 while
+the explicit residual need not; conversely, the explicit residual can meet
+``tol`` while the form reads a few ulps above it.  So a check whose refresh
+form reads at most ``tol`` plus the form's rounding bound is confirmed by
+the explicit pass, and a run stops exactly where ``array_residual`` first
+meets ``tol`` at a check.  The bound, with u = eps / 2 and R the larger of
+||x|| and (sum_g ||tau_g||^2)^(1/2) >= max_g ||tau_g||: each row is stored
+as the rounded x - q_g, q_g = sum_{i in g} c_i L_i*(F_i(L_i x) - p_i); the
+mean m = sum_g V_g tau_g is a G-term sum per entry (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., §3.5); and x - m, the division
+by kappa and the residual's own x - grad round once each.  Together they
+move the form's gradient away from sum_g V_g q_g / kappa by at most
+(G + 7) u R / kappa in norm, and masses that sum to 1 + delta add
+delta x / kappa.  The projection is nonexpansive, so the residual moves by
+at most ((G + 4) eps R + |delta| ||x||) / kappa + eps ||x||, over
+1 + ||x|| (:func:`_refresh_slack`), where eps ||x|| covers the rounding of
+x in the last subtraction.
 
 Every schedule is accelerated by safeguarded type-II Anderson extrapolation
 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of a *span map*.  A span is
@@ -172,7 +189,7 @@ import numpy as np
 # form below directly.
 from .core import Problem, vi_residual  # noqa: F401
 from .errors import CoverageError, EmptyBlock, InvalidParameter, ShapeMismatch
-from .linops import DenseMatrix, certified_norm_sq
+from .linops import certified_norm_sq
 from .space import SpacePoint
 
 __all__ = [
@@ -192,6 +209,8 @@ __all__ = [
     "array_residual",
     "arm_gaps",
 ]
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +236,7 @@ def validate_schedule(sets: Sequence[Sequence[int]], index_count: int) -> int:
     K is the smallest window length such that every K consecutive active sets
     (starting anywhere) jointly touch every index.
     """
-    period = [tuple(sorted(set(int(i) for i in s))) for s in sets]
+    period = [tuple(sorted(set(map(int, s)))) for s in sets]
     if not period:
         raise InvalidParameter("schedule must contain at least one index set")
     full = frozenset(range(index_count))
@@ -400,12 +419,15 @@ class SolveResult:
 
 def activation_atoms(schedule: ActivationSchedule) -> tuple:
     """Maximal sets of arms that every active set holds whole or misses,
-    in order of their first arm."""
-    sets = [frozenset(s) for s in schedule.sets]
-    atoms: dict = {}
-    for i in range(schedule.index_count):
-        atoms.setdefault(tuple(i in s for s in sets), []).append(i)
-    return tuple(tuple(a) for a in atoms.values())
+    in order of their first arm: the arms with equal columns of the
+    set-by-arm membership array."""
+    member = np.zeros((len(schedule.sets), schedule.index_count), dtype=bool)
+    for j, s in enumerate(schedule.sets):
+        member[j, list(s)] = True
+    arms = np.lexsort(member[::-1])      # by membership, ascending within
+    cuts = np.flatnonzero((member[:, arms[1:]] != member[:, arms[:-1]]).any(axis=0))
+    return tuple(sorted((tuple(a.tolist()) for a in np.split(arms, cuts + 1)),
+                        key=lambda atom: atom[0]))
 
 
 def step_bounds(problem: Problem,
@@ -416,28 +438,27 @@ def step_bounds(problem: Problem,
 
     Without a schedule every arm is its own atom and b_i is its
     ``norm_sq_bound``.  With one, the arms of a multi-arm atom of dense maps
-    share the exact bound ||sum_{i in c} (w_i / W_c) A_i^T A_i|| whenever it
-    is below their weighted mean sum_{i in c} w_i b_i / W_c.  ``atoms`` are
+    share the bound on ||sum_{i in c} (w_i / W_c) A_i^T A_i|| that
+    :func:`blockvi.linops.certified_norm_sq` certifies for their stacked rows
+    whenever it is below their weighted mean sum_{i in c} w_i b_i / W_c.  ``atoms`` are
     the schedule's :func:`activation_atoms` and ``rows`` their
     :func:`_dense_rows`, each computed when omitted.
     """
-    bounds = [p.norm_sq_bound for p in problem.prescriptions]
-    if schedule is None:
-        return tuple(bounds)
-    atoms = atoms or activation_atoms(schedule)
-    for k, atom in enumerate(atoms):
-        arms = [problem.prescriptions[i] for i in atom]
-        if len(arms) < 2 or not all(isinstance(p.linop, DenseMatrix) for p in arms):
-            continue
-        total = math.fsum(p.weight for p in arms)
-        scale = np.repeat([math.sqrt(p.weight / total) for p in arms],
-                          [p.linop.matrix.shape[0] for p in arms])
-        stacked = _dense_rows(problem, atom) if rows is None else rows[k]
-        certified = certified_norm_sq(scale[:, None] * stacked)
-        if certified < math.fsum(p.weight * p.norm_sq_bound for p in arms) / total:
-            for i in atom:
-                bounds[i] = certified
-    return tuple(bounds)
+    weights, own, heights = problem.arrays
+    bounds = own.copy()
+    if schedule is not None:
+        atoms = atoms or activation_atoms(schedule)
+        for k, atom in enumerate(atoms):
+            arms = np.asarray(atom)
+            if arms.size < 2 or not heights[arms].all():
+                continue
+            total = math.fsum(weights[arms].tolist())
+            stacked = _dense_rows(problem, atom) if rows is None else rows[k]
+            certified = certified_norm_sq(
+                stacked, np.repeat(weights[arms] / total, heights[arms]))
+            if certified < math.fsum((weights[arms] * own[arms]).tolist()) / total:
+                bounds[arms] = certified
+    return tuple(bounds.tolist())
 
 
 def arm_gammas(problem: Problem, gamma: float,
@@ -450,13 +471,16 @@ def averaging_weights(problem: Problem,
                       schedule: Optional[ActivationSchedule] = None) -> tuple:
     """Weights v_i = w_i b_i / sum_j w_j b_j used in the averaging step; they
     cancel the per-arm step scaling so fixed points solve the stated problem."""
-    return _averaging_weights(problem, step_bounds(problem, schedule))
+    v, _ = _averaging_weights(problem, step_bounds(problem, schedule))
+    return tuple(v.tolist())
 
 
 def _averaging_weights(problem: Problem, bounds) -> tuple:
-    raw = [p.weight * b for p, b in zip(problem.prescriptions, bounds)]
-    z = sum(raw)
-    return tuple(r / z for r in raw)
+    """(v, z): the averaging weights v_i = w_i b_i / z as an array and
+    z = sum_j w_j b_j, summed in arm order."""
+    raw = problem.arrays.weights * np.asarray(bounds)
+    z = sum(raw.tolist())
+    return raw / z, z
 
 
 @dataclass(frozen=True)
@@ -478,9 +502,10 @@ def _dense_rows(problem: Problem, atom: Sequence[int]) -> Optional[np.ndarray]:
     """The matrices of the atom's ``DenseMatrix`` arms stacked in arm order,
     or None when it has none; :func:`step_bounds` and :func:`_arm_groups`
     both take their dense rows from this one stack."""
-    mats = [problem.prescriptions[i].linop.matrix for i in atom
-            if isinstance(problem.prescriptions[i].linop, DenseMatrix)]
-    return np.vstack(mats) if mats else None
+    arms = np.asarray(atom)
+    dense = arms[problem.arrays.heights[arms] > 0].tolist()
+    pres = problem.prescriptions
+    return np.concatenate([pres[i].linop.matrix for i in dense]) if dense else None
 
 
 def _arm_groups(problem: Problem, atom: Sequence[int], coef=None,
@@ -490,34 +515,33 @@ def _arm_groups(problem: Problem, atom: Sequence[int], coef=None,
     every other arm alone.  ``coef[i]`` is arm i's c_i; the problem weights
     w_i, the residual's, when omitted.  A fused group's matrix is taken from
     ``rows``, the atom's :func:`_dense_rows`, stacked when omitted."""
-    coef = np.asarray(problem.weights if coef is None else coef)
-    alone, rank_one, first_row = [], {}, {}
-    height = 0
-    for i in atom:
-        p = problem.prescriptions[i]
-        if isinstance(p.linop, DenseMatrix):
-            first_row[i] = height
-            height += p.linop.matrix.shape[0]
-            if p.linop.matrix.shape[0] == 1:
-                rank_one.setdefault(type(p.fne), []).append(i)
-                continue
-        alone.append(i)
+    coef = problem.arrays.weights if coef is None else np.asarray(coef)
+    pres = problem.prescriptions
+    atom = np.asarray(atom)
+    heights = problem.arrays.heights[atom]
+    first_row = np.cumsum(heights) - heights    # in the atom's dense stack
+    one_row = heights == 1
+    by_class = {}                               # positions of one-row arms
+    for at, i in zip(np.flatnonzero(one_row).tolist(), atom[one_row].tolist()):
+        by_class.setdefault(type(pres[i].fne), []).append(at)
+    alone = atom[~one_row].tolist()
     groups = []
-    for cls, arms in rank_one.items():
-        pres = [problem.prescriptions[i] for i in arms]
-        fne = cls.stacked([p.fne for p in pres]) if len(arms) > 1 else None
+    for cls, at in by_class.items():
+        arms = atom[at]
+        members = [pres[i] for i in arms.tolist()]
+        fne = cls.stacked([p.fne for p in members]) if len(at) > 1 else None
         if fne is None:
-            alone.extend(arms)
+            alone.extend(arms.tolist())
             continue
         if rows is None:
             rows = _dense_rows(problem, atom)
         # a group that holds every dense row of the atom is the stack itself
-        matrix = rows if len(arms) == len(rows) else rows[[first_row[i] for i in arms]]
+        matrix = rows if len(at) == len(rows) else rows[first_row[at]]
         groups.append(_ArmGroup(
-            np.array(arms), fne, np.concatenate([p.target.data for p in pres]),
+            arms, fne, np.concatenate([p.target.data for p in members]),
             coef[arms], matrix=matrix))
     for i in alone:
-        p = problem.prescriptions[i]
+        p = pres[i]
         groups.append(_ArmGroup(np.array([i]), p.fne, p.target.data,
                                 coef[[i]], p.linop))
     return tuple(groups)
@@ -581,8 +605,21 @@ def _gradient_residual(problem: Problem, x: np.ndarray, grad: np.ndarray,
                        theta: float = 1.0) -> float:
     """||x - P_C(x - theta grad)|| / (1 + ||x||), the residual at x given
     grad = sum_i w_i L_i*(F_i(L_i x) - p_i)."""
-    projected = problem.constraint.array_projector(x - theta * grad)
-    return float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
+    step = x - problem.constraint.array_projector(x - theta * grad)
+    # math.sqrt(v @ v) is np.linalg.norm(v) of a flat array bit for bit,
+    # without its dispatch
+    return math.sqrt(step @ step) / (1.0 + math.sqrt(x @ x))
+
+
+def _refresh_slack(x: np.ndarray, t: np.ndarray, kappa: float,
+                   drift: float) -> float:
+    """Bound on the rounding error of the refresh form of the residual at x,
+    given the rows t and drift = |1 - sum_g V_g| (see the module
+    docstring)."""
+    size = math.sqrt(x @ x)
+    rows = max(size, math.sqrt(np.vdot(t, t)))
+    return ((((len(t) + 4) * _EPS * rows + drift * size) / kappa + _EPS * size)
+            / (1.0 + size))
 
 
 def arm_gaps(problem: Problem, x: np.ndarray) -> np.ndarray:
@@ -691,17 +728,18 @@ def solve(problem: Problem, schedule: ActivationSchedule,
 
     atoms = activation_atoms(schedule)
     rows = [_dense_rows(problem, atom) for atom in atoms]
-    bounds = step_bounds(problem, schedule, atoms, rows)
-    gammas = config.gamma / np.asarray(bounds)
-    vweights = np.asarray(_averaging_weights(problem, bounds))
-    groups, masses = _row_groups(problem, atoms, gammas, vweights, rows)
+    bounds = np.array(step_bounds(problem, schedule, atoms, rows))
+    vweights, total = _averaging_weights(problem, bounds)
+    groups, masses = _row_groups(problem, atoms, config.gamma / bounds,
+                                 vweights, rows)
     cells = [tuple((row, g) for row, g in enumerate(groups) if g.arms[0] in s)
              for s in schedule.sets]
-    weights = np.asarray(problem.weights)
+    weights = problem.arrays.weights
     residual_groups = [replace(g, coef=weights[g.arms]) for g in groups]
     # once every row is refreshed at x, sum_i w_i L_i*(F_i(L_i x) - p_i) is
     # (x - masses @ t) / kappa (see the module docstring)
-    kappa = config.gamma / sum(w * b for w, b in zip(problem.weights, bounds))
+    kappa = config.gamma / total
+    drift = abs(1.0 - math.fsum(masses.tolist()))
     refreshes_all = [len(cell) == len(groups) for cell in cells]
     if config.t_init_policy == "copy_x0":
         t = np.tile(config.x0.data, (len(groups), 1))
@@ -745,7 +783,8 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         mean = masses @ t
         if pending is not None:
             residual = _gradient_residual(problem, x, (x - mean) / kappa)
-            if residual <= config.tol:      # stop only on the explicit residual
+            # stop only on the explicit residual
+            if residual <= config.tol + _refresh_slack(x, t, kappa, drift):
                 residual = array_residual(problem, x, groups=residual_groups)
             if record(*pending, residual):
                 status = SolveStatus.CONVERGED
@@ -755,7 +794,8 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         if n % config.trace_every == 0 or n == config.max_iters - 1:
             if not np.isfinite(x).all():
                 raise InvalidParameter("SpacePoint entries must be finite")
-            pending = (n, x, float(np.linalg.norm(x - prev_x)),
+            step = x - prev_x
+            pending = (n, x, math.sqrt(step @ step),
                        schedule.active_set(n))
             m = n + 1       # does the next iteration refresh every row at x?
             if not (m < config.max_iters and refreshes_all[m % period]

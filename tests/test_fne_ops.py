@@ -258,6 +258,15 @@ def test_mean_adjust_oracles():
     assert op.apply(z) == z              # idempotent
 
 
+@pytest.mark.parametrize("size", [1, 7, 1024])
+def test_mean_adjust_matches_np_mean_bitwise(size):
+    # the operator takes its mean as y.sum() / y.size
+    y = 50.0 * np.random.default_rng(size).standard_normal(size) + 3.0
+    assert (y.sum() / y.size).tobytes() == np.mean(y).tobytes()
+    op = MeanAdjust(138.0, BlockShape.vector(size))
+    assert op._apply(y).tobytes() == (y - (np.mean(y) - 138.0)).tobytes()
+
+
 def test_phase_exact_match_maps_to_zero(rng):
     y = rng.standard_normal((4, 4))
     theta = np.angle(np.fft.fft2(y))

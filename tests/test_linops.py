@@ -13,6 +13,7 @@ from blockvi.linops import (
     Identity,
     LinearOperator,
     PairSum,
+    certified_norm_sq,
     estimate_norm_sq,
     make_gaussian_kernel,
     make_uniform_kernel,
@@ -127,17 +128,51 @@ def test_finite_difference_bound_certified_without_slack(n):
     assert FiniteDifference1D(n).norm_sq >= np.linalg.eigvalsh(d.T @ d)[-1]
 
 
-def test_dense_bound_certified_when_top_vector_misses_seed_direction():
-    # the seed-0 start vector of a power iteration is the second right
-    # singular vector here, so such an estimate settles on 0.7^2, not 1
+def _hidden_seed_direction_matrix():
+    """An 8 x 8 matrix whose top right singular vector is orthogonal to the
+    seed-0 start vector of a power iteration, which therefore settles on the
+    second singular value, 0.7, not on 1."""
     start = np.random.default_rng(0).standard_normal(8)
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(np.column_stack([start, rng.standard_normal((8, 7))]))
     right = q[:, [1, 0, 2, 3, 4, 5, 6, 7]]
     left, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    a = left @ np.diag([1.0, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05]) @ right.T
+    return left @ np.diag([1.0, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05]) @ right.T
+
+
+def test_dense_bound_certified_when_top_vector_misses_seed_direction():
+    a = _hidden_seed_direction_matrix()
     top = np.linalg.norm(a, 2) ** 2
     assert DenseMatrix(a).norm_sq >= top > 1.0 - 1e-12
+
+
+def _certificate_cases():
+    """Tall, wide, square, rank-deficient and row-scaled matrices."""
+    rng = np.random.default_rng(31)
+    scaled_rows = 10.0 ** rng.uniform(-8, 8, 25)
+    scaled_rows[[0, 1]] = 1e-8, 1e8
+    return {
+        "tall": rng.standard_normal((40, 7)),
+        "wide": rng.standard_normal((7, 40)),
+        "square": rng.standard_normal((12, 12)),
+        "rank-deficient": rng.standard_normal((30, 3)) @ rng.standard_normal((3, 20)),
+        "zero-rows": np.vstack([rng.standard_normal((4, 9)), np.zeros((5, 9))]),
+        "row-scaled-tall": scaled_rows[:, None] * rng.standard_normal((25, 9)),
+        "row-scaled-wide": scaled_rows[:6, None] * rng.standard_normal((6, 15)),
+        "hidden-seed-direction": _hidden_seed_direction_matrix(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_certificate_cases()))
+def test_certified_bound_lies_above_the_squared_norm(name):
+    a = _certificate_cases()[name]
+    rng = np.random.default_rng(32)
+    equal = np.full(a.shape[0], 0.3)
+    unequal = 10.0 ** rng.uniform(-8, 8, a.shape[0])
+    assert certified_norm_sq(a) >= np.linalg.norm(a, 2) ** 2
+    for c in (equal, unequal):
+        scaled = np.sqrt(c)[:, None] * a
+        assert certified_norm_sq(a, c) >= np.linalg.norm(scaled, 2) ** 2
 
 
 class _Opaque(LinearOperator):
@@ -157,11 +192,15 @@ class _Opaque(LinearOperator):
         return self.matrix.T @ y
 
 
-def test_bound_without_closed_form_is_the_certified_svd(rng):
+def test_bound_without_closed_form_is_the_certified_gram_bound(rng):
+    # the stated slack of certified_norm_sq: k = 5, p = 7, and the top
+    # eigenvalue of the Gram may read up to 8 k eps above the SVD's
     a = rng.standard_normal((7, 5))
     top = np.linalg.norm(a, 2) ** 2
+    eps = np.finfo(np.float64).eps
     bound = estimate_norm_sq(_Opaque(a))
-    assert top <= bound <= top * (1.0 + 8.0 * np.finfo(np.float64).eps * 7)
+    assert top <= bound <= (top * (1.0 + 8.0 * 5 * eps)
+                            + (7 + 5 + 8) * eps * np.sum(a ** 2)) * (1.0 + 8.0 * 5 * eps)
 
 
 class _Diagonal(LinearOperator):

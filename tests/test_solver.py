@@ -1,4 +1,6 @@
 import csv
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +38,8 @@ from blockvi.solver import (
     step_bounds,
     validate_schedule,
 )
-from blockvi.solver import _arm_groups, _dense_rows, _refresh, _row_groups
+from blockvi.solver import (_arm_groups, _dense_rows, _gradient_residual, _refresh,
+                            _row_groups)
 from blockvi.space import BlockShape, SpacePoint
 
 from problem_zoo import feasibility_problem, mixed_arms_problem, scalar_problem
@@ -408,6 +411,152 @@ def test_solve_builds_groups_once(monkeypatch, case):
     atoms = list(activation_atoms(sched))
     assert stacks == atoms
     assert builds == atoms
+
+
+_STOCK_KINDS = ["image_recovery", "signal_recovery", "sparse_image",
+                "source_separation"]
+
+
+def _membership_atoms(schedule):
+    """Reference: one membership tuple per arm, atoms in order of first arm."""
+    sets = [frozenset(s) for s in schedule.sets]
+    atoms = {}
+    for i in range(schedule.index_count):
+        atoms.setdefault(tuple(i in s for s in sets), []).append(i)
+    return tuple(tuple(a) for a in atoms.values())
+
+
+def test_activation_atoms_match_the_membership_tuples():
+    schedules = [_stock_case(kind, 0)[1] for kind in _STOCK_KINDS]
+    schedules.append(_feasibility_case()[1])
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        m = int(rng.integers(1, 30))
+        sets = [np.flatnonzero(rng.random(m) < rng.random()).tolist()
+                for _ in range(int(rng.integers(1, 7)))]
+        covered = set().union(*sets)
+        sets.append([i for i in range(m) if i not in covered])
+        schedules.append(make_schedule("explicit", m, sets=[s for s in sets if s]))
+    for sched in schedules:
+        atoms = activation_atoms(sched)
+        assert atoms == _membership_atoms(sched)
+        assert all(type(i) is int for atom in atoms for i in atom)
+
+
+def _per_arm_row_groups(problem, atoms, gammas, vweights):
+    """Reference: the row groups built arm by arm, as (arms, fne class,
+    target, coef, matrix, mass) in order of first arm."""
+    groups = []
+    for atom in atoms:
+        pres = [problem.prescriptions[i] for i in atom]
+        dense = [p.linop.matrix for p in pres if isinstance(p.linop, DenseMatrix)]
+        rows = np.vstack(dense) if dense else None
+        alone, rank_one, first_row, height = [], {}, {}, 0
+        for i, p in zip(atom, pres):
+            if isinstance(p.linop, DenseMatrix):
+                first_row[i] = height
+                height += p.linop.matrix.shape[0]
+                if p.linop.matrix.shape[0] == 1:
+                    rank_one.setdefault(type(p.fne), []).append(i)
+                    continue
+            alone.append(i)
+        for cls, arms in rank_one.items():
+            members = [problem.prescriptions[i] for i in arms]
+            fne = cls.stacked([p.fne for p in members]) if len(arms) > 1 else None
+            if fne is None:
+                alone.extend(arms)
+                continue
+            matrix = rows if len(arms) == len(rows) else \
+                rows[[first_row[i] for i in arms]]
+            groups.append((arms, type(fne),
+                           np.concatenate([p.target.data for p in members]),
+                           gammas[arms], matrix))
+        groups += [([i], type(problem.prescriptions[i].fne),
+                    problem.prescriptions[i].target.data, gammas[[i]], None)
+                   for i in alone]
+    groups.sort(key=lambda g: g[0][0])
+    masses = [vweights[g[0]].sum() for g in groups]
+    return [(arms, cls, target, coef * (vweights[arms] / mass), matrix, mass)
+            for (arms, cls, target, coef, matrix), mass in zip(groups, masses)]
+
+
+@pytest.mark.parametrize("case", _STOCK_KINDS + ["feasibility"])
+def test_row_groups_match_the_per_arm_build_bitwise(case):
+    prob, sched = _feasibility_case() if case == "feasibility" else \
+        _stock_case(case, 0)[:2]
+    atoms = activation_atoms(sched)
+    gammas = 1.9 / np.asarray(step_bounds(prob, sched))
+    vweights = np.asarray(averaging_weights(prob, sched))
+    groups, masses = _row_groups(prob, atoms, gammas, vweights,
+                                 [_dense_rows(prob, atom) for atom in atoms])
+    expected = _per_arm_row_groups(prob, atoms, gammas, vweights)
+    assert len(groups) == len(expected) == len(masses)
+    for g, mass, (arms, cls, target, coef, matrix, ref_mass) in zip(
+            groups, masses, expected):
+        assert g.arms.tolist() == list(arms)
+        assert type(g.fne) is cls
+        assert g.target.tobytes() == target.tobytes()
+        assert g.coef.tobytes() == coef.tobytes()
+        assert mass.tobytes() == ref_mass.tobytes()
+        if matrix is None:
+            assert g.matrix is None
+        else:
+            assert g.matrix.tobytes() == matrix.tobytes()
+
+
+def _stock_dense_atoms():
+    """(problem, schedule) of every stock case with a multi-arm dense atom:
+    the signal_recovery cells of seeds 0-9, and the 600 x 100 Gaussian
+    least-squares systems of seeds 0 and 1 under ``full``."""
+    for seed in range(10):
+        yield _stock_case("signal_recovery", seed)[:2]
+    for seed in (0, 1):
+        prob, _, _ = feasibility_problem(seed, m=600, n=100)
+        yield prob, make_schedule("full", prob.arm_count)
+
+
+def test_stock_atom_bounds_lie_just_above_the_svd():
+    # certified, and loose by less than 1e-10 relative, so the step stays tight
+    atoms_seen = 0
+    for prob, sched in _stock_dense_atoms():
+        bounds = step_bounds(prob, sched)
+        for atom in activation_atoms(sched):
+            arms = [prob.prescriptions[i] for i in atom]
+            if len(atom) < 2 or not all(isinstance(p.linop, DenseMatrix)
+                                        for p in arms):
+                continue
+            total = math.fsum(p.weight for p in arms)
+            scaled = np.vstack([np.sqrt(p.weight / total) * p.linop.matrix
+                                for p in arms])
+            top = np.linalg.norm(scaled, 2) ** 2
+            assert all(bounds[i] == bounds[atom[0]] for i in atom)
+            assert top <= bounds[atom[0]] <= top * (1.0 + 1e-10)
+            atoms_seen += 1
+    assert atoms_seen == 10 * 4 + 2
+
+
+@pytest.mark.parametrize("case", ["signal_recovery", "least_squares"])
+def test_solve_computes_no_svd(monkeypatch, case):
+    # numpy's SVD gufuncs sit under np.linalg.svd, svdvals, norm(., 2),
+    # matrix_rank, pinv and cond: the step bounds take eigenvalues of a
+    # Gram instead, about a quarter of the cost on the 600 x 100 stack
+    calls = []
+    umath = np.linalg._umath_linalg
+    for name in ("svd", "svd_f", "svd_s"):
+        def counted(*args, _gufunc=getattr(umath, name), **kwargs):
+            calls.append(None)
+            return _gufunc(*args, **kwargs)
+        monkeypatch.setattr(umath, name, counted)
+    if case == "signal_recovery":
+        prob, sched = _stock_case("signal_recovery", 0)[:2]
+    else:
+        prob, _, _ = feasibility_problem(0, m=600, n=100)
+        sched = make_schedule("full", prob.arm_count)
+    np.linalg.norm(np.eye(2), 2)            # the counter sees an SVD
+    assert len(calls) == 1
+    solve(prob, sched, _config(gamma=1.9, max_iters=20, tol=0.0,
+                               x0=SpacePoint.zeros(prob.domain_shape)))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1069,6 +1218,48 @@ def test_zero_tol_run_never_stops_early():
             assert array_residual(prob, res.solution.data) == 0.0
         else:
             assert res.trace.records[-1].n == 399
+
+
+def test_record_norms_are_np_linalg_norm_bitwise():
+    # records take their norms as math.sqrt(v @ v), which must read what
+    # np.linalg.norm reads, bit for bit
+    prob, _ = mixed_arms_problem(2, consistent=False)
+    res = solve(prob, make_schedule("full", prob.arm_count),
+                _config(gamma=1.5, max_iters=30, tol=0.0, x0=SpacePoint(np.zeros(6)),
+                        accelerate=False, keep_snapshots=True))
+    xs = [x.data for _, _, x in res.trace.iterates]
+    for r in res.trace.records:
+        assert r.step_norm == float(np.linalg.norm(xs[r.n + 1] - xs[r.n])), r.n
+    rng = np.random.default_rng(43)
+    for size in (1, 7, 1024):
+        x, grad = rng.standard_normal(size), rng.standard_normal(size)
+        box = ConstraintSet.box(np.full(size, -0.5), np.full(size, 0.5))
+        for constraint in (box, ConstraintSet.whole_space()):
+            step = x - constraint.array_projector(x - grad)
+            expected = float(np.linalg.norm(step)) / (1.0 + float(np.linalg.norm(x)))
+            problem = SimpleNamespace(constraint=constraint)   # all it reads
+            assert _gradient_residual(problem, x, grad) == expected, size
+
+
+@pytest.mark.parametrize("seed, gamma, accelerate, stop", [
+    (5, 1.9, False, 294),   # unconfirmed, the run went on to n = 301
+    (0, 1.9, True, 175),    # unconfirmed, it ran out its 1000 iterations
+])
+def test_run_stops_at_the_first_check_that_meets_tol(seed, gamma, accelerate,
+                                                     stop):
+    # at n = stop the explicit residual is 0 while the refresh form reads a
+    # few ulps above it; a check within the form's rounding bound above tol
+    # is confirmed by the explicit residual, so a tol = 0 run stops at the
+    # first record whose explicit residual is 0
+    prob, _ = mixed_arms_problem(seed, consistent=False)
+    res = solve(prob, make_schedule("full", prob.arm_count),
+                _config(gamma=gamma, max_iters=1000, tol=0.0, trace_every=7,
+                        x0=SpacePoint(np.zeros(6)), accelerate=accelerate,
+                        keep_snapshots=True))
+    met = [r.n for r, (_, _, x) in zip(res.trace.records, res.trace.iterates[1:])
+           if array_residual(prob, x.data) == 0.0]
+    assert res.status is SolveStatus.CONVERGED
+    assert res.trace.records[-1].n == met[0] == stop
 
 
 # ---------------------------------------------------------------------------
