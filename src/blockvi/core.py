@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedObjective,
     WeightSumError,
 )
+from .fne_ops import clamp
 from .linops import DenseMatrix
 from .space import BlockShape, SpacePoint
 
@@ -69,7 +70,7 @@ class ConstraintSet:
         hi_a = np.asarray(hi, dtype=np.float64)
         if not np.all(lo_a <= hi_a):
             raise InvalidParameter("box bounds need lo <= hi componentwise")
-        return cls(array_projector=lambda a: np.clip(a, lo_a, hi_a))
+        return cls(array_projector=lambda a: clamp(a, lo_a, hi_a))
 
 
 @dataclass(frozen=True)

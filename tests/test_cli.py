@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import blockvi
+import blockvi.solver
 from blockvi.cli import (
     default_manifest,
     generate_experiment,
@@ -786,6 +787,22 @@ def test_default_manifests_converge(tmp_path, kind, seed):
     assert summary["status"] == "converged"
     assert summary["final_residual"] <= 1e-6
     assert summary["iterations"] <= payload["solver"]["max_iters"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-3])
+def test_stock_image_recovery_converges_at_either_regulariser(tmp_path,
+                                                             monkeypatch, scale):
+    # a last-bit change of the Anderson solve must not stall the stock image
+    # run: seed 1 converges within 10 000 iterations at REG and at a
+    # regulariser 1e-3 larger
+    monkeypatch.setattr(blockvi.solver._Anderson, "REG",
+                        blockvi.solver._Anderson.REG * scale)
+    payload = default_manifest("image_recovery", 1, output_dir="results")
+    payload["solver"].update(snapshots=False, max_iters=10_000)
+    code = run_manifest(load_manifest(_write_manifest(tmp_path, payload)))
+    summary = json.loads((tmp_path / "results" / "summary.json").read_text())
+    assert code == 0, summary["iterations"]
+    assert summary["status"] == "converged"
 
 
 def test_schedule_wall_clock_comparison_soft_report():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockvi.core import ConstraintSet
 from blockvi.errors import InvalidParameter, NotInRange, RankDeficient, ShapeMismatch
 from blockvi.fne_ops import (
     AveragedComposition,
@@ -21,6 +22,7 @@ from blockvi.fne_ops import (
     SoftClip,
     SoftThreshold,
     SvdSoftThreshold,
+    clamp,
     dead_zone_root,
     firm_nonexpansiveness_excess,
     hard_threshold,
@@ -143,6 +145,40 @@ def test_blockwise_constant_mean():
 def test_linf_ball_componentwise():
     op = LinfBallProjector(1.0, BlockShape.vector(2))
     np.testing.assert_array_equal(op.apply(SpacePoint([2.0, -0.5])).data, [1.0, -0.5])
+
+
+def _clamp_cases():
+    """(y, lo, hi): signed zeros, infinities and NaNs against scalar and
+    per-entry bounds, on sizes below and above the vector widths."""
+    rng = np.random.default_rng(7)
+    values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5,
+                       255.0, 300.0, -7.0, 5e-324, -5e-324, 1.0, -1.0])
+    scalar = [(0.0, 255.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0),
+              (-np.inf, np.inf), (-np.inf, -0.0), (0.0, np.inf), (1.0, 1.0)]
+    for n in (1, 15, 1024, 1031):
+        y = rng.permutation(np.resize(values, n))
+        for lo, hi in scalar:
+            yield y, lo, hi
+        lo = rng.choice([0.0, -0.0, -np.inf, -1.0, 1.0], n)
+        hi = np.maximum(lo, rng.choice([0.0, -0.0, np.inf, 1.0, 255.0], n))
+        flip = (lo == 0.0) & (rng.random(n) < 0.5)     # a zero of each sign
+        hi[flip] = -lo[flip]
+        yield y, lo, hi
+
+
+def test_clamp_is_np_clip_bit_for_bit():
+    # np.clip keeps the value on a tie of signed zeros when both bounds are
+    # scalars and takes the bound when they are per-entry; clamp follows it
+    for y, lo, hi in _clamp_cases():
+        expected = np.clip(y, lo, hi).tobytes()
+        assert clamp(y, np.asarray(lo), np.asarray(hi)).tobytes() == expected, (lo, hi)
+        box = BoxProjector(lo, hi, BlockShape.vector(y.size))
+        assert box._apply(y).tobytes() == expected, (lo, hi)
+        assert ConstraintSet.box(lo, hi).array_projector(y).tobytes() == expected
+    for y, _, _ in _clamp_cases():
+        for rho in (0.5, 1.0, 255.0, np.inf):
+            ball = LinfBallProjector(rho, BlockShape.vector(y.size))
+            assert ball._apply(y).tobytes() == np.clip(y, -rho, rho).tobytes(), rho
 
 
 def test_make_projector_factory():
