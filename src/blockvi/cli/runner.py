@@ -8,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import inconsistency_bound
+from ..core import arm_gaps, inconsistency_bound
 from ..errors import MissingReference
-from ..solver import SolveStatus, SolverConfig, arm_gaps, make_schedule, solve
+from ..solver import SolveStatus, SolverConfig, make_schedule, solve
 from ..space import SpacePoint
 from .experiments import generate_experiment
 from .io import (

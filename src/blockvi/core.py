@@ -9,6 +9,14 @@ x is a solution iff it is a fixed point of
 
 for any theta > 0, which is what :func:`vi_residual` measures.  C enters
 only through its projector on flat arrays (:class:`ConstraintSet`).
+
+One array kernel evaluates the arms a *group* at a time: it reduces
+r_i = F_i(L_i x) - p_i to sum_i c_i L_i* r_i (:func:`pullback`).  The
+one-row ``DenseMatrix`` arms of an activation atom (arms the solver always
+refreshes together) whose FNEs fuse (``FneOperator.stacked``) form one group,
+evaluated with one matvec, one FNE call and one transposed matvec; every
+other arm is a group of one.  The residual and the gaps read the grouping
+of all arms as one atom, built once per problem (:attr:`Problem.groups`).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +50,12 @@ __all__ = [
     "prescription_images",
     "inconsistency_bound",
     "least_squares_objective",
+    "dense_rows",
+    "arm_groups",
+    "pullback",
+    "array_residual",
+    "gradient_residual",
+    "arm_gaps",
     "WEIGHT_SUM_TOL",
     "WEIGHT_RENORM_WINDOW",
 ]
@@ -162,6 +176,13 @@ class Problem:
             a.flags.writeable = False
         return arrays
 
+    @functools.cached_property
+    def groups(self) -> tuple:
+        """The :func:`arm_groups` of all arms as one atom, built once on first
+        use; the residual and the gaps read them."""
+        every = range(self.arm_count)
+        return arm_groups(self, every, dense_rows(self, every))
+
 
 def assemble_problem(constraint: ConstraintSet,
                      prescriptions: Sequence[Prescription]) -> Problem:
@@ -187,15 +208,12 @@ def vi_residual(problem: Problem, x: SpacePoint, theta: float = 1.0) -> float:
 
     ||x - proj_C(x - theta * sum_i w_i L_i*(F_i(L_i x) - p_i))|| / (1 + ||x||)
 
-    Evaluated on arrays by the solver's arm kernel
-    (:func:`blockvi.solver.array_residual`).
+    Evaluated on arrays by the arm kernel (:func:`array_residual`).
     """
     if not theta > 0:
         raise InvalidParameter("theta must be positive")
     if x.shape != problem.domain_shape:
         raise ShapeMismatch("point lives outside the problem domain")
-    from .solver import array_residual  # deferred: the solver imports this module
-
     return array_residual(problem, x.data, theta)
 
 
@@ -211,8 +229,7 @@ def inconsistency_bound(problem: Problem, solution: SpacePoint,
 
     Vanishes (within roundoff) exactly when every prescription holds at the
     solution.  The bound remains a valid estimate at imperfect solutions, so a
-    residual above ``tol`` only warns.  The gaps are the solver's
-    (:func:`blockvi.solver.arm_gaps`).
+    residual above ``tol`` only warns.  The gaps are :func:`arm_gaps`.
     """
     r = vi_residual(problem, solution)
     if r > tol:
@@ -221,8 +238,6 @@ def inconsistency_bound(problem: Problem, solution: SpacePoint,
             "treat the bound as an estimate",
             RuntimeWarning,
         )
-    from .solver import arm_gaps  # deferred: the solver imports this module
-
     return math.sqrt(math.fsum(arm_gaps(problem, solution.data) ** 2))
 
 
@@ -242,6 +257,126 @@ def least_squares_objective(problem: Problem, x: SpacePoint) -> float:
                 "objective is undefined")
         if np.any(p.target.data != 0):
             raise UnsupportedObjective(f"arm {i} has a nonzero target")
-    from .solver import arm_gaps  # deferred: the solver imports this module
-
     return 0.5 * math.fsum(np.asarray(problem.weights) * arm_gaps(problem, x.data) ** 2)
+
+
+@dataclass(frozen=True)
+class _ArmGroup:
+    """Arms that :func:`_fne_residuals` evaluates in one pass: a single arm
+    (``linop`` set), or one-row dense arms with fused FNEs (``matrix`` holds
+    their stacked rows, ``fne`` acts on all of them elementwise).  ``coef``
+    holds the c_i with which :func:`pullback` reduces the group."""
+
+    arms: np.ndarray         # the arms, ascending
+    fne: object
+    target: np.ndarray
+    coef: np.ndarray
+    linop: object = None
+    matrix: Optional[np.ndarray] = None
+
+
+def dense_rows(problem: Problem, atom: Sequence[int]) -> Optional[np.ndarray]:
+    """The matrices of the atom's ``DenseMatrix`` arms stacked in arm order,
+    or None when it has none: the one stack of the step bound and the groups."""
+    arms = np.asarray(atom)
+    dense = arms[problem.arrays.heights[arms] > 0].tolist()
+    pres = problem.prescriptions
+    return np.concatenate([pres[i].linop.matrix for i in dense]) if dense else None
+
+
+def arm_groups(problem: Problem, atom: Sequence[int],
+               rows: Optional[np.ndarray]) -> tuple:
+    """Split one activation atom into groups: for each FNE class, the atom's
+    one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
+    every other arm alone, each with the residual's c_i = w_i.  A fused
+    group's matrix is taken from ``rows``, the atom's :func:`dense_rows`."""
+    coef = problem.arrays.weights
+    pres = problem.prescriptions
+    atom = np.asarray(atom)
+    heights = problem.arrays.heights[atom]
+    first_row = np.cumsum(heights) - heights    # in the atom's dense stack
+    one_row = heights == 1
+    by_class = {}                               # positions of one-row arms
+    for at, i in zip(np.flatnonzero(one_row).tolist(), atom[one_row].tolist()):
+        by_class.setdefault(type(pres[i].fne), []).append(at)
+    alone = atom[~one_row].tolist()
+    groups = []
+    for cls, at in by_class.items():
+        arms = atom[at]
+        members = [pres[i] for i in arms.tolist()]
+        fne = cls.stacked([p.fne for p in members]) if len(at) > 1 else None
+        if fne is None:
+            alone.extend(arms.tolist())
+            continue
+        # a group that holds every dense row of the atom is the stack itself
+        matrix = rows if len(at) == len(rows) else rows[first_row[at]]
+        groups.append(_ArmGroup(
+            arms, fne, np.concatenate([p.target.data for p in members]),
+            coef[arms], matrix=matrix))
+    for i in alone:
+        p = pres[i]
+        groups.append(_ArmGroup(np.array([i]), p.fne, p.target.data,
+                                coef[[i]], p.linop))
+    return tuple(groups)
+
+
+def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
+    """r = F_i(L_i x) - p_i for the arms of ``group``: one matvec and one FNE
+    call for a fused group, the arm's own ``_apply`` for a single arm."""
+    image = group.linop._apply(x) if group.matrix is None else group.matrix @ x
+    return group.fne._apply(image) - group.target
+
+
+def pullback(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
+    """sum_i c_i L_i*(F_i(L_i x) - p_i) over the arms of ``group``: one
+    transposed matvec (c * r) @ A for a fused group, c_i L_i*(r_i) for a
+    single arm."""
+    r = _fne_residuals(group, x)
+    if group.matrix is None:
+        return group.coef[0] * group.linop._adjoint(r)
+    return (group.coef * r) @ group.matrix
+
+
+def _flat_point(problem: Problem, x) -> np.ndarray:
+    """``x`` as float64, which must be a flat array of the domain's size."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (problem.domain_shape.total,):
+        raise ShapeMismatch("point lives outside the problem domain")
+    return x
+
+
+def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
+                   groups: Optional[Sequence] = None) -> float:
+    """:func:`vi_residual` on a flat array.  ``groups`` are arm groups that
+    hold every arm once, with c_i = w_i; :attr:`Problem.groups` when
+    omitted.  Each group adds its share of sum_i w_i L_i*(F_i(L_i x) - p_i)
+    through :func:`pullback`."""
+    x = _flat_point(problem, x)
+    if groups is None:
+        groups = problem.groups
+    grad = np.zeros_like(x)
+    for g in groups:
+        grad += pullback(g, x)
+    return gradient_residual(problem, x, grad, theta)
+
+
+def gradient_residual(problem: Problem, x: np.ndarray, grad: np.ndarray,
+                      theta: float = 1.0) -> float:
+    """||x - P_C(x - theta grad)|| / (1 + ||x||), the residual at x given
+    grad = sum_i w_i L_i*(F_i(L_i x) - p_i)."""
+    step = x - problem.constraint.array_projector(x - theta * grad)
+    # math.sqrt(v @ v) is np.linalg.norm(v) of a flat array bit for bit,
+    # without its dispatch
+    return math.sqrt(step @ step) / (1.0 + math.sqrt(x @ x))
+
+
+def arm_gaps(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """The gaps ||F_i(L_i x) - p_i|| of every arm at a flat array x, in arm
+    order, from :attr:`Problem.groups`: |r_i| for the one-row arms of a fused
+    group, ||r_i|| for a single arm."""
+    x = _flat_point(problem, x)
+    gaps = np.empty(problem.arm_count)
+    for g in problem.groups:
+        r = _fne_residuals(g, x)
+        gaps[g.arms] = np.abs(r) if g.matrix is not None else np.linalg.norm(r)
+    return gaps

@@ -25,9 +25,9 @@ it is computed exactly: for multi-arm atoms of dense maps, b_c is
 weights w_i / W_c, the largest eigenvalue of their smaller weighted Gram
 plus a stated allowance for its rounding.  Every other arm keeps its
 ``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).  Each atom's dense rows
-are stacked once (:func:`_dense_rows`); the bound weights that stack, and
-the fused groups below take their rows from it.  The per-arm weights,
-bounds and row counts come from :attr:`blockvi.core.Problem.arrays`.
+are stacked once (:func:`blockvi.core.dense_rows`); the bound weights that
+stack, and the fused groups below take their rows from it.  The per-arm
+weights, bounds and row counts come from :attr:`blockvi.core.Problem.arrays`.
 
 The averaging uses weights v_i proportional to w_i * b_i.  Dividing each
 arm's update by b_i makes the arm operators 1-cocoercive (which is what the
@@ -40,21 +40,9 @@ with the *problem's own* weights w_i -- the condition ``vi_residual``
 measures.  Averaging with the raw w_i instead would steer the iteration to
 a solution of a differently-weighted inequality whenever the bounds differ.
 
-One array kernel evaluates the arms, a *group* at a time: at a point x it
-forms r_i = F_i(L_i x) - p_i for the group's arms and reduces them to
-sum_i c_i L_i* r_i.  Within an activation atom, the arms whose map is a
-one-row ``DenseMatrix`` and whose FNEs fuse into one elementwise operator on
-R^k (``FneOperator.stacked``; soft thresholds of one level, singleton
-projectors and their residuals) form one group: one matvec with their stacked
-rows A_g, one FNE call and one transposed matvec (c * r) @ A_g, whatever k.
-Every other arm is a group of one, evaluated through its own
-``_apply``/``_adjoint`` exactly as alone.  The iteration takes the
-coefficients below over the groups of the active set; the residual takes
-c_i = w_i over the same groups, all of them, so a solve builds one grouping.
-The per-arm gaps ||F_i(L_i x) - p_i|| (:func:`arm_gaps`) come from the same
-r_i.
-
-The auxiliary state holds one row per group, not one per arm.  A group is
+The arms are evaluated in groups (:func:`blockvi.core.arm_groups`); the
+residual takes their own c_i = w_i, so a solve builds one grouping.  The
+auxiliary state holds one row per group, not one per arm.  A group is
 refreshed whole, from one x, and the averaging step sees its arms only
 through their v-weighted mean tau_g = sum_{i in g} (v_i / V_g) t_i, V_g =
 sum_{i in g} v_i.  So the row of g is tau_g, a refresh sets
@@ -187,10 +175,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# vi_residual is re-exported: the public residual stays reachable through this
-# module (bench/bench_trace.py wraps it here), while solve() calls the array
-# form below directly.
-from .core import Problem, vi_residual  # noqa: F401
+from .core import (Problem, arm_groups, array_residual, dense_rows,
+                   gradient_residual, pullback)
+from .core import vi_residual  # noqa: F401  (re-exported: benchmarks wrap it here)
 from .errors import CoverageError, EmptyBlock, InvalidParameter, ShapeMismatch
 from .linops import certified_norm_sq
 from .space import SpacePoint
@@ -209,8 +196,6 @@ __all__ = [
     "step_bounds",
     "arm_gammas",
     "averaging_weights",
-    "array_residual",
-    "arm_gaps",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -354,11 +339,11 @@ class SolverConfig:
             raise InvalidParameter(
                 f"gamma = {self.gamma!r} rejected; the relaxation parameter "
                 "must lie strictly inside (0, 2)")
-        if self.max_iters < 1:
+        if _integer(self.max_iters, "max_iters") < 1:
             raise InvalidParameter("max_iters must be >= 1")
         if not self.tol >= 0:                    # also catches NaN
             raise InvalidParameter("tol must be nonnegative")
-        if self.trace_every < 1:
+        if _integer(self.trace_every, "trace_every") < 1:
             raise InvalidParameter("trace_every must be >= 1")
         if self.t_init_policy not in ("copy_x0", "one_step"):
             raise InvalidParameter("t_init_policy must be copy_x0 or one_step")
@@ -399,9 +384,6 @@ class SolverTrace:
             raise InvalidParameter("trace records must be strictly increasing in n")
         self.records.append(TraceRecord(n, seconds, residual, step_norm,
                                         self._set_id(active)))
-
-    def add_iterate(self, k: int, seconds: float, x: SpacePoint):
-        self.iterates.append((k, seconds, x))
 
     @property
     def final_residual(self) -> float:
@@ -461,7 +443,7 @@ def step_bounds(problem: Problem,
     :func:`blockvi.linops.certified_norm_sq` certifies for their stacked rows
     whenever it is below their weighted mean sum_{i in c} w_i b_i / W_c.  ``atoms`` are
     the schedule's :func:`activation_atoms` and ``rows`` their
-    :func:`_dense_rows`, each computed when omitted.
+    :func:`blockvi.core.dense_rows`, each computed when omitted.
     """
     weights, own, heights = problem.arrays
     bounds = own.copy()
@@ -472,7 +454,7 @@ def step_bounds(problem: Problem,
             if arms.size < 2 or not heights[arms].all():
                 continue
             total = math.fsum(weights[arms].tolist())
-            stacked = _dense_rows(problem, atom) if rows is None else rows[k]
+            stacked = dense_rows(problem, atom) if rows is None else rows[k]
             certified = certified_norm_sq(
                 stacked, np.repeat(weights[arms] / total, heights[arms]))
             if certified < math.fsum((weights[arms] * own[arms]).tolist()) / total:
@@ -502,100 +484,19 @@ def _averaging_weights(problem: Problem, bounds) -> tuple:
     return raw / z, z
 
 
-@dataclass(frozen=True)
-class _ArmGroup:
-    """Arms that :func:`_fne_residuals` evaluates in one pass: a single arm
-    (``linop`` set), or one-row dense arms with fused FNEs (``matrix`` holds
-    their stacked rows, ``fne`` acts on all of them elementwise).  ``coef``
-    holds the c_i with which :func:`_pullback` reduces the group."""
-
-    arms: np.ndarray         # the arms, ascending
-    fne: object
-    target: np.ndarray
-    coef: np.ndarray
-    linop: object = None
-    matrix: Optional[np.ndarray] = None
-
-
-def _dense_rows(problem: Problem, atom: Sequence[int]) -> Optional[np.ndarray]:
-    """The matrices of the atom's ``DenseMatrix`` arms stacked in arm order,
-    or None when it has none; :func:`step_bounds` and :func:`_arm_groups`
-    both take their dense rows from this one stack."""
-    arms = np.asarray(atom)
-    dense = arms[problem.arrays.heights[arms] > 0].tolist()
-    pres = problem.prescriptions
-    return np.concatenate([pres[i].linop.matrix for i in dense]) if dense else None
-
-
-def _arm_groups(problem: Problem, atom: Sequence[int], coef=None,
-                rows: Optional[np.ndarray] = None) -> tuple:
-    """Split one activation atom into groups: for each FNE class, the atom's
-    one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
-    every other arm alone.  ``coef[i]`` is arm i's c_i; the problem weights
-    w_i, the residual's, when omitted.  A fused group's matrix is taken from
-    ``rows``, the atom's :func:`_dense_rows`, stacked when omitted."""
-    coef = problem.arrays.weights if coef is None else np.asarray(coef)
-    pres = problem.prescriptions
-    atom = np.asarray(atom)
-    heights = problem.arrays.heights[atom]
-    first_row = np.cumsum(heights) - heights    # in the atom's dense stack
-    one_row = heights == 1
-    by_class = {}                               # positions of one-row arms
-    for at, i in zip(np.flatnonzero(one_row).tolist(), atom[one_row].tolist()):
-        by_class.setdefault(type(pres[i].fne), []).append(at)
-    alone = atom[~one_row].tolist()
-    groups = []
-    for cls, at in by_class.items():
-        arms = atom[at]
-        members = [pres[i] for i in arms.tolist()]
-        fne = cls.stacked([p.fne for p in members]) if len(at) > 1 else None
-        if fne is None:
-            alone.extend(arms.tolist())
-            continue
-        if rows is None:
-            rows = _dense_rows(problem, atom)
-        # a group that holds every dense row of the atom is the stack itself
-        matrix = rows if len(at) == len(rows) else rows[first_row[at]]
-        groups.append(_ArmGroup(
-            arms, fne, np.concatenate([p.target.data for p in members]),
-            coef[arms], matrix=matrix))
-    for i in alone:
-        p = pres[i]
-        groups.append(_ArmGroup(np.array([i]), p.fne, p.target.data,
-                                coef[[i]], p.linop))
-    return tuple(groups)
-
-
 def _row_groups(problem: Problem, atoms, gammas: np.ndarray,
-                vweights: np.ndarray, rows: Optional[Sequence] = None) -> tuple:
-    """The arm groups of ``atoms`` in order of their first arm, one auxiliary
-    row each, with the refresh's c_i = v_i gamma_i / V_g, and the averaging
-    weights V_g = sum_{i in g} v_i of their rows (see the module docstring).
-    A single arm keeps c_i = gamma_i and V_g = v_i exactly.  ``rows`` are
-    the atoms' :func:`_dense_rows`, stacked when omitted."""
-    groups = sorted((g for atom, stacked in zip(atoms, rows or [None] * len(atoms))
-                     for g in _arm_groups(problem, atom, gammas, stacked)),
+                vweights: np.ndarray, rows: Sequence) -> tuple:
+    """(row groups, masses, groups): the arm ``groups`` of ``atoms``, built
+    from their dense ``rows``, by first arm; a copy of each with the
+    refresh's c_i = v_i gamma_i / V_g, one auxiliary row each; and V_g =
+    sum_{i in g} v_i (see the module docstring).  A single arm keeps
+    c_i = gamma_i and V_g = v_i exactly."""
+    groups = sorted((g for atom, stacked in zip(atoms, rows)
+                     for g in arm_groups(problem, atom, stacked)),
                     key=lambda g: g.arms[0])
     masses = np.array([vweights[g.arms].sum() for g in groups])
-    return ([replace(g, coef=g.coef * (vweights[g.arms] / mass))
-             for g, mass in zip(groups, masses)], masses)
-
-
-def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
-    """r = F_i(L_i x) - p_i for the arms of ``group``: one matvec and one FNE
-    call for a fused group, the arm's own ``_apply`` for a single arm."""
-    image = group.linop._apply(x) if group.matrix is None else group.matrix @ x
-    return group.fne._apply(image) - group.target
-
-
-def _pullback(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
-    """sum_i c_i L_i*(F_i(L_i x) - p_i) over the arms of ``group``: one
-    transposed matvec (c * r) @ A for a fused group, c_i L_i*(r_i) for a
-    single arm."""
-    r = _fne_residuals(group, x)
-    if group.matrix is None:
-        return group.coef[0] * group.linop._adjoint(r)
-    return (group.coef * r) @ group.matrix
+    return ([replace(g, coef=gammas[g.arms] * (vweights[g.arms] / mass))
+             for g, mass in zip(groups, masses)], masses, groups)
 
 
 def _refresh(cell, x: np.ndarray, t: np.ndarray):
@@ -603,31 +504,7 @@ def _refresh(cell, x: np.ndarray, t: np.ndarray):
     (row, g) of ``cell``, in place; every other row of ``t`` stays bitwise as
     it was."""
     for row, g in cell:
-        np.subtract(x, _pullback(g, x), out=t[row])
-
-
-def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
-                   groups: Optional[Sequence] = None) -> float:
-    """:func:`blockvi.core.vi_residual` on a flat array.  ``groups`` are arm
-    groups that hold every arm once, with c_i = w_i; the groups of all arms
-    taken as one atom when omitted.  Each group adds its share of
-    sum_i w_i L_i*(F_i(L_i x) - p_i) through :func:`_pullback`."""
-    if groups is None:
-        groups = _arm_groups(problem, range(problem.arm_count))
-    grad = np.zeros_like(x)
-    for g in groups:
-        grad += _pullback(g, x)
-    return _gradient_residual(problem, x, grad, theta)
-
-
-def _gradient_residual(problem: Problem, x: np.ndarray, grad: np.ndarray,
-                       theta: float = 1.0) -> float:
-    """||x - P_C(x - theta grad)|| / (1 + ||x||), the residual at x given
-    grad = sum_i w_i L_i*(F_i(L_i x) - p_i)."""
-    step = x - problem.constraint.array_projector(x - theta * grad)
-    # math.sqrt(v @ v) is np.linalg.norm(v) of a flat array bit for bit,
-    # without its dispatch
-    return math.sqrt(step @ step) / (1.0 + math.sqrt(x @ x))
+        np.subtract(x, pullback(g, x), out=t[row])
 
 
 def _refresh_slack(x: np.ndarray, t: np.ndarray, kappa: float,
@@ -639,17 +516,6 @@ def _refresh_slack(x: np.ndarray, t: np.ndarray, kappa: float,
     rows = max(size, math.sqrt(np.vdot(t, t)))
     return ((((len(t) + 4) * _EPS * rows + drift * size) / kappa + _EPS * size)
             / (1.0 + size))
-
-
-def arm_gaps(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """The gaps ||F_i(L_i x) - p_i|| of every arm at a flat array x, in arm
-    order, from the residual's groups: |r_i| for the one-row arms of a fused
-    group, ||r_i|| for a single arm."""
-    gaps = np.empty(problem.arm_count)
-    for g in _arm_groups(problem, range(problem.arm_count)):
-        r = _fne_residuals(g, x)
-        gaps[g.arms] = np.abs(r) if g.matrix is not None else np.linalg.norm(r)
-    return gaps
 
 
 class _Anderson:
@@ -745,15 +611,13 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         raise ShapeMismatch("x0 lives outside the problem domain")
 
     atoms = activation_atoms(schedule)
-    rows = [_dense_rows(problem, atom) for atom in atoms]
+    rows = [dense_rows(problem, atom) for atom in atoms]
     bounds = np.array(step_bounds(problem, schedule, atoms, rows))
     vweights, total = _averaging_weights(problem, bounds)
-    groups, masses = _row_groups(problem, atoms, config.gamma / bounds,
-                                 vweights, rows)
+    groups, masses, residual_groups = _row_groups(
+        problem, atoms, config.gamma / bounds, vweights, rows)
     cells = [tuple((row, g) for row, g in enumerate(groups) if g.arms[0] in s)
              for s in schedule.sets]
-    weights = problem.arrays.weights
-    residual_groups = [replace(g, coef=weights[g.arms]) for g in groups]
     # once every row is refreshed at x, sum_i w_i L_i*(F_i(L_i x) - p_i) is
     # (x - masses @ t) / kappa (see the module docstring)
     kappa = config.gamma / total
@@ -768,7 +632,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     trace = SolverTrace()
     started = time.perf_counter()
     if config.keep_snapshots:
-        trace.add_iterate(0, 0.0, config.x0)
+        trace.iterates.append((0, 0.0, config.x0))
 
     def record(n, x, step_norm, active, residual) -> bool:
         """Add the record of iteration n, whose loop iterate is x; True when
@@ -776,7 +640,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         seconds = time.perf_counter() - started
         trace.add(n, seconds, residual, step_norm, active)
         if config.keep_snapshots:
-            trace.add_iterate(n + 1, seconds, SpacePoint(x, problem.domain_shape))
+            trace.iterates.append((n + 1, seconds, SpacePoint(x, problem.domain_shape)))
         return residual <= config.tol
 
     x = config.x0.data
@@ -800,7 +664,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         _refresh(cells[n % period], x, t)
         mean = masses @ t
         if pending is not None:
-            residual = _gradient_residual(problem, x, (x - mean) / kappa)
+            residual = gradient_residual(problem, x, (x - mean) / kappa)
             # stop only on the explicit residual
             if residual <= config.tol + _refresh_slack(x, t, kappa, drift):
                 residual = array_residual(problem, x, groups=residual_groups)

@@ -24,6 +24,7 @@ from blockvi.cli import (
 from blockvi.core import (
     ConstraintSet,
     Prescription,
+    arm_gaps,
     assemble_problem,
     inconsistency_bound,
     prescription_images,
@@ -39,7 +40,7 @@ from blockvi.fne_ops import (
 )
 from blockvi.linops import DenseMatrix
 from blockvi.fne_ops import ResidualOf, SingletonProjector
-from blockvi.solver import SolveStatus, SolverConfig, arm_gaps, make_schedule, solve
+from blockvi.solver import SolveStatus, SolverConfig, make_schedule, solve
 from blockvi.space import BlockShape, SpacePoint
 
 from conftest import adjoint_defect, random_point

@@ -33,7 +33,8 @@ from blockvi.errors import (
     ManifestError,
     MissingReference,
 )
-from blockvi.solver import arm_gaps, validate_schedule
+from blockvi.core import arm_gaps, arm_groups
+from blockvi.solver import solve, validate_schedule
 from blockvi.space import SpacePoint
 
 
@@ -459,6 +460,35 @@ def test_summary_gaps_come_from_the_solver_kernel(tmp_path):
     gaps = arm_gaps(problem, read_vector_csv(out / "recovered.csv"))
     assert summary["arm_gaps"] == gaps.tolist()
     assert summary["inconsistency_bound"] == math.sqrt(math.fsum(gaps ** 2))
+
+
+def test_run_builds_the_all_arm_groups_once(tmp_path, monkeypatch):
+    # after the solve, the inconsistency bound (its residual and its gaps) and
+    # the summary's gaps all read the problem's one grouping of all arms
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((12, 4))
+    write_matrix_csv(matrix, tmp_path / "matrix.csv")
+    write_vector_csv(matrix @ rng.standard_normal(4) + rng.standard_normal(12),
+                     tmp_path / "rhs.csv")
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": str(tmp_path / "matrix.csv"),
+                            "rhs_csv": str(tmp_path / "rhs.csv")}
+    events = []
+
+    def counted_groups(problem, atom, rows):
+        events.append(list(atom) == list(range(problem.arm_count)))
+        return arm_groups(problem, atom, rows)
+
+    def marked_solve(*args):
+        result = solve(*args)
+        events.append("solved")
+        return result
+
+    monkeypatch.setattr("blockvi.core.arm_groups", counted_groups)
+    monkeypatch.setattr("blockvi.solver.arm_groups", counted_groups)
+    monkeypatch.setattr("blockvi.cli.runner.solve", marked_solve)
+    assert run_manifest(load_manifest(_write_manifest(tmp_path, payload))) == 0
+    assert events[events.index("solved") + 1:] == [True]
 
 
 def test_run_exit_codes_via_main(tmp_path, capsys):

@@ -5,6 +5,8 @@ from blockvi.core import (
     ConstraintSet,
     Prescription,
     Problem,
+    arm_gaps,
+    array_residual,
     assemble_problem,
     inconsistency_bound,
     least_squares_objective,
@@ -19,7 +21,7 @@ from blockvi.errors import (
 )
 from blockvi.fne_ops import BoxProjector, IdentityFne, ResidualOf
 from blockvi.linops import Identity
-from blockvi.solver import SolverConfig, arm_gaps, make_schedule, solve
+from blockvi.solver import SolverConfig, make_schedule, solve
 from blockvi.space import BlockShape, SpacePoint
 
 from problem_zoo import feasibility_problem, mixed_arms_problem, scalar_problem
@@ -137,6 +139,20 @@ def test_residual_shape_checked():
     prob = scalar_problem(ConstraintSet.whole_space(), 1.0)
     with pytest.raises(ShapeMismatch):
         vi_residual(prob, SpacePoint([0.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("kernel", [array_residual, arm_gaps])
+def test_array_kernel_checks_its_point(kernel):
+    # raw arrays of the wrong length or layout fail with a typed error, not a
+    # numpy one, and integer arrays are taken as float64
+    for prob in (mixed_arms_problem(0, consistent=False)[0],   # single arms
+                 feasibility_problem(1, m=5, n=3)[0]):          # one fused group
+        n = prob.domain_shape.total
+        for bad in (np.zeros(n + 1), np.zeros((n, 1)), np.zeros((1, n)), np.float64(0)):
+            with pytest.raises(ShapeMismatch):
+                kernel(prob, bad)
+        as_int = kernel(prob, np.arange(n))
+        assert np.array_equal(as_int, kernel(prob, np.arange(n, dtype=np.float64)))
 
 
 def test_root_characterization_theta_independent():

@@ -46,6 +46,28 @@ def _module_level(tree):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def test_no_function_level_package_imports():
+    # an import of a package module inside a function hides a dependency
+    # (often a cycle) from the module's header; stdlib imports may be deferred
+    root = Path(blockvi.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in _module_level(tree)}
+        for node in ast.walk(tree):
+            if id(node) in top:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["blockvi" if node.level else node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                          for name in names if name.split(".")[0] == "blockvi"]
+    assert offenders == []
+
+
 def test_no_module_level_scipy_import():
     # importing scipy.fft costs more than a run without transforms takes, so
     # only the constructors of the operators that call it import it

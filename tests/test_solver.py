@@ -11,7 +11,9 @@ from blockvi.cli import (
     write_matrix_csv,
     write_vector_csv,
 )
-from blockvi.core import ConstraintSet, Prescription, assemble_problem
+from blockvi.core import (ConstraintSet, Prescription, arm_gaps, arm_groups,
+                          array_residual, assemble_problem, dense_rows,
+                          gradient_residual)
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
 from blockvi.fne_ops import (
     BoxProjector,
@@ -29,8 +31,6 @@ from blockvi.solver import (
     SolverConfig,
     SolverTrace,
     activation_atoms,
-    arm_gaps,
-    array_residual,
     arm_gammas,
     averaging_weights,
     make_schedule,
@@ -38,8 +38,7 @@ from blockvi.solver import (
     step_bounds,
     validate_schedule,
 )
-from blockvi.solver import (_arm_groups, _dense_rows, _gradient_residual, _refresh,
-                            _row_groups)
+from blockvi.solver import _refresh, _row_groups
 from blockvi.space import BlockShape, SpacePoint
 
 from problem_zoo import feasibility_problem, mixed_arms_problem, scalar_problem
@@ -181,6 +180,16 @@ def test_nan_tol_rejected():
     with pytest.raises(InvalidParameter, match="tol"):
         solve(scalar_problem(ConstraintSet.whole_space(), 1.0),
               make_schedule("full", 1), _config(tol=float("nan")))
+
+
+@pytest.mark.parametrize("key,value", [("max_iters", 10.5), ("max_iters", True),
+                                       ("trace_every", 2.5), ("trace_every", True)])
+def test_counts_must_be_integers(key, value):
+    # a float count had ended in a bare TypeError (max_iters) or run with a
+    # fractional stride (trace_every); a bool ran as 1
+    with pytest.raises(InvalidParameter, match=key):
+        solve(scalar_problem(ConstraintSet.whole_space(), 1.0),
+              make_schedule("full", 1), _config(**{key: value}))
 
 
 def test_bad_policy_rejected():
@@ -430,14 +439,14 @@ def test_solve_builds_groups_once(monkeypatch, case):
 
     def counted_rows(problem, atom):
         stacks.append(tuple(atom))
-        return _dense_rows(problem, atom)
+        return dense_rows(problem, atom)
 
     def counted_groups(problem, atom, *args, **kwargs):
         builds.append(tuple(atom))
-        return _arm_groups(problem, atom, *args, **kwargs)
+        return arm_groups(problem, atom, *args, **kwargs)
 
-    monkeypatch.setattr(blockvi.solver, "_dense_rows", counted_rows)
-    monkeypatch.setattr(blockvi.solver, "_arm_groups", counted_groups)
+    monkeypatch.setattr(blockvi.solver, "dense_rows", counted_rows)
+    monkeypatch.setattr(blockvi.solver, "arm_groups", counted_groups)
     prob, sched = case()
     solve(prob, sched, _config(gamma=1.9, max_iters=20, tol=0.0,
                                x0=SpacePoint.zeros(prob.domain_shape)))
@@ -520,8 +529,8 @@ def test_row_groups_match_the_per_arm_build_bitwise(case):
     atoms = activation_atoms(sched)
     gammas = 1.9 / np.asarray(step_bounds(prob, sched))
     vweights = np.asarray(averaging_weights(prob, sched))
-    groups, masses = _row_groups(prob, atoms, gammas, vweights,
-                                 [_dense_rows(prob, atom) for atom in atoms])
+    groups, masses, _ = _row_groups(prob, atoms, gammas, vweights,
+                                    [dense_rows(prob, atom) for atom in atoms])
     expected = _per_arm_row_groups(prob, atoms, gammas, vweights)
     assert len(groups) == len(expected) == len(masses)
     for g, mass, (arms, cls, target, coef, matrix, ref_mass) in zip(
@@ -640,7 +649,7 @@ def _assert_gaps_match_public_images(prob, x):
 
 def test_arm_gaps_match_public_images_on_signal_recovery(rng):
     prob, _, _ = _signal_recovery_seed0()
-    groups = _arm_groups(prob, range(prob.arm_count))
+    groups = prob.groups
     assert any(g.matrix is not None for g in groups)      # fused arms
     assert any(g.matrix is None for g in groups)          # single arms
     _assert_gaps_match_public_images(
@@ -665,9 +674,11 @@ def test_refresh_leaves_rows_outside_the_cell_bitwise():
     # cell; refreshing cell 1 rewrites its rows and no other
     prob, sched, gamma = _signal_recovery_seed0()
     active = sched.active_set(1)
-    groups, _ = _row_groups(prob, activation_atoms(sched),
-                            np.asarray(arm_gammas(prob, gamma, sched)),
-                            np.asarray(averaging_weights(prob, sched)))
+    atoms = activation_atoms(sched)
+    groups, _, _ = _row_groups(prob, atoms,
+                               np.asarray(arm_gammas(prob, gamma, sched)),
+                               np.asarray(averaging_weights(prob, sched)),
+                               [dense_rows(prob, atom) for atom in atoms])
     assert len(groups) == 2 + len(sched.sets)
     cell = [(row, g) for row, g in enumerate(groups) if g.arms[0] in active]
     fused = [g.matrix.shape[0] for _, g in cell if g.matrix is not None]
@@ -696,7 +707,7 @@ def _unfused_rank_one_rows():
             for i in range(m)]
     prob = assemble_problem(ConstraintSet.box(np.full(n, -1.0),
                                               np.full(n, 1.0)), arms)
-    assert all(g.matrix is None for g in _arm_groups(prob, range(m)))
+    assert all(g.matrix is None for g in prob.groups)
     return prob, SpacePoint(rng.uniform(-1, 1, n), prob.domain_shape)
 
 
@@ -770,7 +781,7 @@ def _interleaved_rows_problem():
 def test_in_place_rows_match_per_arm_formula_bitwise():
     prob = _interleaved_rows_problem()
     m, n = prob.arm_count, prob.domain_shape.total
-    groups = _arm_groups(prob, range(m))
+    groups = prob.groups
     fused = [g.arms for g in groups if g.matrix is not None]
     np.testing.assert_array_equal(fused[0], range(6))
     np.testing.assert_array_equal(fused[1], [6, 8, 10])
@@ -790,7 +801,8 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
                 rows[i] = r[j] * g.matrix[j]
     gammas = np.asarray(arm_gammas(prob, 1.5))
     v = np.asarray(averaging_weights(prob))
-    row_groups, masses = _row_groups(prob, (tuple(range(m)),), gammas, v)
+    row_groups, masses, _ = _row_groups(prob, (tuple(range(m)),), gammas, v,
+                                        [dense_rows(prob, range(m))])
     assert [list(g.arms) for g in row_groups] == \
         [list(range(6)), [6, 8, 10], [7], [9], [11], [12]]
     t = rng.standard_normal((len(row_groups), n))
@@ -1192,7 +1204,7 @@ def test_span_map_of_rows_does_not_grow_the_block_distance(monkeypatch):
     bounds, own = step_bounds(prob, sched), step_bounds(prob)
     for atom in activation_atoms(sched):
         if any(bounds[i] != own[i] for i in atom):
-            assert len(_arm_groups(prob, atom)) == 1
+            assert len(arm_groups(prob, atom, dense_rows(prob, atom))) == 1
 
     def psi(*starts):
         images = []
@@ -1295,7 +1307,7 @@ def test_record_norms_are_np_linalg_norm_bitwise():
             step = x - constraint.array_projector(x - grad)
             expected = float(np.linalg.norm(step)) / (1.0 + float(np.linalg.norm(x)))
             problem = SimpleNamespace(constraint=constraint)   # all it reads
-            assert _gradient_residual(problem, x, grad) == expected, size
+            assert gradient_residual(problem, x, grad) == expected, size
 
 
 @pytest.mark.parametrize("seed, gamma, accelerate, stop", [
