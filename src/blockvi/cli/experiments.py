@@ -329,12 +329,14 @@ def _custom(dimensions, seed, noise, operators):
         raise InvalidParameter("matrix rows and rhs length disagree")
     m, n = matrix.shape
     shape = BlockShape.vector(n)
-    # one layout object for all rows: building two per row cost most of set-up
+    # one layout object and one (immutable) zero target for all rows:
+    # building them per row cost most of set-up
     one = BlockShape.vector(1)
+    zero = SpacePoint.zeros(one)
     prescriptions = [
         Prescription(DenseMatrix(matrix[i:i + 1, :], shape, one),
                      ResidualOf(SingletonProjector(SpacePoint([rhs[i]], one))),
-                     SpacePoint([0.0], one), 1.0 / m)
+                     zero, 1.0 / m)
         for i in range(m)
     ]
     bounds = operators.get("box_bounds")

@@ -76,11 +76,18 @@ def write_vector_csv(values, path):
             fh.write((FLOAT_FMT % v) + "\n")
 
 
-def read_vector_csv(path):
+def _csv_lines(path, header: str) -> list:
+    """The nonblank lines of ``path`` after its first, which must be
+    ``header``: a file without it would lose its first line of data."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty CSV")
+    if not lines or lines[0] != header:
+        raise FormatError(f"{path}: first line must be the header {header!r}")
+    return lines
+
+
+def read_vector_csv(path):
+    lines = _csv_lines(path, "value")
     try:
         return np.array([float(v) for v in lines[1:]], dtype=np.float64)
     except ValueError as exc:
@@ -113,9 +120,7 @@ def write_snapshots_csv(iterates, path):
 
 def read_snapshots_csv(path):
     out = []
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    for ln in lines[1:]:
+    for ln in _csv_lines(path, "k,components")[1:]:
         parts = ln.split(",")
         try:
             out.append((int(parts[0]),

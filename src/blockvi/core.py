@@ -14,9 +14,10 @@ One array kernel evaluates the arms a *group* at a time: it reduces
 r_i = F_i(L_i x) - p_i to sum_i c_i L_i* r_i (:func:`pullback`).  The
 one-row ``DenseMatrix`` arms of an activation atom (arms the solver always
 refreshes together) whose FNEs fuse (``FneOperator.stacked``) form one group,
-evaluated with one matvec, one FNE call and one transposed matvec; every
-other arm is a group of one.  The residual and the gaps read the grouping
-of all arms as one atom, built once per problem (:attr:`Problem.groups`).
+which stacks its own rows and is evaluated with one matvec, one FNE call and
+one transposed matvec; every other arm is a group of one.  A problem builds
+the groups of each atom once (:meth:`Problem.atom_groups`); the residual and
+the gaps read those of all arms as one atom (:attr:`Problem.groups`).
 """
 
 from __future__ import annotations
@@ -177,11 +178,22 @@ class Problem:
         return arrays
 
     @functools.cached_property
+    def _atom_groups(self) -> dict:
+        return {}
+
+    def atom_groups(self, atom: Sequence[int]) -> tuple:
+        """The :func:`arm_groups` of one activation atom, built on the first
+        call for its arms and kept (the prescriptions are immutable)."""
+        atom = tuple(atom)
+        if atom not in self._atom_groups:
+            self._atom_groups[atom] = arm_groups(self, atom)
+        return self._atom_groups[atom]
+
+    @property
     def groups(self) -> tuple:
-        """The :func:`arm_groups` of all arms as one atom, built once on first
-        use; the residual and the gaps read them."""
-        every = range(self.arm_count)
-        return arm_groups(self, every, dense_rows(self, every))
+        """The groups of all arms as one atom; the residual and the gaps
+        read them."""
+        return self.atom_groups(range(self.arm_count))
 
 
 def assemble_problem(constraint: ConstraintSet,
@@ -275,44 +287,36 @@ class _ArmGroup:
     matrix: Optional[np.ndarray] = None
 
 
-def dense_rows(problem: Problem, atom: Sequence[int]) -> Optional[np.ndarray]:
-    """The matrices of the atom's ``DenseMatrix`` arms stacked in arm order,
-    or None when it has none: the one stack of the step bound and the groups."""
-    arms = np.asarray(atom)
-    dense = arms[problem.arrays.heights[arms] > 0].tolist()
+def dense_rows(problem: Problem, arms: Sequence[int]) -> np.ndarray:
+    """The matrices of ``arms``, which must all be ``DenseMatrix`` maps,
+    stacked in the given order."""
     pres = problem.prescriptions
-    return np.concatenate([pres[i].linop.matrix for i in dense]) if dense else None
+    return np.concatenate([pres[i].linop.matrix for i in arms])
 
 
-def arm_groups(problem: Problem, atom: Sequence[int],
-               rows: Optional[np.ndarray]) -> tuple:
+def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
     """Split one activation atom into groups: for each FNE class, the atom's
     one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
     every other arm alone, each with the residual's c_i = w_i.  A fused
-    group's matrix is taken from ``rows``, the atom's :func:`dense_rows`."""
+    group's matrix is the :func:`dense_rows` of its own arms."""
     coef = problem.arrays.weights
     pres = problem.prescriptions
     atom = np.asarray(atom)
-    heights = problem.arrays.heights[atom]
-    first_row = np.cumsum(heights) - heights    # in the atom's dense stack
-    one_row = heights == 1
-    by_class = {}                               # positions of one-row arms
-    for at, i in zip(np.flatnonzero(one_row).tolist(), atom[one_row].tolist()):
-        by_class.setdefault(type(pres[i].fne), []).append(at)
+    one_row = problem.arrays.heights[atom] == 1
+    by_class = {}                               # one-row arms, in atom order
+    for i in atom[one_row].tolist():
+        by_class.setdefault(type(pres[i].fne), []).append(i)
     alone = atom[~one_row].tolist()
     groups = []
-    for cls, at in by_class.items():
-        arms = atom[at]
-        members = [pres[i] for i in arms.tolist()]
-        fne = cls.stacked([p.fne for p in members]) if len(at) > 1 else None
+    for cls, arms in by_class.items():
+        members = [pres[i] for i in arms]
+        fne = cls.stacked([p.fne for p in members]) if len(arms) > 1 else None
         if fne is None:
-            alone.extend(arms.tolist())
+            alone.extend(arms)
             continue
-        # a group that holds every dense row of the atom is the stack itself
-        matrix = rows if len(at) == len(rows) else rows[first_row[at]]
         groups.append(_ArmGroup(
-            arms, fne, np.concatenate([p.target.data for p in members]),
-            coef[arms], matrix=matrix))
+            np.array(arms), fne, np.concatenate([p.target.data for p in members]),
+            coef[arms], matrix=dense_rows(problem, arms)))
     for i in alone:
         p = pres[i]
         groups.append(_ArmGroup(np.array([i]), p.fne, p.target.data,

@@ -24,10 +24,11 @@ it is computed exactly: for multi-arm atoms of dense maps, b_c is
 :func:`blockvi.linops.certified_norm_sq` of the stacked rows A_i with row
 weights w_i / W_c, the largest eigenvalue of their smaller weighted Gram
 plus a stated allowance for its rounding.  Every other arm keeps its
-``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).  Each atom's dense rows
-are stacked once (:func:`blockvi.core.dense_rows`); the bound weights that
-stack, and the fused groups below take their rows from it.  The per-arm
-weights, bounds and row counts come from :attr:`blockvi.core.Problem.arrays`.
+``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).  An atom that is one
+fused group below is certified on that group's own matrix; any other dense
+atom stacks its rows for the bound alone (:func:`blockvi.core.dense_rows`).
+The per-arm weights, bounds and row counts come from
+:attr:`blockvi.core.Problem.arrays`.
 
 The averaging uses weights v_i proportional to w_i * b_i.  Dividing each
 arm's update by b_i makes the arm operators 1-cocoercive (which is what the
@@ -40,8 +41,9 @@ with the *problem's own* weights w_i -- the condition ``vi_residual``
 measures.  Averaging with the raw w_i instead would steer the iteration to
 a solution of a differently-weighted inequality whenever the bounds differ.
 
-The arms are evaluated in groups (:func:`blockvi.core.arm_groups`); the
-residual takes their own c_i = w_i, so a solve builds one grouping.  The
+The arms are evaluated in groups (:func:`blockvi.core.arm_groups`), built
+once per atom by :meth:`blockvi.core.Problem.atom_groups`; the residual
+takes their own c_i = w_i, so a solve builds one grouping.  The
 auxiliary state holds one row per group, not one per arm.  A group is
 refreshed whole, from one x, and the averaging step sees its arms only
 through their v-weighted mean tau_g = sum_{i in g} (v_i / V_g) t_i, V_g =
@@ -175,8 +177,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Problem, arm_groups, array_residual, dense_rows,
-                   gradient_residual, pullback)
+from .core import (Problem, array_residual, dense_rows, gradient_residual,
+                   pullback)
 from .core import vi_residual  # noqa: F401  (re-exported: benchmarks wrap it here)
 from .errors import CoverageError, EmptyBlock, InvalidParameter, ShapeMismatch
 from .linops import certified_norm_sq
@@ -194,8 +196,6 @@ __all__ = [
     "solve",
     "activation_atoms",
     "step_bounds",
-    "arm_gammas",
-    "averaging_weights",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -433,47 +433,35 @@ def activation_atoms(schedule: ActivationSchedule) -> tuple:
 
 def step_bounds(problem: Problem,
                 schedule: Optional[ActivationSchedule] = None,
-                atoms: Optional[tuple] = None,
-                rows: Optional[Sequence] = None) -> tuple:
+                atoms: Optional[tuple] = None) -> tuple:
     """Certified step bound b_i of every arm.
 
     Without a schedule every arm is its own atom and b_i is its
     ``norm_sq_bound``.  With one, the arms of a multi-arm atom of dense maps
     share the bound on ||sum_{i in c} (w_i / W_c) A_i^T A_i|| that
     :func:`blockvi.linops.certified_norm_sq` certifies for their stacked rows
-    whenever it is below their weighted mean sum_{i in c} w_i b_i / W_c.  ``atoms`` are
-    the schedule's :func:`activation_atoms` and ``rows`` their
-    :func:`blockvi.core.dense_rows`, each computed when omitted.
+    whenever it is below their weighted mean sum_{i in c} w_i b_i / W_c.
+    The rows are the matrix of the atom's one fused group when the atom is
+    one group (:meth:`blockvi.core.Problem.atom_groups`), and its
+    :func:`blockvi.core.dense_rows` otherwise.  ``atoms`` are the schedule's
+    :func:`activation_atoms`, computed when omitted.
     """
     weights, own, heights = problem.arrays
     bounds = own.copy()
     if schedule is not None:
-        atoms = atoms or activation_atoms(schedule)
-        for k, atom in enumerate(atoms):
+        for atom in atoms or activation_atoms(schedule):
             arms = np.asarray(atom)
             if arms.size < 2 or not heights[arms].all():
                 continue
             total = math.fsum(weights[arms].tolist())
-            stacked = dense_rows(problem, atom) if rows is None else rows[k]
+            groups = problem.atom_groups(atom)
+            stacked = groups[0].matrix if len(groups) == 1 else \
+                dense_rows(problem, atom)
             certified = certified_norm_sq(
                 stacked, np.repeat(weights[arms] / total, heights[arms]))
             if certified < math.fsum((weights[arms] * own[arms]).tolist()) / total:
                 bounds[arms] = certified
     return tuple(bounds.tolist())
-
-
-def arm_gammas(problem: Problem, gamma: float,
-               schedule: Optional[ActivationSchedule] = None) -> tuple:
-    """Arm step sizes gamma_i = gamma / b_i (see :func:`step_bounds`)."""
-    return tuple(gamma / b for b in step_bounds(problem, schedule))
-
-
-def averaging_weights(problem: Problem,
-                      schedule: Optional[ActivationSchedule] = None) -> tuple:
-    """Weights v_i = w_i b_i / sum_j w_j b_j used in the averaging step; they
-    cancel the per-arm step scaling so fixed points solve the stated problem."""
-    v, _ = _averaging_weights(problem, step_bounds(problem, schedule))
-    return tuple(v.tolist())
 
 
 def _averaging_weights(problem: Problem, bounds) -> tuple:
@@ -485,14 +473,13 @@ def _averaging_weights(problem: Problem, bounds) -> tuple:
 
 
 def _row_groups(problem: Problem, atoms, gammas: np.ndarray,
-                vweights: np.ndarray, rows: Sequence) -> tuple:
-    """(row groups, masses, groups): the arm ``groups`` of ``atoms``, built
-    from their dense ``rows``, by first arm; a copy of each with the
-    refresh's c_i = v_i gamma_i / V_g, one auxiliary row each; and V_g =
-    sum_{i in g} v_i (see the module docstring).  A single arm keeps
+                vweights: np.ndarray) -> tuple:
+    """(row groups, masses, groups): the arm ``groups`` of ``atoms``
+    (:meth:`blockvi.core.Problem.atom_groups`), by first arm; a copy of each
+    with the refresh's c_i = v_i gamma_i / V_g, one auxiliary row each; and
+    V_g = sum_{i in g} v_i (see the module docstring).  A single arm keeps
     c_i = gamma_i and V_g = v_i exactly."""
-    groups = sorted((g for atom, stacked in zip(atoms, rows)
-                     for g in arm_groups(problem, atom, stacked)),
+    groups = sorted((g for atom in atoms for g in problem.atom_groups(atom)),
                     key=lambda g: g.arms[0])
     masses = np.array([vweights[g.arms].sum() for g in groups])
     return ([replace(g, coef=gammas[g.arms] * (vweights[g.arms] / mass))
@@ -611,11 +598,10 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         raise ShapeMismatch("x0 lives outside the problem domain")
 
     atoms = activation_atoms(schedule)
-    rows = [dense_rows(problem, atom) for atom in atoms]
-    bounds = np.array(step_bounds(problem, schedule, atoms, rows))
+    bounds = np.array(step_bounds(problem, schedule, atoms))
     vweights, total = _averaging_weights(problem, bounds)
     groups, masses, residual_groups = _row_groups(
-        problem, atoms, config.gamma / bounds, vweights, rows)
+        problem, atoms, config.gamma / bounds, vweights)
     cells = [tuple((row, g) for row, g in enumerate(groups) if g.arms[0] in s)
              for s in schedule.sets]
     # once every row is refreshed at x, sum_i w_i L_i*(F_i(L_i x) - p_i) is

@@ -33,7 +33,7 @@ from blockvi.errors import (
     ManifestError,
     MissingReference,
 )
-from blockvi.core import arm_gaps, arm_groups
+from blockvi.core import arm_gaps, arm_groups, dense_rows
 from blockvi.solver import solve, validate_schedule
 from blockvi.space import SpacePoint
 
@@ -97,6 +97,18 @@ def test_vector_csv_lossless_roundtrip(tmp_path, rng):
     write_vector_csv(values, path)
     back = read_vector_csv(path)
     assert back.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_vector_csv, "1.5\n2.5\n3.5\n"),
+    (read_snapshots_csv, "0,1.5,2.5\n1,3.5,4.5\n"),
+])
+def test_csv_readers_reject_a_missing_header(tmp_path, reader, text):
+    # without its header, the file's first line of data would be read as one
+    path = tmp_path / "no_header.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="no_header.csv"):
+        reader(path)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +475,9 @@ def test_summary_gaps_come_from_the_solver_kernel(tmp_path):
 
 
 def test_run_builds_the_all_arm_groups_once(tmp_path, monkeypatch):
-    # after the solve, the inconsistency bound (its residual and its gaps) and
-    # the summary's gaps all read the problem's one grouping of all arms
+    # the solve's bound, rows and residual, then the inconsistency bound (its
+    # residual and its gaps) and the summary's gaps all read the problem's one
+    # grouping of all arms, whose one fused group stacks the rows once
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((12, 4))
     write_matrix_csv(matrix, tmp_path / "matrix.csv")
@@ -473,22 +486,22 @@ def test_run_builds_the_all_arm_groups_once(tmp_path, monkeypatch):
     payload = default_manifest("custom", 0)
     payload["operators"] = {"matrix_csv": str(tmp_path / "matrix.csv"),
                             "rhs_csv": str(tmp_path / "rhs.csv")}
-    events = []
+    builds, stacks = [], []
 
-    def counted_groups(problem, atom, rows):
-        events.append(list(atom) == list(range(problem.arm_count)))
-        return arm_groups(problem, atom, rows)
+    def counted_groups(problem, atom):
+        builds.append(list(atom) == list(range(problem.arm_count)))
+        return arm_groups(problem, atom)
 
-    def marked_solve(*args):
-        result = solve(*args)
-        events.append("solved")
-        return result
+    def counted_rows(problem, arms):
+        stacks.append(len(arms))
+        return dense_rows(problem, arms)
 
     monkeypatch.setattr("blockvi.core.arm_groups", counted_groups)
-    monkeypatch.setattr("blockvi.solver.arm_groups", counted_groups)
-    monkeypatch.setattr("blockvi.cli.runner.solve", marked_solve)
+    monkeypatch.setattr("blockvi.core.dense_rows", counted_rows)
+    monkeypatch.setattr("blockvi.solver.dense_rows", counted_rows)
     assert run_manifest(load_manifest(_write_manifest(tmp_path, payload))) == 0
-    assert events[events.index("solved") + 1:] == [True]
+    assert builds == [True]
+    assert stacks == [12]
 
 
 def test_run_exit_codes_via_main(tmp_path, capsys):

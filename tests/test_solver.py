@@ -24,6 +24,7 @@ from blockvi.fne_ops import (
     SoftThreshold,
 )
 from blockvi.linops import CircularConvolution2D, DenseMatrix, FiniteDifference1D, Identity
+import blockvi.core
 import blockvi.solver
 from blockvi.solver import (
     ActivationSchedule,
@@ -31,18 +32,23 @@ from blockvi.solver import (
     SolverConfig,
     SolverTrace,
     activation_atoms,
-    arm_gammas,
-    averaging_weights,
     make_schedule,
     solve,
     step_bounds,
     validate_schedule,
 )
-from blockvi.solver import _refresh, _row_groups
+from blockvi.solver import _averaging_weights, _refresh, _row_groups
 from blockvi.space import BlockShape, SpacePoint
 
 from problem_zoo import feasibility_problem, mixed_arms_problem, scalar_problem
 from spectral_reference import full_convolution, full_phase, full_transfer
+
+
+def _steps(prob, gamma, sched=None):
+    """(gamma_i, v_i) of every arm from its certified step bound b_i:
+    gamma / b_i and the averaging weights v_i = w_i b_i / sum_j w_j b_j."""
+    bounds = np.asarray(step_bounds(prob, sched))
+    return (gamma / bounds).tolist(), _averaging_weights(prob, bounds)[0].tolist()
 
 
 def _config(**kw):
@@ -323,17 +329,16 @@ def test_one_step_policy_matches_virtual_first_activation():
     sched = make_schedule("explicit", prob.arm_count, sets=[[0], [1], [2], [3]])
     res = solve(prob, sched, _config(gamma=1.4, max_iters=1, tol=0.0, x0=x0,
                                      t_init_policy="one_step"))
+    gammas, v = _steps(prob, 1.4, sched)
     t = np.stack([(x0 - g * p.linop.adjoint(p.image(x0) - p.target)).data
-                  for p, g in zip(prob.prescriptions, arm_gammas(prob, 1.4, sched))])
-    expected = prob.constraint.array_projector(
-        np.asarray(averaging_weights(prob, sched)) @ t)
+                  for p, g in zip(prob.prescriptions, gammas)])
+    expected = prob.constraint.array_projector(np.asarray(v) @ t)
     assert res.solution.data.tobytes() == expected.tobytes()
 
 
 def test_averaging_weights_cancel_step_scaling():
     prob, _ = mixed_arms_problem(0, consistent=True)
-    v = averaging_weights(prob)
-    g = arm_gammas(prob, 1.0)
+    g, v = _steps(prob, 1.0)
     products = [vi * gi for vi, gi in zip(v, g)]
     # v_i * gamma_i is proportional to w_i: the displacement keeps the
     # problem's own weighting
@@ -403,8 +408,7 @@ def test_atom_bounds_certified(case):
             assert all(bounds[i] == per_arm[i] for i in atom)
             assert b_c * (1.0 + 1e-9) >= top
     assert tightened >= 1
-    v = averaging_weights(prob, sched)
-    g = arm_gammas(prob, 1.9, sched)
+    g, v = _steps(prob, 1.9, sched)
     ratios = [vi * gi / p.weight for vi, gi, p in zip(v, g, prob.prescriptions)]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-13)
 
@@ -432,27 +436,48 @@ def test_solve_certifies_bounds_once(monkeypatch):
 
 @pytest.mark.parametrize("case", [_signal_recovery_case, _feasibility_case])
 def test_solve_builds_groups_once(monkeypatch, case):
-    # each atom's dense rows are stacked once, for its bound and its groups,
-    # and the residual reuses the row groups: no build over all arms unless
-    # all arms are one atom
+    # the problem builds each atom's groups once, for its bound, its rows and
+    # the residual, and each fused group stacks its own rows once: no build
+    # over all arms unless all arms are one atom
     stacks, builds = [], []
 
-    def counted_rows(problem, atom):
-        stacks.append(tuple(atom))
-        return dense_rows(problem, atom)
+    def counted_rows(problem, arms):
+        stacks.append(tuple(arms))
+        return dense_rows(problem, arms)
 
-    def counted_groups(problem, atom, *args, **kwargs):
+    def counted_groups(problem, atom):
         builds.append(tuple(atom))
-        return arm_groups(problem, atom, *args, **kwargs)
+        return arm_groups(problem, atom)
 
+    monkeypatch.setattr(blockvi.core, "dense_rows", counted_rows)
     monkeypatch.setattr(blockvi.solver, "dense_rows", counted_rows)
-    monkeypatch.setattr(blockvi.solver, "arm_groups", counted_groups)
+    monkeypatch.setattr(blockvi.core, "arm_groups", counted_groups)
     prob, sched = case()
     solve(prob, sched, _config(gamma=1.9, max_iters=20, tol=0.0,
                                x0=SpacePoint.zeros(prob.domain_shape)))
     atoms = list(activation_atoms(sched))
-    assert stacks == atoms
-    assert builds == atoms
+    fused = [tuple(g.arms) for atom in atoms for g in prob.atom_groups(atom)
+             if g.matrix is not None]
+    assert sorted(stacks) == sorted(fused)
+    assert sorted(builds) == atoms
+
+
+def test_groups_stack_no_rows_that_no_group_holds(monkeypatch):
+    # four multi-row dense arms: each is a group of one, which keeps its own
+    # map, so the grouping of all arms stacks no rows
+    stacks = []
+
+    def counted_rows(problem, arms):
+        stacks.append(tuple(arms))
+        return dense_rows(problem, arms)
+
+    monkeypatch.setattr(blockvi.core, "dense_rows", counted_rows)
+    prob, _ = mixed_arms_problem(0, True)
+    groups = prob.groups
+    assert len(groups) == prob.arm_count
+    assert all(g.matrix is None for g in groups)
+    assert stacks == []
+    assert prob.groups is groups
 
 
 _STOCK_KINDS = ["image_recovery", "signal_recovery", "sparse_image",
@@ -527,10 +552,8 @@ def test_row_groups_match_the_per_arm_build_bitwise(case):
     prob, sched = _feasibility_case() if case == "feasibility" else \
         _stock_case(case, 0)[:2]
     atoms = activation_atoms(sched)
-    gammas = 1.9 / np.asarray(step_bounds(prob, sched))
-    vweights = np.asarray(averaging_weights(prob, sched))
-    groups, masses, _ = _row_groups(prob, atoms, gammas, vweights,
-                                    [dense_rows(prob, atom) for atom in atoms])
+    gammas, vweights = map(np.asarray, _steps(prob, 1.9, sched))
+    groups, masses, _ = _row_groups(prob, atoms, gammas, vweights)
     expected = _per_arm_row_groups(prob, atoms, gammas, vweights)
     assert len(groups) == len(expected) == len(masses)
     for g, mass, (arms, cls, target, coef, matrix, ref_mass) in zip(
@@ -625,8 +648,7 @@ def test_grouped_solve_matches_public_arm_loop():
     x0 = SpacePoint.zeros(shape)
     res = solve(prob, sched, _config(gamma=gamma, max_iters=300, tol=0.0,
                                      x0=x0, trace_every=1000, accelerate=False))
-    gammas = arm_gammas(prob, gamma, sched)
-    v = averaging_weights(prob, sched)
+    gammas, v = _steps(prob, gamma, sched)
     t = [x0] * prob.arm_count
     x = x0
     for n in range(300):
@@ -676,9 +698,7 @@ def test_refresh_leaves_rows_outside_the_cell_bitwise():
     active = sched.active_set(1)
     atoms = activation_atoms(sched)
     groups, _, _ = _row_groups(prob, atoms,
-                               np.asarray(arm_gammas(prob, gamma, sched)),
-                               np.asarray(averaging_weights(prob, sched)),
-                               [dense_rows(prob, atom) for atom in atoms])
+                               *map(np.asarray, _steps(prob, gamma, sched)))
     assert len(groups) == 2 + len(sched.sets)
     cell = [(row, g) for row, g in enumerate(groups) if g.arms[0] in active]
     fused = [g.matrix.shape[0] for _, g in cell if g.matrix is not None]
@@ -743,8 +763,8 @@ def test_unfused_rank_one_arms_match_per_arm_path(case):
     res = solve(prob, sched, _config(gamma=1.5, max_iters=40, tol=0.0, x0=x0,
                                      keep_snapshots=True, accelerate=False))
     assert len(res.trace.iterates) == 41
-    gammas = arm_gammas(prob, 1.5, sched)
-    v = np.asarray(averaging_weights(prob, sched))
+    gammas, v = _steps(prob, 1.5, sched)
+    v = np.asarray(v)
     t = np.tile(x0.data, (m, 1))
     x = x0.data
     for k, _, snap in res.trace.iterates[1:]:
@@ -799,10 +819,8 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
             r = g.fne._apply(g.matrix @ x) - g.target
             for j, i in enumerate(g.arms):
                 rows[i] = r[j] * g.matrix[j]
-    gammas = np.asarray(arm_gammas(prob, 1.5))
-    v = np.asarray(averaging_weights(prob))
-    row_groups, masses, _ = _row_groups(prob, (tuple(range(m)),), gammas, v,
-                                        [dense_rows(prob, range(m))])
+    gammas, v = map(np.asarray, _steps(prob, 1.5))
+    row_groups, masses, _ = _row_groups(prob, (tuple(range(m)),), gammas, v)
     assert [list(g.arms) for g in row_groups] == \
         [list(range(6)), [6, 8, 10], [7], [9], [11], [12]]
     t = rng.standard_normal((len(row_groups), n))
@@ -852,8 +870,7 @@ def test_spectral_solve_matches_full_complex_reference():
         return (full_phase(x.reshape(rows, cols), phase.fne.theta).reshape(-1)
                 - phase.target.data)
 
-    gammas = arm_gammas(prob, gamma, sched)
-    v = averaging_weights(prob, sched)
+    gammas, v = _steps(prob, gamma, sched)
     x = x0.data
     for n in range(300):
         t = [x - gammas[i] * arm_row(i, x) for i in sched.active_set(n)]
@@ -893,8 +910,8 @@ def test_periods_without_a_leading_full_set_run_plain(kind, kw):
     res = solve(prob, sched, _accel_config(False, max_iters=300,
                                            keep_snapshots=True))
     assert res.acceleration is None
-    gammas = arm_gammas(prob, 1.5, sched)
-    v = np.asarray(averaging_weights(prob, sched))
+    gammas, v = _steps(prob, 1.5, sched)
+    v = np.asarray(v)
     x = np.zeros(6)
     t = np.tile(x, (prob.arm_count, 1))
     for k, _, snap in res.trace.iterates[1:]:
@@ -1204,7 +1221,7 @@ def test_span_map_of_rows_does_not_grow_the_block_distance(monkeypatch):
     bounds, own = step_bounds(prob, sched), step_bounds(prob)
     for atom in activation_atoms(sched):
         if any(bounds[i] != own[i] for i in atom):
-            assert len(arm_groups(prob, atom, dense_rows(prob, atom))) == 1
+            assert len(prob.atom_groups(atom)) == 1
 
     def psi(*starts):
         images = []
