@@ -116,7 +116,10 @@ def _sparse_image(rng, rows, cols, density=0.05, lo=90.0, hi=255.0):
     return img
 
 
-def _star_field(rng, rows, cols, count=30):
+_STAR_COUNT = 30
+
+
+def _star_field(rng, rows, cols, count=_STAR_COUNT):
     img = np.zeros((rows, cols))
     idx = rng.choice(rows * cols, size=count, replace=False)
     img.reshape(-1)[idx] = rng.uniform(120.0, 255.0, count)
@@ -187,6 +190,9 @@ def _signal_recovery(dimensions, seed, noise, operators):
     n = int(dimensions["n"])
     m = int(dimensions["dictionary_rows"])
     block_count = int(operators["block_count"])
+    if block_count < 1:
+        raise InvalidParameter("signal_recovery operators: 'block_count' must "
+                               f"be >= 1, got {block_count}")
     if n % block_count:
         raise InvalidParameter("block_count must divide the signal length")
     rngs = _streams(seed, ["truth", "obs_noise", "dictionary", "dict_noise"])
@@ -239,6 +245,11 @@ def _svd_threshold(z: np.ndarray, operators) -> float:
 def _sparse_image_recovery(dimensions, seed, noise, operators):
     rows = int(dimensions["rows"])
     cols = int(dimensions["cols"])
+    # the phantom's 2 x 2 patch starts at a row and a column in [2, size - 4)
+    for key, size in (("rows", rows), ("cols", cols)):
+        if size < 7:
+            raise InvalidParameter(
+                f"sparse_image dimensions: {key!r} must be >= 7, got {size}")
     rngs = _streams(seed, ["truth", "blur_noise"])
     shape = BlockShape.image(rows, cols)
     xbar = SpacePoint(_sparse_image(rngs["truth"], rows, cols), shape)
@@ -282,6 +293,10 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
 def _source_separation(dimensions, seed, noise, operators):
     rows = int(dimensions["rows"])
     cols = int(dimensions["cols"])
+    if rows * cols < _STAR_COUNT:
+        raise InvalidParameter(
+            f"source_separation dimensions: 'rows' * 'cols' must be >= "
+            f"{_STAR_COUNT} (one pixel per star), got {rows * cols}")
     rngs = _streams(seed, ["stars", "galaxy"])
     img = BlockShape.image(rows, cols)
     shape = BlockShape.product([img, img])

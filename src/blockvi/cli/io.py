@@ -103,7 +103,7 @@ def write_matrix_csv(matrix, path):
 
 def read_matrix_csv(path):
     try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -77,7 +77,6 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     problem = data.problem
     schedule = _build_schedule(manifest.schedule, problem.arm_count)
     config = _solver_config(manifest.solver, problem.domain_shape)
-    config.validate()
 
     out_dir = resolve_output_dir(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,10 +14,10 @@ One array kernel evaluates the arms a *group* at a time: it reduces
 r_i = F_i(L_i x) - p_i to sum_i c_i L_i* r_i (:func:`pullback`).  The
 one-row ``DenseMatrix`` arms of an activation atom (arms the solver always
 refreshes together) whose FNEs fuse (``FneOperator.stacked``) form one group,
-which stacks its own rows and is evaluated with one matvec, one FNE call and
-one transposed matvec; every other arm is a group of one.  A problem builds
-the groups of each atom once (:meth:`Problem.atom_groups`); the residual and
-the gaps read those of all arms as one atom (:attr:`Problem.groups`).
+whose ``linop`` is the ``DenseMatrix`` of its own stacked rows: one matvec,
+one FNE call and one adjoint.  Every other arm is a group of one with its own
+maps.  A problem builds each atom's groups once (:meth:`Problem.atom_groups`);
+the residual and the gaps read those of all arms (:attr:`Problem.groups`).
 """
 
 from __future__ import annotations
@@ -275,16 +275,15 @@ def least_squares_objective(problem: Problem, x: SpacePoint) -> float:
 @dataclass(frozen=True)
 class _ArmGroup:
     """Arms that :func:`_fne_residuals` evaluates in one pass: a single arm
-    (``linop`` set), or one-row dense arms with fused FNEs (``matrix`` holds
-    their stacked rows, ``fne`` acts on all of them elementwise).  ``coef``
-    holds the c_i with which :func:`pullback` reduces the group."""
+    with its own maps, or one-row dense arms with fused FNEs (``linop`` is the
+    ``DenseMatrix`` of their stacked rows, ``fne`` acts on them elementwise).
+    ``coef`` holds the c_i with which :func:`pullback` reduces the group."""
 
     arms: np.ndarray         # the arms, ascending
+    linop: object
     fne: object
     target: np.ndarray
     coef: np.ndarray
-    linop: object = None
-    matrix: Optional[np.ndarray] = None
 
 
 def dense_rows(problem: Problem, arms: Sequence[int]) -> np.ndarray:
@@ -298,7 +297,7 @@ def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
     """Split one activation atom into groups: for each FNE class, the atom's
     one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
     every other arm alone, each with the residual's c_i = w_i.  A fused
-    group's matrix is the :func:`dense_rows` of its own arms."""
+    group's map is the ``DenseMatrix`` of its own arms' :func:`dense_rows`."""
     coef = problem.arrays.weights
     pres = problem.prescriptions
     atom = np.asarray(atom)
@@ -315,30 +314,29 @@ def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
             alone.extend(arms)
             continue
         groups.append(_ArmGroup(
-            np.array(arms), fne, np.concatenate([p.target.data for p in members]),
-            coef[arms], matrix=dense_rows(problem, arms)))
+            np.array(arms), DenseMatrix(dense_rows(problem, arms)), fne,
+            np.concatenate([p.target.data for p in members]), coef[arms]))
     for i in alone:
         p = pres[i]
-        groups.append(_ArmGroup(np.array([i]), p.fne, p.target.data,
-                                coef[[i]], p.linop))
+        groups.append(_ArmGroup(np.array([i]), p.linop, p.fne, p.target.data,
+                                coef[[i]]))
     return tuple(groups)
 
 
 def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
-    """r = F_i(L_i x) - p_i for the arms of ``group``: one matvec and one FNE
-    call for a fused group, the arm's own ``_apply`` for a single arm."""
-    image = group.linop._apply(x) if group.matrix is None else group.matrix @ x
-    return group.fne._apply(image) - group.target
+    """r = F_i(L_i x) - p_i for the arms of ``group``: one ``linop`` and one
+    ``fne`` call (one matvec and one elementwise FNE for a fused group)."""
+    return group.fne._apply(group.linop._apply(x)) - group.target
 
 
 def pullback(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
-    """sum_i c_i L_i*(F_i(L_i x) - p_i) over the arms of ``group``: one
-    transposed matvec (c * r) @ A for a fused group, c_i L_i*(r_i) for a
-    single arm."""
+    """sum_i c_i L_i*(F_i(L_i x) - p_i) over the arms of ``group``: c_i
+    L_i*(r_i) for a single arm, and for a fused group one adjoint A^T (c * r)
+    of its stacked rows A, which weighs each row's residual by its own c_i."""
     r = _fne_residuals(group, x)
-    if group.matrix is None:
+    if len(group.arms) == 1:
         return group.coef[0] * group.linop._adjoint(r)
-    return (group.coef * r) @ group.matrix
+    return group.linop._adjoint(group.coef * r)
 
 
 def _flat_point(problem: Problem, x) -> np.ndarray:
@@ -382,5 +380,5 @@ def arm_gaps(problem: Problem, x: np.ndarray) -> np.ndarray:
     gaps = np.empty(problem.arm_count)
     for g in problem.groups:
         r = _fne_residuals(g, x)
-        gaps[g.arms] = np.abs(r) if g.matrix is not None else np.linalg.norm(r)
+        gaps[g.arms] = np.abs(r) if len(g.arms) > 1 else np.linalg.norm(r)
     return gaps

@@ -7,7 +7,8 @@ Each iteration refreshes the auxiliary points of the activated arms only,
 keeps the others stale, and projects an average of the t_i back onto the
 constraint set.  Convergence requires gamma in (0, 2), certified step
 bounds b_i, and a covering schedule: every window of K consecutive active
-sets must touch every arm.
+sets must touch every arm.  A :class:`SolverConfig` checks gamma, and an
+:class:`ActivationSchedule` certifies its own K, when it is built.
 
 The step bounds are certified per *activation atom*: a maximal set of arms
 that every active set of the schedule either holds whole or does not touch.
@@ -25,7 +26,7 @@ it is computed exactly: for multi-arm atoms of dense maps, b_c is
 weights w_i / W_c, the largest eigenvalue of their smaller weighted Gram
 plus a stated allowance for its rounding.  Every other arm keeps its
 ``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).  An atom that is one
-fused group below is certified on that group's own matrix; any other dense
+fused group below is certified on its group's ``DenseMatrix``; any other dense
 atom stacks its rows for the bound alone (:func:`blockvi.core.dense_rows`).
 The per-arm weights, bounds and row counts come from
 :attr:`blockvi.core.Problem.arrays`.
@@ -43,11 +44,13 @@ a solution of a differently-weighted inequality whenever the bounds differ.
 
 The arms are evaluated in groups (:func:`blockvi.core.arm_groups`), built
 once per atom by :meth:`blockvi.core.Problem.atom_groups`; the residual
-takes their own c_i = w_i, so a solve builds one grouping.  The
-auxiliary state holds one row per group, not one per arm.  A group is
-refreshed whole, from one x, and the averaging step sees its arms only
-through their v-weighted mean tau_g = sum_{i in g} (v_i / V_g) t_i, V_g =
-sum_{i in g} v_i.  So the row of g is tau_g, a refresh sets
+takes their own c_i = w_i, so a solve builds one grouping.  Every group
+is evaluated through its ``linop`` and ``fne`` (fused one-row dense arms
+through the ``DenseMatrix`` of their rows).  The auxiliary state holds one
+row per group, not one per arm.  A group is refreshed whole, from one x, and
+the averaging step sees its arms only through their v-weighted mean tau_g =
+sum_{i in g} (v_i / V_g) t_i, V_g = sum_{i in g} v_i.  So the row of g is
+tau_g, a refresh sets
 
     tau_g = x - sum_{i in g} c_i L_i*(F_i(L_i x) - p_i),   c_i = v_i gamma_i / V_g,
 
@@ -207,12 +210,18 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class ActivationSchedule:
-    """Periodic sequence of nonempty index sets with certified covering constant K."""
+    """Periodic sequence of nonempty index sets, stored as sorted tuples of
+    distinct ints, with the covering constant K they certify (not an argument)."""
 
     kind: str
     sets: tuple            # one period of active sets, each a sorted tuple
-    K: int
     index_count: int
+    K: int = field(init=False)
+
+    def __post_init__(self):
+        sets = tuple(_arm_set(s, "sets") for s in self.sets)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "K", validate_schedule(sets, self.index_count))
 
     def active_set(self, n: int) -> tuple:
         return self.sets[n % len(self.sets)]
@@ -269,7 +278,7 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
                   always_active: Sequence[int] = (), expensive: Sequence[int] = (),
                   period: Optional[int] = None,
                   sets: Optional[Sequence[Sequence[int]]] = None) -> ActivationSchedule:
-    """Build one of the stock schedules and certify its covering constant.
+    """Build one of the stock schedules (which certifies its own K).
 
     * ``full``: every arm at every iteration (K = 1).
     * ``cyclic_partition``: the arms outside ``always_active`` are split into
@@ -292,10 +301,10 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
         blocks = _integer(blocks, "blocks")
         if blocks < 1 or (rest and blocks > len(rest)):
             raise InvalidParameter("block count must be in [1, #rotating arms]")
-        cells = [list(c) for c in np.array_split(np.array(rest, dtype=int), blocks)]
+        cells = [c.tolist() for c in np.array_split(np.array(rest, dtype=int), blocks)]
         if any(len(c) == 0 for c in cells):
             raise EmptyBlock("cyclic partition contains an empty cell")
-        period_sets = [tuple(sorted(always + tuple(c))) for c in cells]
+        period_sets = [always + tuple(c) for c in cells]
     elif kind == "mod_skip":
         period = _integer(period, "period")
         if period < 1:
@@ -308,15 +317,10 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
             raise EmptyBlock("skipping every arm would leave empty iterations")
         period_sets = [all_idx] + [cheap] * (period - 1)
     elif kind == "explicit":
-        if not sets:
-            raise InvalidParameter("explicit schedule needs index sets")
-        period_sets = [_arm_set(s, "sets") for s in sets]
+        period_sets = () if sets is None else sets
     else:
         raise InvalidParameter(f"unknown schedule kind {kind!r}")
-
-    k = validate_schedule(period_sets, index_count)
-    return ActivationSchedule(kind=kind, sets=tuple(tuple(s) for s in period_sets),
-                              K=k, index_count=index_count)
+    return ActivationSchedule(kind, period_sets, index_count)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,7 @@ class SolverConfig:
     keep_snapshots: bool = False
     accelerate: bool = True          # Anderson extrapolation over spans
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.gamma < 2.0:
             raise InvalidParameter(
                 f"gamma = {self.gamma!r} rejected; the relaxation parameter "
@@ -455,7 +459,7 @@ def step_bounds(problem: Problem,
                 continue
             total = math.fsum(weights[arms].tolist())
             groups = problem.atom_groups(atom)
-            stacked = groups[0].matrix if len(groups) == 1 else \
+            stacked = groups[0].linop.matrix if len(groups) == 1 else \
                 dense_rows(problem, atom)
             certified = certified_norm_sq(
                 stacked, np.repeat(weights[arms] / total, heights[arms]))
@@ -586,14 +590,8 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     whole periods starts at the Anderson extrapolation of the previous ones:
     of x when the period starts with every arm, of the rows otherwise (see
     the module docstring).  Deterministic given (problem, schedule, config)."""
-    config.validate()
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
-    k = validate_schedule(schedule.sets, problem.arm_count)
-    if k != schedule.K:
-        raise InvalidParameter(
-            f"schedule states K = {schedule.K}, but its sets cover every arm "
-            f"within K = {k}")
     if config.x0.shape != problem.domain_shape:
         raise ShapeMismatch("x0 lives outside the problem domain")
 

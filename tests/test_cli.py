@@ -15,6 +15,7 @@ from blockvi.cli import (
     default_manifest,
     generate_experiment,
     load_manifest,
+    read_matrix_csv,
     read_pgm,
     read_snapshots_csv,
     read_vector_csv,
@@ -97,6 +98,17 @@ def test_vector_csv_lossless_roundtrip(tmp_path, rng):
     write_vector_csv(values, path)
     back = read_vector_csv(path)
     assert back.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (1, 5), (1, 1)])
+def test_matrix_csv_roundtrip_keeps_a_single_row_or_column(tmp_path, rng, shape):
+    # a one-column file has one value a line, which once read back as a row
+    matrix = rng.standard_normal(shape)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(matrix, path)
+    back = read_matrix_csv(path)
+    assert back.shape == shape
+    assert back.tobytes() == matrix.tobytes()
 
 
 @pytest.mark.parametrize("reader,text", [
@@ -395,6 +407,27 @@ def test_run_reports_a_misspelt_key(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("kind,section,values,key", [
+    ("signal_recovery", "operators", {"block_count": 0}, "block_count"),
+    ("signal_recovery", "operators", {"block_count": -4}, "block_count"),
+    ("sparse_image", "dimensions", {"rows": 6}, "rows"),
+    ("sparse_image", "dimensions", {"cols": 3}, "cols"),
+    ("source_separation", "dimensions", {"rows": 5, "cols": 5}, "rows"),
+])
+def test_generators_reject_sizes_they_cannot_draw(tmp_path, capsys, kind,
+                                                  section, values, key):
+    # values the manifest check admits once escaped main as a bare
+    # ZeroDivisionError or numpy ValueError, a traceback instead of an error
+    # line
+    payload = _small_manifest(kind, 0)
+    payload[section] = values
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert key in lines[0]
+    assert not (tmp_path / "results").exists()
+
+
 def test_noise_hits_snr_exactly():
     from blockvi.cli.experiments import _noise_for_snr
     rng = np.random.default_rng(0)
@@ -415,6 +448,20 @@ def test_custom_experiment_matches_lstsq(tmp_path):
                             "rhs_csv": str(tmp_path / "b.csv")}
     path = _write_manifest(tmp_path, payload)
     assert run_manifest(load_manifest(path)) == 0
+    recovered = read_vector_csv(tmp_path / "results" / "recovered.csv")
+    oracle = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+    np.testing.assert_allclose(recovered, oracle, atol=1e-6)
+
+
+def test_custom_run_of_a_one_column_system_converges(tmp_path):
+    matrix = np.array([[1.0], [0.98], [1.02], [1.0]])
+    rhs = np.array([1.0, 1.0, 1.03, 1.0])
+    write_matrix_csv(matrix, tmp_path / "a.csv")
+    write_vector_csv(rhs, tmp_path / "b.csv")
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": str(tmp_path / "a.csv"),
+                            "rhs_csv": str(tmp_path / "b.csv")}
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 0
     recovered = read_vector_csv(tmp_path / "results" / "recovered.csv")
     oracle = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
     np.testing.assert_allclose(recovered, oracle, atol=1e-6)
@@ -512,6 +559,7 @@ def test_run_exit_codes_via_main(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "(0, 2)" in captured.err
+    assert not (tmp_path / "results").exists()      # refused before any output
 
 
 def test_summary_reports_acceleration_only_when_on(tmp_path):

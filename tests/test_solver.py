@@ -175,10 +175,9 @@ def test_validate_returns_minimal_k():
 
 @pytest.mark.parametrize("gamma", [0.0, 2.0, -0.5, 2.5])
 def test_gamma_range_guard(gamma):
-    prob = scalar_problem(ConstraintSet.whole_space(), 5.0)
-    cfg = _config(gamma=gamma)
+    # a config checks itself when it is built, so none reaches solve
     with pytest.raises(InvalidParameter):
-        solve(prob, make_schedule("full", 1), cfg)
+        _config(gamma=gamma)
 
 
 def test_nan_tol_rejected():
@@ -211,12 +210,35 @@ def test_schedule_arm_count_checked():
 
 
 def test_schedule_with_a_wrong_covering_constant_rejected():
-    # K goes into summary.json, so a hand-built schedule must state the K
-    # that its sets certify
-    prob = scalar_problem(ConstraintSet.whole_space(), 1.0)
-    sched = ActivationSchedule("full", ((0,),), K=9, index_count=1)
-    with pytest.raises(InvalidParameter, match="K = 9"):
-        solve(prob, sched, _config())
+    # K goes into summary.json, so a hand-built schedule's K is the one its
+    # sets certify: it cannot be stated, and sets that leave an arm out
+    # build no schedule
+    sched = ActivationSchedule("explicit", ((0, 1), (0,), (0,)), 2)
+    assert sched.K == 3
+    with pytest.raises(TypeError):
+        ActivationSchedule("full", ((0,),), K=9, index_count=1)
+    with pytest.raises(CoverageError):
+        ActivationSchedule("explicit", ((0,), (0,)), 2)
+
+
+def test_hand_built_schedule_runs_as_make_schedules():
+    # a repeated arm once made a hand-built period look shorter than the arm
+    # count, so it ran the rows' extrapolation instead of x's
+    prob, xbar = mixed_arms_problem(0, False)
+    sets = ((0, 1, 2, 3, 3),)
+    hand = ActivationSchedule("explicit", sets, prob.arm_count)
+    built = make_schedule("explicit", prob.arm_count, sets=sets)
+    assert hand == built
+    assert hand.sets == ((0, 1, 2, 3),)
+    cfg = _config(gamma=1.5, max_iters=2000, tol=1e-10, trace_every=10,
+                  x0=SpacePoint.zeros(xbar.shape))
+    runs = [solve(prob, sched, cfg) for sched in (hand, built)]
+    assert runs[0].status is runs[1].status is SolveStatus.CONVERGED
+    assert runs[0].solution.data.tobytes() == runs[1].solution.data.tobytes()
+    assert [(r.n, r.residual, r.step_norm, r.active_set_id)
+            for r in runs[0].trace.records] == \
+        [(r.n, r.residual, r.step_norm, r.active_set_id)
+         for r in runs[1].trace.records]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +479,7 @@ def test_solve_builds_groups_once(monkeypatch, case):
                                x0=SpacePoint.zeros(prob.domain_shape)))
     atoms = list(activation_atoms(sched))
     fused = [tuple(g.arms) for atom in atoms for g in prob.atom_groups(atom)
-             if g.matrix is not None]
+             if len(g.arms) > 1]
     assert sorted(stacks) == sorted(fused)
     assert sorted(builds) == atoms
 
@@ -475,7 +497,7 @@ def test_groups_stack_no_rows_that_no_group_holds(monkeypatch):
     prob, _ = mixed_arms_problem(0, True)
     groups = prob.groups
     assert len(groups) == prob.arm_count
-    assert all(g.matrix is None for g in groups)
+    assert all(len(g.arms) == 1 for g in groups)
     assert stacks == []
     assert prob.groups is groups
 
@@ -564,9 +586,9 @@ def test_row_groups_match_the_per_arm_build_bitwise(case):
         assert g.coef.tobytes() == coef.tobytes()
         assert mass.tobytes() == ref_mass.tobytes()
         if matrix is None:
-            assert g.matrix is None
+            assert g.linop is prob.prescriptions[arms[0]].linop
         else:
-            assert g.matrix.tobytes() == matrix.tobytes()
+            assert g.linop.matrix.tobytes() == matrix.tobytes()
 
 
 def _stock_dense_atoms():
@@ -672,8 +694,8 @@ def _assert_gaps_match_public_images(prob, x):
 def test_arm_gaps_match_public_images_on_signal_recovery(rng):
     prob, _, _ = _signal_recovery_seed0()
     groups = prob.groups
-    assert any(g.matrix is not None for g in groups)      # fused arms
-    assert any(g.matrix is None for g in groups)          # single arms
+    assert any(len(g.arms) > 1 for g in groups)           # fused arms
+    assert any(len(g.arms) == 1 for g in groups)          # single arms
     _assert_gaps_match_public_images(
         prob, SpacePoint(rng.standard_normal(prob.domain_shape.total),
                          prob.domain_shape))
@@ -701,7 +723,7 @@ def test_refresh_leaves_rows_outside_the_cell_bitwise():
                                *map(np.asarray, _steps(prob, gamma, sched)))
     assert len(groups) == 2 + len(sched.sets)
     cell = [(row, g) for row, g in enumerate(groups) if g.arms[0] in active]
-    fused = [g.matrix.shape[0] for _, g in cell if g.matrix is not None]
+    fused = [g.linop.matrix.shape[0] for _, g in cell if len(g.arms) > 1]
     assert fused == [len(active) - 2]          # the cell's dictionary rows
     rng = np.random.default_rng(3)
     t = rng.standard_normal((len(groups), prob.domain_shape.total))
@@ -727,7 +749,7 @@ def _unfused_rank_one_rows():
             for i in range(m)]
     prob = assemble_problem(ConstraintSet.box(np.full(n, -1.0),
                                               np.full(n, 1.0)), arms)
-    assert all(g.matrix is None for g in prob.groups)
+    assert all(len(g.arms) == 1 for g in prob.groups)
     return prob, SpacePoint(rng.uniform(-1, 1, n), prob.domain_shape)
 
 
@@ -802,7 +824,7 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
     prob = _interleaved_rows_problem()
     m, n = prob.arm_count, prob.domain_shape.total
     groups = prob.groups
-    fused = [g.arms for g in groups if g.matrix is not None]
+    fused = [g.arms for g in groups if len(g.arms) > 1]
     np.testing.assert_array_equal(fused[0], range(6))
     np.testing.assert_array_equal(fused[1], [6, 8, 10])
     rng = np.random.default_rng(12)
@@ -811,14 +833,14 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
     # from its one FNE call
     rows = np.empty((m, n))
     for g in groups:
-        if g.matrix is None:
+        if len(g.arms) == 1:
             p = prob.prescriptions[g.arms[0]]
             image = p.fne._apply(p.linop._apply(x))
             rows[g.arms[0]] = p.linop._adjoint(image - p.target.data)
         else:
-            r = g.fne._apply(g.matrix @ x) - g.target
+            r = g.fne._apply(g.linop.matrix @ x) - g.target
             for j, i in enumerate(g.arms):
-                rows[i] = r[j] * g.matrix[j]
+                rows[i] = r[j] * g.linop.matrix[j]
     gammas, v = map(np.asarray, _steps(prob, 1.5))
     row_groups, masses, _ = _row_groups(prob, (tuple(range(m)),), gammas, v)
     assert [list(g.arms) for g in row_groups] == \
