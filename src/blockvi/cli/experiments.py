@@ -145,6 +145,11 @@ def _galaxy(rng, rows, cols, peak=200.0):
 def _image_recovery(dimensions, seed, noise, operators):
     rows = int(dimensions["rows"])
     cols = int(dimensions["cols"])
+    # the phantom is scaled by its range, which one pixel does not have
+    if rows * cols < 2:
+        raise InvalidParameter(
+            f"image_recovery dimensions: 'rows' * 'cols' must be >= 2, "
+            f"got {rows} x {cols}")
     rngs = _streams(seed, ["truth", "blur_noise", "phase_noise"])
     shape = BlockShape.image(rows, cols)
     truth = _smooth_image(rngs["truth"], rows, cols)

@@ -61,7 +61,6 @@ MANIFEST_SCHEMA = {
                 "max_iters": {"type": "integer", "minimum": 1},
                 "tol": {"type": "number", "minimum": 0},
                 "trace_every": {"type": "integer", "minimum": 1},
-                "t_init_policy": {"enum": ["copy_x0", "one_step"]},
                 "snapshots": {"type": "boolean"},
             },
         },

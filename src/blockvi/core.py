@@ -11,7 +11,8 @@ for any theta > 0, which is what :func:`vi_residual` measures.  C enters
 only through its projector on flat arrays (:class:`ConstraintSet`).
 
 One array kernel evaluates the arms a *group* at a time: it reduces
-r_i = F_i(L_i x) - p_i to sum_i c_i L_i* r_i (:func:`pullback`).  The
+r_i = F_i(L_i x) - p_i to sum_i c_i L_i* r_i (:func:`pullback`), with the
+c_i of its caller (the residual's c_i = w_i, or the solver's refresh).  The
 one-row ``DenseMatrix`` arms of an activation atom (arms the solver always
 refreshes together) whose FNEs fuse (``FneOperator.stacked``) form one group,
 whose ``linop`` is the ``DenseMatrix`` of its own stacked rows: one matvec,
@@ -277,13 +278,12 @@ class _ArmGroup:
     """Arms that :func:`_fne_residuals` evaluates in one pass: a single arm
     with its own maps, or one-row dense arms with fused FNEs (``linop`` is the
     ``DenseMatrix`` of their stacked rows, ``fne`` acts on them elementwise).
-    ``coef`` holds the c_i with which :func:`pullback` reduces the group."""
+    A group holds no coefficients: :func:`pullback` takes them."""
 
     arms: np.ndarray         # the arms, ascending
     linop: object
     fne: object
     target: np.ndarray
-    coef: np.ndarray
 
 
 def dense_rows(problem: Problem, arms: Sequence[int]) -> np.ndarray:
@@ -296,9 +296,8 @@ def dense_rows(problem: Problem, arms: Sequence[int]) -> np.ndarray:
 def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
     """Split one activation atom into groups: for each FNE class, the atom's
     one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
-    every other arm alone, each with the residual's c_i = w_i.  A fused
-    group's map is the ``DenseMatrix`` of its own arms' :func:`dense_rows`."""
-    coef = problem.arrays.weights
+    every other arm alone.  A fused group's map is the ``DenseMatrix`` of its
+    own arms' :func:`dense_rows`."""
     pres = problem.prescriptions
     atom = np.asarray(atom)
     one_row = problem.arrays.heights[atom] == 1
@@ -315,11 +314,10 @@ def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
             continue
         groups.append(_ArmGroup(
             np.array(arms), DenseMatrix(dense_rows(problem, arms)), fne,
-            np.concatenate([p.target.data for p in members]), coef[arms]))
+            np.concatenate([p.target.data for p in members])))
     for i in alone:
         p = pres[i]
-        groups.append(_ArmGroup(np.array([i]), p.linop, p.fne, p.target.data,
-                                coef[[i]]))
+        groups.append(_ArmGroup(np.array([i]), p.linop, p.fne, p.target.data))
     return tuple(groups)
 
 
@@ -329,14 +327,15 @@ def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
     return group.fne._apply(group.linop._apply(x)) - group.target
 
 
-def pullback(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
-    """sum_i c_i L_i*(F_i(L_i x) - p_i) over the arms of ``group``: c_i
-    L_i*(r_i) for a single arm, and for a fused group one adjoint A^T (c * r)
-    of its stacked rows A, which weighs each row's residual by its own c_i."""
+def pullback(group: _ArmGroup, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_i c_i L_i*(F_i(L_i x) - p_i) over the arms of ``group``, with
+    ``coef`` the c_i in the order of ``group.arms``: c_i L_i*(r_i) for a
+    single arm, and for a fused group one adjoint A^T (c * r) of its stacked
+    rows A, which weighs each row's residual by its own c_i."""
     r = _fne_residuals(group, x)
     if len(group.arms) == 1:
-        return group.coef[0] * group.linop._adjoint(r)
-    return group.linop._adjoint(group.coef * r)
+        return coef[0] * group.linop._adjoint(r)
+    return group.linop._adjoint(coef * r)
 
 
 def _flat_point(problem: Problem, x) -> np.ndarray:
@@ -350,15 +349,16 @@ def _flat_point(problem: Problem, x) -> np.ndarray:
 def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
                    groups: Optional[Sequence] = None) -> float:
     """:func:`vi_residual` on a flat array.  ``groups`` are arm groups that
-    hold every arm once, with c_i = w_i; :attr:`Problem.groups` when
-    omitted.  Each group adds its share of sum_i w_i L_i*(F_i(L_i x) - p_i)
-    through :func:`pullback`."""
+    hold every arm once; :attr:`Problem.groups` when omitted.  Each group
+    adds its share of sum_i w_i L_i*(F_i(L_i x) - p_i) through
+    :func:`pullback`, with c_i = w_i."""
     x = _flat_point(problem, x)
     if groups is None:
         groups = problem.groups
+    weights = problem.arrays.weights
     grad = np.zeros_like(x)
     for g in groups:
-        grad += pullback(g, x)
+        grad += pullback(g, x, weights[g.arms])
     return gradient_residual(problem, x, grad, theta)
 
 

@@ -107,6 +107,8 @@ def hard_threshold(values, gamma: float):
 
 def dead_zone_root(values, rho: float):
     """sign(v) * sqrt(v^2 - rho^2) where |v| > rho, else 0."""
+    if not rho > 0:
+        raise InvalidParameter("rho must be positive")
     v = np.asarray(values, dtype=np.float64)
     out = np.zeros_like(v)
     live = np.abs(v) > rho
@@ -116,6 +118,8 @@ def dead_zone_root(values, rho: float):
 
 def dead_zone_quartic_root(values, rho: float):
     """sign(v) * (v^4 - rho^4)^(1/4) where |v| > rho, else 0."""
+    if not rho > 0:
+        raise InvalidParameter("rho must be positive")
     v = np.asarray(values, dtype=np.float64)
     out = np.zeros_like(v)
     live = np.abs(v) > rho

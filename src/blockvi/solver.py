@@ -8,7 +8,8 @@ keeps the others stale, and projects an average of the t_i back onto the
 constraint set.  Convergence requires gamma in (0, 2), certified step
 bounds b_i, and a covering schedule: every window of K consecutive active
 sets must touch every arm.  A :class:`SolverConfig` checks gamma, and an
-:class:`ActivationSchedule` certifies its own K, when it is built.
+:class:`ActivationSchedule` certifies its own K and finds its activation
+atoms, when it is built.
 
 The step bounds are certified per *activation atom*: a maximal set of arms
 that every active set of the schedule either holds whole or does not touch.
@@ -43,14 +44,15 @@ measures.  Averaging with the raw w_i instead would steer the iteration to
 a solution of a differently-weighted inequality whenever the bounds differ.
 
 The arms are evaluated in groups (:func:`blockvi.core.arm_groups`), built
-once per atom by :meth:`blockvi.core.Problem.atom_groups`; the residual
-takes their own c_i = w_i, so a solve builds one grouping.  Every group
-is evaluated through its ``linop`` and ``fne`` (fused one-row dense arms
-through the ``DenseMatrix`` of their rows).  The auxiliary state holds one
-row per group, not one per arm.  A group is refreshed whole, from one x, and
-the averaging step sees its arms only through their v-weighted mean tau_g =
-sum_{i in g} (v_i / V_g) t_i, V_g = sum_{i in g} v_i.  So the row of g is
-tau_g, a refresh sets
+once per atom by :meth:`blockvi.core.Problem.atom_groups`.  A group holds no
+coefficients, so the refresh and the residual (c_i = w_i) evaluate the same
+groups, and a solve builds none.  Every group is evaluated through its
+``linop`` and ``fne`` (fused one-row dense arms through the ``DenseMatrix``
+of their rows).  The auxiliary state holds one row per group, not one per
+arm, and every row starts at x_0.  A group is refreshed whole, from one x,
+and the averaging step sees its arms only through their v-weighted mean
+tau_g = sum_{i in g} (v_i / V_g) t_i, V_g = sum_{i in g} v_i.  So the row of
+g is tau_g, a refresh sets
 
     tau_g = x - sum_{i in g} c_i L_i*(F_i(L_i x) - p_i),   c_i = v_i gamma_i / V_g,
 
@@ -175,7 +177,7 @@ import enum
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -211,17 +213,20 @@ _EPS = float(np.finfo(np.float64).eps)
 @dataclass(frozen=True)
 class ActivationSchedule:
     """Periodic sequence of nonempty index sets, stored as sorted tuples of
-    distinct ints, with the covering constant K they certify (not an argument)."""
+    distinct ints, with the covering constant K they certify and their
+    :func:`activation_atoms` (neither is an argument)."""
 
     kind: str
     sets: tuple            # one period of active sets, each a sorted tuple
     index_count: int
     K: int = field(init=False)
+    atoms: tuple = field(init=False)
 
     def __post_init__(self):
         sets = tuple(_arm_set(s, "sets") for s in self.sets)
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "K", validate_schedule(sets, self.index_count))
+        object.__setattr__(self, "atoms", activation_atoms(self))
 
     def active_set(self, n: int) -> tuple:
         return self.sets[n % len(self.sets)]
@@ -334,7 +339,6 @@ class SolverConfig:
     tol: float
     x0: SpacePoint
     trace_every: int = 1
-    t_init_policy: str = "copy_x0"   # or "one_step"
     keep_snapshots: bool = False
     accelerate: bool = True          # Anderson extrapolation over spans
 
@@ -349,8 +353,6 @@ class SolverConfig:
             raise InvalidParameter("tol must be nonnegative")
         if _integer(self.trace_every, "trace_every") < 1:
             raise InvalidParameter("trace_every must be >= 1")
-        if self.t_init_policy not in ("copy_x0", "one_step"):
-            raise InvalidParameter("t_init_policy must be copy_x0 or one_step")
 
 
 @dataclass(frozen=True)
@@ -435,36 +437,32 @@ def activation_atoms(schedule: ActivationSchedule) -> tuple:
                         key=lambda atom: atom[0]))
 
 
-def step_bounds(problem: Problem,
-                schedule: Optional[ActivationSchedule] = None,
-                atoms: Optional[tuple] = None) -> tuple:
-    """Certified step bound b_i of every arm.
+def step_bounds(problem: Problem, schedule: ActivationSchedule) -> tuple:
+    """Certified step bound b_i of every arm under ``schedule``.
 
-    Without a schedule every arm is its own atom and b_i is its
-    ``norm_sq_bound``.  With one, the arms of a multi-arm atom of dense maps
+    An arm keeps its ``norm_sq_bound`` (``problem.arrays.bounds``) unless it
+    lies in a multi-arm atom of dense maps (``schedule.atoms``): those arms
     share the bound on ||sum_{i in c} (w_i / W_c) A_i^T A_i|| that
     :func:`blockvi.linops.certified_norm_sq` certifies for their stacked rows
     whenever it is below their weighted mean sum_{i in c} w_i b_i / W_c.
     The rows are the matrix of the atom's one fused group when the atom is
     one group (:meth:`blockvi.core.Problem.atom_groups`), and its
-    :func:`blockvi.core.dense_rows` otherwise.  ``atoms`` are the schedule's
-    :func:`activation_atoms`, computed when omitted.
+    :func:`blockvi.core.dense_rows` otherwise.
     """
     weights, own, heights = problem.arrays
     bounds = own.copy()
-    if schedule is not None:
-        for atom in atoms or activation_atoms(schedule):
-            arms = np.asarray(atom)
-            if arms.size < 2 or not heights[arms].all():
-                continue
-            total = math.fsum(weights[arms].tolist())
-            groups = problem.atom_groups(atom)
-            stacked = groups[0].linop.matrix if len(groups) == 1 else \
-                dense_rows(problem, atom)
-            certified = certified_norm_sq(
-                stacked, np.repeat(weights[arms] / total, heights[arms]))
-            if certified < math.fsum((weights[arms] * own[arms]).tolist()) / total:
-                bounds[arms] = certified
+    for atom in schedule.atoms:
+        arms = np.asarray(atom)
+        if arms.size < 2 or not heights[arms].all():
+            continue
+        total = math.fsum(weights[arms].tolist())
+        groups = problem.atom_groups(atom)
+        stacked = groups[0].linop.matrix if len(groups) == 1 else \
+            dense_rows(problem, atom)
+        certified = certified_norm_sq(
+            stacked, np.repeat(weights[arms] / total, heights[arms]))
+        if certified < math.fsum((weights[arms] * own[arms]).tolist()) / total:
+            bounds[arms] = certified
     return tuple(bounds.tolist())
 
 
@@ -478,24 +476,24 @@ def _averaging_weights(problem: Problem, bounds) -> tuple:
 
 def _row_groups(problem: Problem, atoms, gammas: np.ndarray,
                 vweights: np.ndarray) -> tuple:
-    """(row groups, masses, groups): the arm ``groups`` of ``atoms``
-    (:meth:`blockvi.core.Problem.atom_groups`), by first arm; a copy of each
-    with the refresh's c_i = v_i gamma_i / V_g, one auxiliary row each; and
-    V_g = sum_{i in g} v_i (see the module docstring).  A single arm keeps
+    """(groups, masses, coefs): the arm groups of ``atoms``
+    (:meth:`blockvi.core.Problem.atom_groups`) by first arm, one auxiliary
+    row each; V_g = sum_{i in g} v_i; and the refresh's c_i = v_i gamma_i /
+    V_g of each group (see the module docstring).  A single arm keeps
     c_i = gamma_i and V_g = v_i exactly."""
     groups = sorted((g for atom in atoms for g in problem.atom_groups(atom)),
                     key=lambda g: g.arms[0])
     masses = np.array([vweights[g.arms].sum() for g in groups])
-    return ([replace(g, coef=gammas[g.arms] * (vweights[g.arms] / mass))
-             for g, mass in zip(groups, masses)], masses, groups)
+    return groups, masses, [gammas[g.arms] * (vweights[g.arms] / mass)
+                            for g, mass in zip(groups, masses)]
 
 
 def _refresh(cell, x: np.ndarray, t: np.ndarray):
-    """t[row] = x - sum_{i in g} c_i L_i*(F_i(L_i x) - p_i) for each pair
-    (row, g) of ``cell``, in place; every other row of ``t`` stays bitwise as
-    it was."""
-    for row, g in cell:
-        np.subtract(x, pullback(g, x), out=t[row])
+    """t[row] = x - sum_{i in g} c_i L_i*(F_i(L_i x) - p_i) for each triple
+    (row, g, c) of ``cell``, in place; every other row of ``t`` stays bitwise
+    as it was."""
+    for row, g, c in cell:
+        np.subtract(x, pullback(g, x, c), out=t[row])
 
 
 def _refresh_slack(x: np.ndarray, t: np.ndarray, kappa: float,
@@ -595,32 +593,35 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     if config.x0.shape != problem.domain_shape:
         raise ShapeMismatch("x0 lives outside the problem domain")
 
-    atoms = activation_atoms(schedule)
-    bounds = np.array(step_bounds(problem, schedule, atoms))
+    bounds = np.array(step_bounds(problem, schedule))
     vweights, total = _averaging_weights(problem, bounds)
-    groups, masses, residual_groups = _row_groups(
-        problem, atoms, config.gamma / bounds, vweights)
-    cells = [tuple((row, g) for row, g in enumerate(groups) if g.arms[0] in s)
-             for s in schedule.sets]
+    groups, masses, coefs = _row_groups(problem, schedule.atoms,
+                                        config.gamma / bounds, vweights)
+    cells = [tuple((row, g, c) for row, (g, c) in enumerate(zip(groups, coefs))
+                   if g.arms[0] in s) for s in schedule.sets]
     # once every row is refreshed at x, sum_i w_i L_i*(F_i(L_i x) - p_i) is
     # (x - masses @ t) / kappa (see the module docstring)
     kappa = config.gamma / total
     drift = abs(1.0 - math.fsum(masses.tolist()))
     refreshes_all = [len(cell) == len(groups) for cell in cells]
-    if config.t_init_policy == "copy_x0":
-        t = np.tile(config.x0.data, (len(groups), 1))
-    else:
-        t = np.empty((len(groups), config.x0.dim))
-        _refresh(tuple(enumerate(groups)), config.x0.data, t)
+    t = np.tile(config.x0.data, (len(groups), 1))
 
     trace = SolverTrace()
     started = time.perf_counter()
     if config.keep_snapshots:
         trace.iterates.append((0, 0.0, config.x0))
+    pending = None      # (n, x, step_norm, active) of the unwritten record
 
-    def record(n, x, step_norm, active, residual) -> bool:
-        """Add the record of iteration n, whose loop iterate is x; True when
-        the run stops there."""
+    def record(form=None) -> bool:
+        """Write the pending record with the refresh ``form`` of its residual,
+        or the explicit residual when there is no form or the form may meet
+        ``tol`` (a run stops only on the explicit residual); True when the run
+        stops there."""
+        nonlocal pending
+        (n, x, step_norm, active), pending = pending, None
+        residual = form
+        if form is None or form <= config.tol + _refresh_slack(x, t, kappa, drift):
+            residual = array_residual(problem, x, groups=groups)
         seconds = time.perf_counter() - started
         trace.add(n, seconds, residual, step_norm, active)
         if config.keep_snapshots:
@@ -631,12 +632,10 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     period = len(schedule.sets)
     span = -(-_Anderson.SPAN // period) * period
     # a span led by every arm rebuilds every row from x, so x is its state
-    on_x = len(schedule.sets[0]) == problem.arm_count
+    on_x = refreshes_all[0]
     accel = None
     if config.accelerate:
         accel = _Anderson(x if on_x else t.flatten())
-    status = SolveStatus.MAX_ITERS
-    pending = None      # the record whose residual this refresh gives
     for n in range(config.max_iters):
         if accel is not None and n and n % span == 0:
             if on_x:
@@ -647,29 +646,22 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         prev_x = x
         _refresh(cells[n % period], x, t)
         mean = masses @ t
-        if pending is not None:
-            residual = gradient_residual(problem, x, (x - mean) / kappa)
-            # stop only on the explicit residual
-            if residual <= config.tol + _refresh_slack(x, t, kappa, drift):
-                residual = array_residual(problem, x, groups=residual_groups)
-            if record(*pending, residual):
-                status = SolveStatus.CONVERGED
-                break
-            pending = None
+        if pending is not None and record(
+                gradient_residual(problem, x, (x - mean) / kappa)):
+            break
         x = problem.constraint.array_projector(mean)
         if n % config.trace_every == 0 or n == config.max_iters - 1:
             if not np.isfinite(x).all():
                 raise InvalidParameter("SpacePoint entries must be finite")
             step = x - prev_x
-            pending = (n, x, math.sqrt(step @ step),
-                       schedule.active_set(n))
+            pending = (n, x, math.sqrt(step @ step), schedule.active_set(n))
             m = n + 1       # does the next iteration refresh every row at x?
             if not (m < config.max_iters and refreshes_all[m % period]
-                    and (accel is None or m % span)):
-                if record(*pending, array_residual(problem, x, groups=residual_groups)):
-                    status = SolveStatus.CONVERGED
-                    break
-                pending = None
+                    and (accel is None or m % span)) and record():
+                break
+    # the last iteration records explicitly, so this is the stop test's verdict
+    status = (SolveStatus.CONVERGED if trace.final_residual <= config.tol
+              else SolveStatus.MAX_ITERS)
     acceleration = None
     if accel is not None:
         acceleration = {"memory": accel.MEMORY, "accepted": accel.accepted,

@@ -413,12 +413,16 @@ def test_run_reports_a_misspelt_key(tmp_path, capsys):
     ("sparse_image", "dimensions", {"rows": 6}, "rows"),
     ("sparse_image", "dimensions", {"cols": 3}, "cols"),
     ("source_separation", "dimensions", {"rows": 5, "cols": 5}, "rows"),
+    ("image_recovery", "dimensions", {"rows": 1, "cols": 1}, "rows"),
+    ("signal_recovery", "operators", {"root_threshold": -1.0}, "rho"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_generators_reject_sizes_they_cannot_draw(tmp_path, capsys, kind,
                                                   section, values, key):
     # values the manifest check admits once escaped main as a bare
     # ZeroDivisionError or numpy ValueError, a traceback instead of an error
-    # line
+    # line; a one-pixel image and a negative root threshold ran into numpy
+    # warnings first (a constant phantom, a negative power base)
     payload = _small_manifest(kind, 0)
     payload[section] = values
     assert main(["run", str(_write_manifest(tmp_path, payload))]) == 1

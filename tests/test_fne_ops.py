@@ -23,6 +23,7 @@ from blockvi.fne_ops import (
     SoftThreshold,
     SvdSoftThreshold,
     clamp,
+    dead_zone_quartic_root,
     dead_zone_root,
     firm_nonexpansiveness_excess,
     hard_threshold,
@@ -515,6 +516,16 @@ def test_proxify_svd_oracles():
                                atol=1e-12)
     with pytest.raises(NotInRange):
         proxify_svd(2.0, SpacePoint(np.diag([3.0, 1.0])))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+@pytest.mark.parametrize("root", [dead_zone_root, dead_zone_quartic_root])
+def test_dead_zone_roots_reject_a_nonpositive_rho(root, rho):
+    # a negative rho once ran into numpy's "invalid value" warning (and rho
+    # = 0 returned the input), as the thresholds already refuse it
+    with pytest.raises(InvalidParameter, match="rho must be positive"):
+        root(np.array([0.5, -2.0]), rho)
 
 
 def test_proxify_root_anchors():

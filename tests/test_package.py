@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -6,6 +7,8 @@ import re
 from pathlib import Path
 
 import blockvi
+from blockvi.cli.manifest import MANIFEST_SCHEMA, _SCHEDULE_KEYS
+from blockvi.solver import SolverConfig, make_schedule
 
 
 def test_all_names_resolve():
@@ -107,3 +110,17 @@ def test_every_public_function_has_a_caller():
                        if path != own):
                 uncalled.append(f"{info.name}.{name}")
     assert uncalled == []
+
+
+def test_each_knob_has_one_definition_on_both_sides():
+    # the manifest's solver and schedule keys restate the names that
+    # SolverConfig and make_schedule take; an option deleted from only one
+    # side would be refused by the manifest check, or be unreachable from it
+    solver = MANIFEST_SCHEMA["properties"]["solver"]["properties"]
+    manifest_keys = {"keep_snapshots" if k == "snapshots" else k for k in solver}
+    config_keys = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert manifest_keys == config_keys - {"x0", "accelerate"}
+    keyword_only = {name for name, p in
+                    inspect.signature(make_schedule).parameters.items()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert set().union(*_SCHEDULE_KEYS.values()) == keyword_only

@@ -47,7 +47,8 @@ from spectral_reference import full_convolution, full_phase, full_transfer
 def _steps(prob, gamma, sched=None):
     """(gamma_i, v_i) of every arm from its certified step bound b_i:
     gamma / b_i and the averaging weights v_i = w_i b_i / sum_j w_j b_j."""
-    bounds = np.asarray(step_bounds(prob, sched))
+    bounds = np.asarray(prob.arrays.bounds if sched is None
+                        else step_bounds(prob, sched))
     return (gamma / bounds).tolist(), _averaging_weights(prob, bounds)[0].tolist()
 
 
@@ -197,12 +198,6 @@ def test_counts_must_be_integers(key, value):
               make_schedule("full", 1), _config(**{key: value}))
 
 
-def test_bad_policy_rejected():
-    with pytest.raises(InvalidParameter):
-        solve(scalar_problem(ConstraintSet.whole_space(), 1.0),
-              make_schedule("full", 1), _config(t_init_policy="warm"))
-
-
 def test_schedule_arm_count_checked():
     prob = scalar_problem(ConstraintSet.whole_space(), 1.0)
     with pytest.raises(InvalidParameter):
@@ -343,21 +338,6 @@ def test_step_equals_projection_gradient_for_feasibility_arms():
                                rtol=1e-12, atol=1e-14)
 
 
-def test_one_step_policy_matches_virtual_first_activation():
-    # a warm start refreshes every arm at x0, so one iteration that activates
-    # arm 0 alone averages the rows of all four arms, each taken at x0
-    prob, _ = mixed_arms_problem(1, consistent=True)
-    x0 = SpacePoint(np.full(6, 0.3))
-    sched = make_schedule("explicit", prob.arm_count, sets=[[0], [1], [2], [3]])
-    res = solve(prob, sched, _config(gamma=1.4, max_iters=1, tol=0.0, x0=x0,
-                                     t_init_policy="one_step"))
-    gammas, v = _steps(prob, 1.4, sched)
-    t = np.stack([(x0 - g * p.linop.adjoint(p.image(x0) - p.target)).data
-                  for p, g in zip(prob.prescriptions, gammas)])
-    expected = prob.constraint.array_projector(np.asarray(v) @ t)
-    assert res.solution.data.tobytes() == expected.tobytes()
-
-
 def test_averaging_weights_cancel_step_scaling():
     prob, _ = mixed_arms_problem(0, consistent=True)
     g, v = _steps(prob, 1.0)
@@ -378,6 +358,9 @@ def test_activation_atoms_split_by_membership():
     assert activation_atoms(make_schedule("full", 3)) == ((0, 1, 2),)
     assert activation_atoms(make_schedule("mod_skip", 3, expensive=[1],
                                           period=2)) == ((0, 2), (1,))
+    # a schedule finds its own atoms when it is built
+    assert sched.atoms == activation_atoms(sched)
+    assert ActivationSchedule("explicit", [(2, 0), (1,)], 3).atoms == ((0, 2), (1,))
 
 
 def _signal_recovery_case():
@@ -407,7 +390,7 @@ def _explicit_matrix(linop):
 def test_atom_bounds_certified(case):
     prob, sched = case()
     bounds = step_bounds(prob, sched)
-    per_arm = step_bounds(prob)
+    per_arm = prob.arrays.bounds
     tightened = 0
     for atom in activation_atoms(sched):
         arms = [prob.prescriptions[i] for i in atom]
@@ -448,9 +431,10 @@ def test_solve_certifies_bounds_once(monkeypatch):
 
     monkeypatch.setattr(blockvi.solver, "step_bounds", counted)
     monkeypatch.setattr(blockvi.solver, "activation_atoms", counted_atoms)
+    # the schedule finds its atoms once, when it is built; solve reads them
     prob, sched = _feasibility_case()
     cfg = _config(gamma=1.9, max_iters=20, tol=0.0,
-                  x0=SpacePoint(np.zeros(8)), t_init_policy="one_step")
+                  x0=SpacePoint(np.zeros(8)))
     solve(prob, sched, cfg)
     assert len(calls) == 1
     assert len(atom_calls) == 1
@@ -482,6 +466,25 @@ def test_solve_builds_groups_once(monkeypatch, case):
              if len(g.arms) > 1]
     assert sorted(stacks) == sorted(fused)
     assert sorted(builds) == atoms
+
+
+def test_a_second_solve_builds_no_arm_group(monkeypatch):
+    # a group holds no coefficients, so the refresh and the residual read the
+    # problem's own groups: a solve once copied each group to attach its
+    # refresh coefficients (6 copies on the stock signal_recovery manifest)
+    prob, sched, cfg = _stock_case("signal_recovery", 0)
+    cfg = SolverConfig(gamma=cfg.gamma, max_iters=50, tol=cfg.tol, x0=cfg.x0)
+    solve(prob, sched, cfg)
+    built = []
+    init = blockvi.core._ArmGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append((args, kwargs))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(blockvi.core._ArmGroup, "__init__", counted)
+    solve(prob, sched, cfg)
+    assert built == []
 
 
 def test_groups_stack_no_rows_that_no_group_holds(monkeypatch):
@@ -575,15 +578,15 @@ def test_row_groups_match_the_per_arm_build_bitwise(case):
         _stock_case(case, 0)[:2]
     atoms = activation_atoms(sched)
     gammas, vweights = map(np.asarray, _steps(prob, 1.9, sched))
-    groups, masses, _ = _row_groups(prob, atoms, gammas, vweights)
+    groups, masses, coefs = _row_groups(prob, atoms, gammas, vweights)
     expected = _per_arm_row_groups(prob, atoms, gammas, vweights)
     assert len(groups) == len(expected) == len(masses)
-    for g, mass, (arms, cls, target, coef, matrix, ref_mass) in zip(
-            groups, masses, expected):
+    for g, mass, c, (arms, cls, target, coef, matrix, ref_mass) in zip(
+            groups, masses, coefs, expected):
         assert g.arms.tolist() == list(arms)
         assert type(g.fne) is cls
         assert g.target.tobytes() == target.tobytes()
-        assert g.coef.tobytes() == coef.tobytes()
+        assert c.tobytes() == coef.tobytes()
         assert mass.tobytes() == ref_mass.tobytes()
         if matrix is None:
             assert g.linop is prob.prescriptions[arms[0]].linop
@@ -719,18 +722,19 @@ def test_refresh_leaves_rows_outside_the_cell_bitwise():
     prob, sched, gamma = _signal_recovery_seed0()
     active = sched.active_set(1)
     atoms = activation_atoms(sched)
-    groups, _, _ = _row_groups(prob, atoms,
-                               *map(np.asarray, _steps(prob, gamma, sched)))
+    groups, _, coefs = _row_groups(prob, atoms,
+                                   *map(np.asarray, _steps(prob, gamma, sched)))
     assert len(groups) == 2 + len(sched.sets)
-    cell = [(row, g) for row, g in enumerate(groups) if g.arms[0] in active]
-    fused = [g.linop.matrix.shape[0] for _, g in cell if len(g.arms) > 1]
+    cell = [(row, g, c) for row, (g, c) in enumerate(zip(groups, coefs))
+            if g.arms[0] in active]
+    fused = [g.linop.matrix.shape[0] for _, g, _ in cell if len(g.arms) > 1]
     assert fused == [len(active) - 2]          # the cell's dictionary rows
     rng = np.random.default_rng(3)
     t = rng.standard_normal((len(groups), prob.domain_shape.total))
     before = t.copy()
     x = rng.standard_normal(prob.domain_shape.total)
     _refresh(cell, x, t)
-    refreshed = {row for row, _ in cell}
+    refreshed = {row for row, _, _ in cell}
     assert len(refreshed) == 3
     for row in range(len(groups)):
         if row in refreshed:
@@ -771,7 +775,8 @@ def _mixed_kinds_atom():
     ]
     prob = assemble_problem(ConstraintSet.box(np.full(n, -2.0),
                                               np.full(n, 2.0)), arms)
-    assert step_bounds(prob, make_schedule("full", 3)) == step_bounds(prob)
+    assert step_bounds(prob, make_schedule("full", 3)) == \
+        tuple(prob.arrays.bounds.tolist())
     return prob, SpacePoint(rng.uniform(-1, 1, n), shape)
 
 
@@ -842,11 +847,12 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
             for j, i in enumerate(g.arms):
                 rows[i] = r[j] * g.linop.matrix[j]
     gammas, v = map(np.asarray, _steps(prob, 1.5))
-    row_groups, masses, _ = _row_groups(prob, (tuple(range(m)),), gammas, v)
+    row_groups, masses, coefs = _row_groups(prob, (tuple(range(m)),), gammas, v)
     assert [list(g.arms) for g in row_groups] == \
         [list(range(6)), [6, 8, 10], [7], [9], [11], [12]]
     t = rng.standard_normal((len(row_groups), n))
-    _refresh(tuple(enumerate(row_groups)), x, t)
+    _refresh(tuple((row, g, c) for row, (g, c) in enumerate(zip(row_groups, coefs))),
+             x, t)
     for row, g in enumerate(row_groups):
         per_arm = [x - gammas[i] * rows[i] for i in g.arms]
         if len(g.arms) == 1:                   # the arm's own row, bitwise
@@ -1240,7 +1246,7 @@ def test_span_map_of_rows_does_not_grow_the_block_distance(monkeypatch):
     assert len(sched.sets[0]) < prob.arm_count
     span = -(-blockvi.solver._Anderson.SPAN // len(sched.sets)) * len(sched.sets)
     # every shared-bound atom is one group, so the blocks are the rows
-    bounds, own = step_bounds(prob, sched), step_bounds(prob)
+    bounds, own = step_bounds(prob, sched), prob.arrays.bounds
     for atom in activation_atoms(sched):
         if any(bounds[i] != own[i] for i in atom):
             assert len(prob.atom_groups(atom)) == 1
