@@ -10,6 +10,7 @@ reference signal.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -76,6 +77,17 @@ def _noise_for_snr(rng, reference: np.ndarray, snr_db: float) -> np.ndarray:
     g = rng.standard_normal(reference.shape)
     target = np.linalg.norm(reference) * 10.0 ** (-snr_db / 20.0)
     return g * (target / np.linalg.norm(g))
+
+
+@contextlib.contextmanager
+def _naming(kind: str, **operators):
+    """Re-raise an :class:`InvalidParameter` of a helper called inside as one
+    that names the manifest ``operators`` keys (and values) it was given."""
+    try:
+        yield
+    except InvalidParameter as exc:
+        given = ", ".join(f"{key!r} = {value!r}" for key, value in operators.items())
+        raise InvalidParameter(f"{kind} operators: {given}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +162,15 @@ def _image_recovery(dimensions, seed, noise, operators):
         raise InvalidParameter(
             f"image_recovery dimensions: 'rows' * 'cols' must be >= 2, "
             f"got {rows} x {cols}")
+    # the kernel takes no draw, so a size or sigma it refuses fails first
+    size, sigma = int(operators["kernel_size"]), float(operators["kernel_sigma"])
+    with _naming("image_recovery", kernel_size=size, kernel_sigma=sigma):
+        kernel = make_gaussian_kernel(size, sigma)
     rngs = _streams(seed, ["truth", "blur_noise", "phase_noise"])
     shape = BlockShape.image(rows, cols)
     truth = _smooth_image(rngs["truth"], rows, cols)
     xbar = SpacePoint(truth, shape)
 
-    kernel = make_gaussian_kernel(int(operators["kernel_size"]),
-                                  float(operators["kernel_sigma"]))
     blur = CircularConvolution2D(kernel, rows, cols)
     blurred = blur.apply(xbar)
     w1 = _noise_for_snr(rngs["blur_noise"], blurred.data,
@@ -215,7 +229,8 @@ def _signal_recovery(dimensions, seed, noise, operators):
 
     rho = float(operators["root_threshold"])
     dictionary = rngs["dictionary"].standard_normal((m, n))
-    clean = dead_zone_quartic_root(dictionary @ xbar.data, rho)
+    with _naming("signal_recovery", root_threshold=rho):
+        clean = dead_zone_quartic_root(dictionary @ xbar.data, rho)
     w3 = _noise_for_snr(rngs["dict_noise"], clean,
                         float(noise["dictionary_snr_db"]))
     chi = clean + w3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import numpy as np
 
@@ -86,12 +87,23 @@ def _csv_lines(path, header: str) -> list:
     return lines
 
 
+def _finite_data(values: np.ndarray, path) -> np.ndarray:
+    """``values``, which must be nonempty and finite (a NaN or an infinity
+    read from the file); :class:`FormatError` naming ``path`` otherwise."""
+    if not values.size:
+        raise FormatError(f"{path}: no data")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: entries must be finite")
+    return values
+
+
 def read_vector_csv(path):
     lines = _csv_lines(path, "value")
     try:
-        return np.array([float(v) for v in lines[1:]], dtype=np.float64)
+        values = np.array([float(v) for v in lines[1:]], dtype=np.float64)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    return _finite_data(values, path)
 
 
 def write_matrix_csv(matrix, path):
@@ -103,9 +115,12 @@ def write_matrix_csv(matrix, path):
 
 def read_matrix_csv(path):
     try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():       # an empty file: numpy warns
+            warnings.simplefilter("ignore", UserWarning)
+            matrix = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    return _finite_data(matrix, path)
 
 
 def write_snapshots_csv(iterates, path):

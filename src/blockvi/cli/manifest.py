@@ -25,20 +25,13 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import ManifestError
+from ..solver import SCHEDULE_KEYS
 from .experiments import EXPERIMENT_KINDS, STOCK_PARAMETERS
 
 __all__ = ["ExperimentManifest", "MANIFEST_SCHEMA", "load_manifest",
            "default_manifest", "resolve_output_dir", "OUTPUT_ROOT_ENV"]
 
 OUTPUT_ROOT_ENV = "BLOCKVI_OUTPUT_ROOT"
-
-# the schedule keys each schedule kind uses: ``make_schedule`` ignores the rest
-_SCHEDULE_KEYS = {
-    "full": (),
-    "cyclic_partition": ("blocks", "always_active"),
-    "mod_skip": ("period", "expensive"),
-    "explicit": ("sets",),
-}
 
 MANIFEST_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -69,7 +62,7 @@ MANIFEST_SCHEMA = {
             "required": ["kind"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": list(_SCHEDULE_KEYS)},
+                "kind": {"enum": list(SCHEDULE_KEYS)},
                 "blocks": {"type": "integer", "minimum": 1},
                 "always_active": {"type": "array",
                                   "items": {"type": "integer", "minimum": 0}},
@@ -163,7 +156,7 @@ def _validate(payload: dict, origin: str) -> None:
         fail(*error)
     schedule = payload["schedule"]
     for key in schedule:
-        if key != "kind" and key not in _SCHEDULE_KEYS[schedule["kind"]]:
+        if key != "kind" and key not in SCHEDULE_KEYS[schedule["kind"]]:
             fail(("schedule", key),
                  f"not used by schedule kind {schedule['kind']!r}")
     # JSON's NaN and Infinity pass the schema's "number" type

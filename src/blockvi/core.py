@@ -27,7 +27,7 @@ import dataclasses
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -93,10 +93,10 @@ class ConstraintSet:
 class Prescription:
     """One arm of the model: target, Wiener pair (linear map + FNE map), weight.
 
-    ``norm_sq_bound`` is not an argument: it is always the linear map's
-    certified ``norm_sq`` (>= the true squared operator norm).  It is the
-    arm's step bound b_i in gamma_i = gamma / b_i unless the solver certifies
-    a smaller shared bound for the activation atom the arm belongs to (see
+    The linear map's certified ``norm_sq`` (>= the true squared operator
+    norm), which must be positive and finite, is the arm's step bound b_i in
+    gamma_i = gamma / b_i unless the solver certifies a smaller shared bound
+    for the activation atom the arm belongs to (see
     :func:`blockvi.solver.step_bounds`).
     """
 
@@ -104,7 +104,6 @@ class Prescription:
     fne: object
     target: SpacePoint
     weight: float
-    norm_sq_bound: float = field(init=False)
 
     def __post_init__(self):
         if self.linop.output_shape != self.fne.domain_shape:
@@ -113,10 +112,8 @@ class Prescription:
             raise ShapeMismatch("target lives outside the FNE domain")
         if not 0 < self.weight <= 1:
             raise InvalidParameter("weight must lie in (0, 1]")
-        bound = self.linop.norm_sq
-        if not bound > 0:
-            raise InvalidParameter("norm_sq_bound must be positive")
-        object.__setattr__(self, "norm_sq_bound", float(bound))
+        if not 0 < self.linop.norm_sq < math.inf:     # also catches NaN
+            raise InvalidParameter("the linear map's norm_sq must be positive and finite")
         object.__setattr__(self, "weight", float(self.weight))
 
     def image(self, x: SpacePoint) -> SpacePoint:
@@ -128,7 +125,7 @@ class ArmArrays(NamedTuple):
     """Per-arm data of a problem as read-only arrays, in arm order."""
 
     weights: np.ndarray     # w_i
-    bounds: np.ndarray      # norm_sq_bound, b_i >= ||L_i||^2
+    bounds: np.ndarray      # linop.norm_sq, b_i >= ||L_i||^2
     heights: np.ndarray     # rows of L_i when it is a DenseMatrix, else 0
 
 
@@ -171,7 +168,7 @@ class Problem:
         pres = self.prescriptions
         arrays = ArmArrays(
             np.array([p.weight for p in pres]),
-            np.array([p.norm_sq_bound for p in pres]),
+            np.array([p.linop.norm_sq for p in pres]),
             np.array([p.linop.matrix.shape[0] if isinstance(p.linop, DenseMatrix)
                       else 0 for p in pres]))
         for a in arrays:

@@ -60,7 +60,6 @@ __all__ = [
     "proxify_svd",
     "proxify_root",
     "rank_to_threshold",
-    "make_projector",
     "clamp",
     "soft_threshold",
     "hard_threshold",
@@ -117,9 +116,12 @@ def dead_zone_root(values, rho: float):
 
 
 def dead_zone_quartic_root(values, rho: float):
-    """sign(v) * (v^4 - rho^4)^(1/4) where |v| > rho, else 0."""
+    """sign(v) * (v^4 - rho^4)^(1/4) where |v| > rho, else 0; rho^4 must be
+    finite, so rho <= 1e77."""
     if not rho > 0:
         raise InvalidParameter("rho must be positive")
+    if not rho <= 1e77:
+        raise InvalidParameter("rho^4 must be finite: rho <= 1e77")
     v = np.asarray(values, dtype=np.float64)
     out = np.zeros_like(v)
     live = np.abs(v) > rho
@@ -328,21 +330,6 @@ class Blockwise(FneOperator):
 
     def describe(self):
         return {"kind": self.kind, "blocks": [op.describe() for op in self.ops]}
-
-
-def make_projector(set_kind: str, domain_shape: BlockShape, **params) -> FneOperator:
-    """The stock projection operator of kind ``set_kind`` on ``domain_shape``."""
-    if set_kind == "box":
-        return BoxProjector(params["lo"], params["hi"], domain_shape)
-    if set_kind == "linf_ball":
-        return LinfBallProjector(params["rho"], domain_shape)
-    if set_kind == "singleton":
-        return SingletonProjector(SpacePoint(params["center"], domain_shape))
-    if set_kind == "blockwise_constant":
-        return BlockwiseConstantProjector(params["run_lengths"], domain_shape)
-    if set_kind == "nonneg_orthant":
-        return NonnegProjector(domain_shape)
-    raise InvalidParameter(f"unknown projector kind {set_kind!r}")
 
 
 # ---------------------------------------------------------------------------

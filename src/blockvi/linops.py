@@ -2,10 +2,10 @@
 
 Every operator knows its input/output block layout, applies forward and
 adjoint maps, and carries ``norm_sq``: a certified upper bound on the squared
-operator norm, obtained from a closed form when one exists (with an allowance
-for the closed form's own rounding error where it is computed) and from the
-map materialised on the standard basis otherwise (see
-:func:`estimate_norm_sq`).
+operator norm, from a closed form with an allowance for its own rounding
+where one exists, and otherwise from the map materialised on the standard
+basis (:func:`estimate_norm_sq`).  A :class:`DenseMatrix`, one row included,
+is bounded by :func:`certified_norm_sq`.
 
 Circular convolution runs on the half spectrum of the real FFT.  It,
 :class:`Dct2D` and :class:`blockvi.fne_ops.PhasePrescription` call scipy's
@@ -146,9 +146,6 @@ class DenseMatrix(LinearOperator):
         return self.matrix.T @ y
 
     def exact_norm_sq(self):
-        # a rank-one map's norm is its Frobenius norm
-        if 1 in self.matrix.shape:
-            return float(np.sum(self.matrix ** 2))
         return certified_norm_sq(self.matrix)
 
     def describe(self):
@@ -416,7 +413,8 @@ def certified_norm_sq(matrix: np.ndarray,
 
     On the stock dense atoms the bound lies less than 1e-11 (relative) above
     the squared largest singular value, and the eigenvalues of the Gram cost
-    a fraction of the singular values of a tall stack.
+    a fraction of the singular values of a tall stack.  A non-finite entry
+    gives the Gram's trace, inf or NaN, which ``Prescription`` refuses.
     """
     rows, cols = matrix.shape
     uniform = row_weights is None or bool(np.all(row_weights == row_weights[0]))
@@ -426,8 +424,9 @@ def certified_norm_sq(matrix: np.ndarray,
         gram *= row_weights[0]        # one weight scales the whole Gram
     k, p = gram.shape[0], max(rows, cols)
     eps = np.finfo(np.float64).eps
-    lam = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
-    return (lam + (p + k + 8) * eps * float(gram.trace())) * (1.0 + 8.0 * k * eps)
+    trace = float(gram.trace())
+    lam = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) if trace < np.inf else trace
+    return (lam + (p + k + 8) * eps * trace) * (1.0 + 8.0 * k * eps)
 
 
 def estimate_norm_sq(op: LinearOperator) -> float:
@@ -455,13 +454,16 @@ def estimate_norm_sq(op: LinearOperator) -> float:
 
 
 def make_gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    """Normalized isotropic Gaussian kernel on an odd size x size grid."""
+    """Normalized isotropic Gaussian kernel on an odd size x size grid; 2 sigma^2
+    must be a positive finite float, so sigma < 1e150.  A sigma so small that
+    (r / sigma)^2 overflows gives exp(-inf) = 0 off the center: the delta."""
     if size < 1 or size % 2 == 0:
         raise InvalidParameter("kernel size must be odd and >= 1")
-    if not sigma > 0:
-        raise InvalidParameter("sigma must be positive")
+    if not (0 < sigma < 1e150 and 2.0 * sigma ** 2 > 0):
+        raise InvalidParameter("sigma must lie in (0, 1e150), with 2 sigma^2 above 0")
     r = np.arange(size) - size // 2
-    g = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2.0 * sigma ** 2))
+    with np.errstate(over="ignore"):
+        g = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2.0 * sigma ** 2))
     return g / g.sum()
 
 

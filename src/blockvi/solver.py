@@ -25,8 +25,8 @@ maps of c point in different directions.  The bound is tightened only where
 it is computed exactly: for multi-arm atoms of dense maps, b_c is
 :func:`blockvi.linops.certified_norm_sq` of the stacked rows A_i with row
 weights w_i / W_c, the largest eigenvalue of their smaller weighted Gram
-plus a stated allowance for its rounding.  Every other arm keeps its
-``Prescription.norm_sq_bound`` (b_i >= ||L_i||^2).  An atom that is one
+plus a stated allowance for its rounding.  Every other arm keeps its map's
+certified ``norm_sq`` (b_i >= ||L_i||^2).  An atom that is one
 fused group below is certified on its group's ``DenseMatrix``; any other dense
 atom stacks its rows for the bound alone (:func:`blockvi.core.dense_rows`).
 The per-arm weights, bounds and row counts come from
@@ -192,6 +192,7 @@ from .space import SpacePoint
 __all__ = [
     "ActivationSchedule",
     "make_schedule",
+    "SCHEDULE_KEYS",
     "validate_schedule",
     "SolverConfig",
     "TraceRecord",
@@ -272,28 +273,49 @@ def _integer(value, key: str) -> int:
 
 
 def _arm_set(values, key: str) -> tuple:
-    """The distinct arm indices of ``values``, ascending (see :func:`_integer`)."""
-    values = list(values)
+    """The distinct arm indices of ``values`` (none for None), ascending (see
+    :func:`_integer`)."""
+    values = list(() if values is None else values)
     if not all(type(i) is int for i in values):   # ints skip the slow check
         values = [_integer(i, key) for i in values]
     return tuple(sorted(set(values)))
 
 
+# the keyword arguments of ``make_schedule`` that each schedule kind uses
+SCHEDULE_KEYS = {
+    "full": (),
+    "cyclic_partition": ("blocks", "always_active"),
+    "mod_skip": ("period", "expensive"),
+    "explicit": ("sets",),
+}
+
+
 def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
-                  always_active: Sequence[int] = (), expensive: Sequence[int] = (),
+                  always_active: Optional[Sequence[int]] = None,
+                  expensive: Optional[Sequence[int]] = None,
                   period: Optional[int] = None,
                   sets: Optional[Sequence[Sequence[int]]] = None) -> ActivationSchedule:
     """Build one of the stock schedules (which certifies its own K).
 
     * ``full``: every arm at every iteration (K = 1).
-    * ``cyclic_partition``: the arms outside ``always_active`` are split into
-      ``blocks`` (an integer count) consecutive cells, one cell per
-      iteration plus the always-active arms (K = blocks).  Arbitrary cells
-      are an ``explicit`` schedule.
+    * ``cyclic_partition``: the arms outside ``always_active`` (none when
+      omitted) are split into ``blocks`` (an integer count) consecutive
+      cells, one cell per iteration plus the always-active arms (K = blocks).
+      Arbitrary cells are an ``explicit`` schedule.
     * ``mod_skip``: all arms when n is a multiple of ``period``, all but the
-      ``expensive`` arms otherwise (K = period).
+      ``expensive`` arms (none when omitted) otherwise (K = period).
     * ``explicit``: caller-provided period of index sets; K is measured.
+
+    A keyword that ``kind`` does not use (:data:`SCHEDULE_KEYS`) must be
+    omitted or None.
     """
+    if kind not in SCHEDULE_KEYS:
+        raise InvalidParameter(f"unknown schedule kind {kind!r}")
+    given = {"blocks": blocks, "always_active": always_active,
+             "expensive": expensive, "period": period, "sets": sets}
+    for key, value in given.items():
+        if value is not None and key not in SCHEDULE_KEYS[kind]:
+            raise InvalidParameter(f"schedule kind {kind!r} does not use {key!r}")
     if index_count < 1:
         raise InvalidParameter("index_count must be >= 1")
     all_idx = tuple(range(index_count))
@@ -321,10 +343,8 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
         if not cheap and period > 1:
             raise EmptyBlock("skipping every arm would leave empty iterations")
         period_sets = [all_idx] + [cheap] * (period - 1)
-    elif kind == "explicit":
-        period_sets = () if sets is None else sets
     else:
-        raise InvalidParameter(f"unknown schedule kind {kind!r}")
+        period_sets = () if sets is None else sets
     return ActivationSchedule(kind, period_sets, index_count)
 
 
@@ -440,7 +460,7 @@ def activation_atoms(schedule: ActivationSchedule) -> tuple:
 def step_bounds(problem: Problem, schedule: ActivationSchedule) -> tuple:
     """Certified step bound b_i of every arm under ``schedule``.
 
-    An arm keeps its ``norm_sq_bound`` (``problem.arrays.bounds``) unless it
+    An arm keeps its map's ``norm_sq`` (``problem.arrays.bounds``) unless it
     lies in a multi-arm atom of dense maps (``schedule.atoms``): those arms
     share the bound on ||sum_{i in c} (w_i / W_c) A_i^T A_i|| that
     :func:`blockvi.linops.certified_norm_sq` certifies for their stacked rows

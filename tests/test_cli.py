@@ -415,6 +415,10 @@ def test_run_reports_a_misspelt_key(tmp_path, capsys):
     ("source_separation", "dimensions", {"rows": 5, "cols": 5}, "rows"),
     ("image_recovery", "dimensions", {"rows": 1, "cols": 1}, "rows"),
     ("signal_recovery", "operators", {"root_threshold": -1.0}, "rho"),
+    ("image_recovery", "operators", {"kernel_sigma": 1e-300}, "kernel_sigma"),
+    ("image_recovery", "operators", {"kernel_sigma": 1e300}, "kernel_sigma"),
+    ("signal_recovery", "operators", {"root_threshold": 1e300},
+     "root_threshold"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_generators_reject_sizes_they_cannot_draw(tmp_path, capsys, kind,
@@ -430,6 +434,75 @@ def test_generators_reject_sizes_they_cannot_draw(tmp_path, capsys, kind,
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert key in lines[0]
     assert not (tmp_path / "results").exists()
+
+
+def _edge_values(stock):
+    """The edge values of a numeric stock key: 0-3, -1 and 7 for an integer;
+    0, -1, 1e-300, 1e300, half and twice the stock value for a float."""
+    if isinstance(stock, bool):
+        return []
+    if isinstance(stock, int):
+        return [0, 1, 2, 3, -1, 7]
+    return [0.0, -1.0, 1e-300, 1e300, stock / 2, stock * 2]
+
+
+def _edge_cases():
+    for kind in ("image_recovery", "signal_recovery", "sparse_image",
+                 "source_separation"):
+        for section in ("dimensions", "noise", "operators"):
+            for key, stock in STOCK_PARAMETERS[kind][section].items():
+                for value in _edge_values(stock):
+                    yield kind, section, key, value
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_admitted_edge_value_fails_typed_or_runs(tmp_path):
+    # each numeric key of the generated kinds set to an edge value, seed 0:
+    # a value the manifest check admits must run or raise a BlockviError;
+    # kernel_sigma 1e-300 and 1e300 and root_threshold 1e300 once ended in a
+    # numpy warning or a bare OverflowError
+    untyped = []
+    for k, (kind, section, key, value) in enumerate(_edge_cases()):
+        payload = default_manifest(kind, 0, output_dir=f"results{k}")
+        payload[section][key] = value
+        payload["solver"]["max_iters"] = 3
+        path = _write_manifest(tmp_path, payload, name=f"manifest{k}.json")
+        try:
+            run_manifest(load_manifest(path))
+        except blockvi.BlockviError:
+            pass
+        except Exception as exc:        # any other exception is untyped
+            untyped.append((kind, section, key, value, repr(exc)))
+    assert k + 1 == 150
+    assert untyped == []
+
+
+@pytest.mark.parametrize("name,text", [
+    ("matrix.csv", "1.0,nan\n2.0,3.0\n"),
+    ("matrix.csv", "1.0,inf\n2.0,3.0\n"),
+    ("matrix.csv", ""),
+    ("matrix.csv", "1.0,2.0\n3.0\n"),
+    ("rhs.csv", "value\n1.0\nnan\n"),
+    ("rhs.csv", "value\n"),
+], ids=["matrix-nan", "matrix-inf", "matrix-empty", "matrix-ragged",
+        "rhs-nan", "rhs-empty"])
+@pytest.mark.filterwarnings("error")
+def test_custom_run_refuses_a_bad_csv_naming_it(tmp_path, capsys, name, text):
+    # an empty matrix file warned first, and a NaN entry ended in a message
+    # about the step bound
+    write_matrix_csv(np.array([[1.0, 2.0], [2.0, 3.0]]), tmp_path / "matrix.csv")
+    write_vector_csv(np.array([1.0, 2.0]), tmp_path / "rhs.csv")
+    (tmp_path / name).write_text(text)
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": "matrix.csv", "rhs_csv": "rhs.csv"}
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert name in lines[0]
+    assert not (tmp_path / "results").exists()
+    with pytest.raises(FormatError, match=name):
+        (read_matrix_csv if name == "matrix.csv" else read_vector_csv)(
+            tmp_path / name)
 
 
 def test_noise_hits_snr_exactly():

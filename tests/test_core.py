@@ -20,7 +20,7 @@ from blockvi.errors import (
     WeightSumError,
 )
 from blockvi.fne_ops import BoxProjector, IdentityFne, ResidualOf
-from blockvi.linops import Identity
+from blockvi.linops import DenseMatrix, Identity
 from blockvi.solver import SolverConfig, make_schedule, solve
 from blockvi.space import BlockShape, SpacePoint
 
@@ -90,6 +90,19 @@ def test_prescription_weight_range():
         Prescription(Identity(shape), IdentityFne(shape), SpacePoint([0.0]), 0.0)
     with pytest.raises(InvalidParameter):
         Prescription(Identity(shape), IdentityFne(shape), SpacePoint([0.0]), 1.5)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_prescription_refuses_a_map_without_a_finite_bound(bad, rows):
+    # a one-row map with an inf entry was accepted with the bound inf, and a
+    # taller one ended in numpy's LinAlgError
+    matrix = np.ones((rows, 4))
+    matrix[0, 1] = bad
+    shape = BlockShape.vector(rows)
+    with pytest.raises(InvalidParameter, match="norm_sq"):
+        Prescription(DenseMatrix(matrix), IdentityFne(shape),
+                     SpacePoint.zeros(shape), 1.0)
 
 
 def test_problem_domains_must_agree():

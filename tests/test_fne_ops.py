@@ -28,7 +28,6 @@ from blockvi.fne_ops import (
     firm_nonexpansiveness_excess,
     hard_threshold,
     log_threshold,
-    make_projector,
     proxify_block_threshold,
     proxify_hard_threshold,
     proxify_root,
@@ -182,11 +181,40 @@ def test_clamp_is_np_clip_bit_for_bit():
             assert ball._apply(y).tobytes() == np.clip(y, -rho, rho).tobytes(), rho
 
 
-def test_make_projector_factory():
-    op = make_projector("box", BlockShape.vector(2), lo=0.0, hi=1.0)
-    assert isinstance(op, BoxProjector)
-    with pytest.raises(InvalidParameter):
-        make_projector("unknown", BlockShape.vector(2))
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: log_threshold(np.ones(2), 0.0, 0.1), InvalidParameter,
+     "rho must be positive"),
+    (lambda: BlockwiseConstantProjector([3, 3], VEC8), InvalidParameter,
+     "cover the signal"),
+    (lambda: Blockwise([]), InvalidParameter, "at least one operator"),
+    (lambda: SoftClip("cubic", VEC8), InvalidParameter, "variant"),
+    (lambda: PhasePrescription(np.zeros(8), VEC8), InvalidParameter,
+     "single 2-D block"),
+    (lambda: PhasePrescription(np.zeros((3, 4)), IMG4), ShapeMismatch,
+     "extents"),
+    (lambda: AveragedComposition([], VEC8), InvalidParameter,
+     "at least one map"),
+    (lambda: SvdSoftThreshold(0.5, VEC8), InvalidParameter,
+     "matrix-shaped block"),
+    (lambda: BlockThresholdFne([], 0.5, VEC8), InvalidParameter,
+     "one projector per block"),
+    (lambda: ScaledFne(lambda v: v, 0.0, VEC8), InvalidParameter,
+     r"beta must lie in \(0, 1\]"),
+    (lambda: ForwardBackwardFne(lambda v: v, lambda v: v, 0.0, 0.5, VEC8),
+     InvalidParameter, "beta must be positive"),
+    (lambda: proxify_svd(0.5, SpacePoint(np.zeros(8))), InvalidParameter,
+     "matrix-shaped block"),
+    (lambda: rank_to_threshold(SpacePoint(np.zeros(8)), 1), InvalidParameter,
+     "matrix-shaped block"),
+    (lambda: rank_to_threshold(SpacePoint(np.eye(4).reshape(-1), IMG4), 5),
+     InvalidParameter, r"rank must lie in \[1, 4\]"),
+], ids=["log-rho", "run-lengths", "blockwise-empty", "clip-variant",
+        "phase-vector", "phase-extents", "composition-empty", "svd-vector",
+        "block-projectors", "scaled-beta", "forward-backward-beta",
+        "proxify-svd-vector", "rank-vector", "rank-range"])
+def test_constructors_refuse_what_they_cannot_build(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_box_bounds_validated():

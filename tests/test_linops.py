@@ -87,6 +87,27 @@ def test_shape_mismatch_raises(rng):
         op.adjoint(SpacePoint(np.zeros(3)))
 
 
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: DenseMatrix(np.ones(3)), InvalidParameter, "2-D"),
+    (lambda: DenseMatrix(np.ones((2, 3)), BlockShape.vector(4)), ShapeMismatch,
+     "disagree"),
+    (lambda: DenseMatrix(np.ones((2, 3)), None, BlockShape.vector(3)),
+     ShapeMismatch, "disagree"),
+    (lambda: FiniteDifference1D(1), InvalidParameter, "length >= 2"),
+    (lambda: CircularConvolution2D(np.ones((2, 3)), 8, 8), InvalidParameter,
+     "odd extents"),
+    (lambda: CircularConvolution2D(np.ones((9, 3)), 8, 8), InvalidParameter,
+     "larger than the image"),
+    (lambda: PairSum(BlockShape.product([BlockShape.vector(2)] * 2)),
+     InvalidParameter, "single-block"),
+    (lambda: BlockStack([]), InvalidParameter, "at least one operator"),
+], ids=["dense-1d", "dense-input", "dense-output", "difference-length",
+        "kernel-even", "kernel-large", "pair-sum-blocks", "stack-empty"])
+def test_constructors_refuse_what_they_cannot_build(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_adjoint_identity_all_kinds(rng):
     for op in _catalog(rng):
         assert adjoint_defect(op, rng) <= 0.0, op.kind
@@ -229,6 +250,31 @@ def test_single_row_norm_is_exact(rng):
     row = rng.standard_normal((1, 9))
     op = DenseMatrix(row)
     np.testing.assert_allclose(op.norm_sq, np.sum(row**2))
+
+
+def _one_row_maps():
+    """200 seeded 1 x 128 rows, the dictionary rows of stock signal_recovery
+    seeds 0 and 1, and the rows of the benchmark's seeded 600 x 100
+    least-squares system (``default_rng(0)``, standard normal)."""
+    from blockvi.cli import generate_experiment
+
+    rows = list(np.random.default_rng(2026).standard_normal((200, 128)))
+    for seed in (0, 1):
+        problem = generate_experiment("signal_recovery", {}, seed).problem
+        rows += [p.linop.matrix[0] for p in problem.prescriptions
+                 if isinstance(p.linop, DenseMatrix)]
+    return rows + list(np.random.default_rng(0).standard_normal((600, 100)))
+
+
+def test_one_row_bound_is_never_below_the_exact_squared_norm():
+    # a one-row map was bounded by its bare Frobenius sum, which rounds below
+    # the exact sum of squares on about half of such rows
+    rows = _one_row_maps()
+    assert len(rows) == 200 + 2 * 150 + 600
+    below = [k for k, row in enumerate(rows)
+             if Fraction(DenseMatrix(row[None, :]).norm_sq)
+             < sum(Fraction(v) ** 2 for v in row.tolist())]
+    assert below == []
 
 
 def test_dct_orthonormal(rng):

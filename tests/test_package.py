@@ -7,8 +7,8 @@ import re
 from pathlib import Path
 
 import blockvi
-from blockvi.cli.manifest import MANIFEST_SCHEMA, _SCHEDULE_KEYS
-from blockvi.solver import SolverConfig, make_schedule
+from blockvi.cli.manifest import MANIFEST_SCHEMA
+from blockvi.solver import SCHEDULE_KEYS, SolverConfig, make_schedule
 
 
 def test_all_names_resolve():
@@ -123,4 +123,4 @@ def test_each_knob_has_one_definition_on_both_sides():
     keyword_only = {name for name, p in
                     inspect.signature(make_schedule).parameters.items()
                     if p.kind is inspect.Parameter.KEYWORD_ONLY}
-    assert set().union(*_SCHEDULE_KEYS.values()) == keyword_only
+    assert set().union(*SCHEDULE_KEYS.values()) == keyword_only

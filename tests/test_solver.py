@@ -117,6 +117,19 @@ def test_schedules_reject_indices_and_periods_that_are_no_integers(key, kwargs):
         make_schedule(kwargs.pop("kind"), 3, **kwargs)
 
 
+@pytest.mark.parametrize("kind,kwargs,key", [
+    ("full", {"blocks": 4, "period": 2}, "blocks"),
+    ("full", {"always_active": []}, "always_active"),
+    ("cyclic_partition", {"blocks": 2, "period": 2}, "period"),
+    ("mod_skip", {"period": 2, "sets": [[0]]}, "sets"),
+    ("explicit", {"sets": [[0, 1, 2]], "expensive": [0]}, "expensive"),
+])
+def test_schedules_reject_keys_their_kind_does_not_use(kind, kwargs, key):
+    # such a key was dropped: full with blocks=4 ran the full schedule
+    with pytest.raises(InvalidParameter, match=rf"{kind}.*{key!r}"):
+        make_schedule(kind, 3, **kwargs)
+
+
 def test_validate_schedule_rejects_an_index_that_is_no_integer():
     with pytest.raises(InvalidParameter, match="sets"):
         validate_schedule([[0.5], [1]], 2)
