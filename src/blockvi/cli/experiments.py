@@ -362,6 +362,16 @@ def _custom(dimensions, seed, noise, operators):
     rhs = read_vector_csv(rhs_path)
     if matrix.shape[0] != rhs.size:
         raise InvalidParameter("matrix rows and rhs length disagree")
+    # every step bound takes the Gram of some of these rows: refuse the first
+    # row at which the squares of the rows so far sum past half the largest
+    # float (one errstate for the whole matrix keeps the cost off each row)
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(np.einsum("ij,ij->i", matrix, matrix))
+    over = np.flatnonzero(sums > np.finfo(np.float64).max / 2)
+    if over.size:
+        raise InvalidParameter(
+            f"{matrix_path}: row {over[0] + 1}: the squares of the rows up to "
+            "this one sum past half the largest float, so a Gram would overflow")
     m, n = matrix.shape
     shape = BlockShape.vector(n)
     # one layout object and one (immutable) zero target for all rows:

@@ -105,9 +105,12 @@ def hard_threshold(values, gamma: float):
 
 
 def dead_zone_root(values, rho: float):
-    """sign(v) * sqrt(v^2 - rho^2) where |v| > rho, else 0."""
+    """sign(v) * sqrt(v^2 - rho^2) where |v| > rho, else 0; rho^2 must be
+    finite, so rho <= 1e154."""
     if not rho > 0:
         raise InvalidParameter("rho must be positive")
+    if not rho <= 1e154:
+        raise InvalidParameter("rho^2 must be finite: rho <= 1e154")
     v = np.asarray(values, dtype=np.float64)
     out = np.zeros_like(v)
     live = np.abs(v) > rho
@@ -131,7 +134,10 @@ def dead_zone_quartic_root(values, rho: float):
 
 def root_shift(values, rho: float):
     """sign(v) * (sqrt(v^2 + rho^2) - rho); composes with the dead-zone root
-    into the soft threshold at level rho."""
+    into the soft threshold at level rho.  rho^2 must be finite, so
+    |rho| <= 1e154."""
+    if not abs(rho) <= 1e154:
+        raise InvalidParameter("rho^2 must be finite: |rho| <= 1e154")
     v = np.asarray(values, dtype=np.float64)
     return np.sign(v) * (np.sqrt(v ** 2 + rho ** 2) - rho)
 

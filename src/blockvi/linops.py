@@ -1,10 +1,11 @@
 """Bounded linear operators with exact adjoints and certified squared-norm bounds.
 
 Every operator knows its input/output block layout, applies forward and
-adjoint maps, and carries ``norm_sq``: a certified upper bound on the squared
-operator norm, from a closed form with an allowance for its own rounding
-where one exists, and otherwise from the map materialised on the standard
-basis (:func:`estimate_norm_sq`).  A :class:`DenseMatrix`, one row included,
+adjoint maps, and carries one bound, ``norm_sq``: a certified upper bound on
+the squared operator norm, computed once, from a closed form with an
+allowance for its own rounding where one exists, and otherwise from the map
+materialised on the standard basis (the default
+:attr:`LinearOperator.norm_sq`).  A :class:`DenseMatrix`, one row included,
 is bounded by :func:`certified_norm_sq`.
 
 Circular convolution runs on the half spectrum of the real FFT.  It,
@@ -49,7 +50,6 @@ __all__ = [
     "PairSum",
     "BlockStack",
     "certified_norm_sq",
-    "estimate_norm_sq",
     "make_gaussian_kernel",
     "make_uniform_kernel",
 ]
@@ -67,7 +67,6 @@ class LinearOperator:
     def __init__(self, input_shape: BlockShape, output_shape: BlockShape):
         self.input_shape = input_shape
         self.output_shape = output_shape
-        self._norm_sq: Optional[float] = None
 
     # -- forward / adjoint -------------------------------------------------
 
@@ -89,15 +88,33 @@ class LinearOperator:
 
     # -- norm bound ---------------------------------------------------------
 
-    def exact_norm_sq(self) -> Optional[float]:
-        """Closed-form upper bound on the squared operator norm, if known."""
-        return None
-
-    @property
+    @functools.cached_property
     def norm_sq(self) -> float:
-        if self._norm_sq is None:
-            self._norm_sq = estimate_norm_sq(self)
-        return self._norm_sq
+        """Certified upper bound on ||L||^2, computed on first use.
+
+        Maps with a closed form override it.  This default materialises L on
+        the standard basis as a matrix M of p rows and n columns.  Up to 2048
+        columns the bound is :func:`certified_norm_sq` of M.  Above that it
+        is the trace of M^T M (the sum of ||M e_k||^2, at least its largest
+        eigenvalue), accumulated one column at a time and multiplied by
+        1 + m eps, m = n + p + 1.  Each square m_jk^2 passes through at most
+        n + p - 1 roundings (its own, the p-term sum of its column and the
+        n-term sum over columns, in any order) and the product with that
+        allowance through 2 more.  So with u = eps / 2 the result is at least
+        trace(M^T M) (1 - m u)(1 + 2 m u), which is at least the trace while
+        m eps <= 1 (barring underflow).
+        """
+        n = self.input_shape.total
+        if n <= 2048:
+            return certified_norm_sq(np.column_stack([self._apply(e) for e in np.eye(n)]))
+        basis = np.zeros(n)
+        trace = 0.0
+        for k in range(n):
+            basis[k] = 1.0
+            trace += float(np.sum(self._apply(basis) ** 2))
+            basis[k] = 0.0
+        m = n + self.output_shape.total + 1
+        return trace * (1.0 + m * float(np.finfo(np.float64).eps))
 
     def describe(self) -> dict:
         return {"kind": self.kind, "norm_sq": self.norm_sq}
@@ -114,8 +131,7 @@ class Identity(LinearOperator):
 
     _adjoint = _apply
 
-    def exact_norm_sq(self):
-        return 1.0
+    norm_sq = 1.0
 
 
 class DenseMatrix(LinearOperator):
@@ -145,7 +161,8 @@ class DenseMatrix(LinearOperator):
     def _adjoint(self, y):
         return self.matrix.T @ y
 
-    def exact_norm_sq(self):
+    @functools.cached_property
+    def norm_sq(self):
         return certified_norm_sq(self.matrix)
 
     def describe(self):
@@ -172,12 +189,13 @@ class FiniteDifference1D(LinearOperator):
         out[1:] += y
         return out
 
-    def exact_norm_sq(self):
+    @functools.cached_property
+    def norm_sq(self):
         # largest eigenvalue of the difference Gramian (path-graph Laplacian),
         # with an allowance for the rounding error of the closed form
         n = self.input_shape.total
         slack = 1.0 + 8.0 * np.finfo(np.float64).eps * n
-        return float(4.0 * np.sin(np.pi * (n - 1) / (2.0 * n)) ** 2) * slack
+        return float(4.0 * np.sin(np.pi * (n - 1) / (2.0 * n)) ** 2 * slack)
 
     def describe(self):
         return {"kind": self.kind, "n": self.input_shape.total, "norm_sq": self.norm_sq}
@@ -276,11 +294,12 @@ class CircularConvolution2D(LinearOperator):
     def _adjoint(self, y):
         return self._conv(y, self._transfer_conj)
 
-    def exact_norm_sq(self):
+    @functools.cached_property
+    def norm_sq(self):
         # the largest squared transfer magnitude (the half spectrum holds every
         # magnitude), with an allowance for the rounding error of the FFT
         slack = 1.0 + 8.0 * np.finfo(np.float64).eps * self.rows * self.cols
-        return float(np.max(np.abs(self._transfer) ** 2)) * slack
+        return float(np.max(np.abs(self._transfer) ** 2) * slack)
 
     def describe(self):
         return {"kind": self.kind, "kernel_extent": list(self.kernel.shape),
@@ -317,8 +336,7 @@ class Dct2D(LinearOperator):
     def _adjoint(self, y):
         return self._transform(y, 3)
 
-    def exact_norm_sq(self):
-        return 1.0
+    norm_sq = 1.0
 
 
 class PairSum(LinearOperator):
@@ -338,8 +356,7 @@ class PairSum(LinearOperator):
     def _adjoint(self, y):
         return np.concatenate([y, y])
 
-    def exact_norm_sq(self):
-        return 2.0
+    norm_sq = 2.0
 
 
 class BlockStack(LinearOperator):
@@ -369,7 +386,8 @@ class BlockStack(LinearOperator):
         parts = self._split(y, self._out_sizes)
         return np.concatenate([op._adjoint(p) for op, p in zip(self.ops, parts)])
 
-    def exact_norm_sq(self):
+    @functools.cached_property
+    def norm_sq(self):
         # block-diagonal: the norm is the max over the certified child bounds
         return float(max(op.norm_sq for op in self.ops))
 
@@ -426,31 +444,7 @@ def certified_norm_sq(matrix: np.ndarray,
     eps = np.finfo(np.float64).eps
     trace = float(gram.trace())
     lam = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) if trace < np.inf else trace
-    return (lam + (p + k + 8) * eps * trace) * (1.0 + 8.0 * k * eps)
-
-
-def estimate_norm_sq(op: LinearOperator) -> float:
-    """Certified upper bound on ||L||^2.
-
-    The operator's closed form is used when it provides one.  Otherwise L is
-    materialised column by column on the standard basis: up to 2048 columns
-    the bound is :func:`certified_norm_sq` of that matrix, and above that it
-    is the trace of L*L (sum of ||L e_k||^2, which dominates its largest
-    eigenvalue), accumulated one column at a time.
-    """
-    exact = op.exact_norm_sq()
-    if exact is not None:
-        return float(exact)
-    n = op.input_shape.total
-    if n <= 2048:
-        return certified_norm_sq(np.column_stack([op._apply(e) for e in np.eye(n)]))
-    basis = np.zeros(n)
-    trace = 0.0
-    for k in range(n):
-        basis[k] = 1.0
-        trace += float(np.sum(op._apply(basis) ** 2))
-        basis[k] = 0.0
-    return trace
+    return float((lam + (p + k + 8) * eps * trace) * (1.0 + 8.0 * k * eps))
 
 
 def make_gaussian_kernel(size: int, sigma: float) -> np.ndarray:

@@ -505,6 +505,25 @@ def test_custom_run_refuses_a_bad_csv_naming_it(tmp_path, capsys, name, text):
             tmp_path / name)
 
 
+@pytest.mark.parametrize("text,row", [
+    ("1.0,2.0\n1e200,1.0\n2.0,3.0\n", 2),
+    ("8.9e153,1.0\n8.9e153,1.0\n8.9e153,1.0\n", 2),
+], ids=["row-overflows", "rows-overflow-together"])
+@pytest.mark.filterwarnings("error")
+def test_custom_run_refuses_rows_whose_gram_overflows(tmp_path, capsys, text, row):
+    # such a Gram warned "overflow encountered in matmul" in a step bound, and
+    # the run ended with an error naming neither the file nor the row
+    (tmp_path / "matrix.csv").write_text(text)
+    write_vector_csv(np.ones(3), tmp_path / "rhs.csv")
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": "matrix.csv", "rhs_csv": "rhs.csv"}
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "matrix.csv" in lines[0] and f"row {row}:" in lines[0]
+    assert not (tmp_path / "results").exists()
+
+
 def test_noise_hits_snr_exactly():
     from blockvi.cli.experiments import _noise_for_snr
     rng = np.random.default_rng(0)

@@ -208,10 +208,18 @@ def test_clamp_is_np_clip_bit_for_bit():
      "matrix-shaped block"),
     (lambda: rank_to_threshold(SpacePoint(np.eye(4).reshape(-1), IMG4), 5),
      InvalidParameter, r"rank must lie in \[1, 4\]"),
+    (lambda: dead_zone_root(np.array([1.0]), 1e200), InvalidParameter,
+     r"rho\^2 must be finite"),
+    (lambda: root_shift(np.array([1.0]), 1e200), InvalidParameter,
+     r"rho\^2 must be finite"),
+    (lambda: proxify_root(1e200, 1.0), InvalidParameter,
+     r"rho\^2 must be finite"),
 ], ids=["log-rho", "run-lengths", "blockwise-empty", "clip-variant",
         "phase-vector", "phase-extents", "composition-empty", "svd-vector",
         "block-projectors", "scaled-beta", "forward-backward-beta",
-        "proxify-svd-vector", "rank-vector", "rank-range"])
+        "proxify-svd-vector", "rank-vector", "rank-range",
+        "dead-zone-root-rho-overflow", "root-shift-rho-overflow",
+        "proxify-root-rho-overflow"])
 def test_constructors_refuse_what_they_cannot_build(build, error, message):
     with pytest.raises(error, match=message):
         build()

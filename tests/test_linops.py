@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import blockvi.linops as linops
 from blockvi.errors import InvalidParameter, ShapeMismatch
 from blockvi.linops import (
     BlockStack,
@@ -14,7 +16,6 @@ from blockvi.linops import (
     LinearOperator,
     PairSum,
     certified_norm_sq,
-    estimate_norm_sq,
     make_gaussian_kernel,
     make_uniform_kernel,
 )
@@ -219,7 +220,7 @@ def test_bound_without_closed_form_is_the_certified_gram_bound(rng):
     a = rng.standard_normal((7, 5))
     top = np.linalg.norm(a, 2) ** 2
     eps = np.finfo(np.float64).eps
-    bound = estimate_norm_sq(_Opaque(a))
+    bound = _Opaque(a).norm_sq
     assert top <= bound <= (top * (1.0 + 8.0 * 5 * eps)
                             + (7 + 5 + 8) * eps * np.sum(a ** 2)) * (1.0 + 8.0 * 5 * eps)
 
@@ -241,9 +242,54 @@ class _Diagonal(LinearOperator):
 
 def test_bound_without_closed_form_above_2048_is_the_trace():
     d = np.linspace(-1.0, 0.5, 2049)
-    bound = estimate_norm_sq(_Diagonal(d))
+    bound = _Diagonal(d).norm_sq
     np.testing.assert_allclose(bound, np.sum(d ** 2))
     assert bound >= 1.0                       # ||diag(d)||^2
+
+
+def test_trace_bound_is_never_below_the_exact_squared_norm():
+    # for a one-row map the trace of L*L is ||L||^2 itself, and its bare
+    # float sum rounded below the exact value on about half of these rows
+    rng = np.random.default_rng(2049)
+    below = []
+    for k in range(20):
+        row = rng.standard_normal((1, 2049))
+        if Fraction(_Opaque(row).norm_sq) < sum(Fraction(v) ** 2 for v in row[0].tolist()):
+            below.append(k)
+    assert below == []
+
+
+def test_every_stock_map_overrides_the_materialising_bound():
+    maps = [getattr(linops, name) for name in linops.__all__]
+    maps = [m for m in maps if isinstance(m, type) and issubclass(m, LinearOperator)
+            and m is not LinearOperator]
+    assert len(maps) == 7
+    for m in maps:
+        assert m.norm_sq is not LinearOperator.norm_sq, m.kind
+
+
+def test_dense_bound_is_computed_once_per_map(tmp_path, monkeypatch):
+    # Prescription, Problem.arrays and the summary's describe() each read a
+    # map's norm_sq; without the cache the lsq set-up would triple its 600
+    # row bounds
+    from blockvi.cli import default_manifest, write_json, write_matrix_csv, write_vector_csv
+    from blockvi.cli.main import main
+
+    matrix = np.random.default_rng(7).standard_normal((6, 3))
+    write_matrix_csv(matrix, tmp_path / "a.csv")
+    write_vector_csv(np.arange(6.0), tmp_path / "b.csv")
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": "a.csv", "rhs_csv": "b.csv"}
+    write_json(payload, tmp_path / "manifest.json")
+    seen = []
+    certify = linops.certified_norm_sq
+    monkeypatch.setattr(linops, "certified_norm_sq",
+                        lambda a, *rest: seen.append(a) or certify(a, *rest))
+    assert main(["run", str(tmp_path / "manifest.json")]) == 0
+    summary = json.loads((tmp_path / "results" / "summary.json").read_text())
+    assert [op["linop"]["kind"] for op in summary["operators"]] == ["dense_matrix"] * 6
+    assert len(seen) == 6
+    assert np.vstack(seen).tobytes() == matrix.tobytes()
 
 
 def test_single_row_norm_is_exact(rng):
