@@ -154,6 +154,11 @@ def _galaxy(rng, rows, cols, peak=200.0):
 # experiment builders
 # ---------------------------------------------------------------------------
 
+def _pixel_box(shape: BlockShape) -> ConstraintSet:
+    """The constraint set [0, 255]^n of the image kinds."""
+    return ConstraintSet.box(np.zeros(shape.total), np.full(shape.total, 255.0))
+
+
 def _image_recovery(dimensions, seed, noise, operators):
     rows = int(dimensions["rows"])
     cols = int(dimensions["cols"])
@@ -195,9 +200,7 @@ def _image_recovery(dimensions, seed, noise, operators):
         Prescription(Identity(shape), mean_arm, zero, 1.0 / 3.0),
         Prescription(Identity(shape), phase_arm, zero, 1.0 / 3.0),
     ]
-    problem = assemble_problem(
-        ConstraintSet.box(np.zeros(shape.total), np.full(shape.total, 255.0)),
-        prescriptions)
+    problem = assemble_problem(_pixel_box(shape), prescriptions)
     return ExperimentData(
         ground_truth=xbar, problem=problem,
         observation=p1, observation_reference=xbar,
@@ -253,13 +256,20 @@ def _signal_recovery(dimensions, seed, noise, operators):
                "fd_bound": fd_bound, "block_count": block_count})
 
 
-def _svd_threshold(z: np.ndarray, operators) -> float:
+def _low_rank_observation(z: np.ndarray, operators):
+    """The observation of the matrix ``z`` with its singular values at most
+    the manifest's threshold zeroed, on the image shape of ``z``: the point,
+    its proxification and the notes it adds to the summary."""
+    rows, cols = z.shape
     rho = operators.get("svd_threshold")
-    if rho is not None:
-        return float(rho)
-    rel = float(operators["svd_threshold_rel"])
-    top = float(np.linalg.svd(z, compute_uv=False)[0])
-    return rel * top
+    if rho is None:
+        rel = float(operators["svd_threshold_rel"])
+        rho = rel * float(np.linalg.svd(z, compute_uv=False)[0])
+    rho = float(rho)
+    q = SpacePoint(svd_hard_threshold(z, rho), BlockShape.image(rows, cols))
+    prox = proxify_svd(rho, q)
+    rank = int(np.linalg.matrix_rank(q.block(0), tol=1e-8 * max(rows, cols)))
+    return q, prox, {"svd_threshold": rho, "observation_rank": rank}
 
 
 def _sparse_image_recovery(dimensions, seed, noise, operators):
@@ -280,9 +290,7 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
     w1 = _noise_for_snr(rngs["blur_noise"], blurred.data,
                         float(noise["blur_snr_db"]))
     z = (blurred.data + w1).reshape(rows, cols)
-    rho = _svd_threshold(z, operators)
-    q1 = SpacePoint(svd_hard_threshold(z, rho), shape)
-    prox = proxify_svd(rho, q1)
+    q1, prox, observed = _low_rank_observation(z, operators)
 
     radius = float(operators["sparsity_radius"])
     if operators["log_penalty"]:
@@ -298,15 +306,11 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
         Prescription(blur, prox.fne, prox.target, 0.5),
         Prescription(Identity(shape), sparsity, SpacePoint.zeros(shape), 0.5),
     ]
-    problem = assemble_problem(
-        ConstraintSet.box(np.zeros(shape.total), np.full(shape.total, 255.0)),
-        prescriptions)
-    rank = int(np.linalg.matrix_rank(q1.block(0), tol=1e-8 * max(rows, cols)))
+    problem = assemble_problem(_pixel_box(shape), prescriptions)
     return ExperimentData(
         ground_truth=xbar, problem=problem,
         observation=q1, observation_reference=xbar,
-        notes={"svd_threshold": rho, "observation_rank": rank,
-               "sparsity_radius": radius,
+        notes={**observed, "sparsity_radius": radius,
                "log_penalty": bool(operators["log_penalty"])})
 
 
@@ -326,9 +330,7 @@ def _source_separation(dimensions, seed, noise, operators):
 
     pair_sum = PairSum(img)
     z = (stars + galaxy)
-    rho = _svd_threshold(z, operators)
-    q1 = SpacePoint(svd_hard_threshold(z, rho), img)
-    prox = proxify_svd(rho, q1)
+    q1, prox, observed = _low_rank_observation(z, operators)
 
     transform = BlockStack([Identity(img), Dct2D(rows, cols)])
     radii = (float(operators["sparsity_radius_direct"]),
@@ -340,16 +342,12 @@ def _source_separation(dimensions, seed, noise, operators):
         Prescription(pair_sum, prox.fne, prox.target, 0.5),
         Prescription(transform, sparsity, SpacePoint.zeros(shape), 0.5),
     ]
-    problem = assemble_problem(
-        ConstraintSet.box(np.zeros(shape.total), np.full(shape.total, 255.0)),
-        prescriptions)
-    rank = int(np.linalg.matrix_rank(q1.block(0), tol=1e-8 * max(rows, cols)))
+    problem = assemble_problem(_pixel_box(shape), prescriptions)
     return ExperimentData(
         ground_truth=xbar, problem=problem,
         observation=q1,
         observation_reference=SpacePoint(z, img),
-        notes={"svd_threshold": rho, "observation_rank": rank,
-               "sparsity_radii": list(radii)})
+        notes={**observed, "sparsity_radii": list(radii)})
 
 
 def _custom(dimensions, seed, noise, operators):

@@ -134,14 +134,20 @@ def write_snapshots_csv(iterates, path):
 
 
 def read_snapshots_csv(path):
+    """(k, components) pairs; every row must hold as many components as the
+    first, all finite."""
     out = []
     for ln in _csv_lines(path, "k,components")[1:]:
         parts = ln.split(",")
         try:
-            out.append((int(parts[0]),
-                        np.array([float(v) for v in parts[1:]], dtype=np.float64)))
+            k = int(parts[0])
+            values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
+        if out and values.size != out[0][1].size:
+            raise FormatError(f"{path}: snapshot {k} has {values.size} "
+                              f"components, the first {out[0][1].size}")
+        out.append((k, _finite_data(values, path)))
     return out
 
 

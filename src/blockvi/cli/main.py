@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..errors import BlockviError
+from ..errors import BlockviError, FormatError
 from .experiments import EXPERIMENT_KINDS, generate_experiment
 from .io import read_snapshots_csv, read_vector_csv, write_json
 from .manifest import default_manifest, load_manifest
@@ -49,7 +49,12 @@ def _read_trace_seconds(path) -> dict:
 
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return {int(r["n"]): float(r["seconds"]) for r in rows}
+    try:
+        return {int(r["n"]): float(r["seconds"]) for r in rows}
+    except KeyError as exc:
+        raise FormatError(f"{path}: no {exc} column") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _cmd_trace_plot(args) -> int:

@@ -140,15 +140,15 @@ def relative_error_trace(iterates, reference) -> list:
         return p.data if isinstance(p, SpacePoint) else np.asarray(p, dtype=np.float64)
 
     ref = _flat(reference)
-    x0 = _flat(iterates[0][2])
-    if x0.shape != ref.shape:
+    points = [_flat(point) for _, _, point in iterates]
+    if any(x.shape != ref.shape for x in points):
         raise MissingReference("reference does not match the iterate space")
-    denom = float(np.linalg.norm(x0 - ref))
+    denom = float(np.linalg.norm(points[0] - ref))
     if denom == 0.0:
         raise MissingReference("the first iterate equals the reference")
     out = []
-    for _, seconds, point in iterates:
-        num = float(np.linalg.norm(_flat(point) - ref))
+    for (_, seconds, _), x in zip(iterates, points):
+        num = float(np.linalg.norm(x - ref))
         db = 20.0 * math.log10(num / denom) if num else DB_FLOOR
         out.append((float(seconds), max(db, DB_FLOOR)))
     return out

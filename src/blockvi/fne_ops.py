@@ -104,14 +104,22 @@ def hard_threshold(values, gamma: float):
     return np.where(np.abs(v) > gamma, v, 0.0)
 
 
+def _power_finite(v: np.ndarray, power: int, limit: float) -> np.ndarray:
+    """``v``, refused with :class:`InvalidParameter` when an entry's
+    ``power``-th power overflows, i.e. when |v| > ``limit`` (NaN passes)."""
+    if np.any(np.abs(v) > limit):
+        raise InvalidParameter(f"v^{power} must be finite: |v| <= {limit:g}")
+    return v
+
+
 def dead_zone_root(values, rho: float):
-    """sign(v) * sqrt(v^2 - rho^2) where |v| > rho, else 0; rho^2 must be
-    finite, so rho <= 1e154."""
+    """sign(v) * sqrt(v^2 - rho^2) where |v| > rho, else 0; rho^2 and v^2
+    must be finite, so rho <= 1e154 and |v| <= 1e154."""
     if not rho > 0:
         raise InvalidParameter("rho must be positive")
     if not rho <= 1e154:
         raise InvalidParameter("rho^2 must be finite: rho <= 1e154")
-    v = np.asarray(values, dtype=np.float64)
+    v = _power_finite(np.asarray(values, dtype=np.float64), 2, 1e154)
     out = np.zeros_like(v)
     live = np.abs(v) > rho
     out[live] = np.sign(v[live]) * np.sqrt(v[live] ** 2 - rho ** 2)
@@ -119,13 +127,13 @@ def dead_zone_root(values, rho: float):
 
 
 def dead_zone_quartic_root(values, rho: float):
-    """sign(v) * (v^4 - rho^4)^(1/4) where |v| > rho, else 0; rho^4 must be
-    finite, so rho <= 1e77."""
+    """sign(v) * (v^4 - rho^4)^(1/4) where |v| > rho, else 0; rho^4 and v^4
+    must be finite, so rho <= 1e77 and |v| <= 1e77."""
     if not rho > 0:
         raise InvalidParameter("rho must be positive")
     if not rho <= 1e77:
         raise InvalidParameter("rho^4 must be finite: rho <= 1e77")
-    v = np.asarray(values, dtype=np.float64)
+    v = _power_finite(np.asarray(values, dtype=np.float64), 4, 1e77)
     out = np.zeros_like(v)
     live = np.abs(v) > rho
     out[live] = np.sign(v[live]) * (v[live] ** 4 - rho ** 4) ** 0.25
@@ -134,12 +142,16 @@ def dead_zone_quartic_root(values, rho: float):
 
 def root_shift(values, rho: float):
     """sign(v) * (sqrt(v^2 + rho^2) - rho); composes with the dead-zone root
-    into the soft threshold at level rho.  rho^2 must be finite, so
-    |rho| <= 1e154."""
+    into the soft threshold at level rho.  rho^2, v^2 and their sum must be
+    finite, so |rho| <= 1e154 and |v| <= 1e154."""
     if not abs(rho) <= 1e154:
         raise InvalidParameter("rho^2 must be finite: |rho| <= 1e154")
-    v = np.asarray(values, dtype=np.float64)
-    return np.sign(v) * (np.sqrt(v ** 2 + rho ** 2) - rho)
+    v = _power_finite(np.asarray(values, dtype=np.float64), 2, 1e154)
+    with np.errstate(over="ignore"):
+        total = v ** 2 + rho ** 2
+    if np.any(np.isinf(total)):         # both squares near the largest float
+        raise InvalidParameter("v^2 + rho^2 must be finite")
+    return np.sign(v) * (np.sqrt(total) - rho)
 
 
 def log_threshold(values, rho: float, gamma: float):
@@ -246,21 +258,17 @@ class BoxProjector(FneOperator):
         return {"kind": self.kind, "lo": np.min(self.lo).item(), "hi": np.max(self.hi).item()}
 
 
-class LinfBallProjector(FneOperator):
-    """Clamp onto the sup-norm ball of radius rho centered at the origin."""
+class LinfBallProjector(BoxProjector):
+    """Clamp onto the sup-norm ball of radius rho centered at the origin: the
+    box [-rho, rho]^n."""
 
     kind = "linf_ball"
-    is_projector = True
 
     def __init__(self, rho: float, domain_shape: BlockShape):
-        super().__init__(domain_shape)
         if not rho > 0:
             raise InvalidParameter("ball radius must be positive")
         self.rho = float(rho)
-
-    def _apply(self, y):
-        # np.clip(y, -rho, rho) bit for bit: no bound is a signed zero
-        return np.minimum(self.rho, np.maximum(-self.rho, y))
+        super().__init__(-self.rho, self.rho, domain_shape)
 
     def describe(self):
         return {"kind": self.kind, "rho": self.rho}
@@ -544,7 +552,8 @@ class AveragedComposition(FneOperator):
     """(Id + R_1 o ... o R_m) / 2 for nonexpansive maps R_j.
 
     Firmly nonexpansive by construction.  Nonexpansiveness of the supplied
-    maps is declared by the caller and spot-checked on random pairs.
+    maps is declared by the caller and spot-checked: R is nonexpansive
+    exactly when (Id + R) / 2 is firmly nonexpansive.
     """
 
     kind = "averaged_composition"
@@ -555,16 +564,11 @@ class AveragedComposition(FneOperator):
         if not maps:
             raise InvalidParameter("need at least one map")
         self.maps = [_as_array_map(m) for m in maps]
-        rng = np.random.default_rng(0)
-        n = domain_shape.total
         for idx, r in enumerate(self.maps):
-            a = rng.standard_normal((self.SPOT_PAIRS, n))
-            b = rng.standard_normal((self.SPOT_PAIRS, n))
-            for xa, xb in zip(a, b):
-                lhs = np.linalg.norm(r(xa) - r(xb))
-                rhs = np.linalg.norm(xa - xb)
-                if lhs > rhs * (1.0 + 1e-10) + 1e-12:
-                    raise InvalidParameter(f"map {idx} is not nonexpansive")
+            if firm_nonexpansiveness_excess(lambda v: 0.5 * (v + r(v)),
+                                            domain_shape.total,
+                                            n_pairs=self.SPOT_PAIRS) > 0:
+                raise InvalidParameter(f"map {idx} is not nonexpansive")
 
     def _apply(self, y):
         z = y

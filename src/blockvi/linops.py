@@ -431,19 +431,23 @@ def certified_norm_sq(matrix: np.ndarray,
 
     On the stock dense atoms the bound lies less than 1e-11 (relative) above
     the squared largest singular value, and the eigenvalues of the Gram cost
-    a fraction of the singular values of a tall stack.  A non-finite entry
-    gives the Gram's trace, inf or NaN, which ``Prescription`` refuses.
+    a fraction of the singular values of a tall stack.  A non-finite entry,
+    or a Gram that overflows, gives the Gram's trace, inf or NaN, which
+    ``Prescription`` refuses.  A 1 x 1 Gram is its own eigenvalue.
     """
     rows, cols = matrix.shape
     uniform = row_weights is None or bool(np.all(row_weights == row_weights[0]))
-    b = matrix if uniform else matrix * np.sqrt(row_weights)[:, None]
-    gram = b @ b.T if rows < cols else b.T @ b
-    if row_weights is not None and uniform:
-        gram *= row_weights[0]        # one weight scales the whole Gram
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = matrix if uniform else matrix * np.sqrt(row_weights)[:, None]
+        gram = b @ b.T if rows < cols else b.T @ b
+        if row_weights is not None and uniform:
+            gram *= row_weights[0]        # one weight scales the whole Gram
+        trace = float(gram.trace())
     k, p = gram.shape[0], max(rows, cols)
     eps = np.finfo(np.float64).eps
-    trace = float(gram.trace())
-    lam = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0) if trace < np.inf else trace
+    lam = trace
+    if k > 1 and trace < np.inf:
+        lam = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
     return float((lam + (p + k + 8) * eps * trace) * (1.0 + 8.0 * k * eps))
 
 

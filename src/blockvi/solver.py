@@ -388,28 +388,21 @@ class TraceRecord:
 class SolverTrace:
     """Per-iteration records plus optional iterate snapshots.
 
-    ``active_sets`` registers each distinct activated set once; records refer
-    to it by position.  ``iterates`` holds (k, seconds, x_k) with k = 0 the
+    A record's ``active_set_id`` is its iteration's position in one period of
+    the schedule, n % len(sets), so ``schedule.sets[active_set_id]`` is the
+    set it activated.  ``iterates`` holds (k, seconds, x_k) with k = 0 the
     starting point, retained only when snapshots are requested.
     """
 
     records: list = field(default_factory=list)
-    active_sets: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
 
-    def _set_id(self, active: tuple) -> int:
-        try:
-            return self.active_sets.index(active)
-        except ValueError:
-            self.active_sets.append(active)
-            return len(self.active_sets) - 1
-
     def add(self, n: int, seconds: float, residual: float, step_norm: float,
-            active: tuple):
+            active_set_id: int):
         if self.records and n <= self.records[-1].n:
             raise InvalidParameter("trace records must be strictly increasing in n")
         self.records.append(TraceRecord(n, seconds, residual, step_norm,
-                                        self._set_id(active)))
+                                        active_set_id))
 
     @property
     def final_residual(self) -> float:
@@ -619,6 +612,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
                                         config.gamma / bounds, vweights)
     cells = [tuple((row, g, c) for row, (g, c) in enumerate(zip(groups, coefs))
                    if g.arms[0] in s) for s in schedule.sets]
+    period = len(cells)
     # once every row is refreshed at x, sum_i w_i L_i*(F_i(L_i x) - p_i) is
     # (x - masses @ t) / kappa (see the module docstring)
     kappa = config.gamma / total
@@ -630,7 +624,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     started = time.perf_counter()
     if config.keep_snapshots:
         trace.iterates.append((0, 0.0, config.x0))
-    pending = None      # (n, x, step_norm, active) of the unwritten record
+    pending = None      # (n, x, step_norm) of the unwritten record
 
     def record(form=None) -> bool:
         """Write the pending record with the refresh ``form`` of its residual,
@@ -638,18 +632,17 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         ``tol`` (a run stops only on the explicit residual); True when the run
         stops there."""
         nonlocal pending
-        (n, x, step_norm, active), pending = pending, None
+        (n, x, step_norm), pending = pending, None
         residual = form
         if form is None or form <= config.tol + _refresh_slack(x, t, kappa, drift):
             residual = array_residual(problem, x, groups=groups)
         seconds = time.perf_counter() - started
-        trace.add(n, seconds, residual, step_norm, active)
+        trace.add(n, seconds, residual, step_norm, n % period)
         if config.keep_snapshots:
             trace.iterates.append((n + 1, seconds, SpacePoint(x, problem.domain_shape)))
         return residual <= config.tol
 
     x = config.x0.data
-    period = len(schedule.sets)
     span = -(-_Anderson.SPAN // period) * period
     # a span led by every arm rebuilds every row from x, so x is its state
     on_x = refreshes_all[0]
@@ -674,7 +667,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
             if not np.isfinite(x).all():
                 raise InvalidParameter("SpacePoint entries must be finite")
             step = x - prev_x
-            pending = (n, x, math.sqrt(step @ step), schedule.active_set(n))
+            pending = (n, x, math.sqrt(step @ step))
             m = n + 1       # does the next iteration refresh every row at x?
             if not (m < config.max_iters and refreshes_all[m % period]
                     and (accel is None or m % span)) and record():

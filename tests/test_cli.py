@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,6 +564,26 @@ def test_custom_run_of_a_one_column_system_converges(tmp_path):
     np.testing.assert_allclose(recovered, oracle, atol=1e-6)
 
 
+def test_custom_run_with_box_bounds_matches_bounded_least_squares(tmp_path):
+    from scipy.optimize import lsq_linear
+
+    rng = np.random.default_rng(11)
+    matrix = rng.standard_normal((40, 8))
+    rhs = matrix @ rng.uniform(-1.5, 1.5, 8) + 0.1 * rng.standard_normal(40)
+    write_matrix_csv(matrix, tmp_path / "a.csv")
+    write_vector_csv(rhs, tmp_path / "b.csv")
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": "a.csv", "rhs_csv": "b.csv",
+                            "box_bounds": [-0.5, 0.5]}
+    payload["solver"]["tol"] = 1e-12
+    assert payload["schedule"] == {"kind": "full"}
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 0
+    recovered = read_vector_csv(tmp_path / "results" / "recovered.csv")
+    oracle = lsq_linear(matrix, rhs, bounds=(-0.5, 0.5), method="bvls").x
+    np.testing.assert_allclose(recovered, oracle, rtol=0, atol=1e-9)
+    assert recovered.min() == -0.5 and recovered.max() == 0.5
+
+
 def test_relative_csv_paths_resolve_against_the_manifest(tmp_path, monkeypatch):
     # as a relative output_dir does, so a run started from another
     # directory reads the manifest's own matrix.csv and rhs.csv
@@ -688,6 +709,29 @@ def _run_python(code: str, cwd, *args) -> str:
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def _readme_blocks(language: str) -> list:
+    """The fenced ``language`` blocks of README.md, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"^```{language}\n(.*?)^```$", readme, re.S | re.M)
+
+
+def test_readme_python_examples_run_without_warnings(tmp_path):
+    blocks = _readme_blocks("python")
+    assert blocks
+    for code in blocks:
+        _run_python("import warnings; warnings.simplefilter('error')\n" + code,
+                    tmp_path)
+
+
+def test_readme_manifests_load(tmp_path):
+    blocks = _readme_blocks("json")
+    assert blocks
+    for k, text in enumerate(blocks):
+        path = tmp_path / f"manifest{k}.json"
+        path.write_text(text)
+        load_manifest(path)
 
 
 def test_runs_without_transforms_never_import_scipy(tmp_path):
@@ -838,6 +882,14 @@ def test_relative_error_rejects_a_start_at_the_reference():
         relative_error_trace([(0, 0.0, [1.0]), (1, 0.1, [3.0])], [1.0])
 
 
+def test_relative_error_checks_every_iterate_against_the_reference():
+    # only x_0 was checked, so a later iterate of another size ended in a raw
+    # broadcast error
+    with pytest.raises(MissingReference, match="does not match"):
+        relative_error_trace([(0, 0.0, [3.0, 1.0]), (1, 0.5, [2.0])],
+                             [1.0, 1.0])
+
+
 def test_relative_error_nonpositive_on_solver_runs(tmp_path):
     payload = _small_manifest("signal_recovery", 7, max_iters=400)
     path = _write_manifest(tmp_path, payload)
@@ -878,6 +930,53 @@ def test_trace_plot_missing_snapshots(tmp_path, capsys):
                  "--ref", str(out / "recovered.csv")])
     assert code == 1
     assert "snapshots" in capsys.readouterr().err
+
+
+def _edit_line(k, edit):
+    """A spoiler that replaces line ``k`` of a CSV file by ``edit`` of its
+    fields."""
+    def spoil(path):
+        lines = path.read_text().splitlines()
+        lines[k] = ",".join(edit(lines[k].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+    return spoil
+
+
+def _drop_trace_column(name):
+    def drop(path):
+        lines = [ln.split(",") for ln in path.read_text().splitlines()]
+        col = lines[0].index(name)
+        path.write_text("".join(",".join(ln[:col] + ln[col + 1:]) + "\n"
+                                for ln in lines))
+    return drop
+
+
+@pytest.mark.parametrize("name,spoil,error", [
+    ("snapshots.csv", _edit_line(2, lambda f: f[:-1]), "snapshot 1 has"),
+    ("snapshots.csv", _edit_line(2, lambda f: f[:-1] + ["nan"]),
+     "entries must be finite"),
+    ("trace.csv", _drop_trace_column("seconds"), "no 'seconds' column"),
+    ("trace.csv", _drop_trace_column("n"), "no 'n' column"),
+    ("trace.csv", _edit_line(1, lambda f: [f[0], "soon"] + f[2:]), "soon"),
+], ids=["snapshot-row-short", "snapshot-nan", "trace-no-seconds", "trace-no-n",
+        "trace-bad-seconds"])
+@pytest.mark.filterwarnings("error")
+def test_trace_plot_refuses_malformed_inputs(tmp_path, capsys, name, spoil, error):
+    # these ended in a raw broadcast ValueError, a nan dB row with exit 0,
+    # or a raw KeyError
+    payload = _small_manifest("signal_recovery", 7, max_iters=50)
+    run_manifest(load_manifest(_write_manifest(tmp_path, payload)))
+    out = tmp_path / "results"
+    spoil(out / name)
+    capsys.readouterr()
+    code = main(["trace-plot", str(out / "trace.csv"),
+                 "--ref", str(out / "recovered.csv"),
+                 "--out", str(tmp_path / "series.csv")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert name in lines[0] and error in lines[0]
+    assert not (tmp_path / "series.csv").exists()
 
 
 # ---------------------------------------------------------------------------

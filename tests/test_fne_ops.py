@@ -564,6 +564,29 @@ def test_dead_zone_roots_reject_a_nonpositive_rho(root, rho):
         root(np.array([0.5, -2.0]), rho)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build,message", [
+    (lambda: dead_zone_root(np.array([0.5, 1e200]), 1.0), r"v\^2 must be finite"),
+    (lambda: dead_zone_root(np.array([-np.inf]), 1.0), r"v\^2 must be finite"),
+    (lambda: root_shift(np.array([-1e200]), 1.0), r"v\^2 must be finite"),
+    (lambda: root_shift(np.array([1e154]), 1e154), r"v\^2 \+ rho\^2 must be finite"),
+    (lambda: dead_zone_quartic_root(np.array([1e78]), 1.0), r"v\^4 must be finite"),
+    (lambda: proxify_root(1.0, 1e200), r"v\^2 must be finite"),
+], ids=["dead-zone-root", "dead-zone-root-inf", "root-shift", "root-shift-sum",
+        "quartic-root", "proxify-root"])
+def test_roots_refuse_an_entry_whose_power_overflows(build, message):
+    # such an entry warned "overflow encountered in square" (or in power)
+    with pytest.raises(InvalidParameter, match=message):
+        build()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("root", [dead_zone_root, dead_zone_quartic_root, root_shift])
+def test_roots_let_nan_through(root):
+    out = root(np.array([np.nan, 2.0, 1e77]), 1.0)
+    assert out[1:].tolist() == root(np.array([2.0, 1e77]), 1.0).tolist()
+
+
 def test_proxify_root_anchors():
     np.testing.assert_allclose(dead_zone_root(0.13, 0.05), 0.12)
     np.testing.assert_allclose(root_shift(0.12, 0.05), 0.08)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import blockvi.linops as linops
+from blockvi.core import Prescription
 from blockvi.errors import InvalidParameter, ShapeMismatch
+from blockvi.fne_ops import IdentityFne
 from blockvi.linops import (
     BlockStack,
     CircularConvolution2D,
@@ -321,6 +323,42 @@ def test_one_row_bound_is_never_below_the_exact_squared_norm():
              if Fraction(DenseMatrix(row[None, :]).norm_sq)
              < sum(Fraction(v) ** 2 for v in row.tolist())]
     assert below == []
+
+
+def test_one_row_bound_takes_its_one_gram_entry_as_the_eigenvalue():
+    # a 1 x 1 Gram skips the eigensolver, whose eigenvalue is that entry
+    eps = np.finfo(np.float64).eps
+    for row in _one_row_maps()[:250]:
+        b = row[None, :]
+        gram = b @ b.T
+        lam = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+        bound = (lam + (row.size + 9) * eps * float(gram.trace())) * (1.0 + 8.0 * eps)
+        assert certified_norm_sq(b) == bound
+        assert certified_norm_sq(b.T) == bound
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix,weights", [
+    ([[1e200, 1.0]], None),
+    ([[1e200], [1.0]], None),
+    ([[1e200, 1.0], [1.0, 1.0]], None),
+    ([[1e200, 1.0], [1.0, 1.0]], [0.5, 0.5]),
+    ([[1e200, 1.0], [1.0, 1.0]], [0.5, 0.25]),
+    ([[1e154, 1.0], [1.0, 1.0]], [1e300, 1e300]),
+], ids=["wide-row", "tall-column", "square", "equal-weights",
+        "unequal-weights", "weight-overflows"])
+def test_a_gram_that_overflows_bounds_the_map_by_inf(matrix, weights):
+    # such a Gram warned "overflow encountered in matmul" inside the library;
+    # its bound is now inf, which Prescription refuses typed
+    matrix = np.array(matrix)
+    row_weights = None if weights is None else np.array(weights)
+    assert certified_norm_sq(matrix, row_weights) == np.inf
+    if weights is None:
+        op = DenseMatrix(matrix)
+        assert op.norm_sq == np.inf
+        with pytest.raises(InvalidParameter, match="norm_sq must be positive and finite"):
+            Prescription(op, IdentityFne(op.output_shape),
+                         SpacePoint.zeros(op.output_shape), 1.0)
 
 
 def test_dct_orthonormal(rng):

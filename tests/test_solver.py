@@ -1395,9 +1395,9 @@ def test_run_stops_at_the_first_check_that_meets_tol(seed, gamma, accelerate,
 
 def test_trace_records_strictly_increasing():
     trace = SolverTrace()
-    trace.add(0, 0.0, 1.0, 1.0, (0,))
+    trace.add(0, 0.0, 1.0, 1.0, 0)
     with pytest.raises(InvalidParameter):
-        trace.add(0, 0.1, 0.5, 0.5, (0,))
+        trace.add(0, 0.1, 0.5, 0.5, 0)
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -1416,6 +1416,22 @@ def test_trace_csv_roundtrip(tmp_path):
         assert float(row["step_norm"]) == rec.step_norm
         assert float(row["seconds"]) == rec.seconds
         assert int(row["active_set_id"]) == rec.active_set_id
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_trace_indexes_the_schedules_own_sets(accelerate):
+    # a record's set id once indexed a registry of the sets met so far, which
+    # no artifact wrote: the record at n = 3 read 1 instead of 3 here
+    prob, xbar = mixed_arms_problem(0, False)
+    sched = make_schedule("cyclic_partition", prob.arm_count, blocks=4)
+    assert len(sched.sets) == 4
+    cfg = _config(gamma=1.5, max_iters=200, tol=0.0, trace_every=3,
+                  x0=SpacePoint.zeros(xbar.shape), accelerate=accelerate)
+    records = solve(prob, sched, cfg).trace.records
+    assert [r.n for r in records[:3]] == [0, 3, 6]
+    for r in records:
+        assert r.active_set_id == r.n % 4
+        assert sched.sets[r.active_set_id] == sched.active_set(r.n)
 
 
 def test_snapshots_recorded_when_requested():
