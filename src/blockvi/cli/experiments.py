@@ -72,8 +72,6 @@ def _streams(seed: int, names):
 
 def _noise_for_snr(rng, reference: np.ndarray, snr_db: float) -> np.ndarray:
     """Standard normal noise rescaled so 20 log10(||ref|| / ||w||) == snr_db."""
-    if not np.isfinite(snr_db):
-        raise InvalidParameter("SNR targets must be finite")
     g = rng.standard_normal(reference.shape)
     target = np.linalg.norm(reference) * 10.0 ** (-snr_db / 20.0)
     return g * (target / np.linalg.norm(g))
@@ -184,10 +182,8 @@ def _image_recovery(dimensions, seed, noise, operators):
     clipper = BoxProjector(0.0, clip_max, shape)
     p1 = clipper.apply(SpacePoint(blurred.data + w1, shape))
 
-    mean_target = operators.get("mean_target")
-    if mean_target is None:
-        mean_target = float(np.rint(truth.mean()))
-    mean_arm = ResidualOf(MeanAdjust(float(mean_target), shape))
+    mean_target = float(np.rint(truth.mean()))
+    mean_arm = ResidualOf(MeanAdjust(mean_target, shape))
 
     w3 = _noise_for_snr(rngs["phase_noise"], xbar.data,
                         float(noise["phase_snr_db"]))
@@ -204,7 +200,7 @@ def _image_recovery(dimensions, seed, noise, operators):
     return ExperimentData(
         ground_truth=xbar, problem=problem,
         observation=p1, observation_reference=xbar,
-        notes={"mean_target": float(mean_target), "clip_max": clip_max,
+        notes={"mean_target": mean_target, "clip_max": clip_max,
                "kernel": {"size": kernel.shape[0], "kind": "gaussian"}})
 
 
@@ -257,15 +253,12 @@ def _signal_recovery(dimensions, seed, noise, operators):
 
 
 def _low_rank_observation(z: np.ndarray, operators):
-    """The observation of the matrix ``z`` with its singular values at most
-    the manifest's threshold zeroed, on the image shape of ``z``: the point,
-    its proxification and the notes it adds to the summary."""
+    """The observation of ``z`` with its singular values at most
+    ``svd_threshold_rel`` times the largest zeroed, on the image shape of ``z``:
+    the point, its proxification and the notes it adds to the summary."""
     rows, cols = z.shape
-    rho = operators.get("svd_threshold")
-    if rho is None:
-        rel = float(operators["svd_threshold_rel"])
-        rho = rel * float(np.linalg.svd(z, compute_uv=False)[0])
-    rho = float(rho)
+    rel = float(operators["svd_threshold_rel"])
+    rho = rel * float(np.linalg.svd(z, compute_uv=False)[0])
     q = SpacePoint(svd_hard_threshold(z, rho), BlockShape.image(rows, cols))
     prox = proxify_svd(rho, q)
     rank = int(np.linalg.matrix_rank(q.block(0), tol=1e-8 * max(rows, cols)))
@@ -457,9 +450,6 @@ STOCK_PARAMETERS = {
 
 # Operator keys that have no stock value, with the type each value must have.
 _OPTIONAL_OPERATORS = {
-    "image_recovery": {"mean_target": float},
-    "sparse_image": {"svd_threshold": float},
-    "source_separation": {"svd_threshold": float},
     "custom": {"matrix_csv": str, "rhs_csv": str, "box_bounds": list},
 }
 

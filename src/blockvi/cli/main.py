@@ -11,6 +11,7 @@ Exit codes: 0 success / converged, 1 configuration or input error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -50,11 +51,14 @@ def _read_trace_seconds(path) -> dict:
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     try:
-        return {int(r["n"]): float(r["seconds"]) for r in rows}
+        seconds = {int(r["n"]): float(r["seconds"]) for r in rows}
     except KeyError as exc:
         raise FormatError(f"{path}: no {exc} column") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    if not all(map(math.isfinite, seconds.values())):
+        raise FormatError(f"{path}: 'seconds' values must be finite")
+    return seconds
 
 
 def _cmd_trace_plot(args) -> int:
@@ -69,8 +73,10 @@ def _cmd_trace_plot(args) -> int:
     seconds_by_n = _read_trace_seconds(trace_path)
     iterates = []
     for k, values in read_snapshots_csv(snapshots_path):
-        seconds = 0.0 if k == 0 else seconds_by_n.get(k - 1, 0.0)
-        iterates.append((k, seconds, values))
+        if k and k - 1 not in seconds_by_n:
+            raise FormatError(
+                f"{trace_path}: no record n = {k - 1} for snapshot {k}")
+        iterates.append((k, seconds_by_n[k - 1] if k else 0.0, values))
     series = relative_error_trace(iterates, reference)
     lines = ["seconds,db"] + [f"{s:.17g},{db:.17g}" for s, db in series]
     text = "\n".join(lines) + "\n"

@@ -77,14 +77,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def clamp(values, lo: np.ndarray, hi: np.ndarray):
-    """``np.clip(values, lo, hi)`` bit for bit, at about half its cost, for
-    float64 bounds (0-d arrays for scalar bounds).  ``np.maximum`` and
-    ``np.minimum`` return their second argument when the two compare equal
-    (-0.0 and 0.0); ``np.clip`` keeps the value on such a tie when both
-    bounds are 0-d and takes the bound otherwise, so the argument order
-    follows the bounds."""
-    if lo.ndim == hi.ndim == 0:
-        return np.minimum(hi, np.maximum(lo, values))
+    """``np.clip`` with per-entry bounds, bit for bit, at about half its cost,
+    for float64 bounds, 0-d and per-entry alike: a tie of signed zeros takes
+    the bound's bits, as ``np.maximum`` and ``np.minimum`` return their
+    second argument when the two compare equal."""
     return np.minimum(np.maximum(values, lo), hi)
 
 

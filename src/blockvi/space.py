@@ -134,9 +134,6 @@ class SpacePoint:
         view = self._data[off[j]:off[j + 1]]
         return view.reshape(self._shape.block_numpy_shape(j))
 
-    def blocks(self):
-        return [self.block(j) for j in range(self._shape.block_count)]
-
     def _check_same_space(self, other: "SpacePoint"):
         if not isinstance(other, SpacePoint):
             raise TypeError("expected a SpacePoint")

@@ -364,6 +364,11 @@ def test_omitted_parameters_take_stock_values(kind):
     for pb, ps in zip(bare.problem.prescriptions, stock.problem.prescriptions,
                       strict=True):
         assert pb.target == ps.target
+    # a numpy integer passes for an integer dimension
+    numpy_ints = {key: np.int64(value)
+                  for key, value in payload["dimensions"].items()}
+    assert generate_experiment(kind, numpy_ints, 3, {}, {}).ground_truth \
+        == stock.ground_truth
 
 @pytest.mark.parametrize("kind, section, given, message", [
     pytest.param("sparse_image", "operators", {"svd_treshold_rel": 0.2},
@@ -382,6 +387,12 @@ def test_omitted_parameters_take_stock_values(kind):
                  "unknown key 'svd_threshold'", id="other-kinds-optional"),
     pytest.param("custom", "operators", {"box_bounds": [0.0]},
                  r"'box_bounds' must be a \[lo, hi\] pair", id="bounds"),
+    pytest.param("image_recovery", "operators", {"mean_target": 100.0},
+                 "unknown key 'mean_target'", id="mean-target"),
+    pytest.param("sparse_image", "operators", {"svd_threshold": 17.0},
+                 "unknown key 'svd_threshold'", id="svd-threshold-sparse"),
+    pytest.param("source_separation", "operators", {"svd_threshold": 17.0},
+                 "unknown key 'svd_threshold'", id="svd-threshold-separation"),
 ])
 def test_unknown_or_ill_typed_keys_are_rejected(kind, section, given, message):
     # a misspelt key used to run silently with the stock value, and a string
@@ -390,14 +401,6 @@ def test_unknown_or_ill_typed_keys_are_rejected(kind, section, given, message):
     with pytest.raises(InvalidParameter, match=rf"{kind} {section}: {message}"):
         generate_experiment(kind, sections["dimensions"], 3, sections["noise"],
                             sections["operators"])
-
-
-def test_optional_operator_keys_are_accepted():
-    data = generate_experiment("sparse_image", {}, 3, {}, {"svd_threshold": 17})
-    assert data.notes["svd_threshold"] == 17.0
-    data = generate_experiment("image_recovery", {"rows": np.int64(16)}, 1, {},
-                               {"mean_target": 100.0})
-    assert data.notes["mean_target"] == 100.0
 
 
 def test_run_reports_a_misspelt_key(tmp_path, capsys):
@@ -942,6 +945,14 @@ def _edit_line(k, edit):
     return spoil
 
 
+def _drop_lines(*ks):
+    def drop(path):
+        lines = path.read_text().splitlines()
+        path.write_text("".join(ln + "\n" for i, ln in enumerate(lines)
+                                if i not in ks))
+    return drop
+
+
 def _drop_trace_column(name):
     def drop(path):
         lines = [ln.split(",") for ln in path.read_text().splitlines()]
@@ -958,12 +969,19 @@ def _drop_trace_column(name):
     ("trace.csv", _drop_trace_column("seconds"), "no 'seconds' column"),
     ("trace.csv", _drop_trace_column("n"), "no 'n' column"),
     ("trace.csv", _edit_line(1, lambda f: [f[0], "soon"] + f[2:]), "soon"),
+    ("trace.csv", _drop_lines(2, 3), "no record n = 5 for snapshot 6"),
+    ("trace.csv", _edit_line(2, lambda f: [f[0], "nan"] + f[2:]),
+     "'seconds' values must be finite"),
+    ("trace.csv", _edit_line(2, lambda f: [f[0], "1e999"] + f[2:]),
+     "'seconds' values must be finite"),
 ], ids=["snapshot-row-short", "snapshot-nan", "trace-no-seconds", "trace-no-n",
-        "trace-bad-seconds"])
+        "trace-bad-seconds", "trace-missing-records", "trace-nan-seconds",
+        "trace-inf-seconds"])
 @pytest.mark.filterwarnings("error")
 def test_trace_plot_refuses_malformed_inputs(tmp_path, capsys, name, spoil, error):
     # these ended in a raw broadcast ValueError, a nan dB row with exit 0,
-    # or a raw KeyError
+    # or a raw KeyError; a missing record was timed at 0 s and a nan time
+    # was plotted, both with exit 0
     payload = _small_manifest("signal_recovery", 7, max_iters=50)
     run_manifest(load_manifest(_write_manifest(tmp_path, payload)))
     out = tmp_path / "results"

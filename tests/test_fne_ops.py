@@ -166,11 +166,12 @@ def _clamp_cases():
         yield y, lo, hi
 
 
-def test_clamp_is_np_clip_bit_for_bit():
-    # np.clip keeps the value on a tie of signed zeros when both bounds are
-    # scalars and takes the bound when they are per-entry; clamp follows it
+def test_clamp_is_per_entry_np_clip_bit_for_bit():
+    # np.clip takes the bound on a tie of signed zeros when the bounds are
+    # per-entry arrays (and keeps the value when both are scalars or
+    # stride-0 views); clamp takes the bound whichever form the bounds take
     for y, lo, hi in _clamp_cases():
-        expected = np.clip(y, lo, hi).tobytes()
+        expected = np.clip(y, np.full(y.shape, lo), np.full(y.shape, hi)).tobytes()
         assert clamp(y, np.asarray(lo), np.asarray(hi)).tobytes() == expected, (lo, hi)
         box = BoxProjector(lo, hi, BlockShape.vector(y.size))
         assert box._apply(y).tobytes() == expected, (lo, hi)

@@ -6,9 +6,30 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import blockvi
-from blockvi.cli.manifest import MANIFEST_SCHEMA
-from blockvi.solver import SCHEDULE_KEYS, SolverConfig, make_schedule
+from blockvi.cli import generate_experiment, load_manifest, read_pgm, write_pgm
+from blockvi.cli.manifest import MANIFEST_SCHEMA, default_manifest
+from blockvi.core import ConstraintSet, Prescription, Problem, assemble_problem
+from blockvi.errors import (
+    EmptyBlock,
+    FormatError,
+    InvalidParameter,
+    ManifestError,
+    ShapeMismatch,
+)
+from blockvi.fne_ops import ResidualOf, SingletonProjector
+from blockvi.linops import Identity
+from blockvi.solver import (
+    SCHEDULE_KEYS,
+    ActivationSchedule,
+    SolverConfig,
+    make_schedule,
+    solve,
+)
+from blockvi.space import BlockShape, SpacePoint
 
 
 def test_all_names_resolve():
@@ -124,3 +145,108 @@ def test_each_knob_has_one_definition_on_both_sides():
                     inspect.signature(make_schedule).parameters.items()
                     if p.kind is inspect.Parameter.KEYWORD_ONLY}
     assert set().union(*SCHEDULE_KEYS.values()) == keyword_only
+
+
+def _written(name, payload):
+    """A refusal run on a file ``name`` of ``payload`` (bytes or text) in the
+    test's directory."""
+    def build(tmp_path):
+        path = tmp_path / name
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        elif payload is not None:
+            path.write_text(payload)
+        return path
+    return build
+
+
+def _custom_with_rows(tmp_path):
+    _written("matrix.csv", "1,2\n3,4\n")(tmp_path)
+    _written("rhs.csv", "value\n1\n2\n3\n")(tmp_path)
+    return generate_experiment("custom", {}, 0, {}, {
+        "matrix_csv": str(tmp_path / "matrix.csv"),
+        "rhs_csv": str(tmp_path / "rhs.csv")})
+
+
+def _solve_from_another_shape(tmp_path):
+    vec2 = BlockShape.vector(2)
+    arm = Prescription(Identity(vec2),
+                       ResidualOf(SingletonProjector(SpacePoint([1.0, 2.0]))),
+                       SpacePoint.zeros(vec2), 1.0)
+    problem = assemble_problem(ConstraintSet.whole_space(), [arm])
+    return solve(problem, make_schedule("full", 1),
+                 SolverConfig(1.0, 10, 0.0, SpacePoint.zeros(BlockShape.vector(3))))
+
+
+def _config(**given):
+    return lambda tmp_path: SolverConfig(
+        **{"gamma": 1.0, "max_iters": 10, "tol": 0.0,
+           "x0": SpacePoint.zeros(BlockShape.vector(1)), **given})
+
+
+@pytest.mark.parametrize("build,error,message", [
+    pytest.param(lambda p: generate_experiment("nope", {}, 0), InvalidParameter,
+                 "unknown experiment kind 'nope'", id="experiment-kind"),
+    pytest.param(lambda p: default_manifest("nope", 0), ManifestError,
+                 "no defaults for experiment kind 'nope'", id="manifest-kind"),
+    pytest.param(lambda p: generate_experiment("custom", {}, 0), InvalidParameter,
+                 "custom experiments need matrix_csv and rhs_csv",
+                 id="custom-no-csv"),
+    pytest.param(_custom_with_rows, InvalidParameter,
+                 "matrix rows and rhs length disagree", id="custom-rows-rhs"),
+    pytest.param(lambda p: write_pgm(np.zeros(3), p / "x.pgm"), InvalidParameter,
+                 "PGM export expects a 2-D array", id="pgm-1d"),
+    pytest.param(lambda p: write_pgm(np.full((2, 2), np.nan), p / "x.pgm"),
+                 InvalidParameter, "PGM export expects finite pixel values",
+                 id="pgm-nan"),
+    pytest.param(lambda p: read_pgm(_written("x.pgm", b"P5\n2")(p)), FormatError,
+                 "x.pgm: truncated PGM header", id="pgm-truncated"),
+    pytest.param(lambda p: read_pgm(_written("x.pgm", b"P5\n1 1\n65535\n\0\0")(p)),
+                 FormatError, "x.pgm: unsupported maxval 65535", id="pgm-16-bit"),
+    pytest.param(lambda p: load_manifest(_written("m.json", "[1, 2]")(p)),
+                 ManifestError, "m.json: manifest must be a JSON object",
+                 id="manifest-array"),
+    pytest.param(lambda p: load_manifest(_written("m.json", "{nope")(p)),
+                 ManifestError, "m.json: line 1, column 2: Expecting property",
+                 id="manifest-invalid-json"),
+    pytest.param(lambda p: load_manifest(_written("m.json", None)(p)),
+                 ManifestError, "m.json: .*No such file", id="manifest-missing"),
+    pytest.param(lambda p: Problem(ConstraintSet.whole_space(), ()),
+                 InvalidParameter, "at least one prescription is required",
+                 id="problem-no-arms"),
+    pytest.param(lambda p: ActivationSchedule("explicit", (), 3), InvalidParameter,
+                 "schedule must contain at least one index set",
+                 id="schedule-no-sets"),
+    pytest.param(lambda p: make_schedule("nope", 3), InvalidParameter,
+                 "unknown schedule kind 'nope'", id="schedule-kind"),
+    pytest.param(lambda p: make_schedule("full", 0), InvalidParameter,
+                 "index_count must be >= 1", id="schedule-no-arms"),
+    pytest.param(lambda p: make_schedule("cyclic_partition", 3, blocks=2,
+                                         always_active=[0, 1, 2]),
+                 EmptyBlock, "cyclic partition contains an empty cell",
+                 id="cyclic-all-always-active"),
+    pytest.param(lambda p: make_schedule("mod_skip", 3, expensive=[0], period=0),
+                 InvalidParameter, "mod_skip needs a period >= 1",
+                 id="mod-skip-period-0"),
+    pytest.param(lambda p: make_schedule("mod_skip", 3, expensive=[0, 1, 2],
+                                         period=2),
+                 EmptyBlock, "skipping every arm would leave empty iterations",
+                 id="mod-skip-all-expensive"),
+    pytest.param(_config(max_iters=0), InvalidParameter, "max_iters must be >= 1",
+                 id="config-max-iters"),
+    pytest.param(_config(trace_every=0), InvalidParameter,
+                 "trace_every must be >= 1", id="config-trace-every"),
+    pytest.param(_solve_from_another_shape, ShapeMismatch,
+                 "x0 lives outside the problem domain", id="solve-x0-shape"),
+    pytest.param(lambda p: BlockShape((4,), ((2, 2), None)), InvalidParameter,
+                 "extents and lengths must align", id="block-shape-extents"),
+    pytest.param(lambda p: SpacePoint(np.zeros(3), BlockShape.vector(4)),
+                 ShapeMismatch, "data length 3 != shape total 4",
+                 id="space-point-length"),
+])
+def test_each_refusal_raises_its_typed_error(tmp_path, build, error, message):
+    # callers tell these refusals apart by their BlockviError subclass (the
+    # CLI prints the message), so each keeps its own class and message
+    with pytest.raises(error, match=message) as info:
+        build(tmp_path)
+    assert type(info.value) is error
