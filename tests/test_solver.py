@@ -13,7 +13,7 @@ from blockvi.cli import (
 )
 from blockvi.core import (ConstraintSet, Prescription, arm_gaps, arm_groups,
                           array_residual, assemble_problem, dense_rows,
-                          gradient_residual)
+                          gradient_residual, prescription_images)
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
 from blockvi.fne_ops import (
     BoxProjector,
@@ -1210,6 +1210,38 @@ def test_accelerated_signal_recovery_solves_the_vi():
     # cyclic: the auxiliary rows are extrapolated; C is the whole space
     gap, tol = _accelerated_stock_vi_gap("signal_recovery", 0, box=None)
     assert gap <= 10 * tol
+
+
+def _guard_schedules(m):
+    return [make_schedule("full", m),
+            make_schedule("mod_skip", m, expensive=[m - 1], period=3),
+            make_schedule("cyclic_partition", m, blocks=2),
+            make_schedule("explicit", m, sets=[range(m), range(m // 2)])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", ["mixed_arms", "feasibility"])
+def test_acceleration_keeps_the_fixed_points(family, seed):
+    # the prescription images F_i(L_i x) are the same across the solution
+    # set, so at a tight tol the accelerated and plain runs of every schedule
+    # kind (x or the rows extrapolated) must give the same images
+    if family == "mixed_arms":
+        prob, _ = mixed_arms_problem(seed, consistent=False)
+    else:
+        prob = feasibility_problem(seed)[0]
+    tol = 1e-12
+    for sched in _guard_schedules(prob.arm_count):
+        images = []
+        for accelerate in (False, True):
+            res = solve(prob, sched, _config(
+                gamma=1.5, max_iters=100_000, tol=tol, trace_every=10,
+                x0=SpacePoint.zeros(prob.domain_shape), accelerate=accelerate))
+            assert res.status is SolveStatus.CONVERGED, (sched.kind, accelerate)
+            images.append(np.concatenate(
+                [y.data for y in prescription_images(prob, res.solution)]))
+        plain, fast = images
+        assert np.linalg.norm(fast - plain) <= 1e3 * tol * np.linalg.norm(plain), \
+            sched.kind
 
 
 # The span maps are nonexpansive (module docstring of blockvi.solver).  Each
