@@ -146,20 +146,29 @@ regularised least-squares problem
 
     (dG^T dG + lambda I) a = dG^T g_k,   lambda = 1e-10 ||dG||_F^2,
 
-and proposes s_{k+1} = f_k - dF^T a.  The safeguard follows Zhang,
-O'Donoghue & Boyd (SIAM J. Optim. 30(4), 2020): a candidate is checked once
-its span has run, and it is accepted only while
+and proposes s_{k+1} = f_k - dF^T a.  A candidate is checked once its span
+has run, and it is accepted only while both
 
+    ||f_k - s_k||  <=  C min_j ||f_j - s_j||,                C = 2,
     ||f_k - s_k||  <=  D ||g_0|| (n_acc + 1)^-(1 + eps),   D = 1e6, eps = 1e-6,
 
-with n_acc the candidates accepted so far.  A rejected candidate -- or a
-non-finite one, or a failed solve -- restarts the memory, and the next span
-starts from the plain step f_k.  Their global-convergence theorem is proved
-for type-I steps on an averaged map; Phi and Psi are shown above to be
-nonexpansive only, so that theorem is not claimed here.  What holds: the
-accepted residuals ||f_k - s_k|| are summable; if every candidate from some
-point on is rejected, the base points follow the plain span map and converge
-by the paper's theorem; and the extrapolated point only ever starts a span.
+hold, with the minimum over the earlier base points whose span was kept (the
+first, s_0 = x_0 or the initial rows, every plain step and every accepted
+candidate) and n_acc the candidates accepted so far.  (This C is
+``_Anderson.C``, not the constraint set.)  The first condition is the
+monotonicity control of Henderson & Varadhan (J. Comput. Graph. Stat. 28(4),
+2019); the second is the safeguard of Zhang, O'Donoghue & Boyd (SIAM J.
+Optim. 30(4), 2020).  The second alone never binds on the stock runs, so
+their counts would follow the rounding of the k x k solve.  A rejected
+candidate -- or a non-finite one, or a failed solve -- restarts the memory,
+and the next span starts from the plain step f_k.  The global-convergence
+theorem of Zhang et al. is proved for type-I steps on an averaged map; Phi
+and Psi are shown above to be nonexpansive only, so that theorem is not
+claimed here, and neither condition adds one.  What holds: every accepted
+residual ||f_k - s_k|| is within C times the least residual before it, and
+the accepted residuals are summable; if every candidate from some point on is
+rejected, the base points follow the plain span map and converge by the
+paper's theorem; and the extrapolated point only ever starts a span.
 Residuals, trace records and the returned solution are taken at projected
 loop iterates, so they lie in C, and a run reports CONVERGED only on the
 plain loop's residual test.  The record before a span start keeps the
@@ -524,10 +533,15 @@ class _Anderson:
     """Safeguarded type-II Anderson extrapolation of a span map, Phi or Psi
     (see the module docstring).  :meth:`next_start` takes the image of the
     current span's start and returns the start of the next span; it keeps
-    the arrays it is given and returns, so callers must not write to them."""
+    the arrays it is given and returns, so callers must not write to them.
+    A candidate is kept only while its span residual is at most ``C`` times
+    the least one of a kept span so far (``best``; Henderson & Varadhan's
+    monotonicity control) and within the ZOB bound of ``D`` and ``EPS``, so
+    accepted residuals stay within ``C`` times the best so far."""
 
     MEMORY = 5
     SPAN = 2               # least base iterations per extrapolation step
+    C = 2.0
     D = 1e6
     EPS = 1e-6
     REG = 1e-10
@@ -542,20 +556,24 @@ class _Anderson:
         self.start = x0        # start of the span being run
         self.f = self.g = None  # f and f - s at the last base point s
         self.g0 = 0.0          # ||f - x0|| of the first call, set by it
+        self.best = 0.0        # least ||f - s|| of a kept span, set likewise
         self.pending = False   # the span being run starts at a candidate
         self.accepted = self.rejected = 0
 
     def next_start(self, f: np.ndarray) -> np.ndarray:
         g = f - self.start
+        norm = math.sqrt(g @ g)
         if self.pending:
             self.pending = False
-            bound = self.D * self.g0 * (self.accepted + 1) ** -(1.0 + self.EPS)
-            if not math.sqrt(g @ g) <= bound:     # also catches NaN
+            bound = min(self.C * self.best,
+                        self.D * self.g0 * (self.accepted + 1) ** -(1.0 + self.EPS))
+            if not norm <= bound:     # also catches NaN
                 return self._restart()
             self.accepted += 1
         if self.f is None:
-            self.g0 = math.sqrt(g @ g)
+            self.g0 = self.best = norm
         else:
+            self.best = min(self.best, norm)
             s = self.slot
             dg = np.subtract(g, self.g, out=self.dg[s])
             np.subtract(f, self.f, out=self.df[s])

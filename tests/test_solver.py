@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -1126,6 +1127,49 @@ def test_anderson_memory_fills_ring_and_restarts(monkeypatch):
     assert (acc.accepted, acc.rejected) == (0, 3)
 
 
+def _anderson_with_a_candidate():
+    # a plain span from 0 with residual 4, then one with residual 1: the best
+    # residual is 1 and the candidate is (4, 1 - a), its first entry exact
+    acc = blockvi.solver._Anderson(np.zeros(2))
+    assert acc.next_start(np.array([4.0, 0.0])) is not None
+    assert acc.best == 4.0
+    candidate = acc.next_start(np.array([4.0, 1.0]))
+    assert acc.best == 1.0 and acc.filled == 1 and candidate[0] == 4.0
+    return acc, candidate
+
+
+@pytest.mark.parametrize("excess", [2.5, float("nan")])
+def test_anderson_rejects_a_residual_above_C_times_the_best(excess):
+    acc, candidate = _anderson_with_a_candidate()
+    plain = acc.f
+    out = acc.next_start(candidate + np.array([excess, 0.0]))
+    assert out is plain                      # resume from the plain step
+    assert (acc.accepted, acc.rejected, acc.filled) == (0, 1, 0)
+    assert acc.best == 1.0
+    acc.next_start(plain + np.array([0.25, 0.0]))     # a plain span
+    assert acc.best == 0.25
+
+
+def test_anderson_accepts_a_residual_of_C_times_the_best():
+    acc, candidate = _anderson_with_a_candidate()
+    f = candidate + np.array([acc.C * acc.best, 0.0])
+    out = acc.next_start(f)
+    assert (acc.accepted, acc.rejected, acc.filled) == (1, 0, 2)
+    assert out is not f and acc.pending
+    assert acc.best == 1.0
+
+
+def test_anderson_best_residual_follows_accepted_candidates():
+    # an accepted span of residual 0.5 lowers the best to 0.5, so the next
+    # candidate's residual 1.5 (within C = 2 of the old best) is rejected
+    acc, candidate = _anderson_with_a_candidate()
+    candidate = acc.next_start(candidate + np.array([0.5, 0.0]))
+    assert acc.accepted == 1 and acc.best == 0.5
+    acc.next_start(candidate + np.array([0.0, 1.5]))
+    assert (acc.accepted, acc.rejected, acc.filled) == (1, 1, 0)
+    assert acc.best == 0.5
+
+
 def _nonfinite_candidates_run_plain(monkeypatch, prob, sched):
     # a NaN regulariser makes every candidate non-finite: each is rejected
     # at once, so the run is the plain one bitwise
@@ -1210,6 +1254,21 @@ def test_accelerated_signal_recovery_solves_the_vi():
     # cyclic: the auxiliary rows are extrapolated; C is the whole space
     gap, tol = _accelerated_stock_vi_gap("signal_recovery", 0, box=None)
     assert gap <= 10 * tol
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_source_separation_count_survives_a_last_bit_change(monkeypatch, seed):
+    # a regulariser 1e-3 larger changes only the last bits of the k x k
+    # solve; the count must stay within 1.25x of the count as is.  The cap
+    # makes a run that stalls (once 40 000 and 8 101 iterations) fail fast.
+    prob, sched, cfg = _stock_case("source_separation", seed)
+    as_is = solve(prob, sched, cfg)
+    assert as_is.status is SolveStatus.CONVERGED
+    cap = int(1.25 * (as_is.trace.records[-1].n + 1))
+    monkeypatch.setattr(blockvi.solver._Anderson, "REG",
+                        blockvi.solver._Anderson.REG * (1 + 1e-3))
+    res = solve(prob, sched, dataclasses.replace(cfg, max_iters=cap))
+    assert res.status is SolveStatus.CONVERGED, res.trace.records[-1].n
 
 
 def _guard_schedules(m):
