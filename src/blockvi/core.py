@@ -11,8 +11,9 @@ for any theta > 0, which is what :func:`vi_residual` measures.  C enters
 only through its projector on flat arrays (:class:`ConstraintSet`).
 
 One array kernel evaluates the arms a *group* at a time: it reduces
-r_i = F_i(L_i x) - p_i to sum_i c_i L_i* r_i (:func:`pullback`), with the
-c_i of its caller (the residual's c_i = w_i, or the solver's refresh).  The
+r_i = F_i(L_i x) - p_i to the group's direction d_g (:func:`pullback`), and
+:func:`gradient_share` says what d_g adds to sum_i w_i L_i* r_i.  The
+residual sums those shares; the solver's refresh steps along d_g.  The
 one-row ``DenseMatrix`` arms of an activation atom (arms the solver always
 refreshes together) whose FNEs fuse (``FneOperator.stacked``) form one group,
 whose ``linop`` is the ``DenseMatrix`` of its own stacked rows: one matvec,
@@ -55,6 +56,7 @@ __all__ = [
     "dense_rows",
     "arm_groups",
     "pullback",
+    "gradient_share",
     "array_residual",
     "gradient_residual",
     "arm_gaps",
@@ -275,7 +277,7 @@ class _ArmGroup:
     """Arms that :func:`_fne_residuals` evaluates in one pass: a single arm
     with its own maps, or one-row dense arms with fused FNEs (``linop`` is the
     ``DenseMatrix`` of their stacked rows, ``fne`` acts on them elementwise).
-    A group holds no coefficients: :func:`pullback` takes them."""
+    A group holds no weights: :func:`pullback` takes them."""
 
     arms: np.ndarray         # the arms, ascending
     linop: object
@@ -324,15 +326,23 @@ def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
     return group.fne._apply(group.linop._apply(x)) - group.target
 
 
-def pullback(group: _ArmGroup, x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_i c_i L_i*(F_i(L_i x) - p_i) over the arms of ``group``, with
-    ``coef`` the c_i in the order of ``group.arms``: c_i L_i*(r_i) for a
-    single arm, and for a fused group one adjoint A^T (c * r) of its stacked
-    rows A, which weighs each row's residual by its own c_i."""
+def pullback(group: _ArmGroup, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The direction d_g of ``group`` at x, with ``weights`` the arms' w_i in
+    the order of ``group.arms``: L_i*(r_i) for a single arm, and for a fused
+    group one adjoint A^T (w * r) of its stacked rows A, its share of
+    sum_i w_i L_i*(r_i); r_i = F_i(L_i x) - p_i."""
     r = _fne_residuals(group, x)
     if len(group.arms) == 1:
-        return coef[0] * group.linop._adjoint(r)
-    return group.linop._adjoint(coef * r)
+        return group.linop._adjoint(r)
+    return group.linop._adjoint(weights * r)
+
+
+def gradient_share(group: _ArmGroup, direction: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """What ``group`` adds to sum_i w_i L_i*(F_i(L_i x) - p_i), given its
+    :func:`pullback` ``direction`` d_g at x: w_i d_g for a single arm, d_g
+    itself for a fused group."""
+    return weights[0] * direction if len(group.arms) == 1 else direction
 
 
 def _flat_point(problem: Problem, x) -> np.ndarray:
@@ -347,15 +357,16 @@ def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
                    groups: Optional[Sequence] = None) -> float:
     """:func:`vi_residual` on a flat array.  ``groups`` are arm groups that
     hold every arm once; :attr:`Problem.groups` when omitted.  Each group
-    adds its share of sum_i w_i L_i*(F_i(L_i x) - p_i) through
-    :func:`pullback`, with c_i = w_i."""
+    adds its :func:`gradient_share` of sum_i w_i L_i*(F_i(L_i x) - p_i), in
+    the order of ``groups``."""
     x = _flat_point(problem, x)
     if groups is None:
         groups = problem.groups
     weights = problem.arrays.weights
     grad = np.zeros_like(x)
     for g in groups:
-        grad += pullback(g, x, weights[g.arms])
+        w = weights[g.arms]
+        grad += gradient_share(g, pullback(g, x, w), w)
     return gradient_residual(problem, x, grad, theta)
 
 

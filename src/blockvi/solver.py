@@ -45,46 +45,35 @@ a solution of a differently-weighted inequality whenever the bounds differ.
 
 The arms are evaluated in groups (:func:`blockvi.core.arm_groups`), built
 once per atom by :meth:`blockvi.core.Problem.atom_groups`.  A group holds no
-coefficients, so the refresh and the residual (c_i = w_i) evaluate the same
-groups, and a solve builds none.  Every group is evaluated through its
-``linop`` and ``fne`` (fused one-row dense arms through the ``DenseMatrix``
-of their rows).  The auxiliary state holds one row per group, not one per
-arm, and every row starts at x_0.  A group is refreshed whole, from one x,
-and the averaging step sees its arms only through their v-weighted mean
-tau_g = sum_{i in g} (v_i / V_g) t_i, V_g = sum_{i in g} v_i.  So the row of
-g is tau_g, a refresh sets
+weights, so the refresh and the residual evaluate the same groups, and a
+solve builds none.  Every group is evaluated through its ``linop`` and
+``fne`` (fused one-row dense arms through the ``DenseMatrix`` of their
+rows), and :func:`blockvi.core.pullback` reduces it to one direction d_g:
+L_i*(F_i(L_i x) - p_i) for a single arm, sum_{i in g} w_i L_i*(F_i(L_i x) -
+p_i) for a fused group.  The auxiliary state holds one row per group, not
+one per arm, and every row starts at x_0.  A group is refreshed whole, from
+one x, and the averaging step sees its arms only through their v-weighted
+mean tau_g = sum_{i in g} (v_i / V_g) t_i, V_g = sum_{i in g} v_i.  So the
+row of g is tau_g, a refresh sets
 
-    tau_g = x - sum_{i in g} c_i L_i*(F_i(L_i x) - p_i),   c_i = v_i gamma_i / V_g,
+    tau_g = x - a_g d_g,   a_g = gamma_i for a single arm,  a_g = kappa / V_g
+                           for a fused group,  kappa = gamma / sum_j w_j b_j,
 
-and x' = P_C(sum_g V_g tau_g).  Since v_i gamma_i = gamma w_i / sum_j w_j b_j,
-the b_i cancel from c_i.  A single arm keeps c_i = gamma_i, V_g = v_i and its
-row t_i exactly, and the rows are ordered by each group's first arm, so a
-problem without fused groups runs the per-arm iteration bit for bit.
+and x' = P_C(sum_g V_g tau_g).  Since v_i gamma_i = kappa w_i, this is the
+v-weighted mean of the per-arm t_i, and the b_i cancel from a_g.  A single
+arm keeps its row t_i exactly, and the rows are ordered by each group's
+first arm, so a problem without fused groups runs the per-arm iteration bit
+for bit.
 
-The stop test needs sum_i w_i L_i*(F_i(L_i x) - p_i) at a loop iterate x.
-When the next iteration refreshes every row at x, it gives that sum for
-free: with kappa = gamma / sum_j w_j b_j, v_i gamma_i = kappa w_i and
-sum_g V_g = 1, so the sum is (x - sum_g V_g tau_g) / kappa, and the check
-costs one projection and two norms.  Such a record (iteration n) is
-written after the refresh of iteration n + 1; every other record runs the
-explicit pass :func:`array_residual`.  Once kappa times the sum falls below
-half an ulp of x, the refresh leaves x as it is and its form reads 0 while
-the explicit residual need not; conversely, the explicit residual can meet
-``tol`` while the form reads a few ulps above it.  So a check whose refresh
-form reads at most ``tol`` plus the form's rounding bound is confirmed by
-the explicit pass, and a run stops exactly where ``array_residual`` first
-meets ``tol`` at a check.  The bound, with u = eps / 2 and R the larger of
-||x|| and (sum_g ||tau_g||^2)^(1/2) >= max_g ||tau_g||: each row is stored
-as the rounded x - q_g, q_g = sum_{i in g} c_i L_i*(F_i(L_i x) - p_i); the
-mean m = sum_g V_g tau_g is a G-term sum per entry (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., §3.5); and x - m, the division
-by kappa and the residual's own x - grad round once each.  Together they
-move the form's gradient away from sum_g V_g q_g / kappa by at most
-(G + 7) u R / kappa in norm, and masses that sum to 1 + delta add
-delta x / kappa.  The projection is nonexpansive, so the residual moves by
-at most ((G + 4) eps R + |delta| ||x||) / kappa + eps ||x||, over
-1 + ||x|| (:func:`_refresh_slack`), where eps ||x|| covers the rounding of
-x in the last subtraction.
+The stop test needs sum_i w_i L_i*(F_i(L_i x) - p_i) at a loop iterate x,
+which is what :func:`blockvi.core.array_residual` sums, one
+:func:`blockvi.core.gradient_share` of d_g per group.  When the next
+iteration refreshes every row at x, its refresh computes every d_g at x
+anyway and sums the same shares in the same order, so such a check (the
+record of iteration n, written after the refresh of iteration n + 1) costs
+one projection and two norms, and reads ``array_residual`` bit for bit.
+Every other check runs the explicit pass.  A run stops at the first check
+where that residual meets ``tol``.
 
 Every schedule is accelerated by safeguarded type-II Anderson extrapolation
 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of a *span map*.  A span is
@@ -192,7 +181,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (Problem, array_residual, dense_rows, gradient_residual,
-                   pullback)
+                   gradient_share, pullback)
 from .core import vi_residual  # noqa: F401  (re-exported: benchmarks wrap it here)
 from .errors import CoverageError, EmptyBlock, InvalidParameter, ShapeMismatch
 from .linops import certified_norm_sq
@@ -212,9 +201,6 @@ __all__ = [
     "activation_atoms",
     "step_bounds",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
-
 
 # ---------------------------------------------------------------------------
 # activation schedules
@@ -496,37 +482,34 @@ def _averaging_weights(problem: Problem, bounds) -> tuple:
     return raw / z, z
 
 
-def _row_groups(problem: Problem, atoms, gammas: np.ndarray,
-                vweights: np.ndarray) -> tuple:
-    """(groups, masses, coefs): the arm groups of ``atoms``
+def _row_groups(problem: Problem, atoms, gamma: float,
+                bounds: np.ndarray) -> tuple:
+    """(groups, masses, scales): the arm groups of ``atoms``
     (:meth:`blockvi.core.Problem.atom_groups`) by first arm, one auxiliary
-    row each; V_g = sum_{i in g} v_i; and the refresh's c_i = v_i gamma_i /
-    V_g of each group (see the module docstring).  A single arm keeps
-    c_i = gamma_i and V_g = v_i exactly."""
+    row each; V_g = sum_{i in g} v_i; and the refresh's a_g of each group:
+    gamma_i = gamma / b_i for a single arm, kappa / V_g with kappa = gamma /
+    sum_j w_j b_j for a fused group (see the module docstring)."""
+    vweights, total = _averaging_weights(problem, bounds)
+    kappa = gamma / total
     groups = sorted((g for atom in atoms for g in problem.atom_groups(atom)),
                     key=lambda g: g.arms[0])
     masses = np.array([vweights[g.arms].sum() for g in groups])
-    return groups, masses, [gammas[g.arms] * (vweights[g.arms] / mass)
-                            for g, mass in zip(groups, masses)]
+    return groups, masses, [gamma / bounds[g.arms[0]] if len(g.arms) == 1
+                            else kappa / mass for g, mass in zip(groups, masses)]
 
 
-def _refresh(cell, x: np.ndarray, t: np.ndarray):
-    """t[row] = x - sum_{i in g} c_i L_i*(F_i(L_i x) - p_i) for each triple
-    (row, g, c) of ``cell``, in place; every other row of ``t`` stays bitwise
-    as it was."""
-    for row, g, c in cell:
-        np.subtract(x, pullback(g, x, c), out=t[row])
-
-
-def _refresh_slack(x: np.ndarray, t: np.ndarray, kappa: float,
-                   drift: float) -> float:
-    """Bound on the rounding error of the refresh form of the residual at x,
-    given the rows t and drift = |1 - sum_g V_g| (see the module
-    docstring)."""
-    size = math.sqrt(x @ x)
-    rows = max(size, math.sqrt(np.vdot(t, t)))
-    return ((((len(t) + 4) * _EPS * rows + drift * size) / kappa + _EPS * size)
-            / (1.0 + size))
+def _refresh(cell, x: np.ndarray, t: np.ndarray,
+             grad: Optional[np.ndarray] = None):
+    """t[row] = x - a_g d_g for each (row, g, a_g, w_g) of ``cell``, with d_g
+    the :func:`blockvi.core.pullback` of g at x and w_g its arms' weights, in
+    place; every other row of ``t`` stays bitwise as it was.  Each group's
+    :func:`blockvi.core.gradient_share` is also added to ``grad`` when one is
+    given."""
+    for row, g, scale, weights in cell:
+        direction = pullback(g, x, weights)
+        np.subtract(x, scale * direction, out=t[row])
+        if grad is not None:
+            grad += gradient_share(g, direction, weights)
 
 
 class _Anderson:
@@ -612,29 +595,25 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     is reached.  Step sizes and averaging weights use the bounds certified for
     the schedule's activation atoms, and the arms of each atom are evaluated
     in groups, with one auxiliary row per group (see the module docstring).
-    The residual runs through the same groups with c_i = w_i; when the next
-    iteration refreshes every row at the checked iterate, the check is taken
-    from that refresh instead, and a run stops only once the explicit
-    residual confirms it.  When ``config.accelerate`` holds, each span of
-    whole periods starts at the Anderson extrapolation of the previous ones:
-    of x when the period starts with every arm, of the rows otherwise (see
-    the module docstring).  Deterministic given (problem, schedule, config)."""
+    The residual runs through the same groups; when the next iteration
+    refreshes every row at the checked iterate, that refresh sums the same
+    gradient, and the check reads the same bits.  When ``config.accelerate``
+    holds, each span of whole periods starts at the Anderson extrapolation
+    of the previous ones: of x when the period starts with every arm, of the
+    rows otherwise (see the module docstring).  Deterministic given (problem, schedule, config)."""
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
     if config.x0.shape != problem.domain_shape:
         raise ShapeMismatch("x0 lives outside the problem domain")
 
     bounds = np.array(step_bounds(problem, schedule))
-    vweights, total = _averaging_weights(problem, bounds)
-    groups, masses, coefs = _row_groups(problem, schedule.atoms,
-                                        config.gamma / bounds, vweights)
-    cells = [tuple((row, g, c) for row, (g, c) in enumerate(zip(groups, coefs))
+    groups, masses, scales = _row_groups(problem, schedule.atoms, config.gamma,
+                                         bounds)
+    weights = problem.arrays.weights
+    cells = [tuple((row, g, a, weights[g.arms])
+                   for row, (g, a) in enumerate(zip(groups, scales))
                    if g.arms[0] in s) for s in schedule.sets]
     period = len(cells)
-    # once every row is refreshed at x, sum_i w_i L_i*(F_i(L_i x) - p_i) is
-    # (x - masses @ t) / kappa (see the module docstring)
-    kappa = config.gamma / total
-    drift = abs(1.0 - math.fsum(masses.tolist()))
     refreshes_all = [len(cell) == len(groups) for cell in cells]
     t = np.tile(config.x0.data, (len(groups), 1))
 
@@ -644,16 +623,14 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         trace.iterates.append((0, 0.0, config.x0))
     pending = None      # (n, x, step_norm) of the unwritten record
 
-    def record(form=None) -> bool:
-        """Write the pending record with the refresh ``form`` of its residual,
-        or the explicit residual when there is no form or the form may meet
-        ``tol`` (a run stops only on the explicit residual); True when the run
-        stops there."""
+    def record(grad=None) -> bool:
+        """Write the pending record.  Its residual comes from ``grad``, the
+        gradient at its iterate summed by the refresh that serves it, or else
+        from the explicit pass.  True when the run stops there."""
         nonlocal pending
         (n, x, step_norm), pending = pending, None
-        residual = form
-        if form is None or form <= config.tol + _refresh_slack(x, t, kappa, drift):
-            residual = array_residual(problem, x, groups=groups)
+        residual = (array_residual(problem, x, groups=groups) if grad is None
+                    else gradient_residual(problem, x, grad))
         seconds = time.perf_counter() - started
         trace.add(n, seconds, residual, step_norm, n % period)
         if config.keep_snapshots:
@@ -675,12 +652,12 @@ def solve(problem: Problem, schedule: ActivationSchedule,
                 t[...] = accel.next_start(t.flatten()).reshape(t.shape)
                 x = problem.constraint.array_projector(masses @ t)
         prev_x = x
-        _refresh(cells[n % period], x, t)
-        mean = masses @ t
-        if pending is not None and record(
-                gradient_residual(problem, x, (x - mean) / kappa)):
+        # a pending record waits on this refresh, which refreshes every row
+        grad = None if pending is None else np.zeros_like(x)
+        _refresh(cells[n % period], x, t, grad)
+        if grad is not None and record(grad):
             break
-        x = problem.constraint.array_projector(mean)
+        x = problem.constraint.array_projector(masses @ t)
         if n % config.trace_every == 0 or n == config.max_iters - 1:
             if not np.isfinite(x).all():
                 raise InvalidParameter("SpacePoint entries must be finite")

@@ -682,6 +682,18 @@ def test_run_exit_codes_via_main(tmp_path, capsys):
     assert not (tmp_path / "results").exists()      # refused before any output
 
 
+def test_run_into_an_existing_file_reports_one_error_line(tmp_path, capsys):
+    # the output directory cannot be made where a regular file stands: the
+    # OSError ends the run with exit 1 and one error line, not a traceback
+    (tmp_path / "results").write_text("not a directory\n")
+    path = _write_manifest(tmp_path, _small_manifest("sparse_image", 3))
+    assert main(["run", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "results" in lines[0]
+    assert (tmp_path / "results").read_text() == "not a directory\n"
+
+
 def test_summary_reports_acceleration_only_when_on(tmp_path):
     for kind in ("sparse_image", "image_recovery", "signal_recovery"):
         d = tmp_path / kind

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,14 @@ def test_firm_nonexpansiveness_catalog(name):
     excess = firm_nonexpansiveness_excess(op._apply, op.domain_shape.total,
                                           n_pairs=1000, seed=11, scale=2.0)
     assert excess <= 0.0
+
+
+@pytest.mark.parametrize("name", list(catalog().keys()))
+def test_describe_is_json_and_names_its_kind(name):
+    # summary.json writes each arm's describe(), so it must serialize
+    op = catalog()[name]
+    described = json.loads(json.dumps(op.describe()))
+    assert described["kind"] == op.kind
 
 
 def test_projector_idempotence(rng):

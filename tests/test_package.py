@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import blockvi
-from blockvi.cli import generate_experiment, load_manifest, read_pgm, write_pgm
+from blockvi.cli import (generate_experiment, load_manifest, read_pgm,
+                         read_snapshots_csv, read_vector_csv, write_pgm)
 from blockvi.cli.manifest import MANIFEST_SCHEMA, default_manifest
-from blockvi.core import ConstraintSet, Prescription, Problem, assemble_problem
+from blockvi.core import (ConstraintSet, Prescription, Problem, assemble_problem,
+                          least_squares_objective)
 from blockvi.errors import (
     EmptyBlock,
     FormatError,
@@ -168,13 +170,16 @@ def _custom_with_rows(tmp_path):
         "rhs_csv": str(tmp_path / "rhs.csv")})
 
 
-def _solve_from_another_shape(tmp_path):
+def _two_entry_problem():
     vec2 = BlockShape.vector(2)
     arm = Prescription(Identity(vec2),
                        ResidualOf(SingletonProjector(SpacePoint([1.0, 2.0]))),
                        SpacePoint.zeros(vec2), 1.0)
-    problem = assemble_problem(ConstraintSet.whole_space(), [arm])
-    return solve(problem, make_schedule("full", 1),
+    return assemble_problem(ConstraintSet.whole_space(), [arm])
+
+
+def _solve_from_another_shape(tmp_path):
+    return solve(_two_entry_problem(), make_schedule("full", 1),
                  SolverConfig(1.0, 10, 0.0, SpacePoint.zeros(BlockShape.vector(3))))
 
 
@@ -203,6 +208,14 @@ def _config(**given):
                  "x.pgm: truncated PGM header", id="pgm-truncated"),
     pytest.param(lambda p: read_pgm(_written("x.pgm", b"P5\n1 1\n65535\n\0\0")(p)),
                  FormatError, "x.pgm: unsupported maxval 65535", id="pgm-16-bit"),
+    pytest.param(lambda p: read_vector_csv(
+                     _written("v.csv", "value\n1.5\nabc\n")(p)),
+                 FormatError, "v.csv: could not convert string to float: 'abc'",
+                 id="vector-csv-text"),
+    pytest.param(lambda p: read_snapshots_csv(
+                     _written("s.csv", "k,components\n0,1.5,x\n")(p)),
+                 FormatError, "s.csv: could not convert string to float: 'x'",
+                 id="snapshots-csv-text"),
     pytest.param(lambda p: load_manifest(_written("m.json", "[1, 2]")(p)),
                  ManifestError, "m.json: manifest must be a JSON object",
                  id="manifest-array"),
@@ -238,6 +251,10 @@ def _config(**given):
                  "trace_every must be >= 1", id="config-trace-every"),
     pytest.param(_solve_from_another_shape, ShapeMismatch,
                  "x0 lives outside the problem domain", id="solve-x0-shape"),
+    pytest.param(lambda p: least_squares_objective(
+                     _two_entry_problem(), SpacePoint.zeros(BlockShape.vector(3))),
+                 ShapeMismatch, "point lives outside the problem domain",
+                 id="objective-point-shape"),
     pytest.param(lambda p: BlockShape((4,), ((2, 2), None)), InvalidParameter,
                  "extents and lengths must align", id="block-shape-extents"),
     pytest.param(lambda p: SpacePoint(np.zeros(3), BlockShape.vector(4)),

@@ -549,9 +549,12 @@ def test_activation_atoms_match_the_membership_tuples():
         assert all(type(i) is int for atom in atoms for i in atom)
 
 
-def _per_arm_row_groups(problem, atoms, gammas, vweights):
+def _per_arm_row_groups(problem, atoms, gamma, bounds):
     """Reference: the row groups built arm by arm, as (arms, fne class,
-    target, coef, matrix, mass) in order of first arm."""
+    target, a_g, matrix, mass) in order of first arm: a_g = gamma / b_i for
+    a single arm, kappa / V_g with kappa = gamma / sum_j w_j b_j for a fused
+    group."""
+    vweights, total = _averaging_weights(problem, bounds)
     groups = []
     for atom in atoms:
         pres = [problem.prescriptions[i] for i in atom]
@@ -576,14 +579,16 @@ def _per_arm_row_groups(problem, atoms, gammas, vweights):
                 rows[[first_row[i] for i in arms]]
             groups.append((arms, type(fne),
                            np.concatenate([p.target.data for p in members]),
-                           gammas[arms], matrix))
+                           matrix))
         groups += [([i], type(problem.prescriptions[i].fne),
-                    problem.prescriptions[i].target.data, gammas[[i]], None)
+                    problem.prescriptions[i].target.data, None)
                    for i in alone]
     groups.sort(key=lambda g: g[0][0])
     masses = [vweights[g[0]].sum() for g in groups]
-    return [(arms, cls, target, coef * (vweights[arms] / mass), matrix, mass)
-            for (arms, cls, target, coef, matrix), mass in zip(groups, masses)]
+    return [(arms, cls, target,
+             gamma / bounds[arms[0]] if len(arms) == 1 else gamma / total / mass,
+             matrix, mass)
+            for (arms, cls, target, matrix), mass in zip(groups, masses)]
 
 
 @pytest.mark.parametrize("case", _STOCK_KINDS + ["feasibility"])
@@ -591,16 +596,16 @@ def test_row_groups_match_the_per_arm_build_bitwise(case):
     prob, sched = _feasibility_case() if case == "feasibility" else \
         _stock_case(case, 0)[:2]
     atoms = activation_atoms(sched)
-    gammas, vweights = map(np.asarray, _steps(prob, 1.9, sched))
-    groups, masses, coefs = _row_groups(prob, atoms, gammas, vweights)
-    expected = _per_arm_row_groups(prob, atoms, gammas, vweights)
-    assert len(groups) == len(expected) == len(masses)
-    for g, mass, c, (arms, cls, target, coef, matrix, ref_mass) in zip(
-            groups, masses, coefs, expected):
+    bounds = np.asarray(step_bounds(prob, sched))
+    groups, masses, scales = _row_groups(prob, atoms, 1.9, bounds)
+    expected = _per_arm_row_groups(prob, atoms, 1.9, bounds)
+    assert len(groups) == len(expected) == len(masses) == len(scales)
+    for g, mass, a, (arms, cls, target, ref_a, matrix, ref_mass) in zip(
+            groups, masses, scales, expected):
         assert g.arms.tolist() == list(arms)
         assert type(g.fne) is cls
         assert g.target.tobytes() == target.tobytes()
-        assert c.tobytes() == coef.tobytes()
+        assert np.float64(a).tobytes() == np.float64(ref_a).tobytes()
         assert mass.tobytes() == ref_mass.tobytes()
         if matrix is None:
             assert g.linop is prob.prescriptions[arms[0]].linop
@@ -736,19 +741,21 @@ def test_refresh_leaves_rows_outside_the_cell_bitwise():
     prob, sched, gamma = _signal_recovery_seed0()
     active = sched.active_set(1)
     atoms = activation_atoms(sched)
-    groups, _, coefs = _row_groups(prob, atoms,
-                                   *map(np.asarray, _steps(prob, gamma, sched)))
+    groups, _, scales = _row_groups(prob, atoms, gamma,
+                                    np.asarray(step_bounds(prob, sched)))
     assert len(groups) == 2 + len(sched.sets)
-    cell = [(row, g, c) for row, (g, c) in enumerate(zip(groups, coefs))
+    weights = prob.arrays.weights
+    cell = [(row, g, a, weights[g.arms])
+            for row, (g, a) in enumerate(zip(groups, scales))
             if g.arms[0] in active]
-    fused = [g.linop.matrix.shape[0] for _, g, _ in cell if len(g.arms) > 1]
+    fused = [g.linop.matrix.shape[0] for _, g, _, _ in cell if len(g.arms) > 1]
     assert fused == [len(active) - 2]          # the cell's dictionary rows
     rng = np.random.default_rng(3)
     t = rng.standard_normal((len(groups), prob.domain_shape.total))
     before = t.copy()
     x = rng.standard_normal(prob.domain_shape.total)
     _refresh(cell, x, t)
-    refreshed = {row for row, _, _ in cell}
+    refreshed = {row for row, *_ in cell}
     assert len(refreshed) == 3
     for row in range(len(groups)):
         if row in refreshed:
@@ -861,12 +868,14 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
             for j, i in enumerate(g.arms):
                 rows[i] = r[j] * g.linop.matrix[j]
     gammas, v = map(np.asarray, _steps(prob, 1.5))
-    row_groups, masses, coefs = _row_groups(prob, (tuple(range(m)),), gammas, v)
+    row_groups, masses, scales = _row_groups(prob, (tuple(range(m)),), 1.5,
+                                             prob.arrays.bounds)
     assert [list(g.arms) for g in row_groups] == \
         [list(range(6)), [6, 8, 10], [7], [9], [11], [12]]
     t = rng.standard_normal((len(row_groups), n))
-    _refresh(tuple((row, g, c) for row, (g, c) in enumerate(zip(row_groups, coefs))),
-             x, t)
+    w = prob.arrays.weights
+    _refresh(tuple((row, g, a, w[g.arms])
+                   for row, (g, a) in enumerate(zip(row_groups, scales))), x, t)
     for row, g in enumerate(row_groups):
         per_arm = [x - gammas[i] * rows[i] for i in g.arms]
         if len(g.arms) == 1:                   # the arm's own row, bitwise
@@ -1416,6 +1425,29 @@ def test_refresh_form_matches_the_explicit_residual(monkeypatch, kind):
         assert len(explicit) == len(res.trace.records) - len(refresh_form)
         for r, (_, _, x) in zip(res.trace.records, res.trace.iterates[1:]):
             assert abs(r.residual - array_residual(prob, x.data)) <= 1e-12, r.n
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+@pytest.mark.parametrize("case", ["image_recovery", "feasibility"])
+def test_every_record_reads_the_explicit_residual_bitwise(case, accelerate):
+    # a check that the next refresh serves sums that refresh's shares of the
+    # gradient in the order the explicit pass adds them, so every record's
+    # residual is array_residual at its own iterate, bit for bit: single
+    # arms (the stock image run) and one fused group of 600 rows
+    if case == "image_recovery":
+        prob, sched, cfg = _stock_case("image_recovery", 1)
+        cfg = dataclasses.replace(cfg, max_iters=600, tol=0.0, trace_every=7,
+                                  keep_snapshots=True, accelerate=accelerate)
+    else:
+        prob, _, _ = feasibility_problem(0, m=600, n=100)
+        sched = make_schedule("full", prob.arm_count)
+        cfg = _config(gamma=1.9, max_iters=200, tol=0.0, trace_every=1,
+                      x0=SpacePoint(np.zeros(100)), keep_snapshots=True,
+                      accelerate=accelerate)
+    res = solve(prob, sched, cfg)
+    assert len(res.trace.records) > 50
+    for r, (_, _, x) in zip(res.trace.records, res.trace.iterates[1:]):
+        assert r.residual == array_residual(prob, x.data), r.n
 
 
 def test_zero_tol_run_never_stops_early():
