@@ -423,7 +423,7 @@ STOCK_PARAMETERS = {
         "noise": {"blur_snr_db": 17.6},
         "operators": {"kernel_size": 7, "svd_threshold_rel": 0.05,
                       "sparsity_radius": 1.5, "log_penalty": False},
-        "solver": {"gamma": 1.0, "max_iters": 400000, "tol": 1e-6,
+        "solver": {"gamma": 1.9, "max_iters": 400000, "tol": 1e-6,
                    "trace_every": 200, "snapshots": False},
         "schedule": {"kind": "mod_skip", "expensive": [0], "period": 5},
     },
@@ -433,6 +433,8 @@ STOCK_PARAMETERS = {
         "operators": {"svd_threshold_rel": 0.08,
                       "sparsity_radius_direct": 10.0,
                       "sparsity_radius_transform": 45.0},
+        # gamma 1.0, not 1.9: at 1.9 seed 3 stops 1.34x as far from its
+        # tol-1e-10 limit as the plain run does (README, "Stock gamma")
         "solver": {"gamma": 1.0, "max_iters": 40000, "tol": 1e-6,
                    "trace_every": 100, "snapshots": False},
         "schedule": {"kind": "mod_skip", "expensive": [0], "period": 5},

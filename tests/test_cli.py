@@ -1042,7 +1042,7 @@ def test_sparse_image_uses_published_radius_and_skip():
     assert payload["operators"]["sparsity_radius"] == 1.5
     assert payload["schedule"] == {"kind": "mod_skip", "expensive": [0],
                                    "period": 5}
-    assert payload["solver"]["gamma"] == 1.0
+    assert payload["solver"]["gamma"] == 1.9
     data = generate_experiment("sparse_image", payload["dimensions"], 1,
                                payload["noise"], payload["operators"])
     np.testing.assert_allclose(data.problem.weights, [0.5, 0.5])

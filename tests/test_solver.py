@@ -1265,19 +1265,38 @@ def test_accelerated_signal_recovery_solves_the_vi():
     assert gap <= 10 * tol
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_source_separation_count_survives_a_last_bit_change(monkeypatch, seed):
+def test_accelerated_source_separation_solves_the_vi():
+    gap, tol = _accelerated_stock_vi_gap("source_separation", 0)
+    assert gap <= 10 * tol
+
+
+def _count_survives_a_last_bit_change(monkeypatch, kind, seed, max_iters=None):
     # a regulariser 1e-3 larger changes only the last bits of the k x k
     # solve; the count must stay within 1.25x of the count as is, and the
     # cap makes a stalled run fail fast
-    prob, sched, cfg = _stock_case("source_separation", seed)
-    as_is = solve(prob, sched, cfg)
-    assert as_is.status is SolveStatus.CONVERGED
+    prob, sched, cfg = _stock_case(kind, seed)
+    as_is = solve(prob, sched, dataclasses.replace(
+        cfg, max_iters=max_iters or cfg.max_iters))
+    assert as_is.status is SolveStatus.CONVERGED, as_is.trace.records[-1].n
     cap = int(1.25 * (as_is.trace.records[-1].n + 1))
     monkeypatch.setattr(blockvi.solver._Anderson, "REG",
                         blockvi.solver._Anderson.REG * (1 + 1e-3))
     res = solve(prob, sched, dataclasses.replace(cfg, max_iters=cap))
     assert res.status is SolveStatus.CONVERGED, res.trace.records[-1].n
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_source_separation_count_survives_a_last_bit_change(monkeypatch, seed):
+    _count_survives_a_last_bit_change(monkeypatch, "source_separation", seed)
+
+
+@pytest.mark.parametrize("seed, count", [(1, 4201), (3, 4801)])
+def test_sparse_image_count_survives_a_last_bit_change(monkeypatch, seed, count):
+    # count: the stock run's count when gamma 1.9 was chosen; the run as is
+    # must stay within 1.25x of it (gamma 1.0 takes 5 201 and 6 601, the
+    # second above that cap)
+    _count_survives_a_last_bit_change(monkeypatch, "sparse_image", seed,
+                                      max_iters=int(1.25 * count))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1453,8 +1472,9 @@ def test_every_record_reads_the_explicit_residual_bitwise(case, accelerate):
 def test_zero_tol_run_never_stops_early():
     # within a few hundred iterations kappa = gamma / sum_j w_j b_j times the
     # gradient falls below half an ulp of x: the refresh then leaves x as it
-    # is and its form of the residual reads 0, while the explicit residual
-    # need not.  A tol = 0 run stops only where the explicit one is 0.
+    # is, while the gradient, and so the residual, need not be 0.  Every
+    # check reads the explicit residual at its iterate, so a tol = 0 run
+    # stops only where that residual is 0.
     prob, _ = mixed_arms_problem(0, consistent=False)
     for accelerate in (False, True):
         res = solve(prob, make_schedule("full", prob.arm_count),
@@ -1488,15 +1508,14 @@ def test_record_norms_are_np_linalg_norm_bitwise():
 
 
 @pytest.mark.parametrize("seed, gamma, accelerate, stop", [
-    (5, 1.9, False, 294),   # unconfirmed, the run went on to n = 301
-    (2, 1.9, True, 98),     # unconfirmed, it ran out its 1000 iterations
+    (5, 1.9, False, 294),
+    (2, 1.9, True, 98),
 ])
 def test_run_stops_at_the_first_check_that_meets_tol(seed, gamma, accelerate,
                                                      stop):
-    # at n = stop the explicit residual is 0 while the refresh form reads a
-    # few ulps above it; a check within the form's rounding bound above tol
-    # is confirmed by the explicit residual, so a tol = 0 run stops at the
-    # first record whose explicit residual is 0
+    # at n = stop the explicit residual first reads 0 at a record; every
+    # check reads that residual at its own iterate, so a tol = 0 run stops
+    # at the first record whose explicit residual is 0
     prob, _ = mixed_arms_problem(seed, consistent=False)
     res = solve(prob, make_schedule("full", prob.arm_count),
                 _config(gamma=gamma, max_iters=1000, tol=0.0, trace_every=7,
