@@ -29,7 +29,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,7 +189,7 @@ class Problem:
             self._atom_groups[atom] = arm_groups(self, atom)
         return self._atom_groups[atom]
 
-    @property
+    @functools.cached_property
     def groups(self) -> tuple:
         """The groups of all arms as one atom; the residual and the gaps
         read them."""
@@ -353,18 +353,14 @@ def _flat_point(problem: Problem, x) -> np.ndarray:
     return x
 
 
-def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
-                   groups: Optional[Sequence] = None) -> float:
-    """:func:`vi_residual` on a flat array.  ``groups`` are arm groups that
-    hold every arm once; :attr:`Problem.groups` when omitted.  Each group
-    adds its :func:`gradient_share` of sum_i w_i L_i*(F_i(L_i x) - p_i), in
-    the order of ``groups``."""
+def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0) -> float:
+    """:func:`vi_residual` on a flat array.  Each group of
+    :attr:`Problem.groups` adds its :func:`gradient_share` of sum_i w_i
+    L_i*(F_i(L_i x) - p_i), in their order."""
     x = _flat_point(problem, x)
-    if groups is None:
-        groups = problem.groups
     weights = problem.arrays.weights
     grad = np.zeros_like(x)
-    for g in groups:
+    for g in problem.groups:
         w = weights[g.arms]
         grad += gradient_share(g, pullback(g, x, w), w)
     return gradient_residual(problem, x, grad, theta)

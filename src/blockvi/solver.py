@@ -45,12 +45,13 @@ a solution of a differently-weighted inequality whenever the bounds differ.
 
 The arms are evaluated in groups (:func:`blockvi.core.arm_groups`), built
 once per atom by :meth:`blockvi.core.Problem.atom_groups`.  A group holds no
-weights, so the refresh and the residual evaluate the same groups, and a
-solve builds none.  Every group is evaluated through its ``linop`` and
-``fne`` (fused one-row dense arms through the ``DenseMatrix`` of their
-rows), and :func:`blockvi.core.pullback` reduces it to one direction d_g:
-L_i*(F_i(L_i x) - p_i) for a single arm, sum_{i in g} w_i L_i*(F_i(L_i x) -
-p_i) for a fused group.  The auxiliary state holds one row per group, not
+weights, so every solve reuses them; the residual evaluates those of all
+arms as one atom (:attr:`blockvi.core.Problem.groups`).  Every group is
+evaluated through its ``linop`` and ``fne`` (fused one-row dense arms
+through the ``DenseMatrix`` of their rows), and
+:func:`blockvi.core.pullback` reduces it to one direction d_g: L_i*(F_i(L_i
+x) - p_i) for a single arm, sum_{i in g} w_i L_i*(F_i(L_i x) - p_i) for a
+fused group.  The auxiliary state holds one row per group, not
 one per arm, and every row starts at x_0.  A group is refreshed whole, from
 one x, and the averaging step sees its arms only through their v-weighted
 mean tau_g = sum_{i in g} (v_i / V_g) t_i, V_g = sum_{i in g} v_i.  So the
@@ -71,9 +72,14 @@ which is what :func:`blockvi.core.array_residual` sums, one
 iteration refreshes every row at x, its refresh computes every d_g at x
 anyway and sums the same shares in the same order, so such a check (the
 record of iteration n, written after the refresh of iteration n + 1) costs
-one projection and two norms, and reads ``array_residual`` bit for bit.
-Every other check runs the explicit pass.  A run stops at the first check
-where that residual meets ``tol``.
+one projection and two norms, and reads ``array_residual`` bit for bit
+when the schedule's groups are the problem's.  Every other check runs the
+explicit pass.  A run stops at the first check where that residual meets
+``tol``.  It checks at every multiple of ``trace_every``, at its last
+iteration, and, when the last two checks (n', r') and (n, r) have
+tol < r < r', at the first iteration from n + ln(tol / r) / rho,
+rho = ln(r / r') / (n - n'), where the residual meets ``tol`` if it keeps
+its rate.  Checks only read x, so they move no iterate.
 
 Every schedule is accelerated by safeguarded type-II Anderson extrapolation
 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of a *span map*.  A span is
@@ -588,16 +594,31 @@ class _Anderson:
         return self.f
 
 
+def _crossing(records, tol: float) -> float:
+    """The iteration where the residual of the last two ``records``, (n', r')
+    and (n, r), meets ``tol`` if it keeps its rate: n + ln(tol / r) / rho,
+    rho = ln(r / r') / (n - n').  inf unless tol > 0 and tol < r < r' (so
+    also for one record or a NaN)."""
+    if len(records) == 2 and 0 < tol < records[1].residual < \
+            records[0].residual < math.inf:
+        (n0, r0), (n1, r1) = ((r.n, r.residual) for r in records)
+        rho = (math.log(r1) - math.log(r0)) / (n1 - n0)
+        if rho < 0:        # ln r may round to ln r'
+            return n1 + (math.log(tol) - math.log(r1)) / rho
+    return math.inf
+
+
 def solve(problem: Problem, schedule: ActivationSchedule,
           config: SolverConfig) -> SolveResult:
     """Run the block iteration until the fixed-point residual drops below
-    ``config.tol`` (checked every ``trace_every`` iterations) or ``max_iters``
-    is reached.  Step sizes and averaging weights use the bounds certified for
+    ``config.tol`` (checked at least every ``trace_every`` iterations, and
+    where the last two checks predict it meets ``tol``) or ``max_iters`` is
+    reached.  Step sizes and averaging weights use the bounds certified for
     the schedule's activation atoms, and the arms of each atom are evaluated
     in groups, with one auxiliary row per group (see the module docstring).
-    The residual runs through the same groups; when the next iteration
-    refreshes every row at the checked iterate, that refresh sums the same
-    gradient, and the check reads the same bits.  When ``config.accelerate``
+    The residual is ``vi_residual``'s, over :attr:`Problem.groups`; when
+    the next iteration refreshes every row at the checked iterate, that
+    refresh sums the gradient instead.  When ``config.accelerate``
     holds, each span of whole periods starts at the Anderson extrapolation
     of the previous ones: of x when the period starts with every arm, of the
     rows otherwise (see the module docstring).  Deterministic given (problem, schedule, config)."""
@@ -622,19 +643,21 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     if config.keep_snapshots:
         trace.iterates.append((0, 0.0, config.x0))
     pending = None      # (n, x, step_norm) of the unwritten record
+    due = math.inf      # the predicted check, from the last two records
 
     def record(grad=None) -> bool:
         """Write the pending record.  Its residual comes from ``grad``, the
         gradient at its iterate summed by the refresh that serves it, or else
         from the explicit pass.  True when the run stops there."""
-        nonlocal pending
+        nonlocal pending, due
         (n, x, step_norm), pending = pending, None
-        residual = (array_residual(problem, x, groups=groups) if grad is None
+        residual = (array_residual(problem, x) if grad is None
                     else gradient_residual(problem, x, grad))
         seconds = time.perf_counter() - started
         trace.add(n, seconds, residual, step_norm, n % period)
         if config.keep_snapshots:
             trace.iterates.append((n + 1, seconds, SpacePoint(x, problem.domain_shape)))
+        due = _crossing(trace.records[-2:], config.tol)
         return residual <= config.tol
 
     x = config.x0.data
@@ -658,7 +681,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
         if grad is not None and record(grad):
             break
         x = problem.constraint.array_projector(masses @ t)
-        if n % config.trace_every == 0 or n == config.max_iters - 1:
+        if n % config.trace_every == 0 or n == config.max_iters - 1 or n >= due:
             if not np.isfinite(x).all():
                 raise InvalidParameter("SpacePoint entries must be finite")
             step = x - prev_x

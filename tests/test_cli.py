@@ -935,6 +935,24 @@ def test_trace_plot_command(tmp_path):
     assert float(first[1]) == 0.0
 
 
+def test_trace_plot_reads_a_run_that_stops_off_the_grid(tmp_path):
+    # the stock run checks its stop where the residual is predicted to meet
+    # tol, so its last record falls between multiples of trace_every
+    payload = default_manifest("signal_recovery", 1, output_dir="results")
+    assert payload["solver"]["snapshots"]
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 0
+    out = tmp_path / "results"
+    ns = [int(line.split(",")[0])
+          for line in (out / "trace.csv").read_text().splitlines()[1:]]
+    assert ns[-1] == 426 and ns[-1] % payload["solver"]["trace_every"]
+    dest = tmp_path / "series.csv"
+    assert main(["trace-plot", str(out / "trace.csv"), "--ref",
+                 str(out / "recovered.csv"), "--out", str(dest)]) == 0
+    snapshots = read_snapshots_csv(out / "snapshots.csv")
+    assert [k for k, _ in snapshots] == [0] + [n + 1 for n in ns]
+    assert len(dest.read_text().splitlines()) == 1 + len(snapshots)
+
+
 def test_trace_plot_missing_snapshots(tmp_path, capsys):
     payload = _small_manifest("signal_recovery", 7, snapshots=False,
                               max_iters=50)

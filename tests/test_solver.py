@@ -14,7 +14,7 @@ from blockvi.cli import (
 )
 from blockvi.core import (ConstraintSet, Prescription, arm_gaps, arm_groups,
                           array_residual, assemble_problem, dense_rows,
-                          gradient_residual, prescription_images)
+                          gradient_residual, prescription_images, vi_residual)
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
 from blockvi.fne_ops import (
     BoxProjector,
@@ -456,9 +456,9 @@ def test_solve_certifies_bounds_once(monkeypatch):
 
 @pytest.mark.parametrize("case", [_signal_recovery_case, _feasibility_case])
 def test_solve_builds_groups_once(monkeypatch, case):
-    # the problem builds each atom's groups once, for its bound, its rows and
-    # the residual, and each fused group stacks its own rows once: no build
-    # over all arms unless all arms are one atom
+    # the problem builds each atom's groups once, for its bound and its rows,
+    # and the groups of all arms once, for the residual; each fused group
+    # stacks its own rows once
     stacks, builds = [], []
 
     def counted_rows(problem, arms):
@@ -475,7 +475,7 @@ def test_solve_builds_groups_once(monkeypatch, case):
     prob, sched = case()
     solve(prob, sched, _config(gamma=1.9, max_iters=20, tol=0.0,
                                x0=SpacePoint.zeros(prob.domain_shape)))
-    atoms = list(activation_atoms(sched))
+    atoms = sorted({*activation_atoms(sched), tuple(range(prob.arm_count))})
     fused = [tuple(g.arms) for atom in atoms for g in prob.atom_groups(atom)
              if len(g.arms) > 1]
     assert sorted(stacks) == sorted(fused)
@@ -887,7 +887,7 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
     z = x - 0.7 * (np.asarray(prob.weights) @ rows)
     projected = prob.constraint.array_projector(z)
     expected = float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
-    assert array_residual(prob, x, 0.7, groups) == expected
+    assert array_residual(prob, x, 0.7) == expected
 
 
 def test_spectral_solve_matches_full_complex_reference():
@@ -1209,7 +1209,8 @@ def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
     assert res.acceleration["accepted"] > 0
     ns = [r.n for r in res.trace.records]
     assert all(b > a for a, b in zip(ns, ns[1:]))
-    assert all(n % 7 == 0 for n in ns)
+    # every grid check is kept; the predicted ones fall between them
+    assert [n for n in ns if n % 7 == 0] == list(range(0, ns[-1] + 1, 7))
     assert [k for k, _, _ in res.trace.iterates] == [0] + [n + 1 for n in ns]
     assert res.trace.iterates[-1][2] == res.solution
     for _, _, point in res.trace.iterates:
@@ -1447,14 +1448,17 @@ def test_refresh_form_matches_the_explicit_residual(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("accelerate", [False, True])
-@pytest.mark.parametrize("case", ["image_recovery", "feasibility"])
+@pytest.mark.parametrize("case", ["image_recovery", "signal_recovery",
+                                  "feasibility"])
 def test_every_record_reads_the_explicit_residual_bitwise(case, accelerate):
     # a check that the next refresh serves sums that refresh's shares of the
     # gradient in the order the explicit pass adds them, so every record's
     # residual is array_residual at its own iterate, bit for bit: single
-    # arms (the stock image run) and one fused group of 600 rows
-    if case == "image_recovery":
-        prob, sched, cfg = _stock_case("image_recovery", 1)
+    # arms (the stock image run), cyclic cells of fused arms, whose explicit
+    # pass sums the problem's own groups, not the cells', and one fused
+    # group of 600 rows
+    if case != "feasibility":
+        prob, sched, cfg = _stock_case(case, 1)
         cfg = dataclasses.replace(cfg, max_iters=600, tol=0.0, trace_every=7,
                                   keep_snapshots=True, accelerate=accelerate)
     else:
@@ -1525,6 +1529,86 @@ def test_run_stops_at_the_first_check_that_meets_tol(seed, gamma, accelerate,
            if array_residual(prob, x.data) == 0.0]
     assert res.status is SolveStatus.CONVERGED
     assert res.trace.records[-1].n == met[0] == stop
+
+
+def _checks_by_the_rule(residuals, tol, trace_every, max_iters):
+    """Reference of where a run checks its stop, given the residual after
+    every iteration: at n = 0, then at the next grid check (a multiple of
+    trace_every, or max_iters - 1) or, if sooner, at n* = n + ceil(ln(tol /
+    r_n) / rho), rho = ln(r_n / r_n') / (n - n'), from the last two checks
+    (n', r_n') and (n, r_n) when 0 < tol and r_n < r_n'."""
+    checks = [0]
+    while residuals[checks[-1]] > tol and checks[-1] < max_iters - 1:
+        n = checks[-1]
+        following = min((n // trace_every + 1) * trace_every, max_iters - 1)
+        if len(checks) > 1 and tol > 0 and residuals[n] < residuals[checks[-2]]:
+            rho = math.log(residuals[n] / residuals[checks[-2]]) / (n - checks[-2])
+            crossing = n + math.log(tol / residuals[n]) / rho
+            if crossing < following:        # a float: it may be huge
+                following = math.ceil(crossing)
+        checks.append(following)
+    return checks
+
+
+@pytest.mark.parametrize("kind, seed, stop, grid_stop", [
+    *(("signal_recovery", seed, stop, grid_stop) for seed, stop, grid_stop in
+      zip(range(8), (478, 427, 601, 481, 479, 501, 484, 411),
+          (501, 501, 601, 501, 501, 501, 501, 501))),
+    ("sparse_image", 1, 4120, 4201),
+])
+def test_stop_checks_fall_where_the_rule_places_them(kind, seed, stop,
+                                                     grid_stop):
+    # checks only read x, so a run that records every residual (trace_every
+    # = 1, tol = 0) has the same iterates; the reference rule, fed those
+    # residuals, places the stock run's every record and its stop
+    prob, sched, cfg = _stock_case(kind, seed)
+    res = solve(prob, sched, cfg)
+    every = solve(prob, sched, dataclasses.replace(
+        cfg, tol=0.0, trace_every=1, max_iters=grid_stop, keep_snapshots=True))
+    residuals = [r.residual for r in every.trace.records]
+    ns = [r.n for r in res.trace.records]
+    assert ns == _checks_by_the_rule(residuals, cfg.tol, cfg.trace_every,
+                                     cfg.max_iters)
+    assert res.status is SolveStatus.CONVERGED and ns[-1] + 1 == stop
+    first = next(n for n, r in enumerate(residuals) if r <= cfg.tol)
+    grid = next(n for n in range(0, grid_stop, cfg.trace_every)
+                if residuals[n] <= cfg.tol)
+    assert first <= ns[-1] <= grid == grid_stop - 1
+    assert res.solution.data.tobytes() == \
+        every.trace.iterates[ns[-1] + 1][2].data.tobytes()
+    assert res.trace.final_residual == vi_residual(prob, res.solution)
+
+
+@pytest.mark.parametrize("tol, trace_every, fake", [
+    (0.0, 7, None),                                  # tol = 0
+    (1e-8, 1, None),                                 # every iteration
+    (1e-6, 10, [1.0, 2e-4, 1e-7]),                   # falls: checked at 17
+    (0.0, 10, [1.0, 2e-4, 1e-7]),
+    (1e-6, 10, [1e-3, 2e-3, 3e-3]),                  # rose
+    (1e-6, 10, [1e-3, 1e-3, 1e-3]),                  # did not fall
+    (1e-6, 10, [1.0, math.nan, 1e-5, 1e-7]),
+], ids=["tol-0", "every-iteration", "falling", "falling-tol-0", "rising",
+        "flat", "nan"])
+def test_stop_checks_stay_on_the_grid_without_a_prediction(monkeypatch, tol,
+                                                           trace_every, fake):
+    # only a residual that fell between the last two checks, towards a tol
+    # above 0, places a check off the grid; the falling case shows one
+    prob, _ = mixed_arms_problem(0, consistent=False)
+    sched = make_schedule("cyclic_partition", prob.arm_count, blocks=2)
+    if fake is not None:       # every check of a cyclic run is explicit
+        values = iter(fake + [fake[-1]] * 100)
+        monkeypatch.setattr(blockvi.solver, "array_residual",
+                            lambda problem, x: next(values))
+    res = solve(prob, sched, _config(gamma=1.5, max_iters=100, tol=tol,
+                                     trace_every=trace_every,
+                                     x0=SpacePoint(np.zeros(6))))
+    ns = [r.n for r in res.trace.records]
+    if fake is not None and tol > 0 and fake[1] < fake[0]:
+        assert ns == [0, 10, 17]
+    else:
+        assert ns == [n for n in range(ns[-1] + 1)
+                      if n % trace_every == 0 or n == 99]
+        assert ns[-1] == 99 or res.status is SolveStatus.CONVERGED
 
 
 # ---------------------------------------------------------------------------
