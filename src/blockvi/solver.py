@@ -68,18 +68,18 @@ for bit.
 
 The stop test needs sum_i w_i L_i*(F_i(L_i x) - p_i) at a loop iterate x,
 which is what :func:`blockvi.core.array_residual` sums, one
-:func:`blockvi.core.gradient_share` of d_g per group.  When the next
-iteration refreshes every row at x, its refresh computes every d_g at x
-anyway and sums the same shares in the same order, so such a check (the
-record of iteration n, written after the refresh of iteration n + 1) costs
-one projection and two norms, and reads ``array_residual`` bit for bit
-when the schedule's groups are the problem's.  Every other check runs the
-explicit pass.  A run stops at the first check where that residual meets
-``tol``.  It checks at every multiple of ``trace_every``, at its last
-iteration, and, when the last two checks (n', r') and (n, r) have
-tol < r < r', at the first iteration from n + ln(tol / r) / rho,
-rho = ln(r / r') / (n - n'), where the residual meets ``tol`` if it keeps
-its rate.  Checks only read x, so they move no iterate.
+:func:`blockvi.core.gradient_share` of d_g per group of
+:attr:`blockvi.core.Problem.groups`.  When the next iteration refreshes
+every row at x and the schedule's groups are those, in their order, the
+refresh computes every d_g at x anyway and sums the same shares, so such a
+check (the record of iteration n, written after the refresh of iteration
+n + 1) costs one projection and two norms, and reads ``array_residual`` bit
+for bit.  Every other check runs the explicit pass.  A run stops at the
+first check where that residual meets ``tol``.  It checks at every multiple
+of ``trace_every``, at its last iteration, and, when the last two checks
+(n', r') and (n, r) have tol < r < r', at the first iteration from n +
+ln(tol / r) / rho, rho = ln(r / r') / (n - n'), where the residual meets
+``tol`` if it keeps its rate.  Checks only read x, so they move no iterate.
 
 Every schedule is accelerated by safeguarded type-II Anderson extrapolation
 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of a *span map*.  A span is
@@ -142,36 +142,41 @@ regularised least-squares problem
     (dG^T dG + lambda I) a = dG^T g_k,   lambda = 1e-10 ||dG||_F^2,
 
 and proposes s_{k+1} = f_k - dF^T a.  A candidate is checked once its span
-has run, and it is accepted only while both
+has run.  Its span is kept when both
 
-    ||f_k - s_k||  <=  C min_j ||f_j - s_j||,                C = 2,
-    ||f_k - s_k||  <=  D ||g_0|| (n_acc + 1)^-(1 + eps),   D = 1e6, eps = 1e-6,
+    ||f_k - s_k||  <=  K min_j ||f_j - s_j||,                K = 10,
+    ||f_k - s_k||  <=  D ||g_0|| (n_kept + 1)^-(1 + eps),  D = 1e6, eps = 1e-6,
 
-hold, with the minimum over the earlier base points whose span was kept (the
-first, s_0 = x_0 or the initial rows, every plain step and every accepted
-candidate) and n_acc the candidates accepted so far.  (This C is
-``_Anderson.C``, not the constraint set.)  The first condition is the
-monotonicity control of Henderson & Varadhan (J. Comput. Graph. Stat. 28(4),
-2019); the second is the safeguard of Zhang, O'Donoghue & Boyd (SIAM J.
-Optim. 30(4), 2020).  The second alone never binds on the stock runs, so
-their counts would follow the rounding of the k x k solve.  A rejected
-candidate -- or a non-finite one, or a failed solve -- restarts the memory,
-and the next span starts from the plain step f_k.  The global-convergence
-theorem of Zhang et al. is proved for type-I steps on an averaged map; Phi
-and Psi are shown above to be nonexpansive only, so that theorem is not
-claimed here, and neither condition adds one.  What holds: every accepted
-residual ||f_k - s_k|| is within C times the least residual before it, and
-the accepted residuals are summable; if every candidate from some point on is
-rejected, the base points follow the plain span map and converge by the
-paper's theorem; and the extrapolated point only ever starts a span.
+hold, and the candidate is accepted when also ||f_k - s_k|| <= C min_j
+||f_j - s_j||, C = 2, with the minimum over the earlier base points whose
+span was kept (the first, s_0 = x_0 or the initial rows, every plain step
+and every kept candidate) and n_kept the spans kept so far.  (These C and K
+are ``_Anderson.C`` and ``_Anderson.K``, not the constraint set or the
+covering constant.)  The C test is the monotonicity control of Henderson &
+Varadhan (J. Comput. Graph. Stat. 28(4), 2019); the bound on n_kept is the
+safeguard of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 30(4), 2020), which
+alone never binds on the stock runs, so their counts would follow the
+rounding of the k x k solve.  Any other candidate is rejected and restarts
+the memory: a kept span's image f_k starts the next span, so the next step
+has the one secant pair s_k -> f_k -> f_{k+1}; otherwise -- or for a
+non-finite candidate, or a failed solve -- the span is discarded and the
+next one starts from the plain step of the base point before it.  The
+global-convergence theorem of Zhang et al. is proved for type-I steps on an
+averaged map; Phi and Psi are shown above to be nonexpansive only, so that
+theorem is not claimed here, and neither test adds one.  What holds: every
+accepted residual ||f_k - s_k|| is within C times the least residual before
+it, and every kept one within K times it; the kept residuals are summable,
+since n_kept counts every kept span; if only finitely many spans are kept,
+the base points follow the plain span map from some point on and converge by
+the paper's theorem; and the extrapolated point only ever starts a span.
 Residuals, trace records and the returned solution are taken at projected
 loop iterates, so they lie in C, and a run reports CONVERGED only on the
 plain loop's residual test.  The record before a span start keeps the
 explicit residual, because that span starts at the candidate, not at the
-loop iterate.  The iteration count includes the spans spent on rejected
-candidates.  The ``step_norm`` of the record at a span start is
-measured from that span's start: the candidate, or P_C(sum_g V_g t_g) at
-the candidate rows, when one runs.
+loop iterate.  The iteration count includes the discarded spans.  The
+``step_norm`` of the record at a span start is measured from that span's
+start: the candidate, or P_C(sum_g V_g t_g) at the candidate rows, when one
+runs.
 """
 
 from __future__ import annotations
@@ -523,14 +528,17 @@ class _Anderson:
     (see the module docstring).  :meth:`next_start` takes the image of the
     current span's start and returns the start of the next span; it keeps
     the arrays it is given and returns, so callers must not write to them.
-    A candidate is kept only while its span residual is at most ``C`` times
-    the least one of a kept span so far (``best``; Henderson & Varadhan's
-    monotonicity control) and within the ZOB bound of ``D`` and ``EPS``, so
-    accepted residuals stay within ``C`` times the best so far."""
+    A candidate's span is kept when its residual is within ``K`` times the
+    least one of a kept span so far (``best``) and within the ZOB bound of
+    ``D`` and ``EPS``.  The candidate is accepted, and the memory kept, when
+    that residual is also within ``C`` times ``best`` (Henderson & Varadhan's
+    monotonicity control).  A kept span that fails this restarts the memory
+    from its image; a discarded one, from the plain step before it."""
 
     MEMORY = 5
     SPAN = 2               # least base iterations per extrapolation step
     C = 2.0
+    K = 10.0
     D = 1e6
     EPS = 1e-6
     REG = 1e-10
@@ -548,15 +556,21 @@ class _Anderson:
         self.best = 0.0        # least ||f - s|| of a kept span, set likewise
         self.pending = False   # the span being run starts at a candidate
         self.accepted = self.rejected = 0
+        self.kept = 0          # candidates whose span was kept
 
     def next_start(self, f: np.ndarray) -> np.ndarray:
         g = f - self.start
         norm = math.sqrt(g @ g)
         if self.pending:
             self.pending = False
-            bound = min(self.C * self.best,
-                        self.D * self.g0 * (self.accepted + 1) ** -(1.0 + self.EPS))
+            bound = min(self.K * self.best,
+                        self.D * self.g0 * (self.kept + 1) ** -(1.0 + self.EPS))
             if not norm <= bound:     # also catches NaN
+                return self._restart()
+            self.kept += 1
+            if not norm <= self.C * self.best:
+                # the monotone test fails: the span is kept, the memory not
+                self.f, self.g = f, g
                 return self._restart()
             self.accepted += 1
         if self.f is None:
@@ -586,8 +600,8 @@ class _Anderson:
         return candidate
 
     def _restart(self) -> np.ndarray:
-        """Count a rejection, empty the memory and resume from the plain step
-        f_k of the last base point."""
+        """Count a rejection, empty the memory and resume from ``f``, the
+        image of the last base point whose span was kept."""
         self.rejected += 1
         self.filled = self.slot = 0
         self.start = self.f
@@ -617,7 +631,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     the schedule's activation atoms, and the arms of each atom are evaluated
     in groups, with one auxiliary row per group (see the module docstring).
     The residual is ``vi_residual``'s, over :attr:`Problem.groups`; when
-    the next iteration refreshes every row at the checked iterate, that
+    the next iteration refreshes those groups at the checked iterate, that
     refresh sums the gradient instead.  When ``config.accelerate``
     holds, each span of whole periods starts at the Anderson extrapolation
     of the previous ones: of x when the period starts with every arm, of the
@@ -636,6 +650,11 @@ def solve(problem: Problem, schedule: ActivationSchedule,
                    if g.arms[0] in s) for s in schedule.sets]
     period = len(cells)
     refreshes_all = [len(cell) == len(groups) for cell in cells]
+    # a refresh of every row serves a check only when its groups are the
+    # residual's, in the same order, so that it sums the same shares
+    same = ([g.arms.tolist() for g in groups]
+            == [g.arms.tolist() for g in problem.groups])
+    serves = [whole and same for whole in refreshes_all]
     t = np.tile(config.x0.data, (len(groups), 1))
 
     trace = SolverTrace()
@@ -687,7 +706,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
             step = x - prev_x
             pending = (n, x, math.sqrt(step @ step))
             m = n + 1       # does the next iteration refresh every row at x?
-            if not (m < config.max_iters and refreshes_all[m % period]
+            if not (m < config.max_iters and serves[m % period]
                     and (accel is None or m % span)) and record():
                 break
     # the last iteration records explicitly, so this is the stop test's verdict

@@ -944,7 +944,7 @@ def test_trace_plot_reads_a_run_that_stops_off_the_grid(tmp_path):
     out = tmp_path / "results"
     ns = [int(line.split(",")[0])
           for line in (out / "trace.csv").read_text().splitlines()[1:]]
-    assert ns[-1] == 426 and ns[-1] % payload["solver"]["trace_every"]
+    assert ns[-1] == 429 and ns[-1] % payload["solver"]["trace_every"]
     dest = tmp_path / "series.csv"
     assert main(["trace-plot", str(out / "trace.csv"), "--ref",
                  str(out / "recovered.csv"), "--out", str(dest)]) == 0

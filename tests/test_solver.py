@@ -1147,16 +1147,35 @@ def _anderson_with_a_candidate():
     return acc, candidate
 
 
-@pytest.mark.parametrize("excess", [2.5, float("nan")])
+@pytest.mark.parametrize("excess", [2.5, 20.0, float("nan")])
 def test_anderson_rejects_a_residual_above_C_times_the_best(excess):
+    # within K times the best (2.5) the span is kept and the memory restarts;
+    # above it (20), or NaN, the span is discarded for the plain step
     acc, candidate = _anderson_with_a_candidate()
     plain = acc.f
-    out = acc.next_start(candidate + np.array([excess, 0.0]))
-    assert out is plain                      # resume from the plain step
+    image = candidate + np.array([excess, 0.0])
+    out = acc.next_start(image)
+    kept = excess <= acc.K * acc.best
+    assert out is (image if kept else plain)
     assert (acc.accepted, acc.rejected, acc.filled) == (0, 1, 0)
-    assert acc.best == 1.0
-    acc.next_start(plain + np.array([0.25, 0.0]))     # a plain span
+    assert acc.kept == kept and acc.best == 1.0
+    f = out + np.array([0.25, 0.0])
+    acc.next_start(f)                    # a plain span from out
     assert acc.best == 0.25
+    if kept:                             # one pair: candidate -> image -> f
+        assert acc.filled == 1 and acc.pending
+        assert acc.dg[0].tolist() == [0.25 - excess, 0.0]
+        assert acc.df[0].tolist() == (f - image).tolist()
+
+
+def test_anderson_with_D_zero_discards_every_candidate(monkeypatch):
+    # the ZOB bound of D = 0 fails every candidate, at any residual
+    monkeypatch.setattr(blockvi.solver._Anderson, "D", 0.0)
+    for excess in (0.5, 2.5):
+        acc, candidate = _anderson_with_a_candidate()
+        plain = acc.f
+        assert acc.next_start(candidate + np.array([excess, 0.0])) is plain
+        assert (acc.accepted, acc.rejected, acc.kept, acc.filled) == (0, 1, 0, 0)
 
 
 def test_anderson_accepts_a_residual_of_C_times_the_best():
@@ -1284,6 +1303,18 @@ def _count_survives_a_last_bit_change(monkeypatch, kind, seed, max_iters=None):
                         blockvi.solver._Anderson.REG * (1 + 1e-3))
     res = solve(prob, sched, dataclasses.replace(cfg, max_iters=cap))
     assert res.status is SolveStatus.CONVERGED, res.trace.records[-1].n
+
+
+@pytest.mark.parametrize("kind, seed, max_iters", [
+    ("image_recovery", 1, 7700),
+    ("image_recovery", 3, 8800),
+    ("sparse_image", 3, 4200),
+])
+def test_kept_spans_cut_counts_that_survive_a_last_bit_change(
+        monkeypatch, kind, seed, max_iters):
+    # max_iters lies below the counts of a rule that discarded every span
+    # whose candidate failed the monotone test (8 001, 9 131 and 4 607)
+    _count_survives_a_last_bit_change(monkeypatch, kind, seed, max_iters)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -1417,7 +1448,9 @@ def test_span_map_of_rows_does_not_grow_the_block_distance(monkeypatch):
 def test_refresh_form_matches_the_explicit_residual(monkeypatch, kind):
     # a period led by every arm, then the stock sets: a record followed by an
     # iteration that refreshes every row takes its residual from that
-    # refresh.  Checked from a seeded point of C and from the solution.
+    # refresh when the schedule's groups are the problem's.  The cells of
+    # signal_recovery split its fused groups, so there every check is
+    # explicit.  Checked from a seeded point of C and from the solution.
     prob, sched, cfg = _stock_case(kind, 0)
     solution = solve(prob, sched, cfg).solution.data
     every = tuple(range(prob.arm_count))
@@ -1442,22 +1475,31 @@ def test_refresh_form_matches_the_explicit_residual(monkeypatch, kind):
         refresh_form = [r.n for r in res.trace.records if r.n + 1 < iters
                         and len(led.active_set(r.n + 1)) == len(every)]
         assert len(refresh_form) >= 2
+        if kind == "signal_recovery":
+            refresh_form = []
         assert len(explicit) == len(res.trace.records) - len(refresh_form)
         for r, (_, _, x) in zip(res.trace.records, res.trace.iterates[1:]):
-            assert abs(r.residual - array_residual(prob, x.data)) <= 1e-12, r.n
+            assert r.residual == array_residual(prob, x.data), r.n
 
 
 @pytest.mark.parametrize("accelerate", [False, True])
 @pytest.mark.parametrize("case", ["image_recovery", "signal_recovery",
-                                  "feasibility"])
+                                  "feasibility", "signal_led_by_every_arm"])
 def test_every_record_reads_the_explicit_residual_bitwise(case, accelerate):
     # a check that the next refresh serves sums that refresh's shares of the
     # gradient in the order the explicit pass adds them, so every record's
     # residual is array_residual at its own iterate, bit for bit: single
     # arms (the stock image run), cyclic cells of fused arms, whose explicit
-    # pass sums the problem's own groups, not the cells', and one fused
-    # group of 600 rows
-    if case != "feasibility":
+    # pass sums the problem's own groups, not the cells', one fused group
+    # of 600 rows, and a period led by every arm whose atoms split the
+    # problem's fused groups, so no refresh serves its checks
+    if case == "signal_led_by_every_arm":
+        prob, sched, cfg = _stock_case("signal_recovery", 0)
+        sched = make_schedule("explicit", prob.arm_count,
+                              sets=[range(prob.arm_count), *sched.sets])
+        cfg = dataclasses.replace(cfg, max_iters=600, tol=0.0, trace_every=1,
+                                  keep_snapshots=True, accelerate=accelerate)
+    elif case != "feasibility":
         prob, sched, cfg = _stock_case(case, 1)
         cfg = dataclasses.replace(cfg, max_iters=600, tol=0.0, trace_every=7,
                                   keep_snapshots=True, accelerate=accelerate)
@@ -1552,9 +1594,9 @@ def _checks_by_the_rule(residuals, tol, trace_every, max_iters):
 
 @pytest.mark.parametrize("kind, seed, stop, grid_stop", [
     *(("signal_recovery", seed, stop, grid_stop) for seed, stop, grid_stop in
-      zip(range(8), (478, 427, 601, 481, 479, 501, 484, 411),
-          (501, 501, 601, 501, 501, 501, 501, 501))),
-    ("sparse_image", 1, 4120, 4201),
+      zip(range(8), (478, 430, 525, 429, 438, 401, 446, 402),
+          (501, 501, 601, 501, 501, 401, 501, 501))),
+    ("sparse_image", 1, 2957, 3001),
 ])
 def test_stop_checks_fall_where_the_rule_places_them(kind, seed, stop,
                                                      grid_stop):
