@@ -415,8 +415,12 @@ STOCK_PARAMETERS = {
                       "root_threshold": 0.05},
         "solver": {"gamma": 1.9, "max_iters": 90000, "tol": 1e-6,
                    "trace_every": 100, "snapshots": True},
-        "schedule": {"kind": "cyclic_partition", "blocks": 4,
-                     "always_active": [0, 1]},
+        # every arm, then the four cells of ``cyclic_partition`` with 4 blocks
+        # and arms 0 and 1 always active: led by every arm, x is extrapolated
+        "schedule": {"kind": "explicit",
+                     "sets": [list(range(152)), [0, 1, *range(2, 40)],
+                              [0, 1, *range(40, 78)], [0, 1, *range(78, 115)],
+                              [0, 1, *range(115, 152)]]},
     },
     "sparse_image": {
         "dimensions": {"rows": 32, "cols": 32},

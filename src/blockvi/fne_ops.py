@@ -310,11 +310,12 @@ class BlockwiseConstantProjector(FneOperator):
             raise InvalidParameter("run lengths must be >= 1 and cover the signal")
         self.run_lengths = runs
         self._starts = np.concatenate([[0], np.cumsum(runs)[:-1]]).astype(int)
+        self._counts = np.array(runs)
+        self._lengths = self._counts.astype(np.float64)
 
     def _apply(self, y):
-        sums = np.add.reduceat(y, self._starts)
-        means = sums / np.asarray(self.run_lengths, dtype=np.float64)
-        return np.repeat(means, self.run_lengths)
+        means = np.add.reduceat(y, self._starts) / self._lengths
+        return means.repeat(self._counts)
 
     def describe(self):
         return {"kind": self.kind, "runs": list(self.run_lengths)}

@@ -181,7 +181,7 @@ class FiniteDifference1D(LinearOperator):
         super().__init__(BlockShape.vector(n), BlockShape.vector(n - 1))
 
     def _apply(self, x):
-        return np.diff(x)
+        return x[1:] - x[:-1]           # np.diff's own subtraction
 
     def _adjoint(self, y):
         out = np.zeros(self.input_shape.total)
@@ -359,6 +359,13 @@ class PairSum(LinearOperator):
     norm_sq = 2.0
 
 
+def _slices(sizes) -> tuple:
+    """The consecutive slices of the given sizes, from 0: the views that
+    ``np.split`` at their cumulative sums returns."""
+    ends = np.cumsum(list(sizes)).tolist()
+    return tuple(slice(a, b) for a, b in zip([0] + ends, ends))
+
+
 class BlockStack(LinearOperator):
     """Apply the j-th operator to the j-th input block and stack the outputs."""
 
@@ -372,19 +379,16 @@ class BlockStack(LinearOperator):
             BlockShape.product([op.input_shape for op in self.ops]),
             BlockShape.product([op.output_shape for op in self.ops]),
         )
-        self._in_sizes = [op.input_shape.total for op in self.ops]
-        self._out_sizes = [op.output_shape.total for op in self.ops]
-
-    def _split(self, x, sizes):
-        return np.split(x, np.cumsum(sizes)[:-1])
+        self._in_slices = _slices(op.input_shape.total for op in self.ops)
+        self._out_slices = _slices(op.output_shape.total for op in self.ops)
 
     def _apply(self, x):
-        parts = self._split(x, self._in_sizes)
-        return np.concatenate([op._apply(p) for op, p in zip(self.ops, parts)])
+        return np.concatenate([op._apply(x[s])
+                               for op, s in zip(self.ops, self._in_slices)])
 
     def _adjoint(self, y):
-        parts = self._split(y, self._out_sizes)
-        return np.concatenate([op._adjoint(p) for op, p in zip(self.ops, parts)])
+        return np.concatenate([op._adjoint(y[s])
+                               for op, s in zip(self.ops, self._out_slices)])
 
     @functools.cached_property
     def norm_sq(self):

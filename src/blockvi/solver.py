@@ -81,42 +81,32 @@ of ``trace_every``, at its last iteration, and, when the last two checks
 ln(tol / r) / rho, rho = ln(r / r') / (n - n'), where the residual meets
 ``tol`` if it keeps its rate.  Checks only read x, so they move no iterate.
 
-Every schedule is accelerated by safeguarded type-II Anderson extrapolation
-(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of a *span map*.  A span is
-the smallest whole number of periods that holds at least ``_Anderson.SPAN`` =
-2 base iterations: S = 2 for ``full`` and for a period of 2, S = 4 for a
-cyclic schedule of 4 cells, and S = 5 for a period of 5 (the stock
-``mod_skip`` manifests).  One extrapolation step costs a fair share of a
-cheap base iteration, so it is taken once per span, not after every
+A schedule whose period starts with the set of all arms (``full``,
+``mod_skip``, or such an ``explicit`` period) is accelerated by safeguarded
+type-II Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49(4),
+2011) of a *span map*.  A span is the smallest whole number of periods that
+holds at least ``_Anderson.SPAN`` = 2 base iterations: S = 2 for ``full`` and
+for a period of 2, and S = 5 for a period of 5 (the stock ``mod_skip`` and
+``signal_recovery`` manifests).  One extrapolation step costs a fair share of
+a cheap base iteration, so it is taken once per span, not after every
 iteration.  On the stock image run (``full``), spans of 2 rather than 5 cut
 the iterations to ``tol`` by about a third, for 6-13% more time per
-iteration.
-``SolverConfig(accelerate=False)`` runs every schedule plain.
+iteration.  Every span starts by rebuilding every row from x_{kS}, so the
+span map Phi: x_{kS} -> x_{(k+1)S} depends on x alone, and x is
+extrapolated.  Any other period (``cyclic_partition``, other ``explicit``
+periods) leaves rows stale when a span starts, so it runs plain, as does
+every schedule under ``SolverConfig(accelerate=False)``.
 
-  * When the period starts with the set of all arms (``full``, ``mod_skip``,
-    or such an ``explicit`` period), every span starts by rebuilding every
-    row from x_{kS}, so the span map Phi: x_{kS} -> x_{(k+1)S} depends on x
-    alone, and x is extrapolated.
-  * Otherwise (``cyclic_partition``, other ``explicit`` periods) some rows
-    are stale when a span starts, and the rows are extrapolated instead:
-    Psi: t_{kS-1} -> t_{(k+1)S-1} on the flattened G x n array (G groups),
-    where x_{kS} = P_C(sum_g V_g t_{g,kS-1}) and the span then runs as usual.
-    Psi depends on the rows alone.  After each step x = P_C(sum_g V_g t_g).
+The fixed points are the right ones.  If Phi(x*) = x*, the plain iteration
+started at x* is S-periodic.  It converges by the paper's theorem, so it is
+constant.  Every row is refreshed within a span, so each is its refresh at
+the constant x*, which is then a fixed point of every step and solves the
+variational inequality.
 
-The fixed points are the right ones.  If Phi(x*) = x* or Psi(t*) = t*, the
-plain iteration started there is S-periodic.  It converges -- for Psi this
-needs convergence from arbitrary initial auxiliary points t_{i,-1}, which the
-paper's block iteration takes as free data beside x_0 (every cyclic run
-relies on the same property, since its first set leaves most t_i at their
-initial values; a row tau_g is the run whose arms of g all start at tau_g) --
-so a periodic run is constant.  Every group is refreshed within a span, so
-each row is its refresh at the constant x*, which is then a fixed point of
-every step and solves the variational inequality.
-
-Both maps are also nonexpansive.  Call a *block* a multi-arm atom whose arms
-share the bound b_c, or else a group of an atom without a shared bound; a
-group lies in one atom, so every group lies in exactly one block, and a block
-is always refreshed whole.  Write tau_B = sum_{g in B} (V_g / V_B) tau_g.  A
+Phi is also nonexpansive.  Call a *block* a multi-arm atom whose arms share
+the bound b_c, or else a group of an atom without a shared bound; a group
+lies in one atom, so every group lies in exactly one block, and a block is
+always refreshed whole.  Write tau_B = sum_{g in B} (V_g / V_B) tau_g.  A
 refresh sets tau_B to a nonexpansive map of x: for a shared-bound atom tau_B =
 x - (gamma / b_c) L_c*(F_c(L_c x) - p_c), where F_c is firmly nonexpansive,
 b_c >= ||L_c||^2 and gamma < 2; otherwise tau_B is the convex combination
@@ -125,19 +115,15 @@ same kind with b_i >= ||L_i||^2.  Take two runs and let M_n be the largest of
 ||x_n - y_n|| and the distances ||tau_B - tau_B'||.  A refresh gives
 ||tau_B - tau_B'|| <= ||x_n - y_n||, a stale block keeps its distance, and the
 projected average obeys ||x_{n+1} - y_{n+1}|| <= sum_B V_B ||tau_B - tau_B'||
-(V_B >= 0, sum V_B = 1), so M_n never grows.  For Phi the first set of a span
+(V_B >= 0, sum V_B = 1), so M_n never grows.  The first set of a span
 refreshes every block, so M_1 <= ||x - y|| and ||Phi(x) - Phi(y)|| <=
 ||x - y||; for ``full``, Phi = T^S for the nonexpansive map T of one base
-iteration.  For Psi, M_0 <= max_B ||tau_B - tau_B'|| and every block is
-refreshed within the span, so Psi is nonexpansive in max_B ||tau_B - tau_B'||,
-a norm on the rows when every block is one group (as on the stock
-``signal_recovery`` manifest), and the run after a span boundary depends on
-the rows only through the tau_B.
+iteration.
 
-At each span boundary the start s_k of the span just run (x, or the rows)
-and its image f_k (Phi(s_k), or Psi(s_k)) give g_k = f_k - s_k.  With the
-differences dG, dF of the last m = 5 pairs (g, f), the step solves the
-regularised least-squares problem
+At each span boundary the start s_k of the span just run and its image
+f_k = Phi(s_k) give g_k = f_k - s_k.  With the differences dG, dF of the
+last m = 5 pairs (g, f), the step solves the regularised least-squares
+problem
 
     (dG^T dG + lambda I) a = dG^T g_k,   lambda = 1e-10 ||dG||_F^2,
 
@@ -149,8 +135,8 @@ has run.  Its span is kept when both
 
 hold, and the candidate is accepted when also ||f_k - s_k|| <= C min_j
 ||f_j - s_j||, C = 2, with the minimum over the earlier base points whose
-span was kept (the first, s_0 = x_0 or the initial rows, every plain step
-and every kept candidate) and n_kept the spans kept so far.  (These C and K
+span was kept (the first, s_0 = x_0, every plain step and every kept
+candidate) and n_kept the spans kept so far.  (These C and K
 are ``_Anderson.C`` and ``_Anderson.K``, not the constraint set or the
 covering constant.)  The C test is the monotonicity control of Henderson &
 Varadhan (J. Comput. Graph. Stat. 28(4), 2019); the bound on n_kept is the
@@ -162,21 +148,20 @@ has the one secant pair s_k -> f_k -> f_{k+1}; otherwise -- or for a
 non-finite candidate, or a failed solve -- the span is discarded and the
 next one starts from the plain step of the base point before it.  The
 global-convergence theorem of Zhang et al. is proved for type-I steps on an
-averaged map; Phi and Psi are shown above to be nonexpansive only, so that
-theorem is not claimed here, and neither test adds one.  What holds: every
-accepted residual ||f_k - s_k|| is within C times the least residual before
-it, and every kept one within K times it; the kept residuals are summable,
-since n_kept counts every kept span; if only finitely many spans are kept,
-the base points follow the plain span map from some point on and converge by
-the paper's theorem; and the extrapolated point only ever starts a span.
+averaged map; Phi is shown above to be nonexpansive only, so that theorem
+is not claimed here, and neither test adds one.  What holds: every accepted
+residual ||f_k - s_k|| is within C times the least residual before it, and
+every kept one within K times it; the kept residuals are summable, since
+n_kept counts every kept span; if only finitely many spans are kept, the
+base points follow the plain span map from some point on and converge by the
+paper's theorem; and the extrapolated point only ever starts a span.
 Residuals, trace records and the returned solution are taken at projected
 loop iterates, so they lie in C, and a run reports CONVERGED only on the
 plain loop's residual test.  The record before a span start keeps the
 explicit residual, because that span starts at the candidate, not at the
 loop iterate.  The iteration count includes the discarded spans.  The
 ``step_norm`` of the record at a span start is measured from that span's
-start: the candidate, or P_C(sum_g V_g t_g) at the candidate rows, when one
-runs.
+start: the candidate, when one runs.
 """
 
 from __future__ import annotations
@@ -431,7 +416,9 @@ class SolveStatus(enum.Enum):
 @dataclass(frozen=True)
 class SolveResult:
     """``acceleration`` is ``{"memory", "accepted", "rejected"}`` (the counts
-    of Anderson candidates) for an accelerated run, else None."""
+    of Anderson candidates) for an accelerated run, ``{"skipped": why}`` when
+    acceleration was asked for but the schedule's period does not start with
+    every arm, and None when it was not asked for."""
 
     solution: SpacePoint
     trace: SolverTrace
@@ -524,8 +511,8 @@ def _refresh(cell, x: np.ndarray, t: np.ndarray,
 
 
 class _Anderson:
-    """Safeguarded type-II Anderson extrapolation of a span map, Phi or Psi
-    (see the module docstring).  :meth:`next_start` takes the image of the
+    """Safeguarded type-II Anderson extrapolation of the span map Phi (see
+    the module docstring).  :meth:`next_start` takes the image of the
     current span's start and returns the start of the next span; it keeps
     the arrays it is given and returns, so callers must not write to them.
     A candidate's span is kept when its residual is within ``K`` times the
@@ -633,9 +620,9 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     The residual is ``vi_residual``'s, over :attr:`Problem.groups`; when
     the next iteration refreshes those groups at the checked iterate, that
     refresh sums the gradient instead.  When ``config.accelerate``
-    holds, each span of whole periods starts at the Anderson extrapolation
-    of the previous ones: of x when the period starts with every arm, of the
-    rows otherwise (see the module docstring).  Deterministic given (problem, schedule, config)."""
+    holds and the period starts with every arm, each span of whole periods
+    starts at the Anderson extrapolation of x over the previous ones (see the
+    module docstring).  Deterministic given (problem, schedule, config)."""
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
     if config.x0.shape != problem.domain_shape:
@@ -682,17 +669,10 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     x = config.x0.data
     span = -(-_Anderson.SPAN // period) * period
     # a span led by every arm rebuilds every row from x, so x is its state
-    on_x = refreshes_all[0]
-    accel = None
-    if config.accelerate:
-        accel = _Anderson(x if on_x else t.flatten())
+    accel = _Anderson(x) if config.accelerate and refreshes_all[0] else None
     for n in range(config.max_iters):
         if accel is not None and n and n % span == 0:
-            if on_x:
-                x = accel.next_start(x)
-            else:    # t is written in place: the accelerator keeps copies
-                t[...] = accel.next_start(t.flatten()).reshape(t.shape)
-                x = problem.constraint.array_projector(masses @ t)
+            x = accel.next_start(x)
         prev_x = x
         # a pending record waits on this refresh, which refreshes every row
         grad = None if pending is None else np.zeros_like(x)
@@ -716,5 +696,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     if accel is not None:
         acceleration = {"memory": accel.MEMORY, "accepted": accel.accepted,
                         "rejected": accel.rejected}
+    elif config.accelerate:
+        acceleration = {"skipped": "the period does not start with every arm"}
     return SolveResult(SpacePoint(x, problem.domain_shape), trace, status,
                        acceleration)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from blockvi.cli import (
 )
 from blockvi.cli.experiments import STOCK_PARAMETERS
 from blockvi.cli.main import main
+from blockvi.cli.runner import _build_schedule, _solver_config
 from blockvi.errors import (
     FormatError,
     InvalidParameter,
@@ -201,8 +203,9 @@ def test_manifest_rejects_schedule_keys_the_kind_ignores(tmp_path, capsys,
 
 _DROP = object()
 
-# single mutations of the stock signal_recovery manifest, each breaking one
-# keyword of the schema (or none): (id, path, new value or _DROP)
+# single mutations of the signal_recovery manifest under the cyclic schedule
+# of its stock cells (_cyclic_signal_manifest), each breaking one keyword of
+# the schema (or none): (id, path, new value or _DROP)
 _MUTATIONS = [
     ("missing kind", ("kind",), _DROP),
     ("missing output_dir", ("output_dir",), _DROP),
@@ -239,8 +242,19 @@ _MUTATIONS = [
 ]
 
 
+def _cyclic_signal_manifest(seed, **solver_overrides):
+    """The stock signal_recovery manifest with the cells of its period as a
+    ``cyclic_partition`` (arms 0 and 1 always active): a period that does not
+    start with every arm, so it runs plain."""
+    payload = _small_manifest("signal_recovery", seed, **solver_overrides)
+    payload["schedule"] = {"kind": "cyclic_partition", "blocks": 4,
+                           "always_active": [0, 1]}
+    return payload
+
+
 def _mutated(path, value):
     payload = copy.deepcopy(default_manifest("signal_recovery", 1))
+    payload["schedule"] = _cyclic_signal_manifest(1)["schedule"]
     node = payload
     for key in path[:-1]:
         node = node[key]
@@ -301,10 +315,10 @@ def test_default_manifest_shares_nothing_with_the_stock_parameters():
     # its lists used to be the stock lists, so an edit in place reached every
     # later manifest of the kind
     stock = copy.deepcopy(STOCK_PARAMETERS["signal_recovery"])
-    default_manifest("signal_recovery", 1)["schedule"]["always_active"].append(2)
+    default_manifest("signal_recovery", 1)["schedule"]["sets"][1].append(40)
     assert STOCK_PARAMETERS["signal_recovery"] == stock
     fresh = default_manifest("signal_recovery", 1)
-    assert fresh["schedule"]["always_active"] == stock["schedule"]["always_active"]
+    assert fresh["schedule"]["sets"] == stock["schedule"]["sets"]
 
 
 def test_manifest_rejects_solver_x0(tmp_path, capsys):
@@ -701,9 +715,30 @@ def test_summary_reports_acceleration_only_when_on(tmp_path):
         path = _write_manifest(d, _small_manifest(kind, 2))
         run_manifest(load_manifest(path))
         summary = json.loads((d / "results" / "summary.json").read_text())
-        # mod_skip with period 5 and full on x, cyclic on the auxiliary rows
+        # mod_skip and signal's period of 5, and full: each led by every arm
         acc = summary["acceleration"]
         assert acc["memory"] == 5 and acc["accepted"] + acc["rejected"] > 0
+
+
+def test_summary_says_why_a_cyclic_run_is_not_accelerated(tmp_path):
+    # the stock signal cells without the set of every arm in front: the run
+    # is the plain run bit for bit, and summary.json says why
+    payload = _cyclic_signal_manifest(2)
+    run_manifest(load_manifest(_write_manifest(tmp_path, payload)))
+    out = tmp_path / "results"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["acceleration"] == {
+        "skipped": "the period does not start with every arm"}
+    problem = generate_experiment("signal_recovery", payload["dimensions"], 2,
+                                  payload["noise"], payload["operators"]).problem
+    plain = solve(problem, _build_schedule(payload["schedule"], problem.arm_count),
+                  dataclasses.replace(_solver_config(payload["solver"],
+                                                     problem.domain_shape),
+                                      accelerate=False))
+    assert plain.acceleration is None
+    assert read_vector_csv(out / "recovered.csv").tobytes() == \
+        plain.solution.data.tobytes()
+    assert summary["iterations"] == plain.trace.records[-1].n + 1
 
 
 def test_module_entry_point_runs_without_runpy_warning():
@@ -944,7 +979,7 @@ def test_trace_plot_reads_a_run_that_stops_off_the_grid(tmp_path):
     out = tmp_path / "results"
     ns = [int(line.split(",")[0])
           for line in (out / "trace.csv").read_text().splitlines()[1:]]
-    assert ns[-1] == 429 and ns[-1] % payload["solver"]["trace_every"]
+    assert ns[-1] == 279 and ns[-1] % payload["solver"]["trace_every"]
     dest = tmp_path / "series.csv"
     assert main(["trace-plot", str(out / "trace.csv"), "--ref",
                  str(out / "recovered.csv"), "--out", str(dest)]) == 0

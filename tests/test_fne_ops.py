@@ -152,6 +152,18 @@ def test_blockwise_constant_mean():
     np.testing.assert_array_equal(op.apply(SpacePoint([1.0, 3.0])).data, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("runs", [[1], [8] * 16, [3, 1, 7, 2, 5]])
+def test_blockwise_constant_means_as_before_bitwise(runs):
+    # the run lengths are kept as arrays; the means and their repeats are
+    # those of the per-call conversion, bit for bit
+    op = BlockwiseConstantProjector(runs, BlockShape.vector(sum(runs)))
+    rng = np.random.default_rng(len(runs))
+    y = rng.standard_normal(sum(runs)) * 10.0 ** rng.uniform(-8, 8, sum(runs))
+    starts = np.concatenate([[0], np.cumsum(runs)[:-1]]).astype(int)
+    means = np.add.reduceat(y, starts) / np.asarray(runs, dtype=np.float64)
+    assert op._apply(y).tobytes() == np.repeat(means, runs).tobytes()
+
+
 def test_linf_ball_componentwise():
     op = LinfBallProjector(1.0, BlockShape.vector(2))
     np.testing.assert_array_equal(op.apply(SpacePoint([2.0, -0.5])).data, [1.0, -0.5])

@@ -490,3 +490,28 @@ def test_block_stack_applies_blockwise(rng):
     out = op.apply(x)
     np.testing.assert_array_equal(out.data[:2], x.data[:2])
 
+
+def test_block_stack_splits_as_np_split_bitwise(rng):
+    # the blocks are precomputed slice views; np.split at the cumulative
+    # sizes gives the same views, so both maps keep every bit
+    op = BlockStack([Identity(BlockShape.vector(3)), Dct2D(4, 4),
+                     DenseMatrix(rng.standard_normal((5, 2)))])
+
+    def split(v, ops, size):
+        return np.split(v, np.cumsum([size(o) for o in ops])[:-1])
+
+    x = rng.standard_normal(op.input_shape.total)
+    y = rng.standard_normal(op.output_shape.total)
+    forward = np.concatenate([o._apply(p) for o, p in zip(
+        op.ops, split(x, op.ops, lambda o: o.input_shape.total))])
+    back = np.concatenate([o._adjoint(p) for o, p in zip(
+        op.ops, split(y, op.ops, lambda o: o.output_shape.total))])
+    assert op._apply(x).tobytes() == forward.tobytes()
+    assert op._adjoint(y).tobytes() == back.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 128, 1001])
+def test_finite_difference_is_np_diff_bitwise(rng, n):
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    assert FiniteDifference1D(n)._apply(x).tobytes() == np.diff(x).tobytes()
+

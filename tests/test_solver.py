@@ -12,6 +12,7 @@ from blockvi.cli import (
     write_matrix_csv,
     write_vector_csv,
 )
+from blockvi.cli.experiments import STOCK_PARAMETERS
 from blockvi.core import (ConstraintSet, Prescription, arm_gaps, arm_groups,
                           array_residual, assemble_problem, dense_rows,
                           gradient_residual, prescription_images, vi_residual)
@@ -232,7 +233,7 @@ def test_schedule_with_a_wrong_covering_constant_rejected():
 
 def test_hand_built_schedule_runs_as_make_schedules():
     # a repeated arm once made a hand-built period look shorter than the arm
-    # count, so it ran the rows' extrapolation instead of x's
+    # count, so it did not count as led by every arm and x was not extrapolated
     prob, xbar = mixed_arms_problem(0, False)
     sets = ((0, 1, 2, 3, 3),)
     hand = ActivationSchedule("explicit", sets, prob.arm_count)
@@ -377,15 +378,18 @@ def test_activation_atoms_split_by_membership():
     assert ActivationSchedule("explicit", [(2, 0), (1,)], 3).atoms == ((0, 2), (1,))
 
 
+def _signal_cyclic(problem):
+    """The four cells of the stock signal_recovery period, arms 0 and 1 in
+    each, as a ``cyclic_partition``: a period with no set of every arm."""
+    return make_schedule("cyclic_partition", problem.arm_count, blocks=4,
+                         always_active=[0, 1])
+
+
 def _signal_recovery_case():
     payload = default_manifest("signal_recovery", 7)
     data = generate_experiment("signal_recovery", payload["dimensions"], 7,
                                payload["noise"], payload["operators"])
-    spec = payload["schedule"]
-    sched = make_schedule(spec["kind"], data.problem.arm_count,
-                          blocks=spec["blocks"],
-                          always_active=spec["always_active"])
-    return data.problem, sched
+    return data.problem, _signal_cyclic(data.problem)
 
 
 def _feasibility_case():
@@ -521,6 +525,18 @@ def test_groups_stack_no_rows_that_no_group_holds(monkeypatch):
 
 _STOCK_KINDS = ["image_recovery", "signal_recovery", "sparse_image",
                 "source_separation"]
+
+
+def test_every_stock_period_starts_with_every_arm():
+    # so every stock run is extrapolated on x: a period led by any other set
+    # runs plain (test_periods_without_a_leading_full_set_run_plain)
+    assert set(STOCK_PARAMETERS) == {*_STOCK_KINDS, "custom"}
+    assert STOCK_PARAMETERS["custom"]["schedule"] == {"kind": "full"}
+    for kind in _STOCK_KINDS:
+        prob, sched, cfg = _stock_case(kind, 0)
+        assert sched.sets[0] == tuple(range(prob.arm_count)), kind
+        res = solve(prob, sched, dataclasses.replace(cfg, max_iters=12))
+        assert set(res.acceleration) == {"memory", "accepted", "rejected"}, kind
 
 
 def _membership_atoms(schedule):
@@ -676,11 +692,7 @@ def _signal_recovery_seed0():
     payload = default_manifest("signal_recovery", 0)
     data = generate_experiment("signal_recovery", payload["dimensions"], 0,
                                payload["noise"], payload["operators"])
-    spec = payload["schedule"]
-    sched = make_schedule(spec["kind"], data.problem.arm_count,
-                          blocks=spec["blocks"],
-                          always_active=spec["always_active"])
-    return data.problem, sched, payload["solver"]["gamma"]
+    return data.problem, _signal_cyclic(data.problem), payload["solver"]["gamma"]
 
 
 def test_grouped_solve_matches_public_arm_loop():
@@ -954,8 +966,8 @@ def _accel_config(accelerate=True, **kw):
 ])
 def test_periods_without_a_leading_full_set_run_plain(kind, kw):
     # a period that does not start with every arm: accelerate=False runs the
-    # per-arm iteration bitwise; with acceleration on, the auxiliary rows are
-    # extrapolated and the run lands on the plain solution
+    # per-arm iteration bitwise, and with acceleration asked for the run is
+    # that plain run bit for bit and says why it was not accelerated
     prob, _ = mixed_arms_problem(3, consistent=False)
     sched = make_schedule(kind, prob.arm_count, **kw)
     res = solve(prob, sched, _accel_config(False, max_iters=300,
@@ -972,13 +984,21 @@ def test_periods_without_a_leading_full_set_run_plain(kind, kw):
             t[i] = x - gammas[i] * p.linop._adjoint(image - p.target.data)
         x = prob.constraint.array_projector(v @ t)
         assert snap.data.tobytes() == x.tobytes(), k
+    _assert_runs_plain_with_acceleration_on(prob, sched)
+
+
+def _assert_runs_plain_with_acceleration_on(prob, sched):
+    """Asking ``sched``, whose period does not start with every arm, for
+    acceleration runs the plain run bit for bit and records why."""
     plain = solve(prob, sched, _accel_config(False))
     fast = solve(prob, sched, _accel_config())
+    assert plain.acceleration is None
+    assert fast.acceleration == {
+        "skipped": "the period does not start with every arm"}
     assert plain.status is fast.status is SolveStatus.CONVERGED
-    assert fast.acceleration["accepted"] > 0
-    assert fast.trace.records[-1].n < plain.trace.records[-1].n / 2
-    np.testing.assert_allclose(fast.solution.data, plain.solution.data,
-                               atol=1e-6)
+    assert fast.solution.data.tobytes() == plain.solution.data.tobytes()
+    assert [(r.n, r.residual, r.step_norm) for r in fast.trace.records] == \
+        [(r.n, r.residual, r.step_norm) for r in plain.trace.records]
 
 
 @pytest.mark.parametrize("kind,kw", [
@@ -1002,7 +1022,7 @@ def test_one_set_periods_accelerate_over_spans(kind, kw):
     ("full", {}, 2),
     ("mod_skip", {"expensive": [3], "period": 5}, 5),
     ("mod_skip", {"expensive": [3], "period": 2}, 2),
-    ("cyclic_partition", {"blocks": 4}, 4),
+    ("explicit", {"sets": [[0, 1, 2, 3], [0], [1, 2], [3]]}, 4),
 ])
 def test_anderson_steps_once_per_span(monkeypatch, kind, kw, span):
     # a span is the least whole number of periods with at least SPAN base
@@ -1215,10 +1235,16 @@ def test_anderson_nonfinite_candidate_never_runs(monkeypatch):
 
 
 def test_anderson_nonfinite_row_candidate_never_runs(monkeypatch):
-    # a cyclic schedule extrapolates the auxiliary rows, not x
+    # a cyclic schedule extrapolates nothing, so it forms no candidate at all:
+    # even a NaN regulariser leaves its accelerated run the plain one
     prob, _ = mixed_arms_problem(3, consistent=False)
     sched = make_schedule("cyclic_partition", prob.arm_count, blocks=2)
-    _nonfinite_candidates_run_plain(monkeypatch, prob, sched)
+    def never(self, x0):
+        raise AssertionError("a cyclic run built an accelerator")
+
+    monkeypatch.setattr(blockvi.solver._Anderson, "REG", float("nan"))
+    monkeypatch.setattr(blockvi.solver._Anderson, "__init__", never)
+    _assert_runs_plain_with_acceleration_on(prob, sched)
 
 
 def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
@@ -1280,7 +1306,8 @@ def test_accelerated_image_recovery_solves_the_vi():
 
 
 def test_accelerated_signal_recovery_solves_the_vi():
-    # cyclic: the auxiliary rows are extrapolated; C is the whole space
+    # the stock period is led by every arm, so x is extrapolated; C is the
+    # whole space
     gap, tol = _accelerated_stock_vi_gap("signal_recovery", 0, box=None)
     assert gap <= 10 * tol
 
@@ -1336,7 +1363,8 @@ def test_sparse_image_count_survives_a_last_bit_change(monkeypatch, seed, count)
 def test_acceleration_keeps_the_fixed_points(family, seed):
     # the prescription images F_i(L_i x) are the same across the solution
     # set, so at a tight tol the accelerated and plain runs of every schedule
-    # kind (x or the rows extrapolated) must give the same images
+    # kind (x extrapolated, or a cyclic period run plain) must give the same
+    # images
     if family == "mixed_arms":
         prob, _ = mixed_arms_problem(seed, consistent=False)
     else:
@@ -1370,11 +1398,10 @@ def _allowance(span, *points):
     return 16 * np.finfo(float).eps * span * sum(np.linalg.norm(p) for p in points)
 
 
-@pytest.mark.parametrize("kind", ["image_recovery", "sparse_image",
-                                  "source_separation"])
+@pytest.mark.parametrize("kind", _STOCK_KINDS)
 def test_span_map_of_x_is_nonexpansive(kind):
-    # full or mod_skip: every span starts by refreshing every row from x, so
-    # Phi is S plain iterations from x alone
+    # every stock period starts with every arm, so every span starts by
+    # refreshing every row from x, and Phi is S plain iterations from x alone
     prob, sched, cfg = _stock_case(kind, 0)
     assert len(sched.sets[0]) == prob.arm_count
     span = -(-blockvi.solver._Anderson.SPAN // len(sched.sets)) * len(sched.sets)
@@ -1396,47 +1423,6 @@ def test_span_map_of_x_is_nonexpansive(kind):
             assert np.linalg.norm(fy - fx) <= \
                 np.linalg.norm(d) + _allowance(span, x, x + d), (size, kind)
             d = fy - fx
-
-
-def test_span_map_of_rows_does_not_grow_the_block_distance(monkeypatch):
-    # cyclic: Psi maps the rows t_{kS-1} to t_{(k+1)S-1}.  solve hands the
-    # image of each span to next_start, which here returns the given starts
-    # in turn, so the images that follow them are Psi of the starts
-    prob, sched, cfg = _stock_case("signal_recovery", 0)
-    assert len(sched.sets[0]) < prob.arm_count
-    span = -(-blockvi.solver._Anderson.SPAN // len(sched.sets)) * len(sched.sets)
-    # every shared-bound atom is one group, so the blocks are the rows
-    bounds, own = step_bounds(prob, sched), prob.arrays.bounds
-    for atom in activation_atoms(sched):
-        if any(bounds[i] != own[i] for i in atom):
-            assert len(prob.atom_groups(atom)) == 1
-
-    def psi(*starts):
-        images = []
-
-        def next_start(self, f):
-            images.append(f.copy())
-            return starts[len(images) - 1] if len(images) <= len(starts) else f
-
-        monkeypatch.setattr(blockvi.solver._Anderson, "next_start", next_start)
-        solve(prob, sched, _config(gamma=cfg.gamma, tol=0.0, trace_every=span,
-                                   max_iters=span * (len(starts) + 1) + 1,
-                                   x0=SpacePoint.zeros(prob.domain_shape)))
-        return images[1:]
-
-    rows = len(sched.sets) + 2              # a fused row per cell, two arms
-    n = prob.domain_shape.total
-    rng = np.random.default_rng(22)
-    t = rng.standard_normal(rows * n)
-    for size in (1.0, 1e-4):
-        d = rng.standard_normal(rows * n)
-        for _ in range(6):
-            d *= size / np.linalg.norm(d)
-            ft, fu = psi(t, t + d)
-            before = np.linalg.norm(d.reshape(rows, n), axis=1).max()
-            after = np.linalg.norm((fu - ft).reshape(rows, n), axis=1).max()
-            assert after <= before + _allowance(span, t, t + d), size
-            d = fu - ft
 
 
 # ---------------------------------------------------------------------------
@@ -1491,16 +1477,17 @@ def test_every_record_reads_the_explicit_residual_bitwise(case, accelerate):
     # residual is array_residual at its own iterate, bit for bit: single
     # arms (the stock image run), cyclic cells of fused arms, whose explicit
     # pass sums the problem's own groups, not the cells', one fused group
-    # of 600 rows, and a period led by every arm whose atoms split the
-    # problem's fused groups, so no refresh serves its checks
+    # of 600 rows, and the stock signal period, led by every arm, whose
+    # atoms split the problem's fused groups, so no refresh serves its checks
     if case == "signal_led_by_every_arm":
         prob, sched, cfg = _stock_case("signal_recovery", 0)
-        sched = make_schedule("explicit", prob.arm_count,
-                              sets=[range(prob.arm_count), *sched.sets])
+        assert len(sched.sets[0]) == prob.arm_count
         cfg = dataclasses.replace(cfg, max_iters=600, tol=0.0, trace_every=1,
                                   keep_snapshots=True, accelerate=accelerate)
     elif case != "feasibility":
         prob, sched, cfg = _stock_case(case, 1)
+        if case == "signal_recovery":
+            sched = _signal_cyclic(prob)
         cfg = dataclasses.replace(cfg, max_iters=600, tol=0.0, trace_every=7,
                                   keep_snapshots=True, accelerate=accelerate)
     else:
@@ -1592,17 +1579,22 @@ def _checks_by_the_rule(residuals, tol, trace_every, max_iters):
     return checks
 
 
-@pytest.mark.parametrize("kind, seed, stop, grid_stop", [
-    *(("signal_recovery", seed, stop, grid_stop) for seed, stop, grid_stop in
-      zip(range(8), (478, 430, 525, 429, 438, 401, 446, 402),
-          (501, 501, 601, 501, 501, 401, 501, 501))),
-    ("sparse_image", 1, 2957, 3001),
-])
-def test_stop_checks_fall_where_the_rule_places_them(kind, seed, stop,
-                                                     grid_stop):
+# (stop, grid stop) of stock runs: the iterations to the stop, and to the
+# first check on the trace_every grid whose residual meets tol
+_STOPS = {
+    **{("signal_recovery", seed): stops for seed, stops in enumerate(
+        zip((336, 280, 429, 362, 397, 418, 351, 421),
+            (401, 301, 501, 401, 401, 501, 401, 501)))},
+    ("sparse_image", 1): (2957, 3001),
+}
+
+
+@pytest.mark.parametrize("kind, seed", list(_STOPS))
+def test_stop_checks_fall_where_the_rule_places_them(kind, seed):
     # checks only read x, so a run that records every residual (trace_every
     # = 1, tol = 0) has the same iterates; the reference rule, fed those
     # residuals, places the stock run's every record and its stop
+    stop, grid_stop = _STOPS[kind, seed]
     prob, sched, cfg = _stock_case(kind, seed)
     res = solve(prob, sched, cfg)
     every = solve(prob, sched, dataclasses.replace(
