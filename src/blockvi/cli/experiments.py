@@ -286,14 +286,19 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
     q1, prox, observed = _low_rank_observation(z, operators)
 
     radius = float(operators["sparsity_radius"])
-    if operators["log_penalty"]:
-        # log-penalty shrinkage made firmly nonexpansive by 0.95 scaling
-        gamma = 0.05 / radius ** 2
-        shrink = ScaledFne(lambda v: log_threshold(v, radius, gamma), 0.95,
-                           shape, sample_scale=radius)
-        sparsity = ResidualOf(shrink)
-    else:
-        sparsity = LinfBallProjector(radius, shape)
+    with _naming("sparse_image", sparsity_radius=radius):
+        if operators["log_penalty"]:
+            # log-penalty shrinkage made firmly nonexpansive by 0.95 scaling;
+            # gamma = 0.05 / radius^2 must lie below radius^2, and the spot
+            # check squares samples on the scale of the radius
+            if not 0.05 ** 0.25 < radius <= 1e150:
+                raise InvalidParameter("the log penalty needs 0.05^(1/4) < radius <= 1e150")
+            gamma = 0.05 / radius ** 2
+            shrink = ScaledFne(lambda v: log_threshold(v, radius, gamma), 0.95,
+                               shape, sample_scale=radius)
+            sparsity = ResidualOf(shrink)
+        else:
+            sparsity = LinfBallProjector(radius, shape)
 
     prescriptions = [
         Prescription(blur, prox.fne, prox.target, 0.5),
@@ -328,8 +333,10 @@ def _source_separation(dimensions, seed, noise, operators):
     transform = BlockStack([Identity(img), Dct2D(rows, cols)])
     radii = (float(operators["sparsity_radius_direct"]),
              float(operators["sparsity_radius_transform"]))
-    sparsity = Blockwise([LinfBallProjector(radii[0], img),
-                          LinfBallProjector(radii[1], img)])
+    with _naming("source_separation", sparsity_radius_direct=radii[0],
+                 sparsity_radius_transform=radii[1]):
+        sparsity = Blockwise([LinfBallProjector(radii[0], img),
+                              LinfBallProjector(radii[1], img)])
 
     prescriptions = [
         Prescription(pair_sum, prox.fne, prox.target, 0.5),

@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from ..errors import BlockviError, FormatError
+from ..errors import BlockviError, FormatError, MissingReference
 from .experiments import EXPERIMENT_KINDS, generate_experiment
 from .io import read_snapshots_csv, read_vector_csv, write_json
 from .manifest import default_manifest, load_manifest
@@ -66,7 +66,7 @@ def _cmd_trace_plot(args) -> int:
     snapshots_path = Path(args.snapshots) if args.snapshots else \
         trace_path.parent / "snapshots.csv"
     if not snapshots_path.exists():
-        raise BlockviError(
+        raise MissingReference(
             f"{snapshots_path}: no iterate snapshots found; rerun the "
             "manifest with solver.snapshots enabled")
     reference = read_vector_csv(args.ref)

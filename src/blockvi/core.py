@@ -80,7 +80,7 @@ class ConstraintSet:
 
     @classmethod
     def whole_space(cls) -> "ConstraintSet":
-        return cls(array_projector=lambda a: a)
+        return cls(array_projector=_identity)
 
     @classmethod
     def box(cls, lo, hi) -> "ConstraintSet":
@@ -88,7 +88,11 @@ class ConstraintSet:
         hi_a = np.asarray(hi, dtype=np.float64)
         if not np.all(lo_a <= hi_a):
             raise InvalidParameter("box bounds need lo <= hi componentwise")
-        return cls(array_projector=lambda a: clamp(a, lo_a, hi_a))
+        return cls(array_projector=functools.partial(clamp, lo=lo_a, hi=hi_a))
+
+
+def _identity(a: np.ndarray) -> np.ndarray:
+    return a
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,14 @@ class Problem:
         total = math.fsum(p.weight for p in pres)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise WeightSumError(f"weights sum to {total!r}, expected 1")
+        # C must map the domain into itself, which a box of another size does not
+        n = domain.total
+        try:
+            fits = np.shape(self.constraint.array_projector(np.zeros(n))) == (n,)
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeMismatch(f"the constraint does not project R^{n} into itself")
 
     @property
     def domain_shape(self) -> BlockShape:

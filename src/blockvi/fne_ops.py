@@ -331,13 +331,12 @@ class Blockwise(FneOperator):
             raise InvalidParameter("blockwise needs at least one operator")
         self.ops = list(ops)
         super().__init__(BlockShape.product([op.domain_shape for op in self.ops]))
-        self._sizes = [op.domain_shape.total for op in self.ops]
+        self._slices = BlockShape(tuple(op.domain_shape.total for op in self.ops)).slices
         self.is_projector = all(op.is_projector for op in self.ops)
         self.is_residual_projector = all(op.is_residual_projector for op in self.ops)
 
     def _apply(self, y):
-        parts = np.split(y, np.cumsum(self._sizes)[:-1])
-        return np.concatenate([op._apply(p) for op, p in zip(self.ops, parts)])
+        return np.concatenate([op._apply(y[s]) for op, s in zip(self.ops, self._slices)])
 
     def describe(self):
         return {"kind": self.kind, "blocks": [op.describe() for op in self.ops]}
@@ -391,15 +390,12 @@ class GroupShrinkage(FneOperator):
         if not np.all(r > 0):
             raise InvalidParameter("shrinkage radii must be positive")
         self.rhos = r
-        self._offsets = domain_shape.offsets()
 
     def _apply(self, y):
         out = np.empty_like(y)
-        for j in range(self.domain_shape.block_count):
-            lo, hi = self._offsets[j], self._offsets[j + 1]
-            block = y[lo:hi]
-            nrm = np.linalg.norm(block)
-            out[lo:hi] = (1.0 - self.rhos[j] / max(nrm, self.rhos[j])) * block
+        for where, rho in zip(self.domain_shape.slices, self.rhos):
+            block = y[where]
+            out[where] = (1.0 - rho / max(np.linalg.norm(block), rho)) * block
         return out
 
     def describe(self):
@@ -622,12 +618,10 @@ class BlockThresholdFne(FneOperator):
             raise InvalidParameter("thresholds must be positive")
         self.gammas = g
         self.projectors = [_as_array_map(p) for p in projectors]
-        self._offsets = domain_shape.offsets()
 
     def blocks(self, y: np.ndarray):
         """(slice, block, proj_j(block), d_j(block)) for each block j of y."""
-        for j, proj in enumerate(self.projectors):
-            where = slice(self._offsets[j], self._offsets[j + 1])
+        for where, proj in zip(self.domain_shape.slices, self.projectors):
             block = y[where]
             projected = np.asarray(proj(block), dtype=np.float64).reshape(-1)
             yield where, block, projected, np.linalg.norm(block - projected)

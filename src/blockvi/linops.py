@@ -359,13 +359,6 @@ class PairSum(LinearOperator):
     norm_sq = 2.0
 
 
-def _slices(sizes) -> tuple:
-    """The consecutive slices of the given sizes, from 0: the views that
-    ``np.split`` at their cumulative sums returns."""
-    ends = np.cumsum(list(sizes)).tolist()
-    return tuple(slice(a, b) for a, b in zip([0] + ends, ends))
-
-
 class BlockStack(LinearOperator):
     """Apply the j-th operator to the j-th input block and stack the outputs."""
 
@@ -379,8 +372,9 @@ class BlockStack(LinearOperator):
             BlockShape.product([op.input_shape for op in self.ops]),
             BlockShape.product([op.output_shape for op in self.ops]),
         )
-        self._in_slices = _slices(op.input_shape.total for op in self.ops)
-        self._out_slices = _slices(op.output_shape.total for op in self.ops)
+        # one slice per operator, not per block: a child may span several blocks
+        self._in_slices = BlockShape(tuple(op.input_shape.total for op in self.ops)).slices
+        self._out_slices = BlockShape(tuple(op.output_shape.total for op in self.ops)).slices
 
     def _apply(self, x):
         return np.concatenate([op._apply(x[s])

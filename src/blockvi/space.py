@@ -7,6 +7,7 @@ an image, or a matrix.  Product spaces are shapes with several blocks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -68,11 +69,11 @@ class BlockShape:
     def block_count(self) -> int:
         return len(self.lengths)
 
-    def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for n in self.lengths:
-            out.append(out[-1] + n)
-        return tuple(out)
+    @functools.cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """The slice of the flat array that holds each block, in order."""
+        ends = np.cumsum(self.lengths).tolist()
+        return tuple(slice(a, b) for a, b in zip([0] + ends, ends))
 
     def block_numpy_shape(self, j: int) -> tuple[int, ...]:
         ext = self.extents[j]
@@ -130,9 +131,7 @@ class SpacePoint:
         return SpacePoint(data, self._shape)
 
     def block(self, j: int) -> np.ndarray:
-        off = self._shape.offsets()
-        view = self._data[off[j]:off[j + 1]]
-        return view.reshape(self._shape.block_numpy_shape(j))
+        return self._data[self._shape.slices[j]].reshape(self._shape.block_numpy_shape(j))
 
     def _check_same_space(self, other: "SpacePoint"):
         if not isinstance(other, SpacePoint):

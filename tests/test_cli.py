@@ -437,6 +437,23 @@ def test_run_reports_a_misspelt_key(tmp_path, capsys):
     ("image_recovery", "operators", {"kernel_sigma": 1e300}, "kernel_sigma"),
     ("signal_recovery", "operators", {"root_threshold": 1e300},
      "root_threshold"),
+    ("sparse_image", "operators", {"sparsity_radius": 0.0}, "sparsity_radius"),
+    ("sparse_image", "operators", {"sparsity_radius": 0.0, "log_penalty": True},
+     "sparsity_radius"),
+    ("sparse_image", "operators", {"sparsity_radius": 1e-300, "log_penalty": True},
+     "sparsity_radius"),
+    ("sparse_image", "operators", {"sparsity_radius": 0.1, "log_penalty": True},
+     "sparsity_radius"),
+    ("sparse_image", "operators", {"sparsity_radius": 1e154, "log_penalty": True},
+     "sparsity_radius"),
+    ("sparse_image", "operators", {"sparsity_radius": 1e200, "log_penalty": True},
+     "sparsity_radius"),
+    ("sparse_image", "operators", {"sparsity_radius": 1e300, "log_penalty": True},
+     "sparsity_radius"),
+    ("source_separation", "operators", {"sparsity_radius_direct": 0.0},
+     "sparsity_radius_direct"),
+    ("source_separation", "operators", {"sparsity_radius_transform": -1.0},
+     "sparsity_radius_transform"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_generators_reject_sizes_they_cannot_draw(tmp_path, capsys, kind,

@@ -7,7 +7,16 @@ import pytest
 import blockvi.linops as linops
 from blockvi.core import Prescription
 from blockvi.errors import InvalidParameter, ShapeMismatch
-from blockvi.fne_ops import IdentityFne
+from blockvi.fne_ops import (
+    Blockwise,
+    BlockThresholdFne,
+    BoxProjector,
+    GroupShrinkage,
+    IdentityFne,
+    LinfBallProjector,
+    NonnegProjector,
+    SoftThreshold,
+)
 from blockvi.linops import (
     BlockStack,
     CircularConvolution2D,
@@ -508,6 +517,66 @@ def test_block_stack_splits_as_np_split_bitwise(rng):
         op.ops, split(y, op.ops, lambda o: o.output_shape.total))])
     assert op._apply(x).tobytes() == forward.tobytes()
     assert op._adjoint(y).tobytes() == back.tobytes()
+
+
+# a multi-block layout: a vector, a scalar, an image and a vector
+_CUT = BlockShape((3, 1, 16, 5), (None, None, (4, 4), None))
+
+
+def _offset_pairs(shape):
+    """(start, stop) of each block, summed one length at a time."""
+    out = [0]
+    for n in shape.lengths:
+        out.append(out[-1] + n)
+    return list(zip(out[:-1], out[1:]))
+
+
+def _blockwise_cut(rng):
+    op = Blockwise([LinfBallProjector(0.5, BlockShape.vector(3)),
+                    NonnegProjector(BlockShape.image(4, 4)),
+                    SoftThreshold(0.3, BlockShape((2, 5)))])
+    y = 2 * rng.standard_normal(op.domain_shape.total)
+    parts = np.split(y, np.cumsum([o.domain_shape.total for o in op.ops])[:-1])
+    return [op._apply(y)], [np.concatenate([o._apply(p) for o, p in zip(op.ops, parts)])]
+
+
+def _group_shrinkage_cut(rng):
+    op = GroupShrinkage([0.5, 2.0, 1.0, 3.0], _CUT)
+    y = 2 * rng.standard_normal(_CUT.total)
+    out = np.empty_like(y)
+    for (lo, hi), rho in zip(_offset_pairs(_CUT), op.rhos):
+        out[lo:hi] = (1.0 - rho / max(np.linalg.norm(y[lo:hi]), rho)) * y[lo:hi]
+    return [op._apply(y)], [out]
+
+
+def _block_threshold_cut(rng):
+    boxes = [BoxProjector(-0.5, 0.5, BlockShape.vector(n)) for n in _CUT.lengths]
+    op = BlockThresholdFne(boxes, [0.2, 0.1, 1.5, 0.4], _CUT)
+    y = 2 * rng.standard_normal(_CUT.total)
+    out = np.empty_like(y)
+    for (lo, hi), box, g in zip(_offset_pairs(_CUT), boxes, op.gammas):
+        block = y[lo:hi]
+        projected = box._apply(block)
+        d = np.linalg.norm(block - projected)
+        out[lo:hi] = projected if d <= g else block + (g / d) * (projected - block)
+    return [op._apply(y)], [out]
+
+
+def _space_point_cut(rng):
+    x = random_point(rng, _CUT)
+    return ([x.block(j) for j in range(_CUT.block_count)],
+            [x.data[lo:hi].reshape(_CUT.block_numpy_shape(j))
+             for j, (lo, hi) in enumerate(_offset_pairs(_CUT))])
+
+
+@pytest.mark.parametrize("cut", [_blockwise_cut, _group_shrinkage_cut,
+                                 _block_threshold_cut, _space_point_cut])
+def test_block_cuts_match_split_and_offsets_bitwise(rng, cut):
+    # every block cut reads BlockShape.slices; np.split at the cumulative
+    # sizes and offset pairs summed one length at a time give the same views
+    got, expected = cut(rng)
+    assert [(a.shape, a.tobytes()) for a in got] == \
+        [(b.shape, b.tobytes()) for b in expected]
 
 
 @pytest.mark.parametrize("n", [2, 3, 128, 1001])

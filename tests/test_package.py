@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import blockvi
 from blockvi.cli import (generate_experiment, load_manifest, read_pgm,
                          read_snapshots_csv, read_vector_csv, write_pgm)
+from blockvi.cli.main import _cmd_trace_plot, build_parser
 from blockvi.cli.manifest import MANIFEST_SCHEMA, default_manifest
 from blockvi.core import (ConstraintSet, Prescription, Problem, assemble_problem,
                           least_squares_objective)
@@ -20,6 +22,7 @@ from blockvi.errors import (
     FormatError,
     InvalidParameter,
     ManifestError,
+    MissingReference,
     ShapeMismatch,
 )
 from blockvi.fne_ops import ResidualOf, SingletonProjector
@@ -227,6 +230,10 @@ def _config(**given):
     pytest.param(lambda p: Problem(ConstraintSet.whole_space(), ()),
                  InvalidParameter, "at least one prescription is required",
                  id="problem-no-arms"),
+    pytest.param(lambda p: _cmd_trace_plot(build_parser().parse_args(
+                     ["trace-plot", str(p / "trace.csv"), "--ref", str(p / "x.csv")])),
+                 MissingReference, "snapshots.csv: no iterate snapshots found",
+                 id="trace-plot-no-snapshots"),
     pytest.param(lambda p: ActivationSchedule("explicit", (), 3), InvalidParameter,
                  "schedule must contain at least one index set",
                  id="schedule-no-sets"),
@@ -255,6 +262,10 @@ def _config(**given):
                      _two_entry_problem(), SpacePoint.zeros(BlockShape.vector(3))),
                  ShapeMismatch, "point lives outside the problem domain",
                  id="objective-point-shape"),
+    pytest.param(lambda p: assemble_problem(ConstraintSet.box(np.zeros(3), np.ones(3)),
+                                            _two_entry_problem().prescriptions),
+                 ShapeMismatch, r"the constraint does not project R\^2 into itself",
+                 id="constraint-box-size"),
     pytest.param(lambda p: BlockShape((4,), ((2, 2), None)), InvalidParameter,
                  "extents and lengths must align", id="block-shape-extents"),
     pytest.param(lambda p: SpacePoint(np.zeros(3), BlockShape.vector(4)),
@@ -267,3 +278,26 @@ def test_each_refusal_raises_its_typed_error(tmp_path, build, error, message):
     with pytest.raises(error, match=message) as info:
         build(tmp_path)
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("kind", ["image_recovery", "signal_recovery",
+                                  "sparse_image", "source_separation", "custom"])
+def test_stock_problems_pickle_and_solve_bitwise(tmp_path, kind):
+    # the constraint's projector is a partial of clamp or a module-level
+    # identity, not a lambda, so a stock problem pickles whole
+    operators = {}
+    if kind == "custom":
+        operators = {"matrix_csv": str(_written("m.csv", "1,2\n3,4\n5,-6\n")(tmp_path)),
+                     "rhs_csv": str(_written("b.csv", "value\n1\n2\n3\n")(tmp_path)),
+                     "box_bounds": [-0.5, 0.5]}
+    problem = generate_experiment(kind, {}, 0, {}, operators).problem
+    copy = pickle.loads(pickle.dumps(problem))
+    runs = [solve(p, make_schedule("full", p.arm_count),
+                  SolverConfig(1.9, 40, 0.0, SpacePoint.zeros(p.domain_shape),
+                               trace_every=5))
+            for p in (problem, copy)]
+    solution, copied = (r.solution.data.tobytes() for r in runs)
+    assert solution == copied
+    records, copied = ([(t.n, t.residual, t.step_norm, t.active_set_id)
+                        for t in r.trace.records] for r in runs)
+    assert records == copied and len(records) == 9
