@@ -14,6 +14,7 @@ import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -294,8 +295,8 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
             if not 0.05 ** 0.25 < radius <= 1e150:
                 raise InvalidParameter("the log penalty needs 0.05^(1/4) < radius <= 1e150")
             gamma = 0.05 / radius ** 2
-            shrink = ScaledFne(lambda v: log_threshold(v, radius, gamma), 0.95,
-                               shape, sample_scale=radius)
+            shrink = ScaledFne(partial(log_threshold, rho=radius, gamma=gamma),
+                               0.95, shape, sample_scale=radius)
             sparsity = ResidualOf(shrink)
         else:
             sparsity = LinfBallProjector(radius, shape)

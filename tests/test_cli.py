@@ -734,7 +734,9 @@ def test_summary_reports_acceleration_only_when_on(tmp_path):
         summary = json.loads((d / "results" / "summary.json").read_text())
         # mod_skip and signal's period of 5, and full: each led by every arm
         acc = summary["acceleration"]
-        assert acc["memory"] == 5 and acc["accepted"] + acc["rejected"] > 0
+        assert acc["memory"] == blockvi.solver._Anderson.MEMORY
+        assert acc["accepted"] + acc["rejected"] > 0
+        assert acc["accepted"] <= acc["kept"] and acc["restarts"] >= 0
 
 
 def test_summary_says_why_a_cyclic_run_is_not_accelerated(tmp_path):
@@ -996,7 +998,7 @@ def test_trace_plot_reads_a_run_that_stops_off_the_grid(tmp_path):
     out = tmp_path / "results"
     ns = [int(line.split(",")[0])
           for line in (out / "trace.csv").read_text().splitlines()[1:]]
-    assert ns[-1] == 279 and ns[-1] % payload["solver"]["trace_every"]
+    assert ns[-1] == 253 and ns[-1] % payload["solver"]["trace_every"]
     dest = tmp_path / "series.csv"
     assert main(["trace-plot", str(out / "trace.csv"), "--ref",
                  str(out / "recovered.csv"), "--out", str(dest)]) == 0

@@ -281,11 +281,15 @@ def test_each_refusal_raises_its_typed_error(tmp_path, build, error, message):
 
 
 @pytest.mark.parametrize("kind", ["image_recovery", "signal_recovery",
-                                  "sparse_image", "source_separation", "custom"])
+                                  "sparse_image", "source_separation", "custom",
+                                  "log_penalty"])
 def test_stock_problems_pickle_and_solve_bitwise(tmp_path, kind):
     # the constraint's projector is a partial of clamp or a module-level
-    # identity, not a lambda, so a stock problem pickles whole
+    # identity, and the log-penalty shrinkage a partial of log_threshold, not
+    # a lambda, so a stock problem pickles whole
     operators = {}
+    if kind == "log_penalty":
+        kind, operators = "sparse_image", {"log_penalty": True}
     if kind == "custom":
         operators = {"matrix_csv": str(_written("m.csv", "1,2\n3,4\n5,-6\n")(tmp_path)),
                      "rhs_csv": str(_written("b.csv", "value\n1\n2\n3\n")(tmp_path)),
