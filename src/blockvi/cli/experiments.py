@@ -10,7 +10,6 @@ reference signal.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -76,17 +75,6 @@ def _noise_for_snr(rng, reference: np.ndarray, snr_db: float) -> np.ndarray:
     g = rng.standard_normal(reference.shape)
     target = np.linalg.norm(reference) * 10.0 ** (-snr_db / 20.0)
     return g * (target / np.linalg.norm(g))
-
-
-@contextlib.contextmanager
-def _naming(kind: str, **operators):
-    """Re-raise an :class:`InvalidParameter` of a helper called inside as one
-    that names the manifest ``operators`` keys (and values) it was given."""
-    try:
-        yield
-    except InvalidParameter as exc:
-        given = ", ".join(f"{key!r} = {value!r}" for key, value in operators.items())
-        raise InvalidParameter(f"{kind} operators: {given}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +151,10 @@ def _image_recovery(dimensions, seed, noise, operators):
     cols = int(dimensions["cols"])
     # the phantom is scaled by its range, which one pixel does not have
     if rows * cols < 2:
-        raise InvalidParameter(
-            f"image_recovery dimensions: 'rows' * 'cols' must be >= 2, "
-            f"got {rows} x {cols}")
+        raise InvalidParameter("'rows' * 'cols' must be >= 2")
     # the kernel takes no draw, so a size or sigma it refuses fails first
-    size, sigma = int(operators["kernel_size"]), float(operators["kernel_sigma"])
-    with _naming("image_recovery", kernel_size=size, kernel_sigma=sigma):
-        kernel = make_gaussian_kernel(size, sigma)
+    kernel = make_gaussian_kernel(int(operators["kernel_size"]),
+                                  float(operators["kernel_sigma"]))
     rngs = _streams(seed, ["truth", "blur_noise", "phase_noise"])
     shape = BlockShape.image(rows, cols)
     truth = _smooth_image(rngs["truth"], rows, cols)
@@ -210,8 +195,7 @@ def _signal_recovery(dimensions, seed, noise, operators):
     m = int(dimensions["dictionary_rows"])
     block_count = int(operators["block_count"])
     if block_count < 1:
-        raise InvalidParameter("signal_recovery operators: 'block_count' must "
-                               f"be >= 1, got {block_count}")
+        raise InvalidParameter("'block_count' must be >= 1")
     if n % block_count:
         raise InvalidParameter("block_count must divide the signal length")
     rngs = _streams(seed, ["truth", "obs_noise", "dictionary", "dict_noise"])
@@ -229,8 +213,7 @@ def _signal_recovery(dimensions, seed, noise, operators):
 
     rho = float(operators["root_threshold"])
     dictionary = rngs["dictionary"].standard_normal((m, n))
-    with _naming("signal_recovery", root_threshold=rho):
-        clean = dead_zone_quartic_root(dictionary @ xbar.data, rho)
+    clean = dead_zone_quartic_root(dictionary @ xbar.data, rho)
     w3 = _noise_for_snr(rngs["dict_noise"], clean,
                         float(noise["dictionary_snr_db"]))
     chi = clean + w3
@@ -270,10 +253,8 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
     rows = int(dimensions["rows"])
     cols = int(dimensions["cols"])
     # the phantom's 2 x 2 patch starts at a row and a column in [2, size - 4)
-    for key, size in (("rows", rows), ("cols", cols)):
-        if size < 7:
-            raise InvalidParameter(
-                f"sparse_image dimensions: {key!r} must be >= 7, got {size}")
+    if min(rows, cols) < 7:
+        raise InvalidParameter("'rows' and 'cols' must be >= 7")
     rngs = _streams(seed, ["truth", "blur_noise"])
     shape = BlockShape.image(rows, cols)
     xbar = SpacePoint(_sparse_image(rngs["truth"], rows, cols), shape)
@@ -287,19 +268,18 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
     q1, prox, observed = _low_rank_observation(z, operators)
 
     radius = float(operators["sparsity_radius"])
-    with _naming("sparse_image", sparsity_radius=radius):
-        if operators["log_penalty"]:
-            # log-penalty shrinkage made firmly nonexpansive by 0.95 scaling;
-            # gamma = 0.05 / radius^2 must lie below radius^2, and the spot
-            # check squares samples on the scale of the radius
-            if not 0.05 ** 0.25 < radius <= 1e150:
-                raise InvalidParameter("the log penalty needs 0.05^(1/4) < radius <= 1e150")
-            gamma = 0.05 / radius ** 2
-            shrink = ScaledFne(partial(log_threshold, rho=radius, gamma=gamma),
-                               0.95, shape, sample_scale=radius)
-            sparsity = ResidualOf(shrink)
-        else:
-            sparsity = LinfBallProjector(radius, shape)
+    if operators["log_penalty"]:
+        # log-penalty shrinkage made firmly nonexpansive by 0.95 scaling;
+        # gamma = 0.05 / radius^2 must lie below radius^2, and the spot
+        # check squares samples on the scale of the radius
+        if not 0.05 ** 0.25 < radius <= 1e150:
+            raise InvalidParameter("the log penalty needs 0.05^(1/4) < radius <= 1e150")
+        gamma = 0.05 / radius ** 2
+        shrink = ScaledFne(partial(log_threshold, rho=radius, gamma=gamma),
+                           0.95, shape, sample_scale=radius)
+        sparsity = ResidualOf(shrink)
+    else:
+        sparsity = LinfBallProjector(radius, shape)
 
     prescriptions = [
         Prescription(blur, prox.fne, prox.target, 0.5),
@@ -318,8 +298,7 @@ def _source_separation(dimensions, seed, noise, operators):
     cols = int(dimensions["cols"])
     if rows * cols < _STAR_COUNT:
         raise InvalidParameter(
-            f"source_separation dimensions: 'rows' * 'cols' must be >= "
-            f"{_STAR_COUNT} (one pixel per star), got {rows * cols}")
+            f"'rows' * 'cols' must be >= {_STAR_COUNT} (one pixel per star)")
     rngs = _streams(seed, ["stars", "galaxy"])
     img = BlockShape.image(rows, cols)
     shape = BlockShape.product([img, img])
@@ -334,10 +313,8 @@ def _source_separation(dimensions, seed, noise, operators):
     transform = BlockStack([Identity(img), Dct2D(rows, cols)])
     radii = (float(operators["sparsity_radius_direct"]),
              float(operators["sparsity_radius_transform"]))
-    with _naming("source_separation", sparsity_radius_direct=radii[0],
-                 sparsity_radius_transform=radii[1]):
-        sparsity = Blockwise([LinfBallProjector(radii[0], img),
-                              LinfBallProjector(radii[1], img)])
+    sparsity = Blockwise([LinfBallProjector(radii[0], img),
+                          LinfBallProjector(radii[1], img)])
 
     prescriptions = [
         Prescription(pair_sum, prox.fne, prox.target, 0.5),
@@ -511,9 +488,20 @@ def generate_experiment(kind: str, dimensions: dict, seed: int,
     stock values from :data:`STOCK_PARAMETERS`.  A key named neither there
     nor among the kind's optional operators, or a value of another JSON type
     than the stock value (or a non-finite number), raises
-    :class:`InvalidParameter`."""
+    :class:`InvalidParameter`.  So does a value the kind's builder refuses,
+    named with every key whose value is not the stock one."""
     if kind not in _BUILDERS:
         raise InvalidParameter(f"unknown experiment kind {kind!r}")
-    return _BUILDERS[kind](_merged(kind, "dimensions", dimensions), int(seed),
-                           _merged(kind, "noise", noise),
-                           _merged(kind, "operators", operators))
+    merged = {section: _merged(kind, section, given) for section, given in
+              zip(("dimensions", "noise", "operators"), (dimensions, noise, operators))}
+    try:
+        return _BUILDERS[kind](seed=int(seed), **merged)
+    except InvalidParameter as exc:
+        # an optional operator has no stock value, and a given one is not None
+        changed = ", ".join(f"{section} {key!r} = {value!r}"
+                            for section, values in merged.items()
+                            for key, value in values.items()
+                            if value != STOCK_PARAMETERS[kind][section].get(key))
+        if not changed:
+            raise
+        raise InvalidParameter(f"{kind}: {changed}: {exc}") from None

@@ -288,13 +288,14 @@ def least_squares_objective(problem: Problem, x: SpacePoint) -> float:
 class _ArmGroup:
     """Arms that :func:`_fne_residuals` evaluates in one pass: a single arm
     with its own maps, or one-row dense arms with fused FNEs (``linop`` is the
-    ``DenseMatrix`` of their stacked rows, ``fne`` acts on them elementwise).
-    A group holds no weights: :func:`pullback` takes them."""
+    ``DenseMatrix`` of their stacked rows, ``fne`` acts on them elementwise),
+    with the arms' weights w_i, which no schedule changes."""
 
     arms: np.ndarray         # the arms, ascending
     linop: object
     fne: object
     target: np.ndarray
+    weights: np.ndarray      # w_i of ``arms``, in their order
 
 
 def dense_rows(problem: Problem, arms: Sequence[int]) -> np.ndarray:
@@ -308,8 +309,8 @@ def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
     """Split one activation atom into groups: for each FNE class, the atom's
     one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
     every other arm alone.  A fused group's map is the ``DenseMatrix`` of its
-    own arms' :func:`dense_rows`."""
-    pres = problem.prescriptions
+    own arms' :func:`dense_rows`.  Every group holds its arms' weights."""
+    pres, weights = problem.prescriptions, problem.arrays.weights
     atom = np.asarray(atom)
     one_row = problem.arrays.heights[atom] == 1
     by_class = {}                               # one-row arms, in atom order
@@ -325,10 +326,9 @@ def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
             continue
         groups.append(_ArmGroup(
             np.array(arms), DenseMatrix(dense_rows(problem, arms)), fne,
-            np.concatenate([p.target.data for p in members])))
-    for i in alone:
-        p = pres[i]
-        groups.append(_ArmGroup(np.array([i]), p.linop, p.fne, p.target.data))
+            np.concatenate([p.target.data for p in members]), weights[arms]))
+    groups += [_ArmGroup(np.array([i]), pres[i].linop, pres[i].fne,
+                         pres[i].target.data, weights[[i]]) for i in alone]
     return tuple(groups)
 
 
@@ -338,23 +338,21 @@ def _fne_residuals(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
     return group.fne._apply(group.linop._apply(x)) - group.target
 
 
-def pullback(group: _ArmGroup, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The direction d_g of ``group`` at x, with ``weights`` the arms' w_i in
-    the order of ``group.arms``: L_i*(r_i) for a single arm, and for a fused
-    group one adjoint A^T (w * r) of its stacked rows A, its share of
-    sum_i w_i L_i*(r_i); r_i = F_i(L_i x) - p_i."""
+def pullback(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
+    """The direction d_g of ``group`` at x: L_i*(r_i) for a single arm, and
+    for a fused group one adjoint A^T (w * r) of its stacked rows A and
+    weights w, its share of sum_i w_i L_i*(r_i); r_i = F_i(L_i x) - p_i."""
     r = _fne_residuals(group, x)
     if len(group.arms) == 1:
         return group.linop._adjoint(r)
-    return group.linop._adjoint(weights * r)
+    return group.linop._adjoint(group.weights * r)
 
 
-def gradient_share(group: _ArmGroup, direction: np.ndarray,
-                   weights: np.ndarray) -> np.ndarray:
+def gradient_share(group: _ArmGroup, direction: np.ndarray) -> np.ndarray:
     """What ``group`` adds to sum_i w_i L_i*(F_i(L_i x) - p_i), given its
     :func:`pullback` ``direction`` d_g at x: w_i d_g for a single arm, d_g
     itself for a fused group."""
-    return weights[0] * direction if len(group.arms) == 1 else direction
+    return group.weights[0] * direction if len(group.arms) == 1 else direction
 
 
 def _flat_point(problem: Problem, x) -> np.ndarray:
@@ -370,11 +368,9 @@ def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0) -> float
     :attr:`Problem.groups` adds its :func:`gradient_share` of sum_i w_i
     L_i*(F_i(L_i x) - p_i), in their order."""
     x = _flat_point(problem, x)
-    weights = problem.arrays.weights
     grad = np.zeros_like(x)
     for g in problem.groups:
-        w = weights[g.arms]
-        grad += gradient_share(g, pullback(g, x, w), w)
+        grad += gradient_share(g, pullback(g, x))
     return gradient_residual(problem, x, grad, theta)
 
 

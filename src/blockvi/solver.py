@@ -44,18 +44,18 @@ measures.  Averaging with the raw w_i instead would steer the iteration to
 a solution of a differently-weighted inequality whenever the bounds differ.
 
 The arms are evaluated in groups (:func:`blockvi.core.arm_groups`), built
-once per atom by :meth:`blockvi.core.Problem.atom_groups`.  A group holds no
-weights, so every solve reuses them; the residual evaluates those of all
-arms as one atom (:attr:`blockvi.core.Problem.groups`).  Every group is
-evaluated through its ``linop`` and ``fne`` (fused one-row dense arms
-through the ``DenseMatrix`` of their rows), and
-:func:`blockvi.core.pullback` reduces it to one direction d_g: L_i*(F_i(L_i
-x) - p_i) for a single arm, sum_{i in g} w_i L_i*(F_i(L_i x) - p_i) for a
-fused group.  The auxiliary state holds one row per group, not
-one per arm, and every row starts at x_0.  A group is refreshed whole, from
-one x, and the averaging step sees its arms only through their v-weighted
-mean tau_g = sum_{i in g} (v_i / V_g) t_i, V_g = sum_{i in g} v_i.  So the
-row of g is tau_g, a refresh sets
+once per atom by :meth:`blockvi.core.Problem.atom_groups`.  A group holds
+its arms' weights w_i, which no schedule changes, so every solve reuses
+them; the residual evaluates those of all arms as one atom
+(:attr:`blockvi.core.Problem.groups`).  Every group is evaluated through its
+``linop`` and ``fne`` (fused one-row dense arms through the ``DenseMatrix``
+of their rows), and :func:`blockvi.core.pullback` reduces it to one
+direction d_g: L_i*(F_i(L_i x) - p_i) for a single arm, sum_{i in g} w_i
+L_i*(F_i(L_i x) - p_i) for a fused group.  The auxiliary state holds one row
+per group, not one per arm, and every row starts at x_0.  A group is
+refreshed whole, from one x, and the averaging step sees its arms only
+through their v-weighted mean tau_g = sum_{i in g} (v_i / V_g) t_i,
+V_g = sum_{i in g} v_i.  So the row of g is tau_g, a refresh sets
 
     tau_g = x - a_g d_g,   a_g = gamma_i for a single arm,  a_g = kappa / V_g
                            for a fused group,  kappa = gamma / sum_j w_j b_j,
@@ -246,11 +246,13 @@ def validate_schedule(sets: Sequence[Sequence[int]], index_count: int) -> int:
     if not period:
         raise InvalidParameter("schedule must contain at least one index set")
     full = frozenset(range(index_count))
-    for s in period:
+    for k, s in enumerate(period):
         if not s:
-            raise EmptyBlock("activation sets must be nonempty")
-        if not frozenset(s) <= full:
-            raise InvalidParameter(f"activation set {s} outside 0..{index_count - 1}")
+            raise EmptyBlock("sets: activation sets must be nonempty")
+        outside = [i for i in s if not 0 <= i < index_count]
+        if outside:
+            raise InvalidParameter(f"sets: activation set {k} of the period has "
+                                   f"arms {outside} outside 0..{index_count - 1}")
     union = frozenset().union(*map(frozenset, period))
     if union != full:
         missing = sorted(full - union)
@@ -330,10 +332,10 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
         rest = [i for i in all_idx if i not in always]
         blocks = _integer(blocks, "blocks")
         if blocks < 1 or (rest and blocks > len(rest)):
-            raise InvalidParameter("block count must be in [1, #rotating arms]")
+            raise InvalidParameter("blocks: block count must be in [1, #rotating arms]")
         cells = [c.tolist() for c in np.array_split(np.array(rest, dtype=int), blocks)]
         if any(len(c) == 0 for c in cells):
-            raise EmptyBlock("cyclic partition contains an empty cell")
+            raise EmptyBlock("always_active: cyclic partition contains an empty cell")
         period_sets = [always + tuple(c) for c in cells]
     elif kind == "mod_skip":
         period = _integer(period, "period")
@@ -344,7 +346,8 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
             raise InvalidParameter(f"expensive arms {exp} outside 0..{index_count - 1}")
         cheap = tuple(i for i in all_idx if i not in exp)
         if not cheap and period > 1:
-            raise EmptyBlock("skipping every arm would leave empty iterations")
+            raise EmptyBlock(
+                "expensive: skipping every arm would leave empty iterations")
         period_sets = [all_idx] + [cheap] * (period - 1)
     else:
         period_sets = () if sets is None else sets
@@ -512,16 +515,15 @@ def _row_groups(problem: Problem, atoms, gamma: float,
 
 def _refresh(cell, x: np.ndarray, t: np.ndarray,
              grad: Optional[np.ndarray] = None):
-    """t[row] = x - a_g d_g for each (row, g, a_g, w_g) of ``cell``, with d_g
-    the :func:`blockvi.core.pullback` of g at x and w_g its arms' weights, in
-    place; every other row of ``t`` stays bitwise as it was.  Each group's
-    :func:`blockvi.core.gradient_share` is also added to ``grad`` when one is
-    given."""
-    for row, g, scale, weights in cell:
-        direction = pullback(g, x, weights)
+    """t[row] = x - a_g d_g for each (row, g, a_g) of ``cell``, with d_g the
+    :func:`blockvi.core.pullback` of g at x, in place; every other row of ``t``
+    stays bitwise as it was.  Each group's :func:`blockvi.core.gradient_share`
+    is also added to ``grad`` when one is given."""
+    for row, g, scale in cell:
+        direction = pullback(g, x)
         np.subtract(x, scale * direction, out=t[row])
         if grad is not None:
-            grad += gradient_share(g, direction, weights)
+            grad += gradient_share(g, direction)
 
 
 class _Anderson:
@@ -655,9 +657,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     bounds = np.array(step_bounds(problem, schedule))
     groups, masses, scales = _row_groups(problem, schedule.atoms, config.gamma,
                                          bounds)
-    weights = problem.arrays.weights
-    cells = [tuple((row, g, a, weights[g.arms])
-                   for row, (g, a) in enumerate(zip(groups, scales))
+    cells = [tuple((row, g, a) for row, (g, a) in enumerate(zip(groups, scales))
                    if g.arms[0] in s) for s in schedule.sets]
     period = len(cells)
     refreshes_all = [len(cell) == len(groups) for cell in cells]

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,83 @@ def test_every_admitted_edge_value_fails_typed_or_runs(tmp_path):
             untyped.append((kind, section, key, value, repr(exc)))
     assert k + 1 == 150
     assert untyped == []
+
+
+def _fuzz_cases(count, seed=5):
+    """``count`` seeded manifests of the generated kinds, each with a set of
+    the dimension, noise and operator keys it changed: each key takes an edge
+    value (a boolean either value) with probability 0.4, under the stock, a
+    ``full``, a ``cyclic_partition`` or a ``mod_skip`` schedule and at most
+    60 iterations."""
+    rng = np.random.default_rng(seed)
+    kinds = ("image_recovery", "signal_recovery", "sparse_image",
+             "source_separation")
+    schedules = (lambda: None, lambda: {"kind": "full"},
+                 lambda: {"kind": "cyclic_partition",
+                          "blocks": int(rng.integers(1, 5)),
+                          "always_active": [0] if rng.random() < 0.5 else []},
+                 lambda: {"kind": "mod_skip", "expensive": [0],
+                          "period": int(rng.integers(1, 6))})
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        payload = default_manifest(kind, int(rng.integers(4)),
+                                   output_dir=f"results{k}")
+        changed = set()
+        for section in ("dimensions", "noise", "operators"):
+            for key, stock in STOCK_PARAMETERS[kind][section].items():
+                if rng.random() >= 0.4:
+                    continue
+                values = ([True, False] if isinstance(stock, bool)
+                          else _edge_values(stock))
+                payload[section][key] = values[int(rng.integers(len(values)))]
+                if payload[section][key] != stock:
+                    changed.add(key)
+        schedule = schedules[int(rng.integers(len(schedules)))]()
+        if schedule is not None:
+            payload["schedule"] = schedule
+        payload["solver"]["max_iters"] = int(rng.integers(1, 61))
+        yield payload, changed
+
+
+@pytest.mark.filterwarnings("error")
+def test_seeded_key_combinations_fail_typed_naming_a_key_or_run(tmp_path):
+    # several keys of one stock manifest at a time under every schedule kind:
+    # each case runs (exit 0 or 2, with a summary) or raises a BlockviError,
+    # and a refusal of the kind's generator names a key the case changed;
+    # a kernel size, clip_max, fd_bound, n or svd_threshold_rel that the
+    # generator could not use once failed with a message that named none
+    untyped, unnamed = [], []
+    for k, (payload, changed) in enumerate(_fuzz_cases(600)):
+        path = _write_manifest(tmp_path, payload, name=f"manifest{k}.json")
+        try:
+            code = run_manifest(load_manifest(path))
+        except blockvi.BlockviError as exc:
+            frames = {f.name for f in traceback.extract_tb(exc.__traceback__)}
+            if "generate_experiment" in frames and "_merged" not in frames \
+                    and not any(re.search(rf"\b{key}\b", str(exc))
+                                for key in changed):
+                unnamed.append((payload["kind"], sorted(changed), str(exc)))
+            continue
+        except Exception as exc:        # any other exception is untyped
+            untyped.append((payload["kind"], sorted(changed), repr(exc)))
+            continue
+        assert code in (0, 2)
+        assert (tmp_path / f"results{k}" / "summary.json").is_file()
+    assert untyped == []
+    assert unnamed == []
+
+
+def test_stock_signal_sets_refuse_fewer_dictionary_rows_naming_the_arms(
+        tmp_path, capsys):
+    # the stock signal schedule names the 152 arms of 150 dictionary rows, and
+    # with 100 rows its refusal once printed the whole 152-arm first set
+    payload = _small_manifest("signal_recovery", 0)
+    payload["dimensions"]["dictionary_rows"] = 100
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sets: activation set 0 of the period has arms "
+        f"{list(range(102, 152))} outside 0..101"]
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("name,text", [

@@ -115,6 +115,26 @@ def test_no_module_level_scipy_import():
     assert offenders == []
 
 
+def test_no_private_numpy_import():
+    # the package declares numpy>=1.24, and a private module such as
+    # numpy.linalg._linalg exists in NumPy 2 alone, so no module imports,
+    # at any level, a name under numpy with a part that starts with _
+    root = Path(blockvi.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                          for name in names if name.split(".")[0] == "numpy"
+                          and any(part.startswith("_") for part in name.split("."))]
+    assert offenders == []
+
+
 def test_every_public_function_has_a_caller():
     # a public function that nothing outside its own module names is dead
     # weight; the package __init__s only re-export, so they do not count

@@ -179,6 +179,26 @@ def test_out_of_range_index_rejected():
         validate_schedule([[0, 5]], 2)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: make_schedule("cyclic_partition", 3, blocks=4), InvalidParameter,
+     r"blocks: block count must be in \[1, #rotating arms\]"),
+    (lambda: make_schedule("cyclic_partition", 3, blocks=2,
+                           always_active=[0, 1, 2]),
+     EmptyBlock, "always_active: cyclic partition contains an empty cell"),
+    (lambda: make_schedule("mod_skip", 3, expensive=[0, 1, 2], period=2),
+     EmptyBlock, "expensive: skipping every arm would leave empty iterations"),
+    (lambda: validate_schedule([[0], []], 2), EmptyBlock,
+     "sets: activation sets must be nonempty"),
+    (lambda: validate_schedule([[1], [-2, 0, 1, 2, 5]], 2), InvalidParameter,
+     r"sets: activation set 1 of the period has arms \[-2, 2, 5\] outside 0\.\.1"),
+], ids=["blocks", "always_active", "expensive", "empty-set", "outside"])
+def test_schedule_refusals_name_their_keyword(build, error, message):
+    # a manifest's schedule refusal once named no key to mend, and the one
+    # of an arm outside the problem printed the whole set
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 def test_validate_returns_minimal_k():
     # index 1 appears only every third set
     assert validate_schedule([[0, 1], [0], [0]], 2) == 3
@@ -757,11 +777,9 @@ def test_refresh_leaves_rows_outside_the_cell_bitwise():
     groups, _, scales = _row_groups(prob, atoms, gamma,
                                     np.asarray(step_bounds(prob, sched)))
     assert len(groups) == 2 + len(sched.sets)
-    weights = prob.arrays.weights
-    cell = [(row, g, a, weights[g.arms])
-            for row, (g, a) in enumerate(zip(groups, scales))
+    cell = [(row, g, a) for row, (g, a) in enumerate(zip(groups, scales))
             if g.arms[0] in active]
-    fused = [g.linop.matrix.shape[0] for _, g, _, _ in cell if len(g.arms) > 1]
+    fused = [g.linop.matrix.shape[0] for _, g, _ in cell if len(g.arms) > 1]
     assert fused == [len(active) - 2]          # the cell's dictionary rows
     rng = np.random.default_rng(3)
     t = rng.standard_normal((len(groups), prob.domain_shape.total))
@@ -886,9 +904,8 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
     assert [list(g.arms) for g in row_groups] == \
         [list(range(6)), [6, 8, 10], [7], [9], [11], [12]]
     t = rng.standard_normal((len(row_groups), n))
-    w = prob.arrays.weights
-    _refresh(tuple((row, g, a, w[g.arms])
-                   for row, (g, a) in enumerate(zip(row_groups, scales))), x, t)
+    _refresh(tuple((row, g, a) for row, (g, a) in enumerate(zip(row_groups, scales))),
+             x, t)
     for row, g in enumerate(row_groups):
         per_arm = [x - gammas[i] * rows[i] for i in g.arms]
         if len(g.arms) == 1:                   # the arm's own row, bitwise
