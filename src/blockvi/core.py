@@ -11,9 +11,10 @@ for any theta > 0, which is what :func:`vi_residual` measures.  C enters
 only through its projector on flat arrays (:class:`ConstraintSet`).
 
 One array kernel evaluates the arms a *group* at a time: it reduces
-r_i = F_i(L_i x) - p_i to the group's direction d_g (:func:`pullback`), and
-:func:`gradient_share` says what d_g adds to sum_i w_i L_i* r_i.  The
-residual sums those shares; the solver's refresh steps along d_g.  The
+r_i = F_i(L_i x) - p_i to the group's direction d_g (:func:`pullback`).  The
+residual (:func:`array_residual`) sums what each d_g adds to sum_i w_i L_i*
+r_i and can hand the d_g to its caller; the solver's refresh steps along d_g,
+and after a stop check reuses the directions that check computed.  The
 one-row ``DenseMatrix`` arms of an activation atom (arms the solver always
 refreshes together) whose FNEs fuse (``FneOperator.stacked``) form one group,
 whose ``linop`` is the ``DenseMatrix`` of its own stacked rows: one matvec,
@@ -29,7 +30,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +57,6 @@ __all__ = [
     "dense_rows",
     "arm_groups",
     "pullback",
-    "gradient_share",
     "array_residual",
     "gradient_residual",
     "arm_gaps",
@@ -71,7 +71,11 @@ WEIGHT_RENORM_WINDOW = 1e-9
 @dataclass(frozen=True)
 class ConstraintSet:
     """A closed convex set C represented by its (firmly nonexpansive)
-    projector on flat arrays; :meth:`projector` is the same map on points."""
+    projector on flat arrays; :meth:`projector` is the same map on points.
+
+    ``array_projector`` returns a new array or its argument, never storage
+    it keeps: the solver keeps the iterates it returns, as snapshots and as
+    the point whose directions a stop check hands to the next refresh."""
 
     array_projector: Callable[[np.ndarray], np.ndarray]
 
@@ -348,13 +352,6 @@ def pullback(group: _ArmGroup, x: np.ndarray) -> np.ndarray:
     return group.linop._adjoint(group.weights * r)
 
 
-def gradient_share(group: _ArmGroup, direction: np.ndarray) -> np.ndarray:
-    """What ``group`` adds to sum_i w_i L_i*(F_i(L_i x) - p_i), given its
-    :func:`pullback` ``direction`` d_g at x: w_i d_g for a single arm, d_g
-    itself for a fused group."""
-    return group.weights[0] * direction if len(group.arms) == 1 else direction
-
-
 def _flat_point(problem: Problem, x) -> np.ndarray:
     """``x`` as float64, which must be a flat array of the domain's size."""
     x = np.asarray(x, dtype=np.float64)
@@ -363,14 +360,20 @@ def _flat_point(problem: Problem, x) -> np.ndarray:
     return x
 
 
-def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0) -> float:
+def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
+                   directions: Optional[list] = None) -> float:
     """:func:`vi_residual` on a flat array.  Each group of
-    :attr:`Problem.groups` adds its :func:`gradient_share` of sum_i w_i
-    L_i*(F_i(L_i x) - p_i), in their order."""
+    :attr:`Problem.groups`, in their order, adds its share of sum_i w_i
+    L_i*(F_i(L_i x) - p_i) given its :func:`pullback` d_g: w_i d_g for a
+    single arm, d_g itself for a fused group.  A list given as
+    ``directions`` receives the d_g, in the same order."""
     x = _flat_point(problem, x)
     grad = np.zeros_like(x)
     for g in problem.groups:
-        grad += gradient_share(g, pullback(g, x))
+        d = pullback(g, x)
+        if directions is not None:
+            directions.append(d)
+        grad += d if len(g.arms) > 1 else g.weights[0] * d
     return gradient_residual(problem, x, grad, theta)
 
 

@@ -59,7 +59,8 @@ class LinearOperator:
     """Base class: subclasses implement ``_apply`` and ``_adjoint`` on flat arrays.
 
     ``_adjoint`` returns a new array or its argument, never storage the
-    operator keeps: the solver scales the rows it returns in place.
+    operator keeps: a stop check keeps the directions it returns for the
+    solver's next refresh.
     """
 
     kind = "abstract"

@@ -66,20 +66,17 @@ arm keeps its row t_i exactly, and the rows are ordered by each group's
 first arm, so a problem without fused groups runs the per-arm iteration bit
 for bit.
 
-The stop test needs sum_i w_i L_i*(F_i(L_i x) - p_i) at a loop iterate x,
-which is what :func:`blockvi.core.array_residual` sums, one
-:func:`blockvi.core.gradient_share` of d_g per group of
-:attr:`blockvi.core.Problem.groups`.  When the next iteration refreshes
-every row at x and the schedule's groups are those, in their order, the
-refresh computes every d_g at x anyway and sums the same shares, so such a
-check (the record of iteration n, written after the refresh of iteration
-n + 1) costs one projection and two norms, and reads ``array_residual`` bit
-for bit.  Every other check runs the explicit pass.  A run stops at the
-first check where that residual meets ``tol``.  It checks at every multiple
-of ``trace_every``, at its last iteration, and, when the last two checks
-(n', r') and (n, r) have tol < r < r', at the first iteration from n +
-ln(tol / r) / rho, rho = ln(r / r') / (n - n'), where the residual meets
-``tol`` if it keeps its rate.  Checks only read x, so they move no iterate.
+The stop test is the residual at a loop iterate x.  Every check evaluates
+it with :func:`blockvi.core.array_residual` over the groups of
+:attr:`blockvi.core.Problem.groups` and records it at once.  That pass
+computes every d_g at x, so when the next iteration refreshes every row at x
+and the schedule's groups are those, in their order, the refresh takes
+those directions and evaluates no arm.  A run stops at the first check where
+the residual meets ``tol``.  It checks at every multiple of ``trace_every``,
+at its last iteration, and, when the last two checks (n', r') and (n, r)
+have tol < r < r', at the first iteration from n + ln(tol / r) / rho, rho =
+ln(r / r') / (n - n'), where the residual meets ``tol`` if it keeps its
+rate.  Checks only read x, so they move no iterate.
 
 A schedule whose period starts with the set of all arms (``full``,
 ``mod_skip``, or such an ``explicit`` period) is accelerated by safeguarded
@@ -169,9 +166,9 @@ A progress restart only empties the memory, so the C and K tests, the ZOB
 bound (Zhang, O'Donoghue & Boyd), the summable kept residuals and the
 finite-kept-spans argument stand as written.  Residuals, trace records and
 the returned solution are taken at projected loop iterates, so they lie in
-C, and a run reports CONVERGED only on the plain loop's residual test.  The
-record before a span start keeps the explicit residual, because that span
-starts at the candidate, not at the loop iterate.  The iteration count
+C, and a run reports CONVERGED only on the plain loop's residual test.  A
+check before a span start hands its directions to no refresh, because that
+span starts at the candidate, not at the loop iterate.  The iteration count
 includes the discarded spans.  The ``step_norm`` of the record at a span
 start is measured from that span's start: the candidate, when one runs.
 """
@@ -188,8 +185,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Problem, array_residual, dense_rows, gradient_residual,
-                   gradient_share, pullback)
+from .core import Problem, array_residual, dense_rows, pullback
 from .core import vi_residual  # noqa: F401  (re-exported: benchmarks wrap it here)
 from .errors import CoverageError, EmptyBlock, InvalidParameter, ShapeMismatch
 from .linops import certified_norm_sq
@@ -514,16 +510,13 @@ def _row_groups(problem: Problem, atoms, gamma: float,
 
 
 def _refresh(cell, x: np.ndarray, t: np.ndarray,
-             grad: Optional[np.ndarray] = None):
-    """t[row] = x - a_g d_g for each (row, g, a_g) of ``cell``, with d_g the
-    :func:`blockvi.core.pullback` of g at x, in place; every other row of ``t``
-    stays bitwise as it was.  Each group's :func:`blockvi.core.gradient_share`
-    is also added to ``grad`` when one is given."""
+             directions: Optional[list] = None):
+    """t[row] = x - a_g d_g for each (row, g, a_g) of ``cell``, in place, with
+    d_g ``directions[row]`` when given, else the :func:`blockvi.core.pullback`
+    of g at x; every other row of ``t`` stays bitwise as it was."""
     for row, g, scale in cell:
-        direction = pullback(g, x)
+        direction = pullback(g, x) if directions is None else directions[row]
         np.subtract(x, scale * direction, out=t[row])
-        if grad is not None:
-            grad += gradient_share(g, direction)
 
 
 class _Anderson:
@@ -643,12 +636,13 @@ def solve(problem: Problem, schedule: ActivationSchedule,
     reached.  Step sizes and averaging weights use the bounds certified for
     the schedule's activation atoms, and the arms of each atom are evaluated
     in groups, with one auxiliary row per group (see the module docstring).
-    The residual is ``vi_residual``'s, over :attr:`Problem.groups`; when
-    the next iteration refreshes those groups at the checked iterate, that
-    refresh sums the gradient instead.  When ``config.accelerate``
-    holds and the period starts with every arm, each span of whole periods
-    starts at the Anderson extrapolation of x over the previous ones (see the
-    module docstring).  Deterministic given (problem, schedule, config)."""
+    Each check records ``vi_residual``'s value at its own iterate, from one
+    pass over :attr:`Problem.groups`; when the next iteration refreshes those
+    groups at that iterate, it reuses the pass's directions.  Snapshots stay
+    arrays until the run ends.  When ``config.accelerate`` holds and the
+    period starts with every arm, each span of whole periods starts at the
+    Anderson extrapolation of x over the previous ones (see the module
+    docstring).  Deterministic given (problem, schedule, config)."""
     if schedule.index_count != problem.arm_count:
         raise InvalidParameter("schedule was built for a different arm count")
     if config.x0.shape != problem.domain_shape:
@@ -661,59 +655,48 @@ def solve(problem: Problem, schedule: ActivationSchedule,
                    if g.arms[0] in s) for s in schedule.sets]
     period = len(cells)
     refreshes_all = [len(cell) == len(groups) for cell in cells]
-    # a refresh of every row serves a check only when its groups are the
-    # residual's, in the same order, so that it sums the same shares
+    # a refresh of every row can take a check's directions only when its
+    # groups are the residual's, in the same order
     same = ([g.arms.tolist() for g in groups]
             == [g.arms.tolist() for g in problem.groups])
-    serves = [whole and same for whole in refreshes_all]
+    reuses = [whole and same for whole in refreshes_all]
     t = np.tile(config.x0.data, (len(groups), 1))
 
     trace = SolverTrace()
     started = time.perf_counter()
     if config.keep_snapshots:
         trace.iterates.append((0, 0.0, config.x0))
-    pending = None      # (n, x, step_norm) of the unwritten record
     due = math.inf      # the predicted check, from the last two records
-
-    def record(grad=None) -> bool:
-        """Write the pending record.  Its residual comes from ``grad``, the
-        gradient at its iterate summed by the refresh that serves it, or else
-        from the explicit pass.  True when the run stops there."""
-        nonlocal pending, due
-        (n, x, step_norm), pending = pending, None
-        residual = (array_residual(problem, x) if grad is None
-                    else gradient_residual(problem, x, grad))
-        seconds = time.perf_counter() - started
-        trace.add(n, seconds, residual, step_norm, n % period)
-        if config.keep_snapshots:
-            trace.iterates.append((n + 1, seconds, SpacePoint(x, problem.domain_shape)))
-        due = _crossing(trace.records[-2:], config.tol)
-        return residual <= config.tol
-
     x = config.x0.data
     span = -(-_Anderson.SPAN // period) * period
     # a span led by every arm rebuilds every row from x, so x is its state
     accel = _Anderson(x) if config.accelerate and refreshes_all[0] else None
+    directions = None   # the d_g of the last check, for a refresh that reuses them
     for n in range(config.max_iters):
         if accel is not None and n and n % span == 0:
             x = accel.next_start(x)
         prev_x = x
-        # a pending record waits on this refresh, which refreshes every row
-        grad = None if pending is None else np.zeros_like(x)
-        _refresh(cells[n % period], x, t, grad)
-        if grad is not None and record(grad):
-            break
+        _refresh(cells[n % period], x, t, directions)
+        directions = None
         x = problem.constraint.array_projector(masses @ t)
         if n % config.trace_every == 0 or n == config.max_iters - 1 or n >= due:
             if not np.isfinite(x).all():
                 raise InvalidParameter("SpacePoint entries must be finite")
-            step = x - prev_x
-            pending = (n, x, math.sqrt(step @ step))
             m = n + 1       # does the next iteration refresh every row at x?
-            if not (m < config.max_iters and serves[m % period]
-                    and (accel is None or m % span)) and record():
+            if reuses[m % period] and (accel is None or m % span):
+                directions = []
+            residual = array_residual(problem, x, directions=directions)
+            seconds = time.perf_counter() - started
+            step = x - prev_x
+            trace.add(n, seconds, residual, math.sqrt(step @ step), n % period)
+            if config.keep_snapshots:
+                trace.iterates.append((n + 1, seconds, x))
+            if residual <= config.tol:
                 break
-    # the last iteration records explicitly, so this is the stop test's verdict
+            due = _crossing(trace.records[-2:], config.tol)
+    trace.iterates[1:] = [(k, s, SpacePoint(x_k, problem.domain_shape))
+                          for k, s, x_k in trace.iterates[1:]]
+    # the last iteration always checks, so this is the stop test's verdict
     status = (SolveStatus.CONVERGED if trace.final_residual <= config.tol
               else SolveStatus.MAX_ITERS)
     acceleration = None

@@ -125,6 +125,30 @@ def test_adjoint_identity_all_kinds(rng):
         assert adjoint_defect(op, rng) <= 0.0, op.kind
 
 
+def _held_arrays(value) -> list:
+    """The arrays an operator holds: those of its attributes, through nested
+    operators and sequences."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _held_arrays(item)]
+    if isinstance(value, LinearOperator):
+        return [a for item in vars(value).values() for a in _held_arrays(item)]
+    return []
+
+
+def test_adjoint_returns_fresh_arrays(rng):
+    # a stop check keeps the directions _adjoint returns for the solver's
+    # next refresh, so two calls share no memory with each other or with
+    # what the operator holds
+    for op in _catalog(rng):
+        y1, y2 = (rng.standard_normal(op.output_shape.total) for _ in range(2))
+        out = [op._adjoint(y1), op._adjoint(y2)]
+        assert not np.shares_memory(*out), op.kind
+        for a in out:
+            assert not any(np.shares_memory(a, h) for h in _held_arrays(op)), op.kind
+
+
 def test_linearity_all_kinds(rng):
     for op in _catalog(rng):
         x = random_point(rng, op.input_shape)

@@ -15,7 +15,8 @@ from blockvi.cli import (
 from blockvi.cli.experiments import STOCK_PARAMETERS
 from blockvi.core import (ConstraintSet, Prescription, arm_gaps, arm_groups,
                           array_residual, assemble_problem, dense_rows,
-                          gradient_residual, prescription_images, vi_residual)
+                          gradient_residual, prescription_images, pullback,
+                          vi_residual)
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
 from blockvi.fne_ops import (
     BoxProjector,
@@ -1514,38 +1515,54 @@ def test_span_map_of_x_is_nonexpansive(kind):
 @pytest.mark.parametrize("kind", ["image_recovery", "signal_recovery",
                                   "sparse_image", "source_separation"])
 def test_refresh_form_matches_the_explicit_residual(monkeypatch, kind):
-    # a period led by every arm, then the stock sets: a record followed by an
-    # iteration that refreshes every row takes its residual from that
-    # refresh when the schedule's groups are the problem's.  The cells of
-    # signal_recovery split its fused groups, so there every check is
-    # explicit.  Checked from a seeded point of C and from the solution.
+    # a period led by every arm, then the stock sets, checked at every
+    # iteration: every record reads array_residual at its own iterate, and a
+    # refresh of every row that follows a check takes the directions of that
+    # check's pass when the schedule's groups are the problem's, so it makes
+    # no pullback; every other refresh makes one per group of its cell.  The
+    # cells of signal_recovery split its fused groups, so there no refresh
+    # reuses.  Checked from a seeded point of C and from the solution.
     prob, sched, cfg = _stock_case(kind, 0)
     solution = solve(prob, sched, cfg).solution.data
     every = tuple(range(prob.arm_count))
     led = make_schedule("explicit", prob.arm_count, sets=[every, *sched.sets])
-    period, iters = len(led.sets), 3 * len(led.sets)
-    explicit = []
+    iters = 3 * len(led.sets)
+    explicit, pullbacks, refreshes = [], [], []
 
     def counted(*args, **kwargs):
         explicit.append(None)
         return array_residual(*args, **kwargs)
 
+    def counted_pullback(*args):
+        pullbacks.append(None)
+        return pullback(*args)
+
+    def counted_refresh(cell, *args):
+        pullbacks.clear()
+        _refresh(cell, *args)
+        refreshes.append((len(pullbacks), len(cell)))
+
     monkeypatch.setattr(blockvi.solver, "array_residual", counted)
+    monkeypatch.setattr(blockvi.solver, "pullback", counted_pullback)
+    monkeypatch.setattr(blockvi.solver, "_refresh", counted_refresh)
     rng = np.random.default_rng(23)
     scale = 1.0 + np.linalg.norm(solution) / np.sqrt(solution.size)
     start = prob.constraint.array_projector(
         solution + scale * rng.standard_normal(solution.size))
     for x0 in (start, solution):
         explicit.clear()
+        refreshes.clear()
         res = solve(prob, led, _config(gamma=cfg.gamma, max_iters=iters, tol=0.0,
                                        x0=SpacePoint(x0, prob.domain_shape),
                                        keep_snapshots=True, accelerate=False))
-        refresh_form = [r.n for r in res.trace.records if r.n + 1 < iters
-                        and len(led.active_set(r.n + 1)) == len(every)]
-        assert len(refresh_form) >= 2
+        assert [r.n for r in res.trace.records] == list(range(iters))
+        assert len(explicit) == iters and len(refreshes) == iters
+        reused = [n for n in range(1, iters) if len(led.active_set(n)) == len(every)]
+        assert len(reused) >= 2
         if kind == "signal_recovery":
-            refresh_form = []
-        assert len(explicit) == len(res.trace.records) - len(refresh_form)
+            reused = []
+        assert refreshes == [(0 if n in reused else size, size)
+                             for n, (_, size) in enumerate(refreshes)]
         for r, (_, _, x) in zip(res.trace.records, res.trace.iterates[1:]):
             assert r.residual == array_residual(prob, x.data), r.n
 
@@ -1554,13 +1571,12 @@ def test_refresh_form_matches_the_explicit_residual(monkeypatch, kind):
 @pytest.mark.parametrize("case", ["image_recovery", "signal_recovery",
                                   "feasibility", "signal_led_by_every_arm"])
 def test_every_record_reads_the_explicit_residual_bitwise(case, accelerate):
-    # a check that the next refresh serves sums that refresh's shares of the
-    # gradient in the order the explicit pass adds them, so every record's
-    # residual is array_residual at its own iterate, bit for bit: single
-    # arms (the stock image run), cyclic cells of fused arms, whose explicit
+    # every record's residual is array_residual at its own iterate, bit for
+    # bit, whether or not the next refresh reuses the check's directions:
+    # single arms (the stock image run), cyclic cells of fused arms, whose
     # pass sums the problem's own groups, not the cells', one fused group
     # of 600 rows, and the stock signal period, led by every arm, whose
-    # atoms split the problem's fused groups, so no refresh serves its checks
+    # atoms split the problem's fused groups, so no refresh reuses them
     if case == "signal_led_by_every_arm":
         prob, sched, cfg = _stock_case("signal_recovery", 0)
         assert len(sched.sets[0]) == prob.arm_count
@@ -1582,6 +1598,36 @@ def test_every_record_reads_the_explicit_residual_bitwise(case, accelerate):
     assert len(res.trace.records) > 50
     for r, (_, _, x) in zip(res.trace.records, res.trace.iterates[1:]):
         assert r.residual == array_residual(prob, x.data), r.n
+
+
+@pytest.mark.parametrize("case, pullbacks", [("feasibility", 90),
+                                              ("image_recovery", 3003)])
+def test_arm_evaluations_per_solve_are_pinned(monkeypatch, case, pullbacks):
+    # each check evaluates every group of the problem at its iterate, and the
+    # next refresh of every row takes those directions unless a span starts
+    # there.  The fused 600-row system checks all 60 iterations (60 passes),
+    # and its first refresh and the 29 at span starts evaluate; the stock
+    # image run (3 groups) makes 1 000 refreshes and 12 checks, 11 of whose
+    # directions are reused
+    if case == "feasibility":
+        prob, _, _ = feasibility_problem(0, m=600, n=100)
+        sched = make_schedule("full", prob.arm_count)
+        cfg = _config(gamma=1.9, max_iters=60, tol=0.0, trace_every=1,
+                      x0=SpacePoint(np.zeros(100)))
+    else:
+        prob, sched, cfg = _stock_case(case, 1)
+        cfg = dataclasses.replace(cfg, max_iters=1000)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return pullback(*args)
+
+    monkeypatch.setattr(blockvi.core, "pullback", counted)
+    monkeypatch.setattr(blockvi.solver, "pullback", counted)
+    res = solve(prob, sched, cfg)
+    assert cfg.accelerate and res.status is SolveStatus.MAX_ITERS
+    assert len(calls) == pullbacks
 
 
 def test_zero_tol_run_never_stops_early():
@@ -1714,7 +1760,7 @@ def test_stop_checks_stay_on_the_grid_without_a_prediction(monkeypatch, tol,
     if fake is not None:       # every check of a cyclic run is explicit
         values = iter(fake + [fake[-1]] * 100)
         monkeypatch.setattr(blockvi.solver, "array_residual",
-                            lambda problem, x: next(values))
+                            lambda problem, x, directions=None: next(values))
     res = solve(prob, sched, _config(gamma=1.5, max_iters=100, tol=tol,
                                      trace_every=trace_every,
                                      x0=SpacePoint(np.zeros(6))))
@@ -1779,4 +1825,32 @@ def test_snapshots_recorded_when_requested():
     ks = [k for k, _, _ in res.trace.iterates]
     assert ks[0] == 0
     assert ks == sorted(ks)
+    assert res.trace.iterates[-1][2] == res.solution
+
+
+def test_snapshots_stay_arrays_until_solve_returns(monkeypatch):
+    # the loop keeps each snapshot as its iterate's array, and solve wraps
+    # them in SpacePoints once, after the last refresh; the trace still
+    # holds a SpacePoint per snapshot, taken at every record
+    wrapped = []
+    point, refresh = blockvi.solver.SpacePoint, blockvi.solver._refresh
+
+    def flagged_point(*args, **kwargs):
+        wrapped.append(None)
+        return point(*args, **kwargs)
+
+    def checked_refresh(*args):
+        assert not wrapped
+        return refresh(*args)
+
+    monkeypatch.setattr(blockvi.solver, "SpacePoint", flagged_point)
+    monkeypatch.setattr(blockvi.solver, "_refresh", checked_refresh)
+    prob, _ = mixed_arms_problem(0, consistent=False)
+    res = solve(prob, make_schedule("full", prob.arm_count),
+                _config(gamma=1.5, max_iters=40, tol=0.0, trace_every=3,
+                        x0=SpacePoint(np.zeros(6)), keep_snapshots=True))
+    assert wrapped
+    assert [k for k, _, _ in res.trace.iterates] == \
+        [0] + [r.n + 1 for r in res.trace.records]
+    assert all(type(x) is point for _, _, x in res.trace.iterates)
     assert res.trace.iterates[-1][2] == res.solution
