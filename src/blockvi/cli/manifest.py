@@ -11,7 +11,8 @@ directly: it implements the keywords the schema uses (``type``, ``enum``,
 ``minLength``, ``items``) and no others.  Importing and running the
 ``jsonschema`` package cost a run about 0.1 s, more than some solves take.
 Unlike JSON Schema, ``integer`` admits no float such as ``4.0``, because the
-values go to code that needs an ``int``.
+values go to code that needs an ``int``, and ``number`` admits no NaN or
+infinity, which Python's JSON reader accepts.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ MANIFEST_SCHEMA = {
 
 @dataclass
 class ExperimentManifest:
+    """A checked manifest: one field per key of :data:`MANIFEST_SCHEMA`, and
+    the file it was read from."""
+
     kind: str
     seed: int
     solver: dict
@@ -92,15 +96,10 @@ class ExperimentManifest:
     source_path: Optional[Path] = None
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "seed": self.seed, "solver": self.solver,
-               "schedule": self.schedule, "output_dir": self.output_dir}
-        if self.dimensions:
-            out["dimensions"] = self.dimensions
-        if self.noise:
-            out["noise"] = self.noise
-        if self.operators:
-            out["operators"] = self.operators
-        return out
+        """The manifest's payload: every key of the schema that is required
+        or not empty."""
+        return {key: getattr(self, key) for key in MANIFEST_SCHEMA["properties"]
+                if key in MANIFEST_SCHEMA["required"] or getattr(self, key)}
 
 
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
@@ -118,6 +117,9 @@ def _check(value, schema: dict, path: tuple) -> Optional[tuple]:
     None when it conforms."""
     if "type" in schema and not _has_type(value, schema["type"]):
         return path, f"{value!r} is not of type {schema['type']!r}"
+    if (schema.get("type") == "number" and isinstance(value, float)
+            and not math.isfinite(value)):
+        return path, "must be finite"
     if "enum" in schema and value not in schema["enum"]:
         return path, f"{value!r} is not one of {schema['enum']!r}"
     if ("minimum" in schema and _has_type(value, "number")
@@ -159,11 +161,6 @@ def _validate(payload: dict, origin: str) -> None:
         if key != "kind" and key not in SCHEDULE_KEYS[schedule["kind"]]:
             fail(("schedule", key),
                  f"not used by schedule kind {schedule['kind']!r}")
-    # JSON's NaN and Infinity pass the schema's "number" type
-    for section in ("noise", "solver"):
-        for name, value in (payload.get(section) or {}).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                fail((section, name), "must be finite")
 
 
 def load_manifest(path) -> ExperimentManifest:
@@ -180,17 +177,7 @@ def load_manifest(path) -> ExperimentManifest:
     if not isinstance(payload, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     _validate(payload, str(path))
-    return ExperimentManifest(
-        kind=payload["kind"],
-        seed=payload["seed"],
-        solver=dict(payload["solver"]),
-        schedule=dict(payload["schedule"]),
-        output_dir=payload["output_dir"],
-        dimensions=dict(payload.get("dimensions", {})),
-        noise=dict(payload.get("noise", {})),
-        operators=dict(payload.get("operators", {})),
-        source_path=path,
-    )
+    return ExperimentManifest(**payload, source_path=path)
 
 
 def resolve_output_dir(manifest: ExperimentManifest) -> Path:

@@ -36,9 +36,7 @@ def _build_schedule(spec: dict, arm_count: int):
 def _solver_config(spec: dict, domain_shape) -> SolverConfig:
     """The manifest's solver section, started at zero; the keys it omits
     take ``SolverConfig``'s defaults."""
-    kwargs = {"keep_snapshots" if k == "snapshots" else k: v
-              for k, v in spec.items()}
-    return SolverConfig(x0=SpacePoint.zeros(domain_shape), **kwargs)
+    return SolverConfig(x0=SpacePoint.zeros(domain_shape), **spec)
 
 
 def write_point(point: SpacePoint, out_dir: Path, stem: str):
@@ -88,7 +86,7 @@ def run_manifest(manifest: ExperimentManifest) -> int:
     if data.observation is not None:
         write_point(data.observation, out_dir, "observation")
     result.trace.to_csv(out_dir / "trace.csv")
-    if config.keep_snapshots:
+    if config.snapshots:
         write_snapshots_csv(result.trace.iterates, out_dir / "snapshots.csv")
 
     with warnings.catch_warnings():

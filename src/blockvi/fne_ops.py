@@ -192,7 +192,10 @@ def svd_hard_threshold(mat, rho: float):
 # ---------------------------------------------------------------------------
 
 class FneOperator:
-    """A firmly nonexpansive map on a fixed coordinate space."""
+    """A firmly nonexpansive map on a fixed coordinate space.
+
+    ``_apply`` may return its argument or read-only storage it keeps, so
+    callers must not write to its result."""
 
     kind = "abstract"
     is_projector = False
@@ -279,7 +282,7 @@ class SingletonProjector(FneOperator):
         self.center = center
 
     def _apply(self, y):
-        return self.center.data.copy()
+        return self.center.data
 
     @classmethod
     def stacked(cls, ops):

@@ -81,15 +81,14 @@ rate.  Checks only read x, so they move no iterate.
 A schedule whose period starts with the set of all arms (``full``,
 ``mod_skip``, or such an ``explicit`` period) is accelerated by safeguarded
 type-II Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49(4),
-2011) of a *span map*.  A span is the smallest whole number of periods that
-holds at least ``_Anderson.SPAN`` = 2 base iterations: S = 2 for ``full`` and
-for a period of 2, and S = 5 for a period of 5 (the stock ``mod_skip`` and
-``signal_recovery`` manifests).  One extrapolation step costs a fair share of
-a cheap base iteration, so it is taken once per span, not after every
-iteration.  On the stock image run (``full``), spans of 2 rather than 5 cut
-the iterations to ``tol`` by about a third, for 6-13% more time per
-iteration.  Every span starts by rebuilding every row from x_{kS}, so the
-span map Phi: x_{kS} -> x_{(k+1)S} depends on x alone, and x is
+2011) of a *span map*.  A span is the smallest whole number S of base
+iterations that is a multiple of the period and at least ``_Anderson.SPAN``:
+``full`` runs spans of ``SPAN`` iterations, and a period of at least
+``SPAN`` iterations (the stock ``mod_skip`` and ``signal_recovery``
+manifests) runs one period a span.  One extrapolation step costs a fair
+share of a cheap base iteration, so it is taken once per span, not after
+every iteration.  Every span starts by rebuilding every row from x_{kS}, so
+the span map Phi: x_{kS} -> x_{(k+1)S} depends on x alone, and x is
 extrapolated.  Any other period (``cyclic_partition``, other ``explicit``
 periods) leaves rows stale when a span starts, so it runs plain, as does
 every schedule under ``SolverConfig(accelerate=False)``.
@@ -119,22 +118,22 @@ iteration.
 
 At each span boundary the start s_k of the span just run and its image
 f_k = Phi(s_k) give g_k = f_k - s_k.  With the differences dG, dF of the
-last m = 13 pairs (g, f), the step solves the regularised least-squares
-problem
+last ``_Anderson.MEMORY`` pairs (g, f), the step solves the regularised
+least-squares problem
 
-    (dG^T dG + lambda I) a = dG^T g_k,   lambda = 1e-10 ||dG||_F^2,
+    (dG^T dG + lambda I) a = dG^T g_k,   lambda = REG ||dG||_F^2,
 
 and proposes s_{k+1} = f_k - dF^T a.  A candidate is checked once its span
 has run.  Its span is kept when both
 
-    ||f_k - s_k||  <=  K min_j ||f_j - s_j||,                K = 10,
-    ||f_k - s_k||  <=  D ||g_0|| (n_kept + 1)^-(1 + eps),  D = 1e6, eps = 1e-6,
+    ||f_k - s_k||  <=  K min_j ||f_j - s_j||,
+    ||f_k - s_k||  <=  D ||g_0|| (n_kept + 1)^-(1 + EPS),
 
 hold, and the candidate is accepted when also ||f_k - s_k|| <= C min_j
-||f_j - s_j||, C = 2, with the minimum over the earlier base points whose
-span was kept (the first, s_0 = x_0, every plain step and every kept
-candidate) and n_kept the spans kept so far.  (These C and K
-are ``_Anderson.C`` and ``_Anderson.K``, not the constraint set or the
+||f_j - s_j||, with the minimum over the earlier base points whose span was
+kept (the first, s_0 = x_0, every plain step and every kept candidate) and
+n_kept the spans kept so far.  (These constants are ``_Anderson.REG``,
+``K``, ``D``, ``EPS`` and ``C``; C and K are not the constraint set or the
 covering constant.)  The C test is the monotonicity control of Henderson &
 Varadhan (J. Comput. Graph. Stat. 28(4), 2019); the bound on n_kept is the
 safeguard of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 30(4), 2020), which
@@ -145,18 +144,15 @@ has the one secant pair s_k -> f_k -> f_{k+1}; otherwise -- or for a
 non-finite candidate, or a failed solve -- the span is discarded and the
 next one starts from the plain step of the base point before it.  A
 *progress restart* also empties the memory, without counting a rejection,
-when the least residual ``best`` has not halved over R = 100 base points
-(Henderson & Varadhan restart on a similar test): the mark is ``best`` when
-the count last reset, a base point where ``best`` is at most half the mark
-resets it, and otherwise the R-th base point since the reset empties the
-memory before that base point's pair is stored, and resets it.  Without
-it, the deep tail of the stock image run stalls at memories 10, 12 and 14:
-seed 1 takes 63 552, 42 062 and 35 248 iterations to tol 1e-10.  At 13 it
-cuts the image counts on 7 of seeds 0-7 at the stock tol (seed 1: 7 185 ->
-6 593) and on 15 of seeds 0-15 at tol 1e-10 (seed 9: 33 757 -> 20 301).
-The global-convergence theorem of Zhang et al. is proved for type-I steps
-on an averaged map; Phi is shown above to be nonexpansive only, so that
-theorem is not claimed here, and neither test adds one.  What holds: every
+when the least residual ``best`` has not halved over ``_Anderson.R`` base
+points (Henderson & Varadhan restart on a similar test): the mark is
+``best`` when the count last reset, a base point where ``best`` is at most
+half the mark resets it, and otherwise the R-th base point since the reset
+empties the memory before that base point's pair is stored, and resets it.
+Without it, the deep tail of the stock image run stalls at some values of
+``MEMORY``.  The global-convergence theorem of Zhang et al. is proved for
+type-I steps on an averaged map; Phi is shown above to be nonexpansive
+only, so that theorem is not claimed here, and neither test adds one.  What holds: every
 accepted residual ||f_k - s_k|| is within C times the least residual before
 it, and every kept one within K times it; the kept residuals are summable,
 since n_kept counts every kept span; if only finitely many spans are kept,
@@ -180,7 +176,7 @@ import enum
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -361,7 +357,7 @@ class SolverConfig:
     tol: float
     x0: SpacePoint
     trace_every: int = 1
-    keep_snapshots: bool = False
+    snapshots: bool = False
     accelerate: bool = True          # Anderson extrapolation over spans
 
     def __post_init__(self):
@@ -411,12 +407,13 @@ class SolverTrace:
         return self.records[-1].residual if self.records else float("nan")
 
     def to_csv(self, path):
+        """One column per :class:`TraceRecord` field, floats as ``.17g``."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "seconds", "residual", "step_norm", "active_set_id"])
+            writer.writerow(f.name for f in fields(TraceRecord))
             for r in self.records:
-                writer.writerow([r.n, f"{r.seconds:.17g}", f"{r.residual:.17g}",
-                                 f"{r.step_norm:.17g}", r.active_set_id])
+                writer.writerow(f"{v:.17g}" if isinstance(v, float) else v
+                                for v in astuple(r))
 
 
 class SolveStatus(enum.Enum):
@@ -664,7 +661,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
 
     trace = SolverTrace()
     started = time.perf_counter()
-    if config.keep_snapshots:
+    if config.snapshots:
         trace.iterates.append((0, 0.0, config.x0))
     due = math.inf      # the predicted check, from the last two records
     x = config.x0.data
@@ -689,7 +686,7 @@ def solve(problem: Problem, schedule: ActivationSchedule,
             seconds = time.perf_counter() - started
             step = x - prev_x
             trace.add(n, seconds, residual, math.sqrt(step @ step), n % period)
-            if config.keep_snapshots:
+            if config.snapshots:
                 trace.iterates.append((n + 1, seconds, x))
             if residual <= config.tol:
                 break

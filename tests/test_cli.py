@@ -1311,7 +1311,7 @@ def test_schedule_wall_clock_comparison_soft_report():
 
     def time_to_minus_30db(schedule):
         cfg = SolverConfig(gamma=1.9, max_iters=120000, tol=1e-8, x0=x0,
-                           trace_every=50, keep_snapshots=True)
+                           trace_every=50, snapshots=True)
         res = solve(prob, schedule, cfg)
         series = relative_error_trace(res.trace.iterates, reference)
         for seconds, db in series:

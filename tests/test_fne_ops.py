@@ -494,6 +494,19 @@ def test_stacked_refuses_what_does_not_fuse():
                                  BoxProjector(0, 1, VEC1)]) is None
 
 
+def test_singleton_returns_its_read_only_center():
+    # a fused row group of a custom system evaluates its stacked singleton on
+    # every pass, so the output is the center itself, not a fresh copy, and
+    # a caller that wrote into it would move the center
+    fused = SingletonProjector.stacked(
+        [SingletonProjector(SpacePoint([c])) for c in (0.5, -1.0, 2.0)])
+    for op in (fused, SingletonProjector(SpacePoint(np.linspace(0, 1, 8)))):
+        out = op._apply(np.zeros(op.domain_shape.total))
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 1.0
+        assert out.tobytes() == op.center.data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # singular-value machinery
 # ---------------------------------------------------------------------------

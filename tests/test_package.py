@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import pickle
 import pkgutil
 from pathlib import Path
@@ -12,8 +13,10 @@ import pytest
 import blockvi
 from blockvi.cli import (generate_experiment, load_manifest, read_pgm,
                          read_snapshots_csv, read_vector_csv, write_pgm)
+from blockvi.cli.experiments import STOCK_PARAMETERS
 from blockvi.cli.main import _cmd_trace_plot, build_parser
-from blockvi.cli.manifest import MANIFEST_SCHEMA, default_manifest
+from blockvi.cli.manifest import (MANIFEST_SCHEMA, ExperimentManifest,
+                                  default_manifest)
 from blockvi.core import (ConstraintSet, Prescription, Problem, assemble_problem,
                           least_squares_objective)
 from blockvi.errors import (
@@ -174,13 +177,26 @@ def test_each_knob_has_one_definition_on_both_sides():
     # SolverConfig and make_schedule take; an option deleted from only one
     # side would be refused by the manifest check, or be unreachable from it
     solver = MANIFEST_SCHEMA["properties"]["solver"]["properties"]
-    manifest_keys = {"keep_snapshots" if k == "snapshots" else k for k in solver}
+    manifest_keys = set(solver)
     config_keys = {f.name for f in dataclasses.fields(SolverConfig)}
     assert manifest_keys == config_keys - {"x0", "accelerate"}
     keyword_only = {name for name, p in
                     inspect.signature(make_schedule).parameters.items()
                     if p.kind is inspect.Parameter.KEYWORD_ONLY}
     assert set().union(*SCHEDULE_KEYS.values()) == keyword_only
+
+
+@pytest.mark.parametrize("kind", sorted(STOCK_PARAMETERS))
+def test_manifest_fields_are_the_schema_keys(tmp_path, kind):
+    # ExperimentManifest is built from and written back to a payload by the
+    # schema's key list alone, so its fields must be exactly those keys
+    fields = {f.name for f in dataclasses.fields(ExperimentManifest)}
+    assert fields == set(MANIFEST_SCHEMA["properties"]) | {"source_path"}
+    payload = default_manifest(kind, 0)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload))
+    assert load_manifest(path).to_dict() == {
+        key: value for key, value in payload.items() if value != {}}
 
 
 def _written(name, payload):

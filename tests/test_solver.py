@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -841,7 +842,7 @@ def test_unfused_rank_one_arms_match_per_arm_path(case):
     m = prob.arm_count
     sched = make_schedule("full", m)
     res = solve(prob, sched, _config(gamma=1.5, max_iters=40, tol=0.0, x0=x0,
-                                     keep_snapshots=True, accelerate=False))
+                                     snapshots=True, accelerate=False))
     assert len(res.trace.iterates) == 41
     gammas, v = _steps(prob, 1.5, sched)
     v = np.asarray(v)
@@ -990,7 +991,7 @@ def test_periods_without_a_leading_full_set_run_plain(kind, kw):
     prob, _ = mixed_arms_problem(3, consistent=False)
     sched = make_schedule(kind, prob.arm_count, **kw)
     res = solve(prob, sched, _accel_config(False, max_iters=300,
-                                           keep_snapshots=True))
+                                           snapshots=True))
     assert res.acceleration is None
     gammas, v = _steps(prob, 1.5, sched)
     v = np.asarray(v)
@@ -1101,9 +1102,9 @@ def test_anderson_rejected_periods_count_as_iterations(monkeypatch):
     # there, so the two runs' residuals agree only to rounding.
     P = 5
     prob, sched = _mod_skip_problem(period=P)
-    plain = solve(prob, sched, _accel_config(False, keep_snapshots=True))
+    plain = solve(prob, sched, _accel_config(False, snapshots=True))
     monkeypatch.setattr(blockvi.solver._Anderson, "D", 0.0)
-    res = solve(prob, sched, _accel_config(keep_snapshots=True))
+    res = solve(prob, sched, _accel_config(snapshots=True))
     assert res.status is SolveStatus.CONVERGED
     assert res.trace.final_residual <= 1e-8
     ns = [r.n for r in res.trace.records]
@@ -1330,7 +1331,7 @@ def test_anderson_nonfinite_row_candidate_never_runs(monkeypatch):
 
 def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
     prob, sched = _mod_skip_problem(period=5)
-    res = solve(prob, sched, _accel_config(trace_every=7, keep_snapshots=True))
+    res = solve(prob, sched, _accel_config(trace_every=7, snapshots=True))
     assert res.status is SolveStatus.CONVERGED
     assert res.acceleration["accepted"] > 0
     ns = [r.n for r in res.trace.records]
@@ -1554,7 +1555,7 @@ def test_refresh_form_matches_the_explicit_residual(monkeypatch, kind):
         refreshes.clear()
         res = solve(prob, led, _config(gamma=cfg.gamma, max_iters=iters, tol=0.0,
                                        x0=SpacePoint(x0, prob.domain_shape),
-                                       keep_snapshots=True, accelerate=False))
+                                       snapshots=True, accelerate=False))
         assert [r.n for r in res.trace.records] == list(range(iters))
         assert len(explicit) == iters and len(refreshes) == iters
         reused = [n for n in range(1, iters) if len(led.active_set(n)) == len(every)]
@@ -1581,18 +1582,18 @@ def test_every_record_reads_the_explicit_residual_bitwise(case, accelerate):
         prob, sched, cfg = _stock_case("signal_recovery", 0)
         assert len(sched.sets[0]) == prob.arm_count
         cfg = dataclasses.replace(cfg, max_iters=600, tol=0.0, trace_every=1,
-                                  keep_snapshots=True, accelerate=accelerate)
+                                  snapshots=True, accelerate=accelerate)
     elif case != "feasibility":
         prob, sched, cfg = _stock_case(case, 1)
         if case == "signal_recovery":
             sched = _signal_cyclic(prob)
         cfg = dataclasses.replace(cfg, max_iters=600, tol=0.0, trace_every=7,
-                                  keep_snapshots=True, accelerate=accelerate)
+                                  snapshots=True, accelerate=accelerate)
     else:
         prob, _, _ = feasibility_problem(0, m=600, n=100)
         sched = make_schedule("full", prob.arm_count)
         cfg = _config(gamma=1.9, max_iters=200, tol=0.0, trace_every=1,
-                      x0=SpacePoint(np.zeros(100)), keep_snapshots=True,
+                      x0=SpacePoint(np.zeros(100)), snapshots=True,
                       accelerate=accelerate)
     res = solve(prob, sched, cfg)
     assert len(res.trace.records) > 50
@@ -1653,7 +1654,7 @@ def test_record_norms_are_np_linalg_norm_bitwise():
     prob, _ = mixed_arms_problem(2, consistent=False)
     res = solve(prob, make_schedule("full", prob.arm_count),
                 _config(gamma=1.5, max_iters=30, tol=0.0, x0=SpacePoint(np.zeros(6)),
-                        accelerate=False, keep_snapshots=True))
+                        accelerate=False, snapshots=True))
     xs = [x.data for _, _, x in res.trace.iterates]
     for r in res.trace.records:
         assert r.step_norm == float(np.linalg.norm(xs[r.n + 1] - xs[r.n])), r.n
@@ -1681,7 +1682,7 @@ def test_run_stops_at_the_first_check_that_meets_tol(seed, gamma, accelerate,
     res = solve(prob, make_schedule("full", prob.arm_count),
                 _config(gamma=gamma, max_iters=1000, tol=0.0, trace_every=7,
                         x0=SpacePoint(np.zeros(6)), accelerate=accelerate,
-                        keep_snapshots=True))
+                        snapshots=True))
     met = [r.n for r, (_, _, x) in zip(res.trace.records, res.trace.iterates[1:])
            if array_residual(prob, x.data) == 0.0]
     assert res.status is SolveStatus.CONVERGED
@@ -1726,7 +1727,7 @@ def test_stop_checks_fall_where_the_rule_places_them(kind, seed):
     prob, sched, cfg = _stock_case(kind, seed)
     res = solve(prob, sched, cfg)
     every = solve(prob, sched, dataclasses.replace(
-        cfg, tol=0.0, trace_every=1, max_iters=grid_stop, keep_snapshots=True))
+        cfg, tol=0.0, trace_every=1, max_iters=grid_stop, snapshots=True))
     residuals = [r.residual for r in every.trace.records]
     ns = [r.n for r in res.trace.records]
     assert ns == _checks_by_the_rule(residuals, cfg.tol, cfg.trace_every,
@@ -1820,7 +1821,7 @@ def test_trace_indexes_the_schedules_own_sets(accelerate):
 
 def test_snapshots_recorded_when_requested():
     prob = scalar_problem(ConstraintSet.whole_space(), 5.0)
-    cfg = _config(max_iters=50, keep_snapshots=True)
+    cfg = _config(max_iters=50, snapshots=True)
     res = solve(prob, make_schedule("full", 1), cfg)
     ks = [k for k, _, _ in res.trace.iterates]
     assert ks[0] == 0
@@ -1848,9 +1849,20 @@ def test_snapshots_stay_arrays_until_solve_returns(monkeypatch):
     prob, _ = mixed_arms_problem(0, consistent=False)
     res = solve(prob, make_schedule("full", prob.arm_count),
                 _config(gamma=1.5, max_iters=40, tol=0.0, trace_every=3,
-                        x0=SpacePoint(np.zeros(6)), keep_snapshots=True))
+                        x0=SpacePoint(np.zeros(6)), snapshots=True))
     assert wrapped
     assert [k for k, _, _ in res.trace.iterates] == \
         [0] + [r.n + 1 for r in res.trace.records]
     assert all(type(x) is point for _, _, x in res.trace.iterates)
     assert res.trace.iterates[-1][2] == res.solution
+
+
+def test_solver_docstring_states_rules_not_counts():
+    # measured counts go stale with every change to the iteration, so the
+    # docstring names the Anderson constants, not their values, and quotes
+    # no count (the project writes counts with grouped thousands, "7 185")
+    doc = blockvi.solver.__doc__
+    assert re.findall(r"\d \d{3}", doc) == []
+    named = set(re.findall(r"``(?:_Anderson\.)?([A-Z][A-Z_]*)``", doc))
+    assert named == {name for name in vars(blockvi.solver._Anderson)
+                     if name.isupper()}
