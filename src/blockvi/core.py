@@ -21,6 +21,9 @@ whose ``linop`` is the ``DenseMatrix`` of its own stacked rows: one matvec,
 one FNE call and one adjoint.  Every other arm is a group of one with its own
 maps.  A problem builds each atom's groups once (:meth:`Problem.atom_groups`);
 the residual and the gaps read those of all arms (:attr:`Problem.groups`).
+A run's residual is its last record: each stop check evaluates
+:func:`array_residual` at its own iterate, so after a solve only the gaps
+and the inconsistency bound (:func:`inconsistency_bound`) are evaluated.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -58,7 +60,6 @@ __all__ = [
     "arm_groups",
     "pullback",
     "array_residual",
-    "gradient_residual",
     "arm_gaps",
     "WEIGHT_SUM_TOL",
     "WEIGHT_RENORM_WINDOW",
@@ -250,22 +251,16 @@ def prescription_images(problem: Problem, x: SpacePoint) -> list:
     return [p.image(x) for p in problem.prescriptions]
 
 
-def inconsistency_bound(problem: Problem, solution: SpacePoint,
-                        tol: float = 1e-6) -> float:
+def inconsistency_bound(problem: Problem, solution: SpacePoint) -> float:
     """Upper bound sqrt(sum_i ||p_i - F_i(L_i x)||^2) on the distance from the
     prescriptions to the realizable set, evaluated at a solution.
 
     Vanishes (within roundoff) exactly when every prescription holds at the
-    solution.  The bound remains a valid estimate at imperfect solutions, so a
-    residual above ``tol`` only warns.  The gaps are :func:`arm_gaps`.
+    solution.  It is the bound alone and evaluates no residual; for a solve's
+    result the residual is the last record of its trace
+    (``trace.final_residual``), :func:`vi_residual` at that point bit for bit.
+    The gaps are :func:`arm_gaps`.
     """
-    r = vi_residual(problem, solution)
-    if r > tol:
-        warnings.warn(
-            f"inconsistency_bound evaluated at residual {r:.3e} > tol {tol:.1e}; "
-            "treat the bound as an estimate",
-            RuntimeWarning,
-        )
     return math.sqrt(math.fsum(arm_gaps(problem, solution.data) ** 2))
 
 
@@ -374,13 +369,6 @@ def array_residual(problem: Problem, x: np.ndarray, theta: float = 1.0,
         if directions is not None:
             directions.append(d)
         grad += d if len(g.arms) > 1 else g.weights[0] * d
-    return gradient_residual(problem, x, grad, theta)
-
-
-def gradient_residual(problem: Problem, x: np.ndarray, grad: np.ndarray,
-                      theta: float = 1.0) -> float:
-    """||x - P_C(x - theta grad)|| / (1 + ||x||), the residual at x given
-    grad = sum_i w_i L_i*(F_i(L_i x) - p_i)."""
     step = x - problem.constraint.array_projector(x - theta * grad)
     # math.sqrt(v @ v) is np.linalg.norm(v) of a flat array bit for bit,
     # without its dispatch

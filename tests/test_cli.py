@@ -31,15 +31,14 @@ from blockvi.cli import (
 )
 from blockvi.cli.experiments import STOCK_PARAMETERS
 from blockvi.cli.main import main
-from blockvi.cli.runner import _build_schedule, _solver_config
 from blockvi.errors import (
     FormatError,
     InvalidParameter,
     ManifestError,
     MissingReference,
 )
-from blockvi.core import arm_gaps, arm_groups, dense_rows
-from blockvi.solver import solve, validate_schedule
+from blockvi.core import arm_gaps, arm_groups, array_residual, dense_rows, pullback
+from blockvi.solver import SolverConfig, make_schedule, solve, validate_schedule
 from blockvi.space import SpacePoint
 
 
@@ -347,8 +346,7 @@ def test_generated_problems_validate(kind):
     assert math.fsum(prob.weights) == pytest.approx(1.0, abs=1e-12)
     assert prob.constraint.projector(data.ground_truth) == data.ground_truth
     # schedule from the default manifest covers the arms
-    from blockvi.cli.runner import _build_schedule
-    sched = _build_schedule(payload["schedule"], prob.arm_count)
+    sched = make_schedule(index_count=prob.arm_count, **payload["schedule"])
     assert validate_schedule(sched.sets, prob.arm_count) == sched.K
 
 
@@ -456,7 +454,6 @@ def test_run_reports_a_misspelt_key(tmp_path, capsys):
     ("source_separation", "operators", {"sparsity_radius_transform": -1.0},
      "sparsity_radius_transform"),
 ])
-@pytest.mark.filterwarnings("error")
 def test_generators_reject_sizes_they_cannot_draw(tmp_path, capsys, kind,
                                                   section, values, key):
     # values the manifest check admits once escaped main as a bare
@@ -491,7 +488,6 @@ def _edge_cases():
                     yield kind, section, key, value
 
 
-@pytest.mark.filterwarnings("error")
 def test_every_admitted_edge_value_fails_typed_or_runs(tmp_path):
     # each numeric key of the generated kinds set to an edge value, seed 0:
     # a value the manifest check admits must run or raise a BlockviError;
@@ -549,7 +545,6 @@ def _fuzz_cases(count, seed=5):
         yield payload, changed
 
 
-@pytest.mark.filterwarnings("error")
 def test_seeded_key_combinations_fail_typed_naming_a_key_or_run(tmp_path):
     # several keys of one stock manifest at a time under every schedule kind:
     # each case runs (exit 0 or 2, with a summary) or raises a BlockviError,
@@ -599,7 +594,6 @@ def test_stock_signal_sets_refuse_fewer_dictionary_rows_naming_the_arms(
     ("rhs.csv", "value\n"),
 ], ids=["matrix-nan", "matrix-inf", "matrix-empty", "matrix-ragged",
         "rhs-nan", "rhs-empty"])
-@pytest.mark.filterwarnings("error")
 def test_custom_run_refuses_a_bad_csv_naming_it(tmp_path, capsys, name, text):
     # an empty matrix file warned first, and a NaN entry ended in a message
     # about the step bound
@@ -622,7 +616,6 @@ def test_custom_run_refuses_a_bad_csv_naming_it(tmp_path, capsys, name, text):
     ("1.0,2.0\n1e200,1.0\n2.0,3.0\n", 2),
     ("8.9e153,1.0\n8.9e153,1.0\n8.9e153,1.0\n", 2),
 ], ids=["row-overflows", "rows-overflow-together"])
-@pytest.mark.filterwarnings("error")
 def test_custom_run_refuses_rows_whose_gram_overflows(tmp_path, capsys, text, row):
     # such a Gram warned "overflow encountered in matmul" in a step bound, and
     # the run ended with an error naming neither the file nor the row
@@ -738,22 +731,40 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert "observation_rel_error" in summary["metrics"]
 
 
-def test_summary_gaps_come_from_the_solver_kernel(tmp_path):
+def test_summary_gaps_come_from_the_solver_kernel(tmp_path, monkeypatch):
+    # a run evaluates no residual after its solve: it makes the pullback
+    # calls of its solve alone, and its residual is the last record's,
+    # array_residual at the recovered point bit for bit
     payload = _small_manifest("signal_recovery", 7)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return pullback(*args)
+
+    monkeypatch.setattr("blockvi.core.pullback", counted)
+    monkeypatch.setattr("blockvi.solver.pullback", counted)
     run_manifest(load_manifest(_write_manifest(tmp_path, payload)))
+    run_calls = len(calls)
     out = tmp_path / "results"
     summary = json.loads((out / "summary.json").read_text())
     problem = generate_experiment("signal_recovery", payload["dimensions"], 7,
                                   payload["noise"], payload["operators"]).problem
-    gaps = arm_gaps(problem, read_vector_csv(out / "recovered.csv"))
+    calls.clear()
+    solve(problem, make_schedule(index_count=problem.arm_count, **payload["schedule"]),
+          SolverConfig(x0=SpacePoint.zeros(problem.domain_shape), **payload["solver"]))
+    assert run_calls == len(calls) > 0
+    recovered = read_vector_csv(out / "recovered.csv")
+    assert summary["final_residual"] == array_residual(problem, recovered)
+    gaps = arm_gaps(problem, recovered)
     assert summary["arm_gaps"] == gaps.tolist()
     assert summary["inconsistency_bound"] == math.sqrt(math.fsum(gaps ** 2))
 
 
 def test_run_builds_the_all_arm_groups_once(tmp_path, monkeypatch):
     # the solve's bound, rows and residual, then the inconsistency bound (its
-    # residual and its gaps) and the summary's gaps all read the problem's one
-    # grouping of all arms, whose one fused group stacks the rows once
+    # gaps) and the summary's gaps all read the problem's one grouping of all
+    # arms, whose one fused group stacks the rows once
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((12, 4))
     write_matrix_csv(matrix, tmp_path / "matrix.csv")
@@ -828,10 +839,12 @@ def test_summary_says_why_a_cyclic_run_is_not_accelerated(tmp_path):
         "skipped": "the period does not start with every arm"}
     problem = generate_experiment("signal_recovery", payload["dimensions"], 2,
                                   payload["noise"], payload["operators"]).problem
-    plain = solve(problem, _build_schedule(payload["schedule"], problem.arm_count),
-                  dataclasses.replace(_solver_config(payload["solver"],
-                                                     problem.domain_shape),
-                                      accelerate=False))
+    plain = solve(problem, make_schedule(index_count=problem.arm_count,
+                                         **payload["schedule"]),
+                  dataclasses.replace(
+                      SolverConfig(x0=SpacePoint.zeros(problem.domain_shape),
+                                   **payload["solver"]),
+                      accelerate=False))
     assert plain.acceleration is None
     assert read_vector_csv(out / "recovered.csv").tobytes() == \
         plain.solution.data.tobytes()
@@ -1139,7 +1152,6 @@ def _drop_trace_column(name):
 ], ids=["snapshot-row-short", "snapshot-nan", "trace-no-seconds", "trace-no-n",
         "trace-bad-seconds", "trace-missing-records", "trace-nan-seconds",
         "trace-inf-seconds"])
-@pytest.mark.filterwarnings("error")
 def test_trace_plot_refuses_malformed_inputs(tmp_path, capsys, name, spoil, error):
     # these ended in a raw broadcast ValueError, a nan dB row with exit 0,
     # or a raw KeyError; a missing record was timed at 0 s and a nan time

