@@ -141,11 +141,6 @@ def _galaxy(rng, rows, cols, peak=200.0):
 # experiment builders
 # ---------------------------------------------------------------------------
 
-def _pixel_box(shape: BlockShape) -> ConstraintSet:
-    """The constraint set [0, 255]^n of the image kinds."""
-    return ConstraintSet.box(np.zeros(shape.total), np.full(shape.total, 255.0))
-
-
 def _image_recovery(dimensions, seed, noise, operators):
     rows = int(dimensions["rows"])
     cols = int(dimensions["cols"])
@@ -182,7 +177,7 @@ def _image_recovery(dimensions, seed, noise, operators):
         Prescription(Identity(shape), mean_arm, zero, 1.0 / 3.0),
         Prescription(Identity(shape), phase_arm, zero, 1.0 / 3.0),
     ]
-    problem = assemble_problem(_pixel_box(shape), prescriptions)
+    problem = assemble_problem(ConstraintSet.box(0.0, 255.0), prescriptions)
     return ExperimentData(
         ground_truth=xbar, problem=problem,
         observation=p1, observation_reference=xbar,
@@ -285,7 +280,7 @@ def _sparse_image_recovery(dimensions, seed, noise, operators):
         Prescription(blur, prox.fne, prox.target, 0.5),
         Prescription(Identity(shape), sparsity, SpacePoint.zeros(shape), 0.5),
     ]
-    problem = assemble_problem(_pixel_box(shape), prescriptions)
+    problem = assemble_problem(ConstraintSet.box(0.0, 255.0), prescriptions)
     return ExperimentData(
         ground_truth=xbar, problem=problem,
         observation=q1, observation_reference=xbar,
@@ -320,7 +315,7 @@ def _source_separation(dimensions, seed, noise, operators):
         Prescription(pair_sum, prox.fne, prox.target, 0.5),
         Prescription(transform, sparsity, SpacePoint.zeros(shape), 0.5),
     ]
-    problem = assemble_problem(_pixel_box(shape), prescriptions)
+    problem = assemble_problem(ConstraintSet.box(0.0, 255.0), prescriptions)
     return ExperimentData(
         ground_truth=xbar, problem=problem,
         observation=q1,
@@ -364,8 +359,7 @@ def _custom(dimensions, seed, noise, operators):
     if bounds is None:
         constraint = ConstraintSet.whole_space()
     else:
-        constraint = ConstraintSet.box(np.full(n, float(bounds[0])),
-                                       np.full(n, float(bounds[1])))
+        constraint = ConstraintSet.box(float(bounds[0]), float(bounds[1]))
     problem = assemble_problem(constraint, prescriptions)
     truth = SpacePoint(np.linalg.lstsq(matrix, rhs, rcond=None)[0], shape)
     return ExperimentData(ground_truth=truth, problem=problem,

@@ -152,6 +152,12 @@ def read_snapshots_csv(path):
 
 
 def write_json(obj, path):
+    """``obj`` as strict JSON (indented, keys sorted): a NaN or infinity
+    raises :class:`FormatError` naming ``path`` before the file is opened,
+    so no partial file is left."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     with open(path, "w", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

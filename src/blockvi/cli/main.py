@@ -19,7 +19,7 @@ from ..errors import BlockviError, FormatError, MissingReference
 from .experiments import EXPERIMENT_KINDS, generate_experiment
 from .io import read_snapshots_csv, read_vector_csv, write_json
 from .manifest import default_manifest, load_manifest
-from .runner import relative_error_trace, run_manifest, write_point
+from .runner import relative_error_trace, run_manifest, write_experiment_data
 
 __all__ = ["main"]
 
@@ -37,9 +37,7 @@ def _cmd_generate(args) -> int:
     data = generate_experiment(payload["kind"], payload["dimensions"],
                                payload["seed"], payload["noise"],
                                payload["operators"])
-    write_point(data.ground_truth, out_dir, "ground_truth")
-    if data.observation is not None:
-        write_point(data.observation, out_dir, "observation")
+    write_experiment_data(data, out_dir)
     print(f"wrote manifest and data for {args.kind} (seed {args.seed}) "
           f"to {out_dir}")
     return 0
@@ -123,10 +121,7 @@ def main(argv=None) -> int:
                 "trace-plot": _cmd_trace_plot}
     try:
         return handlers[args.command](args)
-    except BlockviError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BlockviError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

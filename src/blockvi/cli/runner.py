@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from ..core import arm_gaps, inconsistency_bound
 from ..errors import MissingReference
 from ..solver import SolveStatus, SolverConfig, make_schedule, solve
 from ..space import SpacePoint
-from .experiments import generate_experiment
+from .experiments import ExperimentData, generate_experiment
 from .io import (
     write_json,
     write_pgm,
@@ -20,12 +21,13 @@ from .io import (
 )
 from .manifest import ExperimentManifest, resolve_output_dir
 
-__all__ = ["run_manifest", "relative_error_trace", "write_point", "DB_FLOOR"]
+__all__ = ["run_manifest", "relative_error_trace", "write_experiment_data",
+           "DB_FLOOR"]
 
 DB_FLOOR = -300.0
 
 
-def write_point(point: SpacePoint, out_dir: Path, stem: str):
+def _write_point(point: SpacePoint, out_dir: Path, stem: str):
     """``stem.csv`` plus one PGM per image block of the point."""
     write_vector_csv(point.data, out_dir / f"{stem}.csv")
     image_blocks = [j for j in range(point.shape.block_count)
@@ -37,9 +39,19 @@ def write_point(point: SpacePoint, out_dir: Path, stem: str):
             write_pgm(point.block(j), out_dir / f"{stem}_{j}.pgm")
 
 
-def _rel_error(x: SpacePoint, ref: SpacePoint) -> float:
+def write_experiment_data(data: ExperimentData, out_dir: Path):
+    """The generated points of an experiment: ``ground_truth`` and, when the
+    kind has one, ``observation`` (see :func:`_write_point`)."""
+    _write_point(data.ground_truth, out_dir, "ground_truth")
+    if data.observation is not None:
+        _write_point(data.observation, out_dir, "observation")
+
+
+def _rel_error(x: SpacePoint, ref: SpacePoint) -> Optional[float]:
+    """||x - ref|| / ||ref||; None (null in JSON) when ref is 0, where the
+    ratio does not exist."""
     denom = ref.norm()
-    return (x - ref).norm() / denom if denom else float("nan")
+    return (x - ref).norm() / denom if denom else None
 
 
 def _input_operators(manifest: ExperimentManifest) -> dict:
@@ -69,14 +81,13 @@ def run_manifest(manifest: ExperimentManifest) -> int:
 
     result = solve(problem, schedule, config)
 
-    write_point(result.solution, out_dir, "recovered")
-    write_point(data.ground_truth, out_dir, "ground_truth")
-    if data.observation is not None:
-        write_point(data.observation, out_dir, "observation")
+    _write_point(result.solution, out_dir, "recovered")
+    write_experiment_data(data, out_dir)
     result.trace.to_csv(out_dir / "trace.csv")
     if config.snapshots:
         write_snapshots_csv(result.trace.iterates, out_dir / "snapshots.csv")
 
+    gaps = arm_gaps(problem, result.solution.data)
     metrics = {"recovered_rel_error": _rel_error(result.solution, data.ground_truth)}
     if data.observation is not None and data.observation_reference is not None:
         metrics["observation_rel_error"] = _rel_error(data.observation,
@@ -88,9 +99,9 @@ def run_manifest(manifest: ExperimentManifest) -> int:
         "status": result.status.value,
         "iterations": result.trace.records[-1].n + 1,
         "final_residual": result.trace.final_residual,
-        "inconsistency_bound": inconsistency_bound(problem, result.solution),
-        "arm_gaps": arm_gaps(problem, result.solution.data).tolist(),
-        "weights": list(problem.weights),
+        "inconsistency_bound": inconsistency_bound(gaps),
+        "arm_gaps": gaps.tolist(),
+        "weights": problem.arrays.weights.tolist(),
         "metrics": metrics,
         "schedule": {"kind": schedule.kind, "K": schedule.K},
         "operators": [{"linop": p.linop.describe(), "fne": p.fne.describe()}

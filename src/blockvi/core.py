@@ -14,16 +14,17 @@ One array kernel evaluates the arms a *group* at a time: it reduces
 r_i = F_i(L_i x) - p_i to the group's direction d_g (:func:`pullback`).  The
 residual (:func:`array_residual`) sums what each d_g adds to sum_i w_i L_i*
 r_i and can hand the d_g to its caller; the solver's refresh steps along d_g,
-and after a stop check reuses the directions that check computed.  The
-one-row ``DenseMatrix`` arms of an activation atom (arms the solver always
-refreshes together) whose FNEs fuse (``FneOperator.stacked``) form one group,
-whose ``linop`` is the ``DenseMatrix`` of its own stacked rows: one matvec,
-one FNE call and one adjoint.  Every other arm is a group of one with its own
-maps.  A problem builds each atom's groups once (:meth:`Problem.atom_groups`);
-the residual and the gaps read those of all arms (:attr:`Problem.groups`).
-A run's residual is its last record: each stop check evaluates
-:func:`array_residual` at its own iterate, so after a solve only the gaps
-and the inconsistency bound (:func:`inconsistency_bound`) are evaluated.
+and after a stop check reuses the directions that check computed.  The arms
+of an activation atom (arms the solver always refreshes together) whose map
+is a one-row ``DenseMatrix`` and whose FNEs fuse (``FneOperator.stacked``)
+form one group, whose ``linop`` is the ``DenseMatrix`` of its own stacked
+rows: one matvec, one FNE call and one adjoint.  Every other arm is a group
+of one with its own maps.  A problem builds each atom's groups once
+(:meth:`Problem.atom_groups`); the residual and the gaps read those of all
+arms (:attr:`Problem.groups`).  A run's residual is its last record: each
+stop check evaluates :func:`array_residual` at its own iterate, so after a
+solve only the gaps are evaluated, in one pass (:func:`arm_gaps`), and the
+inconsistency bound is their norm (:func:`inconsistency_bound`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "prescription_images",
     "inconsistency_bound",
     "least_squares_objective",
-    "dense_rows",
     "arm_groups",
     "pullback",
     "array_residual",
@@ -137,7 +137,6 @@ class ArmArrays(NamedTuple):
 
     weights: np.ndarray     # w_i
     bounds: np.ndarray      # linop.norm_sq, b_i >= ||L_i||^2
-    heights: np.ndarray     # rows of L_i when it is a DenseMatrix, else 0
 
 
 @dataclass(frozen=True)
@@ -173,23 +172,16 @@ class Problem:
         return self.prescriptions[0].linop.input_shape
 
     @property
-    def weights(self) -> tuple:
-        return tuple(p.weight for p in self.prescriptions)
-
-    @property
     def arm_count(self) -> int:
         return len(self.prescriptions)
 
     @functools.cached_property
     def arrays(self) -> ArmArrays:
-        """The weights, bounds and dense row counts of the arms, read once
-        on first use (the prescriptions are immutable)."""
+        """The weights and bounds of the arms, read once on first use (the
+        prescriptions are immutable); the one table of the arms' weights."""
         pres = self.prescriptions
-        arrays = ArmArrays(
-            np.array([p.weight for p in pres]),
-            np.array([p.linop.norm_sq for p in pres]),
-            np.array([p.linop.matrix.shape[0] if isinstance(p.linop, DenseMatrix)
-                      else 0 for p in pres]))
+        arrays = ArmArrays(np.array([p.weight for p in pres]),
+                           np.array([p.linop.norm_sq for p in pres]))
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -251,17 +243,18 @@ def prescription_images(problem: Problem, x: SpacePoint) -> list:
     return [p.image(x) for p in problem.prescriptions]
 
 
-def inconsistency_bound(problem: Problem, solution: SpacePoint) -> float:
+def inconsistency_bound(gaps) -> float:
     """Upper bound sqrt(sum_i ||p_i - F_i(L_i x)||^2) on the distance from the
-    prescriptions to the realizable set, evaluated at a solution.
+    prescriptions to the realizable set, given the gaps ||p_i - F_i(L_i x)||
+    at a solution x (:func:`arm_gaps`).
 
     Vanishes (within roundoff) exactly when every prescription holds at the
-    solution.  It is the bound alone and evaluates no residual; for a solve's
-    result the residual is the last record of its trace
-    (``trace.final_residual``), :func:`vi_residual` at that point bit for bit.
-    The gaps are :func:`arm_gaps`.
+    solution.  It evaluates no arm and no residual: a caller that also
+    reports the gaps passes the one array it has.  For a solve's result the
+    residual is the last record of its trace (``trace.final_residual``),
+    :func:`vi_residual` at that point bit for bit.
     """
-    return math.sqrt(math.fsum(arm_gaps(problem, solution.data) ** 2))
+    return math.sqrt(math.fsum(np.asarray(gaps, dtype=np.float64) ** 2))
 
 
 def least_squares_objective(problem: Problem, x: SpacePoint) -> float:
@@ -280,7 +273,7 @@ def least_squares_objective(problem: Problem, x: SpacePoint) -> float:
                 "objective is undefined")
         if np.any(p.target.data != 0):
             raise UnsupportedObjective(f"arm {i} has a nonzero target")
-    return 0.5 * math.fsum(np.asarray(problem.weights) * arm_gaps(problem, x.data) ** 2)
+    return 0.5 * math.fsum(problem.arrays.weights * arm_gaps(problem, x.data) ** 2)
 
 
 @dataclass(frozen=True)
@@ -297,25 +290,20 @@ class _ArmGroup:
     weights: np.ndarray      # w_i of ``arms``, in their order
 
 
-def dense_rows(problem: Problem, arms: Sequence[int]) -> np.ndarray:
-    """The matrices of ``arms``, which must all be ``DenseMatrix`` maps,
-    stacked in the given order."""
-    pres = problem.prescriptions
-    return np.concatenate([pres[i].linop.matrix for i in arms])
-
-
 def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
     """Split one activation atom into groups: for each FNE class, the atom's
-    one-row dense arms when their FNEs fuse (``FneOperator.stacked``), and
-    every other arm alone.  A fused group's map is the ``DenseMatrix`` of its
-    own arms' :func:`dense_rows`.  Every group holds its arms' weights."""
+    arms whose map is a one-row ``DenseMatrix`` when their FNEs fuse
+    (``FneOperator.stacked``), and every other arm alone.  A fused group's
+    map is the ``DenseMatrix`` of its own arms' rows, stacked in atom order.
+    Every group holds its arms' weights."""
     pres, weights = problem.prescriptions, problem.arrays.weights
-    atom = np.asarray(atom)
-    one_row = problem.arrays.heights[atom] == 1
-    by_class = {}                               # one-row arms, in atom order
-    for i in atom[one_row].tolist():
-        by_class.setdefault(type(pres[i].fne), []).append(i)
-    alone = atom[~one_row].tolist()
+    by_class, alone = {}, []                    # both in atom order
+    for i in atom:
+        linop = pres[i].linop
+        if isinstance(linop, DenseMatrix) and linop.matrix.shape[0] == 1:
+            by_class.setdefault(type(pres[i].fne), []).append(i)
+        else:
+            alone.append(i)
     groups = []
     for cls, arms in by_class.items():
         members = [pres[i] for i in arms]
@@ -323,8 +311,9 @@ def arm_groups(problem: Problem, atom: Sequence[int]) -> tuple:
         if fne is None:
             alone.extend(arms)
             continue
+        rows = np.concatenate([p.linop.matrix for p in members])
         groups.append(_ArmGroup(
-            np.array(arms), DenseMatrix(dense_rows(problem, arms)), fne,
+            np.array(arms), DenseMatrix(rows), fne,
             np.concatenate([p.target.data for p in members]), weights[arms]))
     groups += [_ArmGroup(np.array([i]), pres[i].linop, pres[i].fne,
                          pres[i].target.data, weights[[i]]) for i in alone]

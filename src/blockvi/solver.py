@@ -26,11 +26,11 @@ it is computed exactly: for multi-arm atoms of dense maps, b_c is
 :func:`blockvi.linops.certified_norm_sq` of the stacked rows A_i with row
 weights w_i / W_c, the largest eigenvalue of their smaller weighted Gram
 plus a stated allowance for its rounding.  Every other arm keeps its map's
-certified ``norm_sq`` (b_i >= ||L_i||^2).  An atom that is one
-fused group below is certified on its group's ``DenseMatrix``; any other dense
-atom stacks its rows for the bound alone (:func:`blockvi.core.dense_rows`).
-The per-arm weights, bounds and row counts come from
-:attr:`blockvi.core.Problem.arrays`.
+certified ``norm_sq`` (b_i >= ||L_i||^2).  An atom is dense when every one
+of its groups below has a ``DenseMatrix`` map.  One that is one fused group
+is certified on its group's ``DenseMatrix``; any other dense atom stacks its
+arms' own matrices, in atom order, for the bound alone.  The per-arm weights
+and bounds come from :attr:`blockvi.core.Problem.arrays`.
 
 The averaging uses weights v_i proportional to w_i * b_i.  Dividing each
 arm's update by b_i makes the arm operators 1-cocoercive (which is what the
@@ -181,11 +181,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Problem, array_residual, dense_rows, pullback
+from .core import Problem, array_residual, pullback
 from .core import vi_residual  # noqa: F401  (re-exported: benchmarks wrap it here)
 from .errors import CoverageError, EmptyBlock, InvalidParameter, ShapeMismatch
-from .linops import certified_norm_sq
-from .space import SpacePoint
+from .linops import DenseMatrix, certified_norm_sq
+from . import space
+from .space import SpacePoint, integer
 
 __all__ = [
     "ActivationSchedule",
@@ -235,9 +236,9 @@ def validate_schedule(sets: Sequence[Sequence[int]], index_count: int) -> int:
     (starting anywhere) jointly touch every index.
     """
     period = [_arm_set(s, "sets") for s in sets]
+    full = frozenset(range(integer(index_count, "index_count")))
     if not period:
         raise InvalidParameter("schedule must contain at least one index set")
-    full = frozenset(range(index_count))
     for k, s in enumerate(period):
         if not s:
             raise EmptyBlock("sets: activation sets must be nonempty")
@@ -261,20 +262,12 @@ def validate_schedule(sets: Sequence[Sequence[int]], index_count: int) -> int:
     return worst
 
 
-def _integer(value, key: str) -> int:
-    """``value`` as an int when it is an integer (a ``numbers.Integral``
-    other than a bool); :class:`InvalidParameter` naming ``key`` otherwise."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise InvalidParameter(f"{key}: {value!r} is not an integer")
-    return int(value)
-
-
 def _arm_set(values, key: str) -> tuple:
     """The distinct arm indices of ``values`` (none for None), ascending (see
-    :func:`_integer`)."""
+    :func:`blockvi.space.integer`)."""
     values = list(() if values is None else values)
     if not all(type(i) is int for i in values):   # ints skip the slow check
-        values = [_integer(i, key) for i in values]
+        values = [integer(i, key) for i in values]
     return tuple(sorted(set(values)))
 
 
@@ -313,7 +306,7 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
     for key, value in given.items():
         if value is not None and key not in SCHEDULE_KEYS[kind]:
             raise InvalidParameter(f"schedule kind {kind!r} does not use {key!r}")
-    if index_count < 1:
+    if integer(index_count, "index_count") < 1:
         raise InvalidParameter("index_count must be >= 1")
     all_idx = tuple(range(index_count))
 
@@ -322,7 +315,7 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
     elif kind == "cyclic_partition":
         always = _arm_set(always_active, "always_active")
         rest = [i for i in all_idx if i not in always]
-        blocks = _integer(blocks, "blocks")
+        blocks = integer(blocks, "blocks")
         if blocks < 1 or (rest and blocks > len(rest)):
             raise InvalidParameter("blocks: block count must be in [1, #rotating arms]")
         cells = [c.tolist() for c in np.array_split(np.array(rest, dtype=int), blocks)]
@@ -330,7 +323,7 @@ def make_schedule(kind: str, index_count: int, *, blocks: Optional[int] = None,
             raise EmptyBlock("always_active: cyclic partition contains an empty cell")
         period_sets = [always + tuple(c) for c in cells]
     elif kind == "mod_skip":
-        period = _integer(period, "period")
+        period = integer(period, "period")
         if period < 1:
             raise InvalidParameter("mod_skip needs a period >= 1")
         exp = _arm_set(expensive, "expensive")
@@ -361,15 +354,24 @@ class SolverConfig:
     accelerate: bool = True          # Anderson extrapolation over spans
 
     def __post_init__(self):
+        for key in ("gamma", "tol"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidParameter(f"{key}: {value!r} is not a real number")
+        # the class itself: a test may stand a counter in for this module's
+        # name SpacePoint
+        if not isinstance(self.x0, space.SpacePoint):
+            raise InvalidParameter(
+                f"x0: a {type(self.x0).__name__} is not a SpacePoint")
         if not 0.0 < self.gamma < 2.0:
             raise InvalidParameter(
                 f"gamma = {self.gamma!r} rejected; the relaxation parameter "
                 "must lie strictly inside (0, 2)")
-        if _integer(self.max_iters, "max_iters") < 1:
+        if integer(self.max_iters, "max_iters") < 1:
             raise InvalidParameter("max_iters must be >= 1")
         if not self.tol >= 0:                    # also catches NaN
             raise InvalidParameter("tol must be nonnegative")
-        if _integer(self.trace_every, "trace_every") < 1:
+        if integer(self.trace_every, "trace_every") < 1:
             raise InvalidParameter("trace_every must be >= 1")
 
 
@@ -395,12 +397,10 @@ class SolverTrace:
     records: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
 
-    def add(self, n: int, seconds: float, residual: float, step_norm: float,
-            active_set_id: int):
-        if self.records and n <= self.records[-1].n:
+    def add(self, record: TraceRecord):
+        if self.records and record.n <= self.records[-1].n:
             raise InvalidParameter("trace records must be strictly increasing in n")
-        self.records.append(TraceRecord(n, seconds, residual, step_norm,
-                                        active_set_id))
+        self.records.append(record)
 
     @property
     def final_residual(self) -> float:
@@ -457,26 +457,27 @@ def step_bounds(problem: Problem, schedule: ActivationSchedule) -> tuple:
     """Certified step bound b_i of every arm under ``schedule``.
 
     An arm keeps its map's ``norm_sq`` (``problem.arrays.bounds``) unless it
-    lies in a multi-arm atom of dense maps (``schedule.atoms``): those arms
-    share the bound on ||sum_{i in c} (w_i / W_c) A_i^T A_i|| that
+    lies in a multi-arm atom of ``schedule.atoms`` whose groups
+    (:meth:`blockvi.core.Problem.atom_groups`) all have ``DenseMatrix`` maps:
+    those arms share the bound on ||sum_{i in c} (w_i / W_c) A_i^T A_i|| that
     :func:`blockvi.linops.certified_norm_sq` certifies for their stacked rows
     whenever it is below their weighted mean sum_{i in c} w_i b_i / W_c.
     The rows are the matrix of the atom's one fused group when the atom is
-    one group (:meth:`blockvi.core.Problem.atom_groups`), and its
-    :func:`blockvi.core.dense_rows` otherwise.
+    one group, and its arms' own matrices stacked in atom order otherwise.
     """
-    weights, own, heights = problem.arrays
+    weights, own = problem.arrays
     bounds = own.copy()
     for atom in schedule.atoms:
-        arms = np.asarray(atom)
-        if arms.size < 2 or not heights[arms].all():
-            continue
-        total = math.fsum(weights[arms].tolist())
         groups = problem.atom_groups(atom)
+        if len(atom) < 2 or not all(isinstance(g.linop, DenseMatrix) for g in groups):
+            continue
+        arms = np.asarray(atom)
+        total = math.fsum(weights[arms].tolist())
+        matrices = [problem.prescriptions[i].linop.matrix for i in atom]
         stacked = groups[0].linop.matrix if len(groups) == 1 else \
-            dense_rows(problem, atom)
-        certified = certified_norm_sq(
-            stacked, np.repeat(weights[arms] / total, heights[arms]))
+            np.concatenate(matrices)
+        certified = certified_norm_sq(stacked, np.repeat(
+            weights[arms] / total, [m.shape[0] for m in matrices]))
         if certified < math.fsum((weights[arms] * own[arms]).tolist()) / total:
             bounds[arms] = certified
     return tuple(bounds.tolist())
@@ -685,7 +686,8 @@ def solve(problem: Problem, schedule: ActivationSchedule,
             residual = array_residual(problem, x, directions=directions)
             seconds = time.perf_counter() - started
             step = x - prev_x
-            trace.add(n, seconds, residual, math.sqrt(step @ step), n % period)
+            trace.add(TraceRecord(n, seconds, residual, math.sqrt(step @ step),
+                                  n % period))
             if config.snapshots:
                 trace.iterates.append((n + 1, seconds, x))
             if residual <= config.tol:

@@ -8,6 +8,7 @@ an image, or a matrix.  Product spaces are shapes with several blocks.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -15,7 +16,15 @@ import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
 
-__all__ = ["BlockShape", "SpacePoint"]
+__all__ = ["BlockShape", "SpacePoint", "integer"]
+
+
+def integer(value, key: str) -> int:
+    """``value`` as an int when it is an integer (a ``numbers.Integral``
+    other than a bool); :class:`InvalidParameter` naming ``key`` otherwise."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidParameter(f"{key}: {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -26,14 +35,16 @@ class BlockShape:
     extents: tuple[Optional[tuple[int, int]], ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        lengths = tuple(int(n) for n in self.lengths)
+        lengths = tuple(integer(n, "lengths") for n in self.lengths)
         object.__setattr__(self, "lengths", lengths)
         if not lengths or any(n < 1 for n in lengths):
             raise InvalidParameter("every block must have length >= 1")
         extents = self.extents
         if extents is None:
             extents = (None,) * len(lengths)
-        extents = tuple(None if e is None else (int(e[0]), int(e[1])) for e in extents)
+        extents = tuple(None if e is None else
+                        (integer(e[0], "extents"), integer(e[1], "extents"))
+                        for e in extents)
         if len(extents) != len(lengths):
             raise InvalidParameter("extents and lengths must align")
         for n, ext in zip(lengths, extents):

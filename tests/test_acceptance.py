@@ -123,7 +123,8 @@ def test_criterion_3_image_uniqueness():
             result = solve(problem, schedule, config)
             assert result.status is SolveStatus.CONVERGED, seed
             images.append(prescription_images(problem, result.solution))
-            bounds.append(inconsistency_bound(problem, result.solution))
+            bounds.append(inconsistency_bound(
+                arm_gaps(problem, result.solution.data)))
         for a, b in itertools.combinations(images, 2):
             worst_image = max(worst_image,
                               max((pa - pb).norm() for pa, pb in zip(a, b)))

@@ -37,7 +37,8 @@ from blockvi.errors import (
     ManifestError,
     MissingReference,
 )
-from blockvi.core import arm_gaps, arm_groups, array_residual, dense_rows, pullback
+from blockvi.core import arm_gaps, arm_groups, array_residual, pullback
+from blockvi.linops import DenseMatrix
 from blockvi.solver import SolverConfig, make_schedule, solve, validate_schedule
 from blockvi.space import SpacePoint
 
@@ -46,6 +47,22 @@ def _write_manifest(tmp_path, payload, name="manifest.json"):
     path = tmp_path / name
     write_json(payload, path)
     return path
+
+
+def _write_nonstrict_manifest(tmp_path, payload):
+    # NaN and Infinity, which write_json refuses but a hand-written
+    # manifest may hold
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, refusing NaN and the infinities, which
+    strict JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def _small_manifest(kind, seed, **solver_overrides):
@@ -165,7 +182,7 @@ def test_manifest_reports_json_line(tmp_path):
 def test_manifest_rejects_nonfinite_snr(tmp_path):
     payload = default_manifest("signal_recovery", 1)
     payload["noise"]["observation_snr_db"] = float("inf")
-    path = _write_manifest(tmp_path, payload)
+    path = _write_nonstrict_manifest(tmp_path, payload)
     with pytest.raises(ManifestError, match="finite"):
         load_manifest(path)
 
@@ -176,7 +193,7 @@ def test_manifest_rejects_nonfinite_snr(tmp_path):
 def test_manifest_rejects_nonfinite_solver_numbers(tmp_path, name, value):
     payload = default_manifest("signal_recovery", 1)
     payload["solver"][name] = value
-    path = _write_manifest(tmp_path, payload)
+    path = _write_nonstrict_manifest(tmp_path, payload)
     with pytest.raises(ManifestError, match=rf"\['solver'\]\['{name}'\].*finite"):
         load_manifest(path)
 
@@ -343,7 +360,7 @@ def test_generated_problems_validate(kind):
     data = generate_experiment(kind, payload["dimensions"], 13,
                                payload["noise"], payload["operators"])
     prob = data.problem
-    assert math.fsum(prob.weights) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(prob.arrays.weights.tolist()) == pytest.approx(1.0, abs=1e-12)
     assert prob.constraint.projector(data.ground_truth) == data.ground_truth
     # schedule from the default manifest covers the arms
     sched = make_schedule(index_count=prob.arm_count, **payload["schedule"])
@@ -669,6 +686,25 @@ def test_custom_run_of_a_one_column_system_converges(tmp_path):
     np.testing.assert_allclose(recovered, oracle, atol=1e-6)
 
 
+def test_custom_run_with_a_zero_truth_writes_strict_json(tmp_path):
+    # a zero ground truth has no relative error: the summary holds null
+    # there, not the NaN that strict JSON does not have
+    write_matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, -6.0]]), tmp_path / "a.csv")
+    write_vector_csv(np.zeros(3), tmp_path / "b.csv")
+    payload = default_manifest("custom", 0)
+    payload["operators"] = {"matrix_csv": "a.csv", "rhs_csv": "b.csv"}
+    assert main(["run", str(_write_manifest(tmp_path, payload))]) == 0
+    summary = _strict_json(tmp_path / "results" / "summary.json")
+    assert summary["metrics"] == {"recovered_rel_error": None}
+
+
+def test_write_json_refuses_nan_and_writes_nothing(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        write_json({"x": [1.0, float("nan")]}, path)
+    assert not path.exists()
+
+
 def test_custom_run_with_box_bounds_matches_bounded_least_squares(tmp_path):
     from scipy.optimize import lsq_linear
 
@@ -724,7 +760,7 @@ def test_run_writes_expected_artifacts(tmp_path):
     for name in ["recovered.csv", "ground_truth.csv", "observation.csv",
                  "trace.csv", "snapshots.csv", "summary.json"]:
         assert (out / name).exists(), name
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     assert summary["status"] == "max_iters"
     assert summary["iterations"] == 120
     assert len(summary["arm_gaps"]) == summary["manifest"]["dimensions"]["dictionary_rows"] + 2
@@ -734,26 +770,36 @@ def test_run_writes_expected_artifacts(tmp_path):
 def test_summary_gaps_come_from_the_solver_kernel(tmp_path, monkeypatch):
     # a run evaluates no residual after its solve: it makes the pullback
     # calls of its solve alone, and its residual is the last record's,
-    # array_residual at the recovered point bit for bit
+    # array_residual at the recovered point bit for bit; the gaps and the
+    # inconsistency bound share one pass, one evaluation of each group of
+    # Problem.groups
     payload = _small_manifest("signal_recovery", 7)
-    calls = []
+    calls, evaluations = [], []
+    fne_residuals = blockvi.core._fne_residuals
 
     def counted(*args):
         calls.append(None)
         return pullback(*args)
 
+    def evaluated(*args):
+        evaluations.append(None)
+        return fne_residuals(*args)
+
     monkeypatch.setattr("blockvi.core.pullback", counted)
     monkeypatch.setattr("blockvi.solver.pullback", counted)
+    monkeypatch.setattr("blockvi.core._fne_residuals", evaluated)
     run_manifest(load_manifest(_write_manifest(tmp_path, payload)))
-    run_calls = len(calls)
+    run_calls, run_evaluations = len(calls), len(evaluations)
     out = tmp_path / "results"
     summary = json.loads((out / "summary.json").read_text())
     problem = generate_experiment("signal_recovery", payload["dimensions"], 7,
                                   payload["noise"], payload["operators"]).problem
     calls.clear()
+    evaluations.clear()
     solve(problem, make_schedule(index_count=problem.arm_count, **payload["schedule"]),
           SolverConfig(x0=SpacePoint.zeros(problem.domain_shape), **payload["solver"]))
     assert run_calls == len(calls) > 0
+    assert run_evaluations - len(evaluations) == len(problem.groups)
     recovered = read_vector_csv(out / "recovered.csv")
     assert summary["final_residual"] == array_residual(problem, recovered)
     gaps = arm_gaps(problem, recovered)
@@ -762,9 +808,10 @@ def test_summary_gaps_come_from_the_solver_kernel(tmp_path, monkeypatch):
 
 
 def test_run_builds_the_all_arm_groups_once(tmp_path, monkeypatch):
-    # the solve's bound, rows and residual, then the inconsistency bound (its
-    # gaps) and the summary's gaps all read the problem's one grouping of all
-    # arms, whose one fused group stacks the rows once
+    # the solve's bound, rows and residual, then the summary's gaps (and the
+    # inconsistency bound, their norm) all read the problem's one grouping of
+    # all arms; once the problem exists, the one matrix built is its fused
+    # group's stacked rows
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((12, 4))
     write_matrix_csv(matrix, tmp_path / "matrix.csv")
@@ -779,13 +826,19 @@ def test_run_builds_the_all_arm_groups_once(tmp_path, monkeypatch):
         builds.append(list(atom) == list(range(problem.arm_count)))
         return arm_groups(problem, atom)
 
-    def counted_rows(problem, arms):
-        stacks.append(len(arms))
-        return dense_rows(problem, arms)
+    init = DenseMatrix.__init__
+
+    def counted_matrix(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        stacks.append(self.matrix.shape[0])
+
+    def generated(*args):
+        data = generate_experiment(*args)
+        monkeypatch.setattr(DenseMatrix, "__init__", counted_matrix)
+        return data
 
     monkeypatch.setattr("blockvi.core.arm_groups", counted_groups)
-    monkeypatch.setattr("blockvi.core.dense_rows", counted_rows)
-    monkeypatch.setattr("blockvi.solver.dense_rows", counted_rows)
+    monkeypatch.setattr("blockvi.cli.runner.generate_experiment", generated)
     assert run_manifest(load_manifest(_write_manifest(tmp_path, payload))) == 0
     assert builds == [True]
     assert stacks == [12]
@@ -1194,7 +1247,7 @@ def test_image_recovery_uses_equal_thirds():
     payload = default_manifest("image_recovery", 1)
     data = generate_experiment("image_recovery", payload["dimensions"], 1,
                                payload["noise"], payload["operators"])
-    np.testing.assert_allclose(data.problem.weights, [1 / 3] * 3)
+    np.testing.assert_allclose(data.problem.arrays.weights, [1 / 3] * 3)
     kinds = [p.fne.kind for p in data.problem.prescriptions]
     assert kinds == ["box", "residual_of", "phase_prescription"]
 
@@ -1207,7 +1260,7 @@ def test_sparse_image_uses_published_radius_and_skip():
     assert payload["solver"]["gamma"] == 1.9
     data = generate_experiment("sparse_image", payload["dimensions"], 1,
                                payload["noise"], payload["operators"])
-    np.testing.assert_allclose(data.problem.weights, [0.5, 0.5])
+    np.testing.assert_allclose(data.problem.arrays.weights, [0.5, 0.5])
 
 
 def test_signal_recovery_arm_structure():
@@ -1217,7 +1270,7 @@ def test_signal_recovery_arm_structure():
     prob = data.problem
     m = payload["dimensions"]["dictionary_rows"]
     assert prob.arm_count == m + 2
-    np.testing.assert_allclose(prob.weights, [1.0 / (m + 2)] * (m + 2))
+    np.testing.assert_allclose(prob.arrays.weights, [1.0 / (m + 2)] * (m + 2))
     assert prob.prescriptions[0].fne.kind == "blockwise_constant"
     assert prob.prescriptions[1].linop.kind == "finite_difference_1d"
     assert all(p.fne.kind == "soft_threshold"

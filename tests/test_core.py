@@ -42,13 +42,13 @@ def _identity_arm(target, weight, n=1):
 def test_assemble_single_arm():
     prob = assemble_problem(ConstraintSet.whole_space(), [_identity_arm(5.0, 1.0)])
     assert prob.arm_count == 1
-    assert prob.weights == (1.0,)
+    assert prob.arrays.weights.tolist() == [1.0]
 
 
 def test_assemble_uniform_pair():
     prob = assemble_problem(ConstraintSet.whole_space(),
                             [_identity_arm(1.0, 0.5), _identity_arm(2.0, 0.5)])
-    assert prob.weights == (0.5, 0.5)
+    assert prob.arrays.weights.tolist() == [0.5, 0.5]
 
 
 def test_assemble_rejects_bad_weight_sum():
@@ -61,7 +61,7 @@ def test_assemble_renormalizes_tiny_drift():
     w = 0.5 + 2e-10
     prob = assemble_problem(ConstraintSet.whole_space(),
                             [_identity_arm(1.0, w), _identity_arm(2.0, w)])
-    assert sum(prob.weights) == pytest.approx(1.0, abs=1e-15)
+    assert sum(prob.arrays.weights.tolist()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_assemble_requires_nonempty():
@@ -210,7 +210,7 @@ def test_bound_zero_when_consistent():
     cfg = SolverConfig(gamma=1.5, max_iters=100000, tol=1e-10,
                        x0=SpacePoint(np.zeros(6)), trace_every=20)
     res = solve(prob, make_schedule("full", prob.arm_count), cfg)
-    assert inconsistency_bound(prob, res.solution) <= 1e-8
+    assert inconsistency_bound(arm_gaps(prob, res.solution.data)) <= 1e-8
 
 
 def test_bound_hand_value_disjoint_sets():
@@ -222,7 +222,7 @@ def test_bound_hand_value_disjoint_sets():
     prob = assemble_problem(ConstraintSet.box([0.0], [1.0]), [arm])
     solution = SpacePoint([1.0])
     assert vi_residual(prob, solution) == 0.0
-    assert inconsistency_bound(prob, solution) == pytest.approx(1.0)
+    assert inconsistency_bound(arm_gaps(prob, solution.data)) == pytest.approx(1.0)
 
 
 def test_bound_shifted_targets_whole_space():
@@ -231,7 +231,7 @@ def test_bound_shifted_targets_whole_space():
     arms = [_identity_arm(2.0 + shift, 0.5, n=3), _identity_arm(2.0 + shift, 0.5, n=3)]
     prob = assemble_problem(ConstraintSet.whole_space(), arms)
     solution = SpacePoint(np.full(3, 2.0 + shift))
-    assert inconsistency_bound(prob, solution) <= 1e-12
+    assert inconsistency_bound(arm_gaps(prob, solution.data)) <= 1e-12
 
 
 def test_bound_at_a_poor_point_is_its_gap_alone():
@@ -239,7 +239,7 @@ def test_bound_at_a_poor_point_is_its_gap_alone():
     # the solution: it is the gaps' norm there
     prob = scalar_problem(ConstraintSet.whole_space(), 5.0)
     assert vi_residual(prob, SpacePoint([0.0])) > 0.0
-    assert inconsistency_bound(prob, SpacePoint([0.0])) == 5.0
+    assert inconsistency_bound(arm_gaps(prob, np.array([0.0]))) == 5.0
 
 
 # ---------------------------------------------------------------------------

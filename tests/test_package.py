@@ -318,6 +318,29 @@ def _config(**given):
     pytest.param(lambda p: SpacePoint(np.zeros(3), BlockShape.vector(4)),
                  ShapeMismatch, "data length 3 != shape total 4",
                  id="space-point-length"),
+    # each of these was silently truncated or accepted, or ended in a bare
+    # TypeError or AttributeError
+    pytest.param(lambda p: BlockShape((2.5,)), InvalidParameter,
+                 "lengths: 2.5 is not an integer", id="block-shape-float-length"),
+    pytest.param(lambda p: BlockShape.vector(True), InvalidParameter,
+                 "lengths: True is not an integer", id="block-shape-bool-length"),
+    pytest.param(_config(gamma="1.9"), InvalidParameter,
+                 "gamma: '1.9' is not a real number", id="config-gamma-string"),
+    pytest.param(_config(tol=None), InvalidParameter,
+                 "tol: None is not a real number", id="config-tol-none"),
+    pytest.param(_config(gamma=True), InvalidParameter,
+                 "gamma: True is not a real number", id="config-gamma-bool"),
+    pytest.param(_config(tol=False), InvalidParameter,
+                 "tol: False is not a real number", id="config-tol-bool"),
+    pytest.param(_config(x0=[0.0, 0.0]), InvalidParameter,
+                 "x0: a list is not a SpacePoint", id="config-x0-list"),
+    pytest.param(lambda p: make_schedule("full", 2.5), InvalidParameter,
+                 "index_count: 2.5 is not an integer", id="schedule-float-count"),
+    pytest.param(lambda p: make_schedule("full", "3"), InvalidParameter,
+                 "index_count: '3' is not an integer", id="schedule-string-count"),
+    pytest.param(lambda p: ActivationSchedule("explicit", [(0,)], 2.5),
+                 InvalidParameter, "index_count: 2.5 is not an integer",
+                 id="explicit-schedule-float-count"),
 ])
 def test_each_refusal_raises_its_typed_error(tmp_path, build, error, message):
     # callers tell these refusals apart by their BlockviError subclass (the
@@ -342,6 +365,10 @@ def test_stock_problems_pickle_and_solve_bitwise(tmp_path, kind):
                      "rhs_csv": str(_written("b.csv", "value\n1\n2\n3\n")(tmp_path)),
                      "box_bounds": [-0.5, 0.5]}
     problem = generate_experiment(kind, {}, 0, {}, operators).problem
+    if kind != "signal_recovery":
+        # a box of two numbers, not two arrays of the domain's size
+        box = problem.constraint.array_projector.keywords
+        assert box["lo"].shape == box["hi"].shape == ()
     copy = pickle.loads(pickle.dumps(problem))
     runs = [solve(p, make_schedule("full", p.arm_count),
                   SolverConfig(1.9, 40, 0.0, SpacePoint.zeros(p.domain_shape),
@@ -352,3 +379,4 @@ def test_stock_problems_pickle_and_solve_bitwise(tmp_path, kind):
     records, copied = ([(t.n, t.residual, t.step_norm, t.active_set_id)
                         for t in r.trace.records] for r in runs)
     assert records == copied and len(records) == 9
+

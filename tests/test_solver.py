@@ -14,7 +14,7 @@ from blockvi.cli import (
 )
 from blockvi.cli.experiments import STOCK_PARAMETERS
 from blockvi.core import (ConstraintSet, Prescription, arm_gaps, arm_groups,
-                          array_residual, assemble_problem, dense_rows,
+                          array_residual, assemble_problem,
                           prescription_images, pullback, vi_residual)
 from blockvi.errors import CoverageError, EmptyBlock, InvalidParameter
 from blockvi.fne_ops import (
@@ -33,6 +33,7 @@ from blockvi.solver import (
     SolveStatus,
     SolverConfig,
     SolverTrace,
+    TraceRecord,
     activation_atoms,
     make_schedule,
     solve,
@@ -481,28 +482,30 @@ def test_solve_certifies_bounds_once(monkeypatch):
 @pytest.mark.parametrize("case", [_signal_recovery_case, _feasibility_case])
 def test_solve_builds_groups_once(monkeypatch, case):
     # the problem builds each atom's groups once, for its bound and its rows,
-    # and the groups of all arms once, for the residual; each fused group
-    # stacks its own rows once
+    # and the groups of all arms once, for the residual; once the problem
+    # exists, the only matrices built are the fused groups' stacked rows,
+    # one each
     stacks, builds = [], []
+    init = DenseMatrix.__init__
 
-    def counted_rows(problem, arms):
-        stacks.append(tuple(arms))
-        return dense_rows(problem, arms)
+    def counted_matrix(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        stacks.append(self)
 
     def counted_groups(problem, atom):
         builds.append(tuple(atom))
         return arm_groups(problem, atom)
 
-    monkeypatch.setattr(blockvi.core, "dense_rows", counted_rows)
-    monkeypatch.setattr(blockvi.solver, "dense_rows", counted_rows)
     monkeypatch.setattr(blockvi.core, "arm_groups", counted_groups)
     prob, sched = case()
+    monkeypatch.setattr(DenseMatrix, "__init__", counted_matrix)
     solve(prob, sched, _config(gamma=1.9, max_iters=20, tol=0.0,
                                x0=SpacePoint.zeros(prob.domain_shape)))
     atoms = sorted({*activation_atoms(sched), tuple(range(prob.arm_count))})
-    fused = [tuple(g.arms) for atom in atoms for g in prob.atom_groups(atom)
+    fused = [g.linop for atom in atoms for g in prob.atom_groups(atom)
              if len(g.arms) > 1]
-    assert sorted(stacks) == sorted(fused)
+    assert fused
+    assert sorted(map(id, stacks)) == sorted(map(id, fused))
     assert sorted(builds) == atoms
 
 
@@ -527,15 +530,16 @@ def test_a_second_solve_builds_no_arm_group(monkeypatch):
 
 def test_groups_stack_no_rows_that_no_group_holds(monkeypatch):
     # four multi-row dense arms: each is a group of one, which keeps its own
-    # map, so the grouping of all arms stacks no rows
+    # map, so the grouping of all arms builds no matrix
     stacks = []
+    init = DenseMatrix.__init__
 
-    def counted_rows(problem, arms):
-        stacks.append(tuple(arms))
-        return dense_rows(problem, arms)
+    def counted_matrix(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        stacks.append(self)
 
-    monkeypatch.setattr(blockvi.core, "dense_rows", counted_rows)
     prob, _ = mixed_arms_problem(0, True)
+    monkeypatch.setattr(DenseMatrix, "__init__", counted_matrix)
     groups = prob.groups
     assert len(groups) == prob.arm_count
     assert all(len(g.arms) == 1 for g in groups)
@@ -914,7 +918,7 @@ def test_in_place_rows_match_per_arm_formula_bitwise():
         else:                                  # v-weighted mean of its arms
             mean = sum(v[i] * ti for i, ti in zip(g.arms, per_arm)) / v[g.arms].sum()
             np.testing.assert_allclose(t[row], mean, rtol=1e-12, atol=1e-12)
-    z = x - 0.7 * (np.asarray(prob.weights) @ rows)
+    z = x - 0.7 * (prob.arrays.weights @ rows)
     projected = prob.constraint.array_projector(z)
     expected = float(np.linalg.norm(x - projected)) / (1.0 + float(np.linalg.norm(x)))
     assert array_residual(prob, x, 0.7) == expected
@@ -1781,9 +1785,9 @@ def test_stop_checks_stay_on_the_grid_without_a_prediction(monkeypatch, tol,
 
 def test_trace_records_strictly_increasing():
     trace = SolverTrace()
-    trace.add(0, 0.0, 1.0, 1.0, 0)
+    trace.add(TraceRecord(0, 0.0, 1.0, 1.0, 0))
     with pytest.raises(InvalidParameter):
-        trace.add(0, 0.1, 0.5, 0.5, 0)
+        trace.add(TraceRecord(0, 0.1, 0.5, 0.5, 0))
 
 
 def test_trace_csv_roundtrip(tmp_path):
